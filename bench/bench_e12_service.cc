@@ -527,16 +527,6 @@ void ArmChaos() {
 
 // ---- Flag parsing + registration (custom main). ----
 
-// Consumes "--name=value" from a bench flag; returns nullptr if it is not
-// this flag (so unmatched argv entries fall through to google-benchmark).
-const char* FlagValue(const char* arg, const char* name) {
-  size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    return arg + len + 1;
-  }
-  return nullptr;
-}
-
 // Comma-separated non-negative integer list, e.g. "1,2,4,8".
 std::vector<int> ParseIntList(const char* flag, const char* value) {
   std::vector<int> out;

@@ -87,13 +87,6 @@ uint64_t NumberAfter(const std::string& text, const char* token) {
   return std::strtoull(text.c_str() + pos + std::strlen(token), nullptr, 10);
 }
 
-double Median(std::vector<double> v) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  size_t mid = v.size() / 2;
-  return v.size() % 2 == 1 ? v[mid] : (v[mid - 1] + v[mid]) / 2.0;
-}
-
 std::string JsonList(const std::vector<double>& v) {
   std::string out = "[";
   char buf[32];
@@ -103,14 +96,6 @@ std::string JsonList(const std::vector<double>& v) {
     out += buf;
   }
   return out + "]";
-}
-
-const char* FlagValue(const char* arg, const char* name) {
-  size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    return arg + len + 1;
-  }
-  return nullptr;
 }
 
 }  // namespace

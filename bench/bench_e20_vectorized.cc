@@ -59,18 +59,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double MicrosSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::micro>(Clock::now() - start)
-      .count();
-}
-
-double Median(std::vector<double> v) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  size_t mid = v.size() / 2;
-  return v.size() % 2 == 1 ? v[mid] : (v[mid - 1] + v[mid]) / 2.0;
-}
-
 std::string JsonList(const std::vector<double>& v) {
   std::string out = "[";
   char buf[32];
@@ -80,14 +68,6 @@ std::string JsonList(const std::vector<double>& v) {
     out += buf;
   }
   return out + "]";
-}
-
-const char* FlagValue(const char* arg, const char* name) {
-  size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    return arg + len + 1;
-  }
-  return nullptr;
 }
 
 void DieIfNotEqual(const Table& vec, const Table& row, const char* series) {

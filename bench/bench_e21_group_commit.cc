@@ -78,13 +78,6 @@ Delta OneRowDelta(const std::string& table, int64_t a, int64_t b) {
   return delta;
 }
 
-double Median(std::vector<double> v) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  size_t mid = v.size() / 2;
-  return v.size() % 2 == 1 ? v[mid] : (v[mid - 1] + v[mid]) / 2.0;
-}
-
 std::string JsonList(const std::vector<double>& v, const char* fmt) {
   std::string out = "[";
   char buf[64];
@@ -104,14 +97,6 @@ std::unique_ptr<StorageEngine> OpenOrDie(const StorageOptions& opts,
       StorageEngine::Open(opts, metrics);
   CheckOrDie(result.status(), "open storage engine");
   return std::move(result).value();
-}
-
-const char* FlagValue(const char* arg, const char* name) {
-  size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    return arg + len + 1;
-  }
-  return nullptr;
 }
 
 // Part 1: closed-loop commits/s for one arm on a fresh database. Each of

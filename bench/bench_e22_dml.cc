@@ -57,26 +57,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double MicrosSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::micro>(Clock::now() - start)
-      .count();
-}
-
-double Median(std::vector<double> v) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  size_t mid = v.size() / 2;
-  return v.size() % 2 == 1 ? v[mid] : (v[mid - 1] + v[mid]) / 2.0;
-}
-
-const char* FlagValue(const char* arg, const char* name) {
-  size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    return arg + len + 1;
-  }
-  return nullptr;
-}
-
 // A service over T(A, B) — A in [0, groups), B unique per row — plus one
 // materialized view over T: SUM+COUNT (delete-foldable) or MAX-only
 // (deletes force the recompute fallback).

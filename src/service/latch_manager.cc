@@ -84,8 +84,17 @@ LatchManager::Guard LatchManager::Ddl() {
   return g;
 }
 
-void LatchManager::AcquireStripes(
-    Guard* g, std::vector<std::pair<uint32_t, bool>> want) {
+void LatchManager::AcquireWrite(Guard* g,
+                                const std::vector<std::string>& writes,
+                                const std::vector<std::string>& reads) {
+  std::vector<std::pair<uint32_t, bool>> want;
+  want.reserve(writes.size() + reads.size());
+  for (const std::string& name : writes) {
+    want.emplace_back(StripeOf(name), true);
+  }
+  for (const std::string& name : reads) {
+    want.emplace_back(StripeOf(name), false);
+  }
   assert(g->mgr_ == this && g->ddl_ == Guard::DdlMode::kShared &&
          g->stripes_.empty());
   // Canonical order: ascending index; on a tied index exclusive wins, then
@@ -110,37 +119,6 @@ void LatchManager::AcquireStripes(
     }
     g->stripes_.emplace_back(index, exclusive);
   }
-}
-
-void LatchManager::AcquireShared(Guard* g,
-                                 const std::vector<std::string>& names) {
-  std::vector<std::pair<uint32_t, bool>> want;
-  want.reserve(names.size());
-  for (const std::string& name : names) {
-    want.emplace_back(StripeOf(name), false);
-  }
-  AcquireStripes(g, std::move(want));
-}
-
-void LatchManager::AcquireWrite(Guard* g,
-                                const std::vector<std::string>& writes,
-                                const std::vector<std::string>& reads) {
-  std::vector<std::pair<uint32_t, bool>> want;
-  want.reserve(writes.size() + reads.size());
-  for (const std::string& name : writes) {
-    want.emplace_back(StripeOf(name), true);
-  }
-  for (const std::string& name : reads) {
-    want.emplace_back(StripeOf(name), false);
-  }
-  AcquireStripes(g, std::move(want));
-}
-
-void LatchManager::AcquireAllShared(Guard* g) {
-  std::vector<std::pair<uint32_t, bool>> want;
-  want.reserve(stripe_count_);
-  for (uint32_t i = 0; i < stripe_count_; ++i) want.emplace_back(i, false);
-  AcquireStripes(g, std::move(want));
 }
 
 }  // namespace aqv

@@ -10,22 +10,23 @@
 
 namespace aqv {
 
-/// Two-level latching for the query service, replacing the single global
-/// reader/writer latch of PR 1:
+/// Two-level latching for the query service's writers and schema changes.
+/// Reads take no stripes: they run on a pinned snapshot and hold the ddl
+/// latch shared only while pinning (see QueryService).
 ///
-///   level 0 — one `ddl` shared_mutex. Every statement acquires it: shared
-///     for anything that only reads or writes *rows* (SELECT, EXPLAIN,
-///     INSERT, REFRESH, ...), exclusive for statements that change the
-///     *schema* (CREATE TABLE/VIEW, LOAD, Bootstrap). Holding it shared
-///     freezes the catalog and view registry, which is what makes it safe
-///     to parse/bind a statement before knowing which tables it touches.
+///   level 0 — one `ddl` shared_mutex. Held shared by a read while it pins
+///     the catalog, registry and table-version vector, and by a row write
+///     (INSERT, DELETE, UPDATE, REFRESH, LOAD into an existing table) for
+///     its whole run, so the catalog and registry stay fixed while it binds
+///     and maintains views. Held exclusive by statements that change the
+///     *schema* (CREATE TABLE/VIEW, LOAD of a new table, Bootstrap) and by
+///     checkpoints, which need a quiesced database.
 ///
 ///   level 1 — `stripe_count` shared_mutexes, each covering the tables and
-///     materialized views whose names hash onto it. After binding, a
-///     statement acquires the stripes covering its footprint: shared for
-///     reads, exclusive for the names it writes. Writes to table A no
-///     longer block statements touching only table B (unless the two names
-///     collide onto one stripe).
+///     materialized views whose names hash onto it. A writer acquires the
+///     stripes of the names it writes exclusive and those a view recompute
+///     reads shared, so writes to table A do not block writes touching
+///     only table B (unless the two names collide onto one stripe).
 ///
 /// Deadlock freedom: every acquirer takes level 0 before level 1 and locks
 /// its stripes in ascending index order (exclusive before shared on a tied
@@ -67,27 +68,19 @@ class LatchManager {
     std::vector<std::pair<uint32_t, bool>> stripes_;
   };
 
-  /// Level 0 shared — the pre-bind phase of every non-DDL statement. The
-  /// caller parses/binds under this, then adds stripes with Acquire*.
+  /// Level 0 shared: a read's pin, or a write's bind phase — the writer
+  /// then adds stripes with AcquireWrite.
   Guard StatementShared();
 
   /// Level 0 exclusive: total exclusivity, for schema changes. No stripes
   /// are needed (or taken) — nothing else can be running.
   Guard Ddl();
 
-  /// Adds the stripes covering `names`, all shared, to `g` (which must hold
-  /// the ddl latch shared and no stripes yet).
-  void AcquireShared(Guard* g, const std::vector<std::string>& names);
-
-  /// Adds the stripes covering `writes` exclusive and `reads` shared. A
-  /// stripe named by both sides is taken exclusive.
+  /// Adds the stripes covering `writes` exclusive and `reads` shared to `g`
+  /// (which must hold the ddl latch shared and no stripes yet). A stripe
+  /// named by both sides is taken exclusive.
   void AcquireWrite(Guard* g, const std::vector<std::string>& writes,
                     const std::vector<std::string>& reads);
-
-  /// Adds every stripe, shared — the snapshot pin: waits out all in-flight
-  /// writers, so the pinned table-version vector is transactionally
-  /// consistent, then releases quickly.
-  void AcquireAllShared(Guard* g);
 
   size_t stripe_count() const { return stripe_count_; }
 
@@ -95,8 +88,6 @@ class LatchManager {
   uint32_t StripeOf(const std::string& name) const;
 
  private:
-  void AcquireStripes(Guard* g, std::vector<std::pair<uint32_t, bool>> want);
-
   size_t stripe_count_;
   std::shared_mutex ddl_;
   std::unique_ptr<std::shared_mutex[]> stripes_;

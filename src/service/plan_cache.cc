@@ -1,7 +1,5 @@
 #include "service/plan_cache.h"
 
-#include <algorithm>
-
 #include "base/failpoint.h"
 
 namespace aqv {
@@ -54,30 +52,6 @@ size_t PlanCache::Erase(const std::string& key) {
   lru_.erase(it->second);
   index_.erase(it);
   return 1;
-}
-
-size_t PlanCache::InvalidateDependency(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t dropped = 0;
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    const std::vector<std::string>& deps = it->second->dependencies;
-    if (std::binary_search(deps.begin(), deps.end(), name)) {
-      index_.erase(it->first);
-      it = lru_.erase(it);
-      ++dropped;
-    } else {
-      ++it;
-    }
-  }
-  return dropped;
-}
-
-size_t PlanCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t dropped = lru_.size();
-  index_.clear();
-  lru_.clear();
-  return dropped;
 }
 
 size_t PlanCache::size() const {

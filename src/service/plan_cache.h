@@ -19,17 +19,19 @@ namespace aqv {
 /// canonical serializations (not just 64-bit hashes), so two distinct
 /// queries can never collide onto one entry.
 ///
-/// Entries carry the invalidation set computed by the optimizer
-/// (OptimizeResult::dependencies). The owning service fires
-/// InvalidateDependency on INSERT/REFRESH of a table or view and Clear on
-/// DDL, so a stale rewrite is never served: any statement that could change
-/// a plan's validity or its result set drops the affected entries first,
-/// under the service's exclusive latch.
+/// The cache is never invalidated from the write path. Each entry records
+/// the state it was optimized on — the catalog and view registry objects
+/// (DDL replaces them copy-on-write, so each object is one schema version)
+/// and the Database::VersionOf of every dependency. The owning service
+/// treats an entry whose recorded state differs from the reader's pinned
+/// state as a miss and inserts the re-optimized entry in its place, so a
+/// plan is only ever served on the state it was chosen for — whether the
+/// reader is at the head or on an older snapshot.
 ///
 /// Entries are immutable once inserted and handed out as
 /// shared_ptr<const Entry>: a hit copies one pointer under the mutex (not a
 /// deep Query), keeping the critical section tiny on the hot path, and an
-/// entry evicted or invalidated mid-execution stays alive until its last
+/// entry evicted or replaced mid-execution stays alive until its last
 /// reader drops it.
 class PlanCache {
  public:
@@ -39,8 +41,15 @@ class PlanCache {
     int rewritings_considered = 0;
     double cost_original = 0;
     double cost_chosen = 0;
-    /// Tables/views whose mutation invalidates this entry (sorted).
+    /// Tables/views the plan's choice and rows depend on (sorted).
     std::vector<std::string> dependencies;
+    /// The state this entry was optimized on: the catalog and view
+    /// registry (weakly held, so an entry never keeps a replaced schema
+    /// object alive, yet its identity stays unambiguous) and, parallel to
+    /// `dependencies`, each dependency's Database::VersionOf.
+    std::weak_ptr<const void> catalog;
+    std::weak_ptr<const void> views;
+    std::vector<uint64_t> versions;
   };
   using EntryPtr = std::shared_ptr<const Entry>;
 
@@ -57,14 +66,6 @@ class PlanCache {
   /// Drops the entry for `key` if present (a cached plan that just failed
   /// mid-execution; the next statement re-optimizes). Returns 1 or 0.
   size_t Erase(const std::string& key);
-
-  /// Drops every entry whose dependency set contains `name` (a base table
-  /// or view that was just mutated). Returns the number dropped.
-  size_t InvalidateDependency(const std::string& name);
-
-  /// Drops everything. Used on DDL: a new table or view can change the
-  /// optimizer's choice for any query, even ones whose inputs are untouched.
-  size_t Clear();
 
   size_t size() const;
   size_t capacity() const { return capacity_; }

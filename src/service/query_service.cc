@@ -42,6 +42,39 @@ std::string TrimStatement(const std::string& s) {
   return s.substr(b, e - b + 1);
 }
 
+/// True when `recorded` still names `current`. The weak_ptr keeps its control
+/// block alive, so a replaced object's address can never be mistaken for a
+/// newer one.
+bool SameObject(const std::weak_ptr<const void>& recorded,
+                const std::shared_ptr<const void>& current) {
+  return !recorded.owner_before(current) && !current.owner_before(recorded);
+}
+
+/// True when `entry` was optimized on `state`'s catalog and view registry
+/// and on the same version of every dependency.
+bool OptimizedOn(const PlanCache::Entry& entry, const ServiceSnapshot& state) {
+  if (!SameObject(entry.catalog, state.catalog) ||
+      !SameObject(entry.views, state.views)) {
+    return false;
+  }
+  for (size_t i = 0; i < entry.dependencies.size(); ++i) {
+    if (state.db.VersionOf(entry.dependencies[i]) != entry.versions[i]) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Records `state` as the one `entry` was optimized on.
+void StampState(PlanCache::Entry* entry, const ServiceSnapshot& state) {
+  entry->catalog = state.catalog;
+  entry->views = state.views;
+  entry->versions.clear();
+  for (const std::string& dep : entry->dependencies) {
+    entry->versions.push_back(state.db.VersionOf(dep));
+  }
+}
+
 }  // namespace
 
 std::string ServiceStats::ToString() const {
@@ -309,8 +342,8 @@ Status QueryService::AttachStorage() {
   RecoveredState& rec = engine->recovered();
 
   LatchManager::Guard guard = latches_.Ddl();
-  catalog_ = std::move(rec.catalog);
-  views_ = std::move(rec.views);
+  catalog_ = std::make_shared<const Catalog>(std::move(rec.catalog));
+  views_ = std::make_shared<const ViewRegistry>(std::move(rec.views));
   db_ = std::move(rec.db);
   storage_ = std::move(engine);
 
@@ -323,15 +356,15 @@ Status QueryService::AttachStorage() {
   std::map<std::string, std::string> quarantined = rec.quarantined_tables;
   std::vector<std::string> healed_views;
   for (const auto& [name, reason] : rec.quarantined_tables) {
-    if (!views_.Has(name)) continue;
+    if (!views_->Has(name)) continue;
     std::vector<std::string> closure;
-    CollectDependencies({name}, views_, &closure);
+    CollectDependencies({name}, *views_, &closure);
     bool clean = true;
     for (const std::string& n : closure) {
       // Quarantined views in the closure do not block healing: they are
       // derivations too, and the upstream-first recompute refreshes them
       // before this one reads them.
-      if (n != name && !views_.Has(n) && quarantined.count(n) > 0) {
+      if (n != name && !views_->Has(n) && quarantined.count(n) > 0) {
         clean = false;
         break;
       }
@@ -354,10 +387,10 @@ Status QueryService::AttachStorage() {
   }
   if (!quarantined.empty()) {
     std::lock_guard<std::mutex> lock(quarantine_mutex_);
-    for (const std::string& view : views_.ViewNames()) {
+    for (const std::string& view : views_->ViewNames()) {
       if (!db_.Has(view)) continue;  // virtual: reads hit the base check
       std::vector<std::string> closure;
-      CollectDependencies({view}, views_, &closure);
+      CollectDependencies({view}, *views_, &closure);
       for (const std::string& n : closure) {
         auto it = quarantined.find(n);
         if (it == quarantined.end()) continue;
@@ -396,7 +429,7 @@ Status QueryService::AttachStorage() {
     bool progressed = false;
     for (auto it = pending.begin(); it != pending.end();) {
       std::vector<std::string> closure;
-      CollectDependencies({*it}, views_, &closure);
+      CollectDependencies({*it}, *views_, &closure);
       bool ready = true;
       for (const std::string& n : closure) {
         if (n != *it &&
@@ -424,8 +457,11 @@ Status QueryService::AttachStorage() {
   // re-registered schema matches the versions the images were saved under;
   // any drift (a view that failed to re-parse, a format change) means the
   // cached plans can no longer be trusted and the cache starts cold.
-  if (rec.plan_catalog_version == catalog_.version() &&
-      rec.plan_views_version == views_.version()) {
+  // Restored entries record the recovered state as the one they were
+  // optimized on.
+  if (rec.plan_catalog_version == catalog_->version() &&
+      rec.plan_views_version == views_->version()) {
+    ServiceSnapshot head = Head();
     for (const PlanImage& image : rec.plans) {
       Result<Query> plan = ParseQuery(image.plan_sql);
       if (!plan.ok()) continue;  // drop just this image
@@ -436,6 +472,7 @@ Status QueryService::AttachStorage() {
       entry->cost_original = image.cost_original;
       entry->cost_chosen = image.cost_chosen;
       entry->dependencies = image.dependencies;
+      StampState(entry.get(), head);
       plan_cache_.Insert(image.key, std::move(entry));
     }
   }
@@ -449,7 +486,7 @@ Status QueryService::AttachStorage() {
   // exposure; it closes before the service accepts its first statement.)
   if (rec.wal_mid_log_corruption) {
     AQV_RETURN_NOT_OK(
-        storage_->Checkpoint(catalog_, views_, db_, CollectPlanImages()));
+        storage_->Checkpoint(*catalog_, *views_, db_, CollectPlanImages()));
   }
 
   storage_pages_read_ = &metrics_.GetCounter("storage.pages_read");
@@ -481,7 +518,11 @@ Status QueryService::AttachStorage() {
 
 std::vector<PlanImage> QueryService::CollectPlanImages() const {
   std::vector<PlanImage> images;
+  ServiceSnapshot head = Head();
   for (auto& [key, entry] : plan_cache_.Snapshot()) {
+    // Only plans of the state being checkpointed: recovery restores them
+    // as optimized on exactly that state.
+    if (!OptimizedOn(*entry, head)) continue;
     PlanImage image;
     image.key = key;
     image.plan_sql = ToSql(entry->plan);
@@ -497,20 +538,29 @@ std::vector<PlanImage> QueryService::CollectPlanImages() const {
 
 Status QueryService::CheckpointIfDurable() {
   if (storage_ == nullptr) return Status::OK();
-  return storage_->Checkpoint(catalog_, views_, db_, CollectPlanImages());
+  return storage_->Checkpoint(*catalog_, *views_, db_, CollectPlanImages());
 }
 
 namespace {
+
+/// True when `upper` begins with the keyword sequence `words` as whole
+/// tokens: "SAVE" matches "SAVE R TO ..." but not "SAVEPOINT ...".
+bool Leads(const std::string& upper, const char* words) {
+  if (!StartsWith(upper, words)) return false;
+  size_t n = std::char_traits<char>::length(words);
+  if (upper.size() == n) return true;
+  unsigned char next = static_cast<unsigned char>(upper[n]);
+  return !std::isalnum(next) && next != '_';
+}
 
 /// True for introspection statements that bypass admission control: an
 /// operator must be able to inspect (and disarm failpoints on) a server
 /// that is rejecting data statements as busy.
 bool IsControlStatement(const std::string& upper) {
-  return upper == "STATS" || StartsWith(upper, "STATS ") ||
-         upper == "MONITOR" || StartsWith(upper, "MONITOR ") ||
+  return Leads(upper, "STATS") || Leads(upper, "MONITOR") ||
          upper == "SLOWLOG" || upper == "TABLES" || upper == "VIEWS" ||
          upper == "COMMIT" || upper == "ROLLBACK" || upper == "SCRUB" ||
-         StartsWith(upper, "TRACE") || StartsWith(upper, "FAILPOINT");
+         Leads(upper, "TRACE") || Leads(upper, "FAILPOINT");
 }
 
 }  // namespace
@@ -639,22 +689,27 @@ Result<Table> QueryService::Select(const std::string& sql) {
   return *std::move(result.table);
 }
 
+ServiceSnapshot QueryService::Head() const {
+  ServiceSnapshot head{catalog_, views_, db_.Snapshot()};
+  head.epoch = head.db.epoch();
+  return head;
+}
+
+ServiceSnapshotPtr QueryService::Pin() {
+  LatchManager::Guard guard = latches_.StatementShared();
+  return std::make_shared<const ServiceSnapshot>(Head());
+}
+
+ServiceSnapshotPtr QueryService::ReadState() {
+  ServiceSnapshotPtr pinned = ThreadSnapshot();
+  return pinned != nullptr ? pinned : Pin();
+}
+
 ServiceSnapshotPtr QueryService::PinSnapshot() {
   TraceSpan span("snapshot_pin");
-  LatchManager::Guard guard = latches_.StatementShared();
-  // Every stripe shared: waits out in-flight writers, so the version vector
-  // copied below is a transactionally consistent cut across all tables.
-  latches_.AcquireAllShared(&guard);
-  auto snap = std::make_shared<ServiceSnapshot>();
-  snap->catalog = catalog_;
-  snap->views = views_;
-  snap->db = db_.Snapshot();
-  snap->epoch = snap->db.epoch();
+  ServiceSnapshotPtr snap = Pin();
   snapshots_pinned_.Increment();
-  if (span.active()) {
-    span.AddAttr("stripes", static_cast<uint64_t>(guard.stripes_held()));
-    span.AddAttr("epoch", snap->epoch);
-  }
+  if (span.active()) span.AddAttr("epoch", snap->epoch);
   return snap;
 }
 
@@ -669,20 +724,17 @@ Result<Table> QueryService::Select(const std::string& sql,
   if (span.active()) {
     span.AddAttr("sql", stmt.size() <= 120 ? stmt : stmt.substr(0, 120));
   }
-  AQV_ASSIGN_OR_RETURN(StatementResult result, SelectOnSnapshot(stmt, snapshot));
-  if (!result.table.has_value()) {
-    return Status::InvalidArgument("not a SELECT statement: " + sql);
-  }
+  AQV_ASSIGN_OR_RETURN(StatementResult result,
+                       Read(stmt, ReadKind::kSelect, &snapshot));
   return *std::move(result.table);
 }
 
 Status QueryService::Bootstrap(Catalog catalog, Database db,
                                ViewRegistry views) {
   LatchManager::Guard guard = latches_.Ddl();
-  catalog_ = std::move(catalog);
+  catalog_ = std::make_shared<const Catalog>(std::move(catalog));
   db_ = std::move(db);
-  views_ = std::move(views);
-  cache_invalidated_.Increment(plan_cache_.Clear());
+  views_ = std::make_shared<const ViewRegistry>(std::move(views));
   // A bootstrap is wholesale DDL: checkpoint it so a crash right after
   // recovers the installed workload, not the pre-bootstrap file.
   return CheckpointIfDurable();
@@ -1001,13 +1053,13 @@ Result<StatementResult> QueryService::Dispatch(const std::string& stmt,
     out.message = StatsPromText();
     return out;
   }
-  if (StartsWith(upper, "STATS HISTORY")) {
+  if (Leads(upper, "STATS HISTORY")) {
     return HandleStatsHistory(TrimStatement(stmt.substr(13)));
   }
-  if (StartsWith(upper, "STATS ATTRIBUTION")) {
+  if (Leads(upper, "STATS ATTRIBUTION")) {
     return HandleAttribution(TrimStatement(stmt.substr(17)));
   }
-  if (StartsWith(upper, "MONITOR")) {
+  if (Leads(upper, "MONITOR")) {
     return HandleMonitor(TrimStatement(stmt.substr(7)));
   }
   if (upper == "STATS") {
@@ -1016,8 +1068,8 @@ Result<StatementResult> QueryService::Dispatch(const std::string& stmt,
     return out;
   }
   if (upper == "SLOWLOG") return HandleSlowLog();
-  if (StartsWith(upper, "TRACE")) return HandleTrace(stmt);
-  if (StartsWith(upper, "FAILPOINT")) return HandleFailpoint(stmt);
+  if (Leads(upper, "TRACE")) return HandleTrace(stmt);
+  if (Leads(upper, "FAILPOINT")) return HandleFailpoint(stmt);
   if (upper == "BEGIN WRITE") return HandleBeginWrite();
   if (upper == "BEGIN SNAPSHOT" || upper == "BEGIN") {
     return HandleBeginSnapshot();
@@ -1030,10 +1082,10 @@ Result<StatementResult> QueryService::Dispatch(const std::string& stmt,
   if (upper == "SCRUB") return HandleScrub();
   // Writes and DDL are rejected while the calling thread has an open
   // snapshot: the pin is read-only by construction.
-  bool is_dml = StartsWith(upper, "INSERT INTO") ||
-                StartsWith(upper, "DELETE") || StartsWith(upper, "UPDATE ");
-  bool is_write = StartsWith(upper, "CREATE ") || is_dml ||
-                  StartsWith(upper, "REFRESH") || StartsWith(upper, "LOAD");
+  bool is_dml = Leads(upper, "INSERT INTO") ||
+                Leads(upper, "DELETE") || Leads(upper, "UPDATE");
+  bool is_write = Leads(upper, "CREATE") || is_dml ||
+                  Leads(upper, "REFRESH") || Leads(upper, "LOAD");
   if (is_write && ThreadSnapshot() != nullptr) {
     return Status::InvalidArgument(
         "writes are not allowed inside BEGIN SNAPSHOT; COMMIT first");
@@ -1046,417 +1098,59 @@ Result<StatementResult> QueryService::Dispatch(const std::string& stmt,
         "only INSERT/DELETE/UPDATE may run inside BEGIN WRITE; COMMIT or "
         "ROLLBACK first");
   }
-  if (StartsWith(upper, "CREATE TABLE")) return HandleCreateTable(stmt);
-  if (StartsWith(upper, "CREATE MATERIALIZED VIEW")) {
+  if (Leads(upper, "CREATE TABLE")) return HandleCreateTable(stmt);
+  if (Leads(upper, "CREATE MATERIALIZED VIEW")) {
     return HandleCreateView(
         "CREATE " + stmt.substr(std::string("CREATE MATERIALIZED ").size()),
         /*materialized=*/true);
   }
-  if (StartsWith(upper, "CREATE VIEW")) {
+  if (Leads(upper, "CREATE VIEW")) {
     return HandleCreateView(stmt, /*materialized=*/false);
   }
-  if (StartsWith(upper, "INSERT INTO")) return HandleInsert(stmt);
-  if (StartsWith(upper, "DELETE")) return HandleDelete(stmt);
-  if (StartsWith(upper, "UPDATE ")) return HandleUpdate(stmt);
-  if (StartsWith(upper, "REFRESH")) {
+  if (Leads(upper, "INSERT INTO")) return HandleInsert(stmt);
+  if (Leads(upper, "DELETE")) return HandleDelete(stmt);
+  if (Leads(upper, "UPDATE")) return HandleUpdate(stmt);
+  if (Leads(upper, "REFRESH")) {
     return HandleRefresh(TrimStatement(stmt.substr(7)));
   }
-  if (StartsWith(upper, "EXPLAIN ANALYZE")) {
-    return HandleExplainAnalyze(TrimStatement(stmt.substr(15)));
+  if (Leads(upper, "EXPLAIN ANALYZE")) {
+    return Read(TrimStatement(stmt.substr(15)), ReadKind::kExplainAnalyze,
+                nullptr);
   }
-  if (StartsWith(upper, "EXPLAIN")) {
-    return HandleExplain(TrimStatement(stmt.substr(7)));
+  if (Leads(upper, "EXPLAIN")) {
+    return Read(TrimStatement(stmt.substr(7)), ReadKind::kExplain, nullptr);
   }
-  if (StartsWith(upper, "WHY")) return HandleWhy(TrimStatement(stmt.substr(3)));
-  if (StartsWith(upper, "SELECT")) return HandleSelect(stmt);
-  if (StartsWith(upper, "LOAD")) return HandleLoad(stmt);
-  if (StartsWith(upper, "SAVE")) return HandleSave(stmt);
+  if (Leads(upper, "WHY")) return HandleWhy(TrimStatement(stmt.substr(3)));
+  if (Leads(upper, "SELECT")) {
+    return Read(stmt, ReadKind::kSelect, nullptr);
+  }
+  if (Leads(upper, "LOAD")) return HandleLoad(stmt);
+  if (Leads(upper, "SAVE")) return HandleSave(stmt);
   return Status::InvalidArgument("unrecognized statement: " + stmt);
 }
 
-std::vector<std::string> QueryService::SelectFootprint(
-    const Query& query) const {
-  std::vector<std::string> deps;
-  CollectQueryDependencies(query, views_, &deps);
-  // Base-table leaves of the query's closure.
-  std::vector<std::string> base;
-  for (const std::string& n : deps) {
-    if (!views_.Has(n)) base.push_back(n);
-  }
-  // The rewriter can only substitute a materialized view whose base tables
-  // all appear among the query's; include each such view's whole closure so
-  // a cached plan's dependency set — closure(original) ∪ closure(chosen) —
-  // is always covered by the held stripes, whatever plan wins.
-  for (const std::string& view : views_.ViewNames()) {
-    if (!db_.Has(view)) continue;
-    std::vector<std::string> closure;
-    CollectDependencies({view}, views_, &closure);
-    bool subset = true;
-    for (const std::string& n : closure) {
-      if (views_.Has(n)) continue;
-      if (std::find(base.begin(), base.end(), n) == base.end()) {
-        subset = false;
-        break;
-      }
-    }
-    if (subset) deps.insert(deps.end(), closure.begin(), closure.end());
-  }
-  std::sort(deps.begin(), deps.end());
-  deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
-  return deps;
-}
+namespace {
 
-Result<PlanCache::EntryPtr> QueryService::PlanThroughCache(
-    const Query& query, bool* cache_hit, uint64_t* optimize_micros,
-    ExecContext* ctx, bool* degraded) {
-  *cache_hit = false;
-  if (optimize_micros != nullptr) *optimize_micros = 0;
-  std::string key;
-  if (options_.enable_plan_cache) {
-    TraceSpan lookup("plan_cache.lookup");
-    key = CanonicalCacheKey(query);
-    PlanCache::EntryPtr cached = plan_cache_.Lookup(key);
-    if (lookup.active()) lookup.AddAttr("hit", cached ? "1" : "0");
-    if (cached) {
-      *cache_hit = true;
-      cache_hits_.Increment();
-      return cached;
-    }
-  }
-  Clock::time_point start = Clock::now();
-  RewriteOptions rewrite = options_.rewrite;
-  rewrite.quarantined_views = QuarantinedViews();
-  Optimizer optimizer(&db_, &views_, &catalog_, rewrite);
-  Result<OptimizeResult> optimized = optimizer.Optimize(query, ctx);
-  uint64_t elapsed = ElapsedMicros(start);
-  if (optimize_micros != nullptr) *optimize_micros = elapsed;
-  optimize_latency_.Record(elapsed);
-  cache_misses_.Increment();
-
-  auto entry = std::make_shared<PlanCache::Entry>();
-  if (!optimized.ok()) {
-    const Status& s = optimized.status();
-    bool resource = s.code() == StatusCode::kDeadlineExceeded ||
-                    s.code() == StatusCode::kResourceExhausted;
-    if (resource || !options_.degrade_on_failure) return s;
-    // Degrade: the optimizer itself failed (e.g. an injected
-    // "optimizer.optimize" fault), so serve the unrewritten query. The
-    // entry is NOT inserted into the cache — the next statement gets a
-    // fresh optimization attempt rather than a pinned degraded plan.
-    degraded_fallbacks_.Increment();
-    if (degraded != nullptr) *degraded = true;
-    entry->plan = query;
-    CollectQueryDependencies(query, views_, &entry->dependencies);
-    std::sort(entry->dependencies.begin(), entry->dependencies.end());
-    entry->dependencies.erase(
-        std::unique(entry->dependencies.begin(), entry->dependencies.end()),
-        entry->dependencies.end());
-    return PlanCache::EntryPtr(std::move(entry));
-  }
-  OptimizeResult plan = *std::move(optimized);
-  // Views skipped for per-view rewrite failures count toward quarantine.
-  for (const std::string& view : plan.failed_views) ChargeViewFailure(view);
-  entry->plan = std::move(plan.chosen);
-  entry->used_materialized_view = plan.used_materialized_view;
-  entry->rewritings_considered = plan.rewritings_considered;
-  entry->cost_original = plan.cost_original;
-  entry->cost_chosen = plan.cost_chosen;
-  entry->dependencies = std::move(plan.dependencies);
-  // Inserted while still holding the footprint stripes shared (see the class
-  // comment): the entry's dependencies are a subset of the footprint, so a
-  // writer's invalidation — which needs the written stripe exclusive —
-  // cannot interleave between optimize and insert.
-  if (options_.enable_plan_cache) plan_cache_.Insert(key, entry);
-  return PlanCache::EntryPtr(std::move(entry));
-}
-
-Result<StatementResult> QueryService::SelectOnSnapshot(
-    const std::string& stmt, const ServiceSnapshot& snap) {
-  Clock::time_point stmt_start = Clock::now();
-  ExecContext ctx;
-  QueryStats qs;
-  ctx.set_stats(&qs);
-  if (options_.statement_deadline_micros > 0) {
-    ctx.set_deadline_after_micros(options_.statement_deadline_micros);
-  }
-  if (options_.statement_row_budget > 0) {
-    ctx.set_row_budget(options_.statement_row_budget);
-  }
-  TraceSpan span("snapshot_read");
-  if (span.active()) span.AddAttr("epoch", snap.epoch);
-  AQV_ASSIGN_OR_RETURN(Query query, ParseQuery(stmt, &snap.catalog));
-  qs.parse_micros = ElapsedMicros(stmt_start);
-  {
-    // The current quarantine gates snapshot reads too: a pinned copy of a
-    // salvaged-empty table is exactly the silent-wrong-rows hazard.
-    std::vector<std::string> deps;
-    CollectQueryDependencies(query, snap.views, &deps);
-    AQV_RETURN_NOT_OK(CheckTableQuarantine(deps));
-  }
-  StatementResult out;
-  // Always a fresh optimize: the plan cache tracks current state (and its
-  // invalidation hooks fire on current-state writes), not the pinned epoch.
-  Clock::time_point opt_start = Clock::now();
-  Optimizer optimizer(&snap.db, &snap.views, &snap.catalog, options_.rewrite);
-  Result<OptimizeResult> optimized = optimizer.Optimize(query, &ctx);
-  OptimizeResult plan;
-  if (optimized.ok()) {
-    plan = *std::move(optimized);
-  } else {
-    const Status& s = optimized.status();
-    bool resource = s.code() == StatusCode::kDeadlineExceeded ||
-                    s.code() == StatusCode::kResourceExhausted;
-    if (resource || !options_.degrade_on_failure) return s;
-    // Degrade: serve the unrewritten query against the snapshot.
-    degraded_fallbacks_.Increment();
-    out.degraded = true;
-    plan.chosen = query;
-  }
-  uint64_t optimize_micros = ElapsedMicros(opt_start);
-  optimize_latency_.Record(optimize_micros);
-  out.used_materialized_view = plan.used_materialized_view;
-  if (plan.used_materialized_view) {
-    out.message = "-- rewritten to use a materialized view:\n--   " +
-                  ToSql(plan.chosen) + "\n";
-    rewrites_applied_.Increment();
-  } else {
-    rewrites_skipped_.Increment();
-  }
-  Clock::time_point start = Clock::now();
-  uint64_t exec_micros = 0;
-  {
-    TraceSpan exec_span("execute");
-    Evaluator eval(&snap.db, &snap.views, options_.eval);
-    eval.set_context(&ctx);
-    Result<Table> result = eval.Execute(plan.chosen);
-    if (!result.ok()) {
-      const Status& s = result.status();
-      bool resource = s.code() == StatusCode::kDeadlineExceeded ||
-                      s.code() == StatusCode::kResourceExhausted;
-      if (resource || !options_.degrade_on_failure ||
-          !plan.used_materialized_view) {
-        return s;
-      }
-      degraded_fallbacks_.Increment();
-      ctx.ResetForRetry();
-      Evaluator retry(&snap.db, &snap.views, options_.eval);
-      retry.set_context(&ctx);
-      result = retry.Execute(query);
-      AQV_RETURN_NOT_OK(result.status());
-      out.degraded = true;
-      out.used_materialized_view = false;
-      out.message += "-- degraded: plan failed (" + s.ToString() +
-                     "); retried on the unrewritten query\n";
-    }
-    exec_micros = ElapsedMicros(start);
-    if (exec_span.active()) exec_span.AddAttr("rows", result->num_rows());
-    out.table = *std::move(result);
-  }
-  exec_latency_.Record(exec_micros);
-  queries_served_.Increment();
-  snapshot_reads_.Increment();
-  qs.optimize_micros = optimize_micros;
-  qs.exec_micros = exec_micros;
-  qs.total_micros = ElapsedMicros(stmt_start);
-  qs.fingerprint = QueryFingerprint(query);
-  qs.epoch = snap.epoch;
-  qs.degraded = out.degraded;
-  MaybeRecordSlowStatement(stmt, qs);
-  RecordStatementProfile(stmt, qs);
-  return out;
-}
-
-Result<StatementResult> QueryService::HandleSelect(const std::string& stmt) {
-  if (ServiceSnapshotPtr snap = ThreadSnapshot()) {
-    return SelectOnSnapshot(stmt, *snap);
-  }
-  Clock::time_point stmt_start = Clock::now();
-  // The statement's governance context: the deadline covers parse through
-  // execution (including a degraded retry); the row budget is per
-  // execution attempt. The attribution object rides on the context so the
-  // evaluator (rows) and any stage that only sees the context can
-  // contribute.
-  ExecContext ctx;
-  QueryStats qs;
-  ctx.set_stats(&qs);
-  if (options_.statement_deadline_micros > 0) {
-    ctx.set_deadline_after_micros(options_.statement_deadline_micros);
-  }
-  if (options_.statement_row_budget > 0) {
-    ctx.set_row_budget(options_.statement_row_budget);
-  }
-  LatchManager::Guard guard = latches_.StatementShared();
-  AQV_ASSIGN_OR_RETURN(Query query, ParseQuery(stmt, &catalog_));
-  qs.parse_micros = ElapsedMicros(stmt_start);
-  {
-    // Corruption quarantine: a query whose closure touches a quarantined
-    // table gets a clean error instead of salvaged-empty rows.
-    std::vector<std::string> deps;
-    CollectQueryDependencies(query, views_, &deps);
-    AQV_RETURN_NOT_OK(CheckTableQuarantine(deps));
-  }
-  {
-    TraceSpan latch_span("latch");
-    Clock::time_point latch_start = Clock::now();
-    latches_.AcquireShared(&guard, SelectFootprint(query));
-    qs.latch_micros = ElapsedMicros(latch_start);
-    if (latch_span.active()) {
-      latch_span.AddAttr("stripes", static_cast<uint64_t>(guard.stripes_held()));
-      latch_span.AddAttr("epoch", db_.epoch());
-    }
-  }
-  StatementResult out;
-  uint64_t optimize_micros = 0;
-  Clock::time_point plan_start = Clock::now();
-  AQV_ASSIGN_OR_RETURN(
-      PlanCache::EntryPtr entry,
-      PlanThroughCache(query, &out.cache_hit, &optimize_micros, &ctx,
-                       &out.degraded));
-  // Attributed optimize time includes the cache probe, so a hit is cheap
-  // but not free in the breakdown (optimize_micros alone is 0 on a hit).
-  qs.optimize_micros = ElapsedMicros(plan_start);
-  out.used_materialized_view = entry->used_materialized_view;
-  if (entry->used_materialized_view) {
-    out.message = "-- rewritten to use a materialized view:\n--   " +
-                  ToSql(entry->plan) + "\n";
-    rewrites_applied_.Increment();
-  } else {
-    rewrites_skipped_.Increment();
-  }
-  Clock::time_point start = Clock::now();
-  uint64_t exec_micros = 0;
-  {
-    TraceSpan exec_span("execute");
-    Evaluator eval(&db_, &views_, options_.eval);
-    eval.set_context(&ctx);
-    Result<Table> result = eval.Execute(entry->plan);
-    if (!result.ok()) {
-      const Status& s = result.status();
-      bool resource = s.code() == StatusCode::kDeadlineExceeded ||
-                      s.code() == StatusCode::kResourceExhausted;
-      // A tripped deadline/budget is the governance verdict, not a plan
-      // defect — surface it as-is (the RAII latch guard releases
-      // everything). A real failure of a rewritten or cached plan degrades:
-      // drop the cached entry, charge its views toward quarantine and retry
-      // once on the unrewritten query under the same deadline.
-      bool plan_differs = entry->used_materialized_view || out.cache_hit;
-      if (resource || !options_.degrade_on_failure || !plan_differs) {
-        return s;
-      }
-      if (options_.enable_plan_cache) {
-        cache_invalidated_.Increment(
-            plan_cache_.Erase(CanonicalCacheKey(query)));
-      }
-      for (const TableRef& ref : entry->plan.from) {
-        if (views_.Has(ref.table)) ChargeViewFailure(ref.table);
-      }
-      degraded_fallbacks_.Increment();
-      ctx.ResetForRetry();
-      Evaluator retry(&db_, &views_, options_.eval);
-      retry.set_context(&ctx);
-      result = retry.Execute(query);
-      AQV_RETURN_NOT_OK(result.status());
-      out.degraded = true;
-      out.used_materialized_view = false;
-      out.message += "-- degraded: plan failed (" + s.ToString() +
-                     "); retried on the unrewritten query\n";
-    }
-    exec_micros = ElapsedMicros(start);
-    if (exec_span.active()) exec_span.AddAttr("rows", result->num_rows());
-    out.table = *std::move(result);
-  }
-  exec_latency_.Record(exec_micros);
-  queries_served_.Increment();
-  qs.exec_micros = exec_micros;
-  qs.total_micros = ElapsedMicros(stmt_start);
-  qs.fingerprint = QueryFingerprint(query);
-  qs.epoch = db_.epoch();
-  qs.cache_hit = out.cache_hit;
-  qs.degraded = out.degraded;
-  MaybeRecordSlowStatement(stmt, qs);
-  RecordStatementProfile(stmt, qs);
-  return out;
-}
-
-Result<StatementResult> QueryService::HandleExplain(
-    const std::string& select_stmt) {
-  LatchManager::Guard guard = latches_.StatementShared();
-  AQV_ASSIGN_OR_RETURN(Query query, ParseQuery(select_stmt, &catalog_));
-  latches_.AcquireShared(&guard, SelectFootprint(query));
-  StatementResult out;
-  AQV_ASSIGN_OR_RETURN(PlanCache::EntryPtr entry,
-                       PlanThroughCache(query, &out.cache_hit));
-  out.used_materialized_view = entry->used_materialized_view;
+/// The EXPLAIN header shared by EXPLAIN and EXPLAIN ANALYZE.
+std::string ExplainHeader(const Query& query, const PlanCache::Entry& entry,
+                          bool cache_hit) {
   char buf[256];
-  out.message = "original:  " + ToSql(query) + "\n";
-  out.message += "chosen:    " + ToSql(entry->plan) + "\n";
   std::snprintf(buf, sizeof(buf),
                 "cost:      %.0f -> %.0f (%d rewriting(s) considered%s)\n",
-                entry->cost_original, entry->cost_chosen,
-                entry->rewritings_considered,
-                out.cache_hit ? ", plan cache hit" : "");
-  out.message += buf;
-  AQV_ASSIGN_OR_RETURN(std::string tree,
-                       ExplainPlan(entry->plan, db_, &views_));
-  out.message += tree;
-  return out;
+                entry.cost_original, entry.cost_chosen,
+                entry.rewritings_considered,
+                cache_hit ? ", plan cache hit" : "");
+  return "original:  " + ToSql(query) + "\n" +
+         "chosen:    " + ToSql(entry.plan) + "\n" + buf;
 }
 
-Result<StatementResult> QueryService::HandleExplainAnalyze(
-    const std::string& select_stmt) {
-  Clock::time_point stmt_start = Clock::now();
-  ExecContext ctx;
-  QueryStats qs;
-  ctx.set_stats(&qs);
-  LatchManager::Guard guard = latches_.StatementShared();
-  AQV_ASSIGN_OR_RETURN(Query query, ParseQuery(select_stmt, &catalog_));
-  qs.parse_micros = ElapsedMicros(stmt_start);
-  {
-    std::vector<std::string> deps;
-    CollectQueryDependencies(query, views_, &deps);
-    AQV_RETURN_NOT_OK(CheckTableQuarantine(deps));
-  }
-  Clock::time_point latch_start = Clock::now();
-  latches_.AcquireShared(&guard, SelectFootprint(query));
-  qs.latch_micros = ElapsedMicros(latch_start);
-  StatementResult out;
-  Clock::time_point plan_start = Clock::now();
-  AQV_ASSIGN_OR_RETURN(PlanCache::EntryPtr entry,
-                       PlanThroughCache(query, &out.cache_hit));
-  qs.optimize_micros = ElapsedMicros(plan_start);
-  out.used_materialized_view = entry->used_materialized_view;
-  char buf[512];
-  out.message = "original:  " + ToSql(query) + "\n";
-  out.message += "chosen:    " + ToSql(entry->plan) + "\n";
-  std::snprintf(buf, sizeof(buf),
-                "cost:      %.0f -> %.0f (%d rewriting(s) considered%s)\n",
-                entry->cost_original, entry->cost_chosen,
-                entry->rewritings_considered,
-                out.cache_hit ? ", plan cache hit" : "");
-  out.message += buf;
-  // Execute the chosen plan with the per-operator profile attached; the
-  // rendered tree shows actual rows and wall time next to the stored
-  // cardinalities the cost model estimated from.
-  PlanProfile profile;
-  Clock::time_point start = Clock::now();
-  Evaluator eval(&db_, &views_, options_.eval);
-  eval.set_profile(&profile);
-  eval.set_context(&ctx);
-  AQV_ASSIGN_OR_RETURN(Table result, eval.Execute(entry->plan));
-  qs.exec_micros = ElapsedMicros(start);
-  exec_latency_.Record(qs.exec_micros);
-  queries_served_.Increment();
-  qs.fingerprint = QueryFingerprint(query);
-  qs.epoch = db_.epoch();
-  qs.cache_hit = out.cache_hit;
-  out.message += RenderAnalyzedPlan(profile);
-  out.message +=
-      "result: " + std::to_string(result.num_rows()) + " row(s)\n";
-  // Per-statement attribution: disjoint phase times against the measured
-  // wall clock (their sum accounts for all but dispatch overhead — E19
-  // checks the gap stays within 10%), plus the I/O the statement caused.
-  qs.total_micros = ElapsedMicros(stmt_start);
+/// EXPLAIN ANALYZE's per-statement attribution: disjoint phase times against
+/// the measured wall clock (their sum accounts for all but dispatch
+/// overhead — E19 checks the gap stays within 10%), plus the I/O the
+/// statement caused.
+std::string RenderAttribution(const QueryStats& qs) {
   uint64_t phases = qs.PhaseSumMicros();
+  char buf[512];
   std::snprintf(
       buf, sizeof(buf),
       "attribution: wall=%lluus phases=%lluus (%.1f%%) parse=%lluus "
@@ -1482,8 +1176,202 @@ Result<StatementResult> QueryService::HandleExplainAnalyze(
       static_cast<unsigned long long>(qs.pages_read),
       static_cast<unsigned long long>(qs.pages_written),
       static_cast<unsigned long long>(qs.wal_bytes));
-  out.message += buf;
-  RecordStatementProfile(select_stmt, qs);
+  return buf;
+}
+
+}  // namespace
+
+bool QueryService::ShouldDegrade(const Status& s) const {
+  return options_.degrade_on_failure &&
+         s.code() != StatusCode::kDeadlineExceeded &&
+         s.code() != StatusCode::kResourceExhausted;
+}
+
+Result<PlanCache::EntryPtr> QueryService::PlanThroughCache(
+    const Query& query, const ServiceSnapshot& state, bool* cache_hit,
+    ExecContext* ctx, bool* degraded) {
+  *cache_hit = false;
+  std::string key;
+  if (options_.enable_plan_cache) {
+    TraceSpan lookup("plan_cache.lookup");
+    key = CanonicalCacheKey(query);
+    PlanCache::EntryPtr cached = plan_cache_.Lookup(key);
+    bool hit = cached && OptimizedOn(*cached, state);
+    if (lookup.active()) lookup.AddAttr("hit", hit ? "1" : "0");
+    if (hit) {
+      *cache_hit = true;
+      cache_hits_.Increment();
+      return cached;
+    }
+    // Optimized on another state: a miss, replaced by the insert below.
+    if (cached) cache_invalidated_.Increment();
+  }
+  Clock::time_point start = Clock::now();
+  RewriteOptions rewrite = options_.rewrite;
+  rewrite.quarantined_views = QuarantinedViews();
+  Optimizer optimizer(&state.db, state.views.get(), state.catalog.get(),
+                      rewrite);
+  Result<OptimizeResult> optimized = optimizer.Optimize(query, ctx);
+  optimize_latency_.Record(ElapsedMicros(start));
+  cache_misses_.Increment();
+
+  auto entry = std::make_shared<PlanCache::Entry>();
+  if (!optimized.ok()) {
+    if (!ShouldDegrade(optimized.status())) return optimized.status();
+    // Degrade: the optimizer itself failed (e.g. an injected
+    // "optimizer.optimize" fault), so serve the unrewritten query. The
+    // entry is NOT inserted into the cache — the next statement gets a
+    // fresh optimization attempt rather than a pinned degraded plan.
+    degraded_fallbacks_.Increment();
+    *degraded = true;
+    entry->plan = query;
+    return PlanCache::EntryPtr(std::move(entry));
+  }
+  OptimizeResult plan = *std::move(optimized);
+  // Views skipped for per-view rewrite failures count toward quarantine.
+  for (const std::string& view : plan.failed_views) ChargeViewFailure(view);
+  entry->plan = std::move(plan.chosen);
+  entry->used_materialized_view = plan.used_materialized_view;
+  entry->rewritings_considered = plan.rewritings_considered;
+  entry->cost_original = plan.cost_original;
+  entry->cost_chosen = plan.cost_chosen;
+  entry->dependencies = std::move(plan.dependencies);
+  StampState(entry.get(), state);
+  if (options_.enable_plan_cache) plan_cache_.Insert(key, entry);
+  return PlanCache::EntryPtr(std::move(entry));
+}
+
+Result<StatementResult> QueryService::Read(const std::string& stmt,
+                                           ReadKind kind,
+                                           const ServiceSnapshot* pinned) {
+  Clock::time_point stmt_start = Clock::now();
+  // The statement's governance context: the deadline covers parse through
+  // execution (including a degraded retry); the row budget is per
+  // execution attempt. The attribution object rides on the context so the
+  // evaluator (rows) and any stage that only sees the context can
+  // contribute.
+  ExecContext ctx;
+  QueryStats qs;
+  ctx.set_stats(&qs);
+  if (options_.statement_deadline_micros > 0) {
+    ctx.set_deadline_after_micros(options_.statement_deadline_micros);
+  }
+  if (options_.statement_row_budget > 0) {
+    ctx.set_row_budget(options_.statement_row_budget);
+  }
+  ServiceSnapshotPtr owned;
+  if (pinned == nullptr) {
+    owned = ThreadSnapshot();
+    pinned = owned.get();
+  }
+  const bool snapshot_read = pinned != nullptr;
+  if (!snapshot_read) {
+    // A live read pins the head; the pin is its only latch.
+    TraceSpan pin_span("pin");
+    owned = Pin();
+    qs.latch_micros = ElapsedMicros(stmt_start);
+  }
+  const ServiceSnapshot& state = snapshot_read ? *pinned : *owned;
+  TraceSpan span("read");
+  if (span.active()) span.AddAttr("epoch", state.epoch);
+  Clock::time_point parse_start = Clock::now();
+  AQV_ASSIGN_OR_RETURN(Query query, ParseQuery(stmt, state.catalog.get()));
+  qs.parse_micros = ElapsedMicros(parse_start);
+  {
+    // Corruption quarantine (current, not as of the pin): a query whose
+    // closure touches a quarantined table gets a clean error instead of
+    // salvaged-empty rows.
+    std::vector<std::string> deps;
+    CollectQueryDependencies(query, *state.views, &deps);
+    AQV_RETURN_NOT_OK(CheckTableQuarantine(deps));
+  }
+  StatementResult out;
+  Clock::time_point plan_start = Clock::now();
+  AQV_ASSIGN_OR_RETURN(
+      PlanCache::EntryPtr entry,
+      PlanThroughCache(query, state, &out.cache_hit, &ctx, &out.degraded));
+  // Attributed optimize time includes the cache probe, so a hit is cheap
+  // but not free in the breakdown.
+  qs.optimize_micros = ElapsedMicros(plan_start);
+  out.used_materialized_view = entry->used_materialized_view;
+  if (kind != ReadKind::kSelect) {
+    out.message = ExplainHeader(query, *entry, out.cache_hit);
+  }
+  if (kind == ReadKind::kExplain) {
+    AQV_ASSIGN_OR_RETURN(std::string tree,
+                         ExplainPlan(entry->plan, state.db, state.views.get()));
+    out.message += tree;
+    return out;
+  }
+  if (kind == ReadKind::kSelect) {
+    if (entry->used_materialized_view) {
+      out.message = "-- rewritten to use a materialized view:\n--   " +
+                    ToSql(entry->plan) + "\n";
+      rewrites_applied_.Increment();
+    } else {
+      rewrites_skipped_.Increment();
+    }
+  }
+  // EXPLAIN ANALYZE executes with the per-operator profile attached; the
+  // rendered tree shows actual rows and wall time next to the stored
+  // cardinalities the cost model estimated from.
+  PlanProfile profile;
+  Clock::time_point start = Clock::now();
+  {
+    TraceSpan exec_span("execute");
+    auto execute = [&](const Query& plan) {
+      Evaluator eval(&state.db, state.views.get(), options_.eval);
+      eval.set_context(&ctx);
+      if (kind == ReadKind::kExplainAnalyze) eval.set_profile(&profile);
+      return eval.Execute(plan);
+    };
+    Result<Table> result = execute(entry->plan);
+    if (!result.ok()) {
+      // A real failure of a rewritten or cached plan degrades: drop the
+      // cached entry, charge its views toward quarantine and retry once on
+      // the unrewritten query under the same deadline.
+      Status s = result.status();
+      bool plan_differs = entry->used_materialized_view || out.cache_hit;
+      if (!plan_differs || !ShouldDegrade(s)) return s;
+      if (options_.enable_plan_cache) {
+        cache_invalidated_.Increment(
+            plan_cache_.Erase(CanonicalCacheKey(query)));
+      }
+      for (const TableRef& ref : entry->plan.from) {
+        if (state.views->Has(ref.table)) ChargeViewFailure(ref.table);
+      }
+      degraded_fallbacks_.Increment();
+      ctx.ResetForRetry();
+      profile = PlanProfile{};
+      result = execute(query);
+      AQV_RETURN_NOT_OK(result.status());
+      out.degraded = true;
+      out.used_materialized_view = false;
+      out.message += "-- degraded: plan failed (" + s.ToString() +
+                     "); retried on the unrewritten query\n";
+    }
+    if (exec_span.active()) exec_span.AddAttr("rows", result->num_rows());
+    out.table = *std::move(result);
+  }
+  qs.exec_micros = ElapsedMicros(start);
+  exec_latency_.Record(qs.exec_micros);
+  queries_served_.Increment();
+  if (snapshot_read) snapshot_reads_.Increment();
+  qs.fingerprint = QueryFingerprint(query);
+  qs.epoch = state.epoch;
+  qs.cache_hit = out.cache_hit;
+  qs.degraded = out.degraded;
+  qs.total_micros = ElapsedMicros(stmt_start);
+  if (kind == ReadKind::kExplainAnalyze) {
+    out.message += RenderAnalyzedPlan(profile);
+    out.message +=
+        "result: " + std::to_string(out.table->num_rows()) + " row(s)\n";
+    out.message += RenderAttribution(qs);
+    out.table.reset();
+  } else {
+    MaybeRecordSlowStatement(stmt, qs);
+  }
+  RecordStatementProfile(stmt, qs);
   return out;
 }
 
@@ -1757,13 +1645,14 @@ Result<StatementResult> QueryService::HandleWhy(const std::string& rest) {
   if (space == std::string::npos) {
     return Status::InvalidArgument("usage: WHY <view> SELECT ...");
   }
-  // No row data is read: the ddl latch (shared) freezes views_ and catalog_,
-  // which is all the rewrite explanation needs.
-  LatchManager::Guard guard = latches_.StatementShared();
+  // No row data is read: the pinned catalog and registry are all the
+  // rewrite explanation needs.
+  ServiceSnapshotPtr state = ReadState();
   std::string name = rest.substr(0, space);
-  AQV_ASSIGN_OR_RETURN(const ViewDef* view, views_.Get(name));
-  AQV_ASSIGN_OR_RETURN(
-      Query query, ParseQuery(TrimStatement(rest.substr(space + 1)), &catalog_));
+  AQV_ASSIGN_OR_RETURN(const ViewDef* view, state->views->Get(name));
+  AQV_ASSIGN_OR_RETURN(Query query,
+                       ParseQuery(TrimStatement(rest.substr(space + 1)),
+                                  state->catalog.get()));
   AQV_ASSIGN_OR_RETURN(RewriteExplanation explanation,
                        ExplainRewrite(query, *view, options_.rewrite));
   StatementResult out;
@@ -1773,16 +1662,15 @@ Result<StatementResult> QueryService::HandleWhy(const std::string& rest) {
 
 Result<StatementResult> QueryService::HandleSave(const std::string& stmt) {
   AQV_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(stmt));
-  if (tokens.size() < 4 || tokens[1].kind != TokenKind::kIdentifier ||
+  if (tokens.size() != 5 || tokens[1].kind != TokenKind::kIdentifier ||
       !tokens[2].IsKeyword("TO") || tokens[3].kind != TokenKind::kString) {
     return Status::InvalidArgument("usage: SAVE R TO 'file.csv'");
   }
-  LatchManager::Guard guard = latches_.StatementShared();
+  ServiceSnapshotPtr state = ReadState();
   std::vector<std::string> footprint;
-  CollectDependencies({tokens[1].text}, views_, &footprint);
+  CollectDependencies({tokens[1].text}, *state->views, &footprint);
   AQV_RETURN_NOT_OK(CheckTableQuarantine(footprint));
-  latches_.AcquireShared(&guard, footprint);
-  Evaluator eval(&db_, &views_);
+  Evaluator eval(&state->db, state->views.get());
   AQV_ASSIGN_OR_RETURN(Table contents, eval.MaterializeView(tokens[1].text));
   AQV_RETURN_NOT_OK(WriteCsvFile(contents, tokens[3].text));
   StatementResult out;
@@ -1792,13 +1680,12 @@ Result<StatementResult> QueryService::HandleSave(const std::string& stmt) {
 }
 
 Result<StatementResult> QueryService::HandleListTables() {
-  LatchManager::Guard guard = latches_.StatementShared();
-  // All stripes shared: the row counts below come from one consistent cut.
-  latches_.AcquireAllShared(&guard);
+  // One pinned state: the row counts below come from one consistent cut.
+  ServiceSnapshotPtr state = ReadState();
   StatementResult out;
-  for (const std::string& name : catalog_.TableNames()) {
-    const TableDef* def = *catalog_.GetTable(name);
-    Result<const Table*> t = db_.Get(name);
+  for (const std::string& name : state->catalog->TableNames()) {
+    const TableDef* def = *state->catalog->GetTable(name);
+    Result<const Table*> t = state->db.Get(name);
     out.message += "  " + name + "(" + Join(def->columns(), ", ") + ") — " +
                    std::to_string(t.ok() ? (*t)->num_rows() : 0) + " rows\n";
   }
@@ -1806,11 +1693,11 @@ Result<StatementResult> QueryService::HandleListTables() {
 }
 
 Result<StatementResult> QueryService::HandleListViews() {
-  LatchManager::Guard guard = latches_.StatementShared();
+  ServiceSnapshotPtr state = ReadState();
   StatementResult out;
-  for (const std::string& name : views_.ViewNames()) {
-    const ViewDef* def = *views_.Get(name);
-    bool materialized = db_.Has(name);
+  for (const std::string& name : state->views->ViewNames()) {
+    const ViewDef* def = *state->views->Get(name);
+    bool materialized = state->db.Has(name);
     out.message += "  " + name + (materialized ? " [materialized] AS " : " [virtual] AS ") +
                    ToSql(def->query) + "\n";
   }
@@ -1819,44 +1706,52 @@ Result<StatementResult> QueryService::HandleListViews() {
 
 Result<StatementResult> QueryService::HandleCreateTable(
     const std::string& stmt) {
+  // CREATE TABLE name '(' col (',' col)* ')' [KEY '(' col (',' col)* ')']
   AQV_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(stmt));
-  size_t i = 2;  // CREATE TABLE
+  size_t i = 2;  // CREATE TABLE; the token list ends with kEnd
   if (tokens[i].kind != TokenKind::kIdentifier) {
     return Status::InvalidArgument("expected a table name");
   }
   std::string name = tokens[i++].text;
-  if (tokens[i++].kind != TokenKind::kLParen) {
-    return Status::InvalidArgument("expected '(' after the table name");
-  }
-  std::vector<std::string> columns;
-  while (tokens[i].kind == TokenKind::kIdentifier) {
-    columns.push_back(tokens[i++].text);
-    if (tokens[i].kind == TokenKind::kComma) ++i;
-  }
-  if (tokens[i++].kind != TokenKind::kRParen) {
-    return Status::InvalidArgument("expected ')' after the column list");
-  }
+  auto name_list = [&](const std::string& what)
+      -> Result<std::vector<std::string>> {
+    if (tokens[i].kind != TokenKind::kLParen) {
+      return Status::InvalidArgument("expected '(' before the " + what);
+    }
+    std::vector<std::string> names;
+    do {
+      ++i;  // '(' or ','
+      if (tokens[i].kind != TokenKind::kIdentifier) {
+        return Status::InvalidArgument("expected a column name in the " +
+                                       what + " at offset " +
+                                       std::to_string(tokens[i].offset));
+      }
+      names.push_back(tokens[i++].text);
+    } while (tokens[i].kind == TokenKind::kComma);
+    if (tokens[i++].kind != TokenKind::kRParen) {
+      return Status::InvalidArgument("expected ',' or ')' in the " + what +
+                                     " at offset " +
+                                     std::to_string(tokens[i - 1].offset));
+    }
+    return names;
+  };
+  AQV_ASSIGN_OR_RETURN(std::vector<std::string> columns,
+                       name_list("column list"));
   TableDef def(name, columns);
   if (tokens[i].IsKeyword("KEY")) {
     ++i;
-    if (tokens[i++].kind != TokenKind::kLParen) {
-      return Status::InvalidArgument("expected '(' after KEY");
-    }
-    std::vector<std::string> key;
-    while (tokens[i].kind == TokenKind::kIdentifier) {
-      key.push_back(tokens[i++].text);
-      if (tokens[i].kind == TokenKind::kComma) ++i;
-    }
-    if (tokens[i++].kind != TokenKind::kRParen) {
-      return Status::InvalidArgument("expected ')' after the key columns");
-    }
+    AQV_ASSIGN_OR_RETURN(std::vector<std::string> key, name_list("key"));
     AQV_RETURN_NOT_OK(def.AddKeyByName(key));
   }
+  if (tokens[i].kind != TokenKind::kEnd) {
+    return Status::InvalidArgument("unexpected trailing input at offset " +
+                                   std::to_string(tokens[i].offset));
+  }
   LatchManager::Guard guard = latches_.Ddl();
-  AQV_RETURN_NOT_OK(catalog_.AddTable(def));
+  auto catalog = std::make_shared<Catalog>(*catalog_);
+  AQV_RETURN_NOT_OK(catalog->AddTable(def));
+  catalog_ = std::move(catalog);
   db_.Put(name, Table(columns));
-  // DDL hook: a new table can change any optimizer choice; drop everything.
-  cache_invalidated_.Increment(plan_cache_.Clear());
   // The WAL logs row deltas, not DDL: durability of the new table comes
   // from checkpointing at the DDL point, under the same exclusive latch.
   AQV_RETURN_NOT_OK(CheckpointIfDurable());
@@ -1868,12 +1763,11 @@ Result<StatementResult> QueryService::HandleCreateTable(
 Result<StatementResult> QueryService::HandleCreateView(const std::string& stmt,
                                                        bool materialized) {
   LatchManager::Guard guard = latches_.Ddl();
-  AQV_ASSIGN_OR_RETURN(ViewDef view, ParseView(stmt, &catalog_));
+  AQV_ASSIGN_OR_RETURN(ViewDef view, ParseView(stmt, catalog_.get()));
   std::string name = view.name;
-  AQV_RETURN_NOT_OK(views_.Register(std::move(view)));
-  // DDL hook: a new view makes new rewritings possible for cached misses
-  // and can flip cost decisions, so the whole cache goes.
-  cache_invalidated_.Increment(plan_cache_.Clear());
+  auto views = std::make_shared<ViewRegistry>(*views_);
+  AQV_RETURN_NOT_OK(views->Register(std::move(view)));
+  views_ = std::move(views);
   StatementResult out;
   if (materialized) {
     AQV_ASSIGN_OR_RETURN(size_t rows, RefreshLatched(name));
@@ -1957,11 +1851,11 @@ Result<StatementResult> QueryService::HandleDelete(const std::string& stmt) {
     // Binding reads the catalog; the statement latch freezes it.
     LatchManager::Guard guard = latches_.StatementShared();
     std::string target = PeekDmlTarget(stmt, 2);  // DELETE FROM <t>
-    if (!target.empty() && views_.Has(target)) {
+    if (!target.empty() && views_->Has(target)) {
       return Status::InvalidArgument("cannot DELETE from view '" + target +
                                      "'; write its base tables");
     }
-    AQV_ASSIGN_OR_RETURN(del, ParseDelete(stmt, &catalog_));
+    AQV_ASSIGN_OR_RETURN(del, ParseDelete(stmt, catalog_.get()));
   }
   qs.parse_micros = ElapsedMicros(stmt_start);
   Mutation mutation;
@@ -1983,11 +1877,11 @@ Result<StatementResult> QueryService::HandleUpdate(const std::string& stmt) {
   {
     LatchManager::Guard guard = latches_.StatementShared();
     std::string target = PeekDmlTarget(stmt, 1);  // UPDATE <t>
-    if (!target.empty() && views_.Has(target)) {
+    if (!target.empty() && views_->Has(target)) {
       return Status::InvalidArgument("cannot UPDATE view '" + target +
                                      "'; write its base tables");
     }
-    AQV_ASSIGN_OR_RETURN(upd, ParseUpdate(stmt, &catalog_));
+    AQV_ASSIGN_OR_RETURN(upd, ParseUpdate(stmt, catalog_.get()));
   }
   qs.parse_micros = ElapsedMicros(stmt_start);
   Mutation mutation;
@@ -2014,12 +1908,8 @@ Result<StatementResult> QueryService::ExecuteMutation(Mutation mutation,
     // that removed a matched row fails the batch cleanly instead of
     // desyncing views.
     size_t matched = 0;
-    Delta staged;
-    {
-      LatchManager::Guard guard = latches_.StatementShared();
-      latches_.AcquireShared(&guard, {mutation.table});
-      AQV_ASSIGN_OR_RETURN(staged, MaterializeMutation(mutation, db_, &matched));
-    }
+    AQV_ASSIGN_OR_RETURN(Delta staged,
+                         MaterializeMutation(mutation, Pin()->db, &matched));
     std::lock_guard<std::mutex> lock(write_batch_mutex_);
     auto it = write_batches_.find(std::this_thread::get_id());
     if (it == write_batches_.end()) {
@@ -2061,12 +1951,12 @@ Result<StatementResult> QueryService::ExecuteMutation(Mutation mutation,
 Result<std::vector<QueryService::DependentView>>
 QueryService::DependentViewsOf(const std::vector<std::string>& tables) const {
   std::vector<DependentView> dependents;
-  for (const std::string& view : views_.ViewNames()) {
+  for (const std::string& view : views_->ViewNames()) {
     // Only stored (materialized) views need write-path maintenance; virtual
     // views are recomputed on every read anyway.
     if (!db_.Has(view)) continue;
     std::vector<std::string> closure;
-    CollectDependencies({view}, views_, &closure);
+    CollectDependencies({view}, *views_, &closure);
     bool touched = false;
     for (const std::string& t : tables) {
       if (std::find(closure.begin(), closure.end(), t) != closure.end()) {
@@ -2117,8 +2007,8 @@ QueryService::DependentViewsOf(const std::vector<std::string>& tables) const {
 
 Status QueryService::RecomputeViewInto(const std::string& name,
                                        Database* staging) {
-  AQV_ASSIGN_OR_RETURN(const ViewDef* def, views_.Get(name));
-  Evaluator fresh(staging, &views_);
+  AQV_ASSIGN_OR_RETURN(const ViewDef* def, views_->Get(name));
+  Evaluator fresh(staging, views_.get());
   AQV_ASSIGN_OR_RETURN(Table contents, fresh.Execute(def->query));
   staging->Put(name, std::move(contents));
   return Status::OK();
@@ -2304,7 +2194,7 @@ Result<QueryService::WriteApplied> QueryService::ApplyWrite(
   // view" on the delete side would point the user at the wrong statement.
   std::vector<std::string> written;
   auto add_target = [&](const std::string& name, const char* verb) -> Status {
-    if (views_.Has(name)) {
+    if (views_->Has(name)) {
       return Status::InvalidArgument(std::string("cannot ") + verb +
                                      " view '" + name +
                                      "'; write its base tables");
@@ -2403,14 +2293,14 @@ Result<QueryService::WriteApplied> QueryService::ApplyWrite(
   Clock::time_point maintain_start = Clock::now();
   std::vector<std::string> recomputed;
   for (const DependentView& d : dependents) {
-    AQV_ASSIGN_OR_RETURN(const ViewDef* def, views_.Get(d.name));
+    AQV_ASSIGN_OR_RETURN(const ViewDef* def, views_->Get(d.name));
     bool maintained = false;
     // The delta names base tables only, so the maintainer's telescoped
     // differencing sees no change for a view reading another view — those
     // must be recomputed, not silently no-opped.
     bool base_only = true;
     for (const TableRef& ref : def->query.from) {
-      if (views_.Has(ref.table)) {
+      if (views_->Has(ref.table)) {
         base_only = false;
         break;
       }
@@ -2463,9 +2353,6 @@ Result<QueryService::WriteApplied> QueryService::ApplyWrite(
     publish.emplace_back(name, staging.GetShared(name));
   }
   db_.PutAll(std::move(publish));
-  for (const std::string& name : writes) {
-    cache_invalidated_.Increment(plan_cache_.InvalidateDependency(name));
-  }
   // A recomputed view's contents are as fresh as a REFRESH would make them,
   // so it gets the same clean quarantine slate.
   for (const std::string& name : recomputed) ClearViewFailures(name);
@@ -2619,15 +2506,15 @@ bool QueryService::ClearTableQuarantine(const std::string& name) {
   // Dependent views re-enter service once no quarantined base table remains
   // in their closure — the LOAD that lifted `name` just recomputed them.
   for (auto it = table_quarantine_.begin(); it != table_quarantine_.end();) {
-    if (!views_.Has(it->first)) {
+    if (!views_->Has(it->first)) {
       ++it;
       continue;
     }
     std::vector<std::string> closure;
-    CollectDependencies({it->first}, views_, &closure);
+    CollectDependencies({it->first}, *views_, &closure);
     bool dirty = false;
     for (const std::string& n : closure) {
-      if (n == it->first || views_.Has(n)) continue;
+      if (n == it->first || views_->Has(n)) continue;
       if (table_quarantine_.count(n) > 0) {
         dirty = true;
         break;
@@ -2652,16 +2539,14 @@ QueryService::QuarantinedTables() const {
 
 Result<size_t> QueryService::RefreshLatched(const std::string& name) {
   AQV_FAILPOINT("service.refresh");
-  if (!views_.Has(name)) {
+  if (!views_->Has(name)) {
     return Status::NotFound("no view named '" + name + "'");
   }
-  AQV_ASSIGN_OR_RETURN(const ViewDef* def, views_.Get(name));
-  Evaluator fresh(&db_, &views_);
+  AQV_ASSIGN_OR_RETURN(const ViewDef* def, views_->Get(name));
+  Evaluator fresh(&db_, views_.get());
   AQV_ASSIGN_OR_RETURN(Table contents, fresh.Execute(def->query));
   size_t rows = contents.num_rows();
   db_.Put(name, std::move(contents));
-  // Write hook: the view's stored contents changed.
-  cache_invalidated_.Increment(plan_cache_.InvalidateDependency(name));
   // A freshly materialized view gets a clean slate: REFRESH is the
   // operator's way out of quarantine.
   ClearViewFailures(name);
@@ -2670,14 +2555,14 @@ Result<size_t> QueryService::RefreshLatched(const std::string& name) {
 
 Result<StatementResult> QueryService::HandleRefresh(const std::string& name) {
   LatchManager::Guard guard = latches_.StatementShared();
-  if (!views_.Has(name)) {
+  if (!views_->Has(name)) {
     return Status::NotFound("no view named '" + name + "'");
   }
   // The view itself is written; everything its definition reads (its
   // transitive closure) is read. A quarantined closure refuses: recomputing
   // from a salvaged-empty base would publish wrong rows as "fresh".
   std::vector<std::string> reads;
-  CollectDependencies({name}, views_, &reads);
+  CollectDependencies({name}, *views_, &reads);
   AQV_RETURN_NOT_OK(CheckTableQuarantine(reads));
   latches_.AcquireWrite(&guard, {name}, reads);
   AQV_ASSIGN_OR_RETURN(size_t rows, RefreshLatched(name));
@@ -2690,7 +2575,7 @@ Result<StatementResult> QueryService::HandleRefresh(const std::string& name) {
 Result<StatementResult> QueryService::HandleLoad(const std::string& stmt) {
   // LOAD <table> FROM '<path>'
   AQV_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(stmt));
-  if (tokens.size() < 4 || tokens[1].kind != TokenKind::kIdentifier ||
+  if (tokens.size() != 5 || tokens[1].kind != TokenKind::kIdentifier ||
       !tokens[2].IsKeyword("FROM") || tokens[3].kind != TokenKind::kString) {
     return Status::InvalidArgument("usage: LOAD R FROM 'file.csv'");
   }
@@ -2698,9 +2583,12 @@ Result<StatementResult> QueryService::HandleLoad(const std::string& stmt) {
   // A LOAD over a view name would otherwise fall through to the new-table
   // DDL path (views live in the registry, not the catalog) and shadow the
   // view; refuse with the verb that matches the statement.
-  if (views_.Has(name)) {
-    return Status::InvalidArgument("cannot LOAD into view '" + name +
-                                   "'; write its base tables");
+  {
+    LatchManager::Guard guard = latches_.StatementShared();
+    if (views_->Has(name)) {
+      return Status::InvalidArgument("cannot LOAD into view '" + name +
+                                     "'; write its base tables");
+    }
   }
   AQV_ASSIGN_OR_RETURN(Table loaded, ReadCsvFile(tokens[3].text));
   size_t loaded_rows = loaded.num_rows();
@@ -2754,11 +2642,7 @@ Result<StatementResult> QueryService::HandleLoad(const std::string& stmt) {
       publish.emplace_back(d.name, staging.GetShared(d.name));
     }
     db_.PutAll(std::move(publish));
-    cache_invalidated_.Increment(plan_cache_.InvalidateDependency(name));
-    for (const DependentView& d : dependents) {
-      cache_invalidated_.Increment(plan_cache_.InvalidateDependency(d.name));
-      ClearViewFailures(d.name);
-    }
+    for (const DependentView& d : dependents) ClearViewFailures(d.name);
     views_recomputed_.Increment(dependents.size());
     return Status::OK();
   };
@@ -2766,8 +2650,8 @@ Result<StatementResult> QueryService::HandleLoad(const std::string& stmt) {
   {
     // Fast path: the table exists, so this is a row write, not DDL.
     LatchManager::Guard guard = latches_.StatementShared();
-    if (catalog_.HasTable(name)) {
-      AQV_ASSIGN_OR_RETURN(const TableDef* def, catalog_.GetTable(name));
+    if (catalog_->HasTable(name)) {
+      AQV_ASSIGN_OR_RETURN(const TableDef* def, catalog_->GetTable(name));
       if (def->num_columns() != loaded.num_columns()) {
         return Status::InvalidArgument("CSV arity does not match table '" +
                                        name + "'");
@@ -2797,10 +2681,11 @@ Result<StatementResult> QueryService::HandleLoad(const std::string& stmt) {
   // The table is new: schema change. Re-check under the ddl latch — another
   // thread may have created it between the two acquisitions.
   LatchManager::Guard guard = latches_.Ddl();
-  if (!catalog_.HasTable(name)) {
-    AQV_RETURN_NOT_OK(catalog_.AddTable(TableDef(name, loaded.columns())));
+  if (!catalog_->HasTable(name)) {
+    auto catalog = std::make_shared<Catalog>(*catalog_);
+    AQV_RETURN_NOT_OK(catalog->AddTable(TableDef(name, loaded.columns())));
+    catalog_ = std::move(catalog);
     out.message = "table " + name + " created from the CSV header\n";
-    cache_invalidated_.Increment(plan_cache_.Clear());  // DDL hook
     out.message += std::to_string(loaded_rows) + " row(s) loaded into " +
                    name + "\n";
     db_.Put(name, std::move(loaded));
@@ -2808,7 +2693,7 @@ Result<StatementResult> QueryService::HandleLoad(const std::string& stmt) {
     AQV_RETURN_NOT_OK(CheckpointIfDurable());
     return out;
   }
-  AQV_ASSIGN_OR_RETURN(const TableDef* def, catalog_.GetTable(name));
+  AQV_ASSIGN_OR_RETURN(const TableDef* def, catalog_->GetTable(name));
   if (def->num_columns() != loaded.num_columns()) {
     return Status::InvalidArgument("CSV arity does not match table '" + name +
                                    "'");

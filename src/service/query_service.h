@@ -37,9 +37,9 @@ struct ServiceOptions {
   size_t plan_cache_capacity = 256;
   /// Master switch for the rewrite-plan cache (the bench sweeps this).
   bool enable_plan_cache = true;
-  /// Number of per-table latch stripes. 1 degenerates to the pre-stripe
-  /// global reader/writer latch (the bench's baseline); more stripes let
-  /// writes to disjoint tables proceed in parallel.
+  /// Number of per-table writer latch stripes. 1 serializes every writer on
+  /// one latch (the bench's baseline); more stripes let writes to disjoint
+  /// tables proceed in parallel. Reads take no stripes.
   size_t latch_stripes = LatchManager::kDefaultStripes;
   /// SELECTs slower than this end up in the slow-query log (statement,
   /// fingerprint, parse/optimize/execute breakdown; see SLOWLOG). 0 disables.
@@ -162,16 +162,17 @@ struct StatementResult {
   bool degraded = false;
 };
 
-/// A transactionally consistent, immutable copy of the service's state:
-/// the catalog and view registry by value, and the database as a pinned
-/// table-version vector — copying a Database shares the per-table row
-/// storage (shared_ptr<const Table>), so the pin is cheap and later writes
-/// through the service (which replace whole version pointers) never touch
-/// it. `epoch` is the database's version counter at pin time; two snapshots
-/// with equal epochs saw identical contents.
+/// A transactionally consistent, immutable view of the service's state: the
+/// catalog and view registry the service had published (DDL replaces them
+/// copy-on-write, so these pointers never see a later change), and the
+/// database as a pinned table-version vector — copying a Database shares
+/// the per-table row storage (shared_ptr<const Table>), so the pin is cheap
+/// and later writes (which replace whole version pointers) never touch it.
+/// `epoch` is the database's version counter at pin time; two snapshots
+/// with equal epochs saw identical contents. Every SELECT runs on one.
 struct ServiceSnapshot {
-  Catalog catalog;
-  ViewRegistry views;
+  std::shared_ptr<const Catalog> catalog;
+  std::shared_ptr<const ViewRegistry> views;
   Database db;
   uint64_t epoch = 0;
 };
@@ -184,12 +185,17 @@ struct ServiceStats {
   uint64_t queries_served = 0;     // SELECTs executed to completion
   uint64_t plan_cache_hits = 0;
   uint64_t plan_cache_misses = 0;
-  uint64_t plan_cache_invalidated = 0;  // entries dropped by write hooks
+  /// Cached plans found at lookup to be optimized on a different state than
+  /// the reader's (catalog, registry or a dependency's version differs),
+  /// plus entries erased after failing mid-execution.
+  uint64_t plan_cache_invalidated = 0;
   uint64_t rewrites_applied = 0;   // chosen plan uses a materialized view
   uint64_t rewrites_skipped = 0;   // original plan kept
   uint64_t slow_queries = 0;       // SELECTs over ServiceOptions::slow_query_micros
-  uint64_t snapshots_pinned = 0;   // BEGIN SNAPSHOT + PinSnapshot() calls
-  uint64_t snapshot_reads = 0;     // SELECTs served from a pinned snapshot
+  /// Explicit pins only: BEGIN SNAPSHOT + PinSnapshot() calls. The pin every
+  /// live SELECT takes of the head state is not counted.
+  uint64_t snapshots_pinned = 0;
+  uint64_t snapshot_reads = 0;     // SELECTs served from an explicit pin
   uint64_t admission_rejects = 0;  // statements rejected SERVER_BUSY
   uint64_t degraded_fallbacks = 0; // retries on the unrewritten plan
   uint64_t rows_inserted = 0;      // rows applied by INSERT/UPDATE/COMMIT
@@ -278,36 +284,25 @@ struct SlowQueryRecord {
 };
 
 /// An embeddable, thread-safe query service over the aqv library: it owns a
-/// Catalog, a Database and a ViewRegistry behind a striped per-table latch
-/// manager (service/latch_manager.h), executes the same statement dialect as
-/// examples/aqvsh.cpp, and caches optimized plans in a bounded LRU keyed by
-/// the canonical IR fingerprint (ir/fingerprint.h).
+/// Catalog, a Database and a ViewRegistry, executes the same statement
+/// dialect as examples/aqvsh.cpp, and caches optimized plans in a bounded
+/// LRU keyed by the canonical IR fingerprint (ir/fingerprint.h).
 ///
 /// Concurrency contract (see also README "Concurrency contract"):
-///   - Every statement first takes the ddl latch: shared for row reads and
-///     row writes, exclusive for schema changes (CREATE TABLE/VIEW, LOAD
-///     into a new table, Bootstrap). Holding it shared freezes the catalog
-///     and view registry, so statements parse/bind before knowing their
-///     footprint.
-///   - After binding, a statement acquires the latch stripes covering its
-///     footprint — the transitive closure of its FROM names through view
-///     definitions, plus every materialized view the rewriter could
-///     substitute (those whose base tables are a subset of the query's).
-///     SELECT/EXPLAIN take their stripes shared; INSERT/REFRESH/LOAD take
-///     the written name exclusive. Writes to disjoint stripes run in
-///     parallel.
-///   - Deadlock freedom: ddl before stripes, stripes in ascending index
-///     order — one global acquisition order, so no cycle can form.
-///   - The plan-cache ordering invariant survives sharding because a cached
-///     entry's dependency set is always a subset of the statement's
-///     footprint: a reader inserts a freshly optimized plan while still
-///     holding its stripes shared, so a writer's invalidation (which needs
-///     the written stripe exclusive) is always ordered after the insert.
-///   - BEGIN SNAPSHOT (or PinSnapshot()) briefly holds every stripe shared,
-///     waiting out in-flight writers, then copies the state — cheap, since
-///     table storage is copy-on-write shared_ptrs. Reads on the snapshot
-///     run latch-free against a single epoch; writes never block on open
-///     snapshots and snapshots never see them.
+///   - Every read runs on a pinned ServiceSnapshot. A pin holds the ddl
+///     latch shared only while it copies the catalog and registry pointers
+///     and the table-version vector; the read then parses, plans and
+///     executes latch-free. A live SELECT is a snapshot read at the head
+///     epoch; inside BEGIN SNAPSHOT it reads the thread's pin.
+///   - Writers take the ddl latch shared plus the latch stripes of what
+///     they write (exclusive) and what a recompute reads (shared), in
+///     ascending stripe order, and publish with one Database::PutAll. DDL
+///     takes the ddl latch exclusive and replaces the catalog or registry
+///     copy-on-write. Reads take no stripes, so they never wait for writers.
+///   - Plan-cache coherence comes from versions, not hooks: an entry records
+///     the catalog, registry and dependency versions it was optimized on,
+///     and a lookup from a different state is a miss whose re-optimized
+///     entry replaces it.
 ///
 /// Metrics are exposed three ways: the STATS statement (human-readable),
 /// Stats() (struct snapshot), and metrics() (the raw registry).
@@ -323,8 +318,8 @@ class QueryService {
   ///
   /// Beyond the aqvsh dialect, BEGIN SNAPSHOT pins a snapshot for the
   /// calling thread — subsequent SELECTs on that thread read the pinned
-  /// epoch, latch-free, until COMMIT releases it. Writes and DDL are
-  /// rejected on a thread with an open snapshot.
+  /// epoch until COMMIT releases it. Writes and DDL are rejected on a
+  /// thread with an open snapshot.
   ///
   /// BEGIN WRITE opens a per-thread write batch: subsequent INSERTs buffer
   /// rows instead of applying them, COMMIT applies the whole batch through
@@ -338,21 +333,22 @@ class QueryService {
   /// Typed convenience wrapper: Execute on a SELECT, returning the rows.
   Result<Table> Select(const std::string& sql);
 
-  /// Pins the current state into an immutable snapshot: briefly holds every
-  /// stripe shared (waiting out in-flight writers), then copies the catalog,
-  /// views and table-version vector. Thread-safe; the snapshot is
-  /// independent of the BEGIN SNAPSHOT statement dialect and may be shared
-  /// across threads.
+  /// Pins the current state into an immutable snapshot (see
+  /// ServiceSnapshot). Never waits for in-flight writers: they publish with
+  /// one atomic version swap, so the pin sees each write whole or not at
+  /// all. Thread-safe; the snapshot is independent of the BEGIN SNAPSHOT
+  /// statement dialect and may be shared across threads.
   ServiceSnapshotPtr PinSnapshot();
 
-  /// Executes a SELECT against a pinned snapshot: plans fresh (the plan
-  /// cache tracks current state, not the snapshot's) and reads only the
-  /// pinned table versions. Takes no service latches; any number of threads
-  /// may read one snapshot concurrently.
+  /// Executes a SELECT against a pinned snapshot, through the same read
+  /// path as a live SELECT: a cached plan is used only if it was optimized
+  /// on the snapshot's state, and only the pinned table versions are read.
+  /// Any number of threads may read one snapshot concurrently.
   Result<Table> Select(const std::string& sql, const ServiceSnapshot& snapshot);
 
   /// Replaces the service's catalog, database and view registry wholesale
-  /// (e.g. with a pre-built workload) and clears the plan cache.
+  /// (e.g. with a pre-built workload). Cached plans of the old state stop
+  /// matching and are re-optimized on first use.
   Status Bootstrap(Catalog catalog, Database db, ViewRegistry views);
 
   ServiceStats Stats() const;
@@ -392,10 +388,18 @@ class QueryService {
   Result<StatementResult> Dispatch(const std::string& stmt,
                                    const std::string& upper);
 
-  // Row-read statements: ddl shared + footprint stripes shared.
-  Result<StatementResult> HandleSelect(const std::string& stmt);
-  Result<StatementResult> HandleExplain(const std::string& select_stmt);
-  Result<StatementResult> HandleExplainAnalyze(const std::string& select_stmt);
+  /// What the one read path produces from a SELECT: its rows, its plan
+  /// (EXPLAIN), or its plan annotated with a profiled execution.
+  enum class ReadKind { kSelect, kExplain, kExplainAnalyze };
+
+  /// The one read path behind SELECT, EXPLAIN [ANALYZE] and
+  /// Select(sql, snapshot): parse, quarantine check, plan through the cache,
+  /// execute — degrading a failed rewritten or cached plan to the
+  /// unrewritten query — all on one pinned state. `pinned` is an explicit
+  /// snapshot; when null the thread's BEGIN SNAPSHOT pin is read, else the
+  /// head state is pinned now.
+  Result<StatementResult> Read(const std::string& stmt, ReadKind kind,
+                               const ServiceSnapshot* pinned);
   Result<StatementResult> HandleTrace(const std::string& stmt);
   Result<StatementResult> HandleFailpoint(const std::string& stmt);
   Result<StatementResult> HandleSlowLog() const;
@@ -573,27 +577,31 @@ class QueryService {
   ServiceSnapshotPtr ThreadSnapshot() const;
   /// True if the calling thread has an open BEGIN WRITE batch.
   bool ThreadHasWriteBatch() const;
-  /// SELECT against `snap` with full metrics/slow-log accounting.
-  Result<StatementResult> SelectOnSnapshot(const std::string& stmt,
-                                           const ServiceSnapshot& snap);
 
-  /// The latch footprint of `query`: its transitive FROM closure plus every
-  /// materialized view the rewriter could substitute into it (and that
-  /// view's own closure). Caller must hold the ddl latch (any mode) —
-  /// catalog, views and database table-set are frozen while computing.
-  std::vector<std::string> SelectFootprint(const Query& query) const;
+  /// The head state. Caller holds the ddl latch (any mode).
+  ServiceSnapshot Head() const;
+  /// Pins the head state: the ddl latch is held shared only while Head()
+  /// copies it. Counts nothing (PinSnapshot counts explicit pins).
+  ServiceSnapshotPtr Pin();
+  /// The state a read statement runs on: the thread's pin, else Pin().
+  ServiceSnapshotPtr ReadState();
 
-  /// Optimizes `query` through the plan cache (lookup, else optimize and
-  /// insert). Caller must hold the ddl latch shared plus the query's
-  /// footprint stripes (at least shared). `optimize_micros` (optional)
-  /// receives the optimizer wall time — 0 on a cache hit. `ctx` (optional)
+  /// Optimizes `query` on `state` through the plan cache: a cached entry
+  /// optimized on the same state is a hit; otherwise the query is
+  /// optimized and the entry inserted, replacing any stale one. `ctx`
   /// bounds candidate enumeration by the statement deadline. When the
   /// optimizer itself fails and degradation is enabled, returns an
   /// uncached entry holding the unrewritten query and sets `*degraded`.
-  Result<PlanCache::EntryPtr> PlanThroughCache(
-      const Query& query, bool* cache_hit,
-      uint64_t* optimize_micros = nullptr, ExecContext* ctx = nullptr,
-      bool* degraded = nullptr);
+  Result<PlanCache::EntryPtr> PlanThroughCache(const Query& query,
+                                               const ServiceSnapshot& state,
+                                               bool* cache_hit,
+                                               ExecContext* ctx,
+                                               bool* degraded);
+
+  /// True when a failed plan or optimization should be retried on the
+  /// unrewritten query: degradation is on and `s` is not a governance
+  /// verdict (deadline or row budget), which must surface as-is.
+  bool ShouldDegrade(const Status& s) const;
 
   /// Admission control (ServiceOptions::max_concurrent_statements): blocks
   /// up to admission_wait_micros for a slot, then kUnavailable.
@@ -622,20 +630,20 @@ class QueryService {
   void MaybeRecordSlowStatement(const std::string& stmt, const QueryStats& qs);
 
   /// Recomputes the named view's contents into db_. Caller holds latches
-  /// covering the view (exclusive) and its dependencies (at least shared);
-  /// fires the view's invalidation hook.
+  /// covering the view (exclusive) and its dependencies (at least shared).
   Result<size_t> RefreshLatched(const std::string& name);
 
   ServiceOptions options_;
 
-  /// Striped per-table latching over catalog_, db_ and views_ (see the
-  /// class comment). The plan cache and metrics have their own internal
-  /// synchronization and are safe under any latch mode; Database guards its
-  /// own map structure, so snapshot reads need no service latch at all.
+  /// The ddl latch and writers' stripes (see the class comment). The plan
+  /// cache and metrics have their own internal synchronization; Database
+  /// guards its own version vector, so readers need only a pin.
   mutable LatchManager latches_;
-  Catalog catalog_;
+  /// Replaced (never mutated) under the exclusive ddl latch.
+  std::shared_ptr<const Catalog> catalog_ = std::make_shared<Catalog>();
+  std::shared_ptr<const ViewRegistry> views_ =
+      std::make_shared<ViewRegistry>();
   Database db_;
-  ViewRegistry views_;
 
   PlanCache plan_cache_;
 

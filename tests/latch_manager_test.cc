@@ -1,5 +1,6 @@
 #include "service/latch_manager.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <string>
@@ -33,7 +34,7 @@ TEST(LatchManagerTest, GuardTracksStripesAndExclusivity) {
     LatchManager::Guard g = latches.StatementShared();
     EXPECT_EQ(g.stripes_held(), 0u);
     EXPECT_FALSE(g.exclusive());
-    latches.AcquireShared(&g, {"R", "S", "T"});
+    latches.AcquireWrite(&g, {}, {"R", "S", "T"});
     EXPECT_GT(g.stripes_held(), 0u);
     EXPECT_LE(g.stripes_held(), 3u);  // names may share a stripe
     EXPECT_FALSE(g.exclusive());
@@ -61,8 +62,15 @@ TEST(LatchManagerTest, WriteCollidingWithReadTakesExclusive) {
 
 TEST(LatchManagerTest, AllSharedHoldsEveryStripe) {
   LatchManager latches(16);
+  // Enough distinct names to hash onto every stripe, all on the read side.
+  std::vector<std::string> names;
+  std::vector<bool> covered(16, false);
+  for (int i = 0; std::count(covered.begin(), covered.end(), false) > 0; ++i) {
+    names.push_back("t" + std::to_string(i));
+    covered[latches.StripeOf(names.back())] = true;
+  }
   LatchManager::Guard g = latches.StatementShared();
-  latches.AcquireAllShared(&g);
+  latches.AcquireWrite(&g, {}, names);
   EXPECT_EQ(g.stripes_held(), 16u);
   EXPECT_FALSE(g.exclusive());
 }
@@ -84,13 +92,13 @@ TEST(LatchManagerTest, MoveTransfersOwnership) {
 TEST(LatchManagerTest, SharedHoldersOverlapExclusiveExcludes) {
   LatchManager latches(4);
   LatchManager::Guard reader = latches.StatementShared();
-  latches.AcquireShared(&reader, {"R"});
+  latches.AcquireWrite(&reader, {}, {"R"});
 
   // A second shared holder of the same stripe gets in while the first holds.
   std::atomic<bool> second_reader_in{false};
   std::thread t1([&] {
     LatchManager::Guard g = latches.StatementShared();
-    latches.AcquireShared(&g, {"R"});
+    latches.AcquireWrite(&g, {}, {"R"});
     second_reader_in.store(true);
   });
   t1.join();

@@ -651,5 +651,41 @@ TEST(ServiceSnapshotDialectTest, SnapshotIsolatesFromConcurrentWrites) {
   EXPECT_EQ(live.num_rows(), 2u);
 }
 
+// Reads never wait for writers: an INSERT parked inside its write latches
+// (T's stripe held exclusive, nothing published yet) does not block a live
+// SELECT on T, which answers from the head epoch — the pre-insert rows.
+TEST(ServiceReadPathTest, ReadsNeverWaitForWriters) {
+  QueryService service;
+  ASSERT_OK(service.Execute("CREATE TABLE T(A, B)").status());
+  ASSERT_OK(service.Execute("INSERT INTO T VALUES (1, 10), (2, 20)").status());
+  FailpointRegistry& failpoints = FailpointRegistry::Global();
+  ASSERT_OK(failpoints.Set("table.cow_copy", "delay(1000000,100,1)"));
+  auto fires = [&]() -> uint64_t {
+    for (const FailpointRegistry::Info& info : failpoints.List()) {
+      if (info.name == "table.cow_copy") return info.fires;
+    }
+    return 0;
+  };
+
+  std::atomic<bool> writer_done{false};
+  std::thread writer([&] {
+    Result<StatementResult> r = service.Execute("INSERT INTO T VALUES (3, 30)");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    writer_done.store(true);
+  });
+  while (fires() < 1) std::this_thread::yield();  // the writer is parked
+
+  Result<Table> during = service.Select("SELECT A_1, B_1 FROM T");
+  const bool writer_parked = !writer_done.load();
+  writer.join();
+  ASSERT_OK(failpoints.Set("table.cow_copy", "off"));
+
+  ASSERT_OK(during.status());
+  EXPECT_TRUE(writer_parked) << "the SELECT waited for the writer";
+  EXPECT_EQ(during->num_rows(), 2u);
+  ASSERT_OK_AND_ASSIGN(Table after, service.Select("SELECT A_1, B_1 FROM T"));
+  EXPECT_EQ(after.num_rows(), 3u);
+}
+
 }  // namespace
 }  // namespace aqv

@@ -7,6 +7,8 @@
 //   cmake --build build-tsan -j && ctest --test-dir build-tsan -R Service
 
 #include <atomic>
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -15,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "base/trace.h"
+#include "exec/csv.h"
 #include "exec/table.h"
 #include "ir/fingerprint.h"
 #include "parser/parser.h"
@@ -76,6 +79,46 @@ TEST(ServiceStatementTest, DialectRoundTrip) {
   // Comments and blank lines are accepted and do nothing.
   EXPECT_OK(service.Execute("# a comment").status());
   EXPECT_OK(service.Execute("   ").status());
+}
+
+// Statement keywords match as whole tokens, and CREATE TABLE accepts only
+// its grammar. Each malformed statement is refused and changes nothing.
+TEST(ServiceStatementTest, MalformedStatementsAreRefusedAndChangeNothing) {
+  QueryService service;
+  EXPECT_OK(service.Execute("CREATE TABLE R(A, B)").status());
+  EXPECT_OK(service.Execute("INSERT INTO R VALUES (1, 10)").status());
+  const std::string csv = ::testing::TempDir() + "/aqv_strict_grammar.csv";
+  const std::string saved = ::testing::TempDir() + "/aqv_strict_saved.csv";
+  Table replacement({"A", "B"});
+  replacement.AddRowOrDie({Value::Int64(7), Value::Int64(70)});
+  ASSERT_OK(WriteCsvFile(replacement, csv));
+  std::remove(saved.c_str());
+
+  for (const std::string& bad :
+       {"SAVEPOINT R TO '" + saved + "'", "LOADED R FROM '" + csv + "'",
+        "SAVE R TO '" + saved + "' junk", "LOAD R FROM '" + csv + "' junk",
+        std::string("CREATE TABLE S(A B)"),
+        std::string("CREATE TABLE S(A B) junk here"),
+        std::string("CREATE TABLE S(A, B) junk"),
+        std::string("CREATE TABLE S(A, B) KEY(A) junk"),
+        std::string("CREATE TABLE S(A, B) KEY(A B)"),
+        std::string("CREATE TABLE S(A,)")}) {
+    EXPECT_EQ(service.Execute(bad).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
+  EXPECT_FALSE(std::ifstream(saved).good()) << "SAVEPOINT wrote a file";
+  EXPECT_FALSE(service.Execute("SELECT A_1 FROM S").ok());
+  EXPECT_EQ(ExecuteOrDie(service, "TABLES").message, "  R(A, B) — 1 rows\n");
+  ASSERT_OK_AND_ASSIGN(Table r, service.Select("SELECT A_1, B_1 FROM R"));
+  ASSERT_EQ(r.num_rows(), 1u);
+  EXPECT_EQ(r.rows()[0][1], Value::Int64(10));
+
+  // The well-formed statements still work.
+  EXPECT_OK(service.Execute("SAVE R TO '" + saved + "'").status());
+  EXPECT_OK(service.Execute("CREATE TABLE S(A, B) KEY(A)").status());
+  std::remove(csv.c_str());
+  std::remove(saved.c_str());
 }
 
 TEST(ServicePlanCacheTest, HitReturnsSameRowsAsColdPlan) {
@@ -235,6 +278,57 @@ TEST(ServicePlanCacheTest, CreateMaterializedViewFlipsPlanToRewrite) {
   ASSERT_TRUE(base.table.has_value() && rewritten.table.has_value());
   EXPECT_TRUE(MultisetEqual(*base.table, *rewritten.table))
       << DescribeMultisetDifference(*base.table, *rewritten.table);
+}
+
+// Plan-cache entries are validated against the reader's pinned state. A
+// snapshot pinned before an INSERT and a CREATE MATERIALIZED VIEW keeps
+// reading its own epoch and never runs a plan naming the new view; the head
+// picks up both. After each step both equal a cache-less witness exactly.
+TEST(ServicePlanCacheTest, EntriesAreValidatedAgainstThePinnedState) {
+  QueryService service;
+  ServiceOptions no_cache;
+  no_cache.enable_plan_cache = false;
+  QueryService witness(no_cache);
+  for (QueryService* s : {&service, &witness}) {
+    EXPECT_OK(s->Execute("CREATE TABLE Sales(Shop, Amount)").status());
+    EXPECT_OK(s->Execute("INSERT INTO Sales VALUES (1, 10), (1, 11), (2, 20)")
+                  .status());
+  }
+  const std::string q =
+      "SELECT Shop_1, SUM(Amount_1) AS T FROM Sales GROUPBY Shop_1";
+  ServiceSnapshotPtr pinned = service.PinSnapshot();
+  ServiceSnapshotPtr witness_pinned = witness.PinSnapshot();
+  EXPECT_FALSE(ExecuteOrDie(service, q).cache_hit);  // primed at the head
+
+  uint64_t invalidated = service.Stats().plan_cache_invalidated;
+  for (const std::string& step :
+       {std::string("INSERT INTO Sales VALUES (1, 5), (3, 30)"),
+        std::string("CREATE MATERIALIZED VIEW Totals AS SELECT Shop_1, "
+                    "SUM(Amount_1) AS T FROM Sales GROUPBY Shop_1")}) {
+    SCOPED_TRACE(step);
+    EXPECT_OK(service.Execute(step).status());
+    EXPECT_OK(witness.Execute(step).status());
+
+    StatementResult head = ExecuteOrDie(service, q);
+    StatementResult expected = ExecuteOrDie(witness, q);
+    ASSERT_TRUE(head.table.has_value() && expected.table.has_value());
+    EXPECT_FALSE(head.cache_hit);
+    EXPECT_TRUE(MultisetEqual(*expected.table, *head.table))
+        << DescribeMultisetDifference(*expected.table, *head.table);
+
+    // No materialized view exists on the pinned state, so a rewrite there
+    // could only name the new one.
+    uint64_t rewrites = service.Stats().rewrites_applied;
+    ASSERT_OK_AND_ASSIGN(Table old_rows, service.Select(q, *pinned));
+    EXPECT_EQ(service.Stats().rewrites_applied, rewrites);
+    ASSERT_OK_AND_ASSIGN(Table old_expected, witness.Select(q, *witness_pinned));
+    EXPECT_TRUE(MultisetEqual(old_expected, old_rows))
+        << DescribeMultisetDifference(old_expected, old_rows);
+
+    EXPECT_GT(service.Stats().plan_cache_invalidated, invalidated);
+    invalidated = service.Stats().plan_cache_invalidated;
+  }
+  EXPECT_TRUE(ExecuteOrDie(service, q).used_materialized_view);
 }
 
 TEST(ServicePlanCacheTest, LruEvictsLeastRecentlyUsed) {
