@@ -1,12 +1,10 @@
 #include "exec/evaluator.h"
 
-#include <algorithm>
+#include <utility>
 #include <chrono>
 
 #include "base/failpoint.h"
-#include "base/strings.h"
 #include "exec/operators.h"
-#include "exec/planner.h"
 #include "exec/vectorized.h"
 #include "ir/validate.h"
 
@@ -23,11 +21,34 @@ uint64_t MicrosSince(ProfClock::time_point start) {
           .count());
 }
 
-std::string PredicateList(const std::vector<Predicate>& preds) {
-  std::vector<std::string> parts;
-  parts.reserve(preds.size());
-  for (const Predicate& p : preds) parts.push_back(p.ToString());
-  return Join(parts, " AND ");
+/// Final projection: per row, each item's input ordinal, or the ratio of two
+/// SUM positions (NULL on a NULL, non-numeric or zero denominator).
+std::vector<Row> ProjectItems(const std::vector<Row>& rows,
+                              const std::vector<std::pair<int, int>>& items,
+                              ExecContext* ctx) {
+  std::vector<Row> out;
+  out.reserve(rows.size());
+  for (const Row& row : rows) {
+    if (ctx != nullptr && !ctx->TickRows()) break;
+    Row projected;
+    projected.reserve(items.size());
+    for (const auto& [pos, den_pos] : items) {
+      if (den_pos < 0) {
+        projected.push_back(row[pos]);
+        continue;
+      }
+      const Value& num = row[pos];
+      const Value& den = row[den_pos];
+      if (num.is_null() || den.is_null() || !den.is_numeric() ||
+          den.AsDouble() == 0.0) {
+        projected.push_back(Value::Null());
+      } else {
+        projected.push_back(Value::Double(num.AsDouble() / den.AsDouble()));
+      }
+    }
+    out.push_back(std::move(projected));
+  }
+  return out;
 }
 
 }  // namespace
@@ -55,22 +76,7 @@ Result<const Table*> Evaluator::InputTable(const std::string& name, int depth) {
                                        name + "'");
       }
       AQV_ASSIGN_OR_RETURN(const ViewDef* def, views_->Get(name));
-      const bool prof = (profile_ != nullptr && depth == 0);
-      ProfClock::time_point t0;
-      if (prof) t0 = ProfClock::now();
-      // Suspend profiling across the nested block: its internal stages
-      // belong to the view, which surfaces as one Materialize operator.
-      PlanProfile* saved = profile_;
-      profile_ = nullptr;
-      Result<Table> computed = ExecuteInternal(def->query, depth + 1);
-      profile_ = saved;
-      AQV_RETURN_NOT_OK(computed.status());
-      Table t = *std::move(computed);
-      if (prof) {
-        profile_->ops.push_back(OperatorProfile{
-            "Materialize " + name + " [virtual]", 0, t.num_rows(),
-            MicrosSince(t0)});
-      }
+      AQV_ASSIGN_OR_RETURN(Table t, ExecuteInternal(def->query, depth + 1));
       ++stats_.views_materialized;
       it = view_cache_.emplace(name, std::move(t)).first;
     }
@@ -85,15 +91,8 @@ Result<Table> Evaluator::Execute(const Query& query) {
   // one context (degraded retries) from double-counting earlier work.
   size_t rows_before =
       ctx_ != nullptr && ctx_->stats() != nullptr ? ctx_->rows_charged() : 0;
-  Result<Table> result = [&]() -> Result<Table> {
-    if (profile_ == nullptr) return ExecuteInternal(query, 0);
-    profile_->ops.clear();
-    profile_->total_micros = 0;
-    ProfClock::time_point t0 = ProfClock::now();
-    Result<Table> r = ExecuteInternal(query, 0);
-    profile_->total_micros = MicrosSince(t0);
-    return r;
-  }();
+  executed_.reset();
+  Result<Table> result = ExecuteInternal(query, 0);
   if (ctx_ != nullptr && ctx_->stats() != nullptr) {
     ctx_->stats()->rows_processed += ctx_->rows_charged() - rows_before;
   }
@@ -112,430 +111,103 @@ Result<Table> Evaluator::ExecuteInternal(const Query& query, int depth) {
 
   // ---- Bind FROM entries to stored tables / materialized views. ----
   size_t n = query.from.size();
-  std::vector<const Table*> inputs(n);
+  std::vector<PlanInput> inputs(n);
   for (size_t i = 0; i < n; ++i) {
-    AQV_ASSIGN_OR_RETURN(inputs[i], InputTable(query.from[i].table, depth));
-    if (inputs[i]->num_columns() !=
-        static_cast<int>(query.from[i].columns.size())) {
+    const std::string& name = query.from[i].table;
+    AQV_ASSIGN_OR_RETURN(const Table* table, InputTable(name, depth));
+    if (table->num_columns() != static_cast<int>(query.from[i].columns.size())) {
       return Status::InvalidArgument(
-          "FROM entry '" + query.from[i].table + "' has arity " +
+          "FROM entry '" + name + "' has arity " +
           std::to_string(query.from[i].columns.size()) + " but the table has " +
-          std::to_string(inputs[i]->num_columns()) + " columns");
+          std::to_string(table->num_columns()) + " columns");
     }
+    inputs[i] = PlanInput{static_cast<double>(table->num_rows()), table};
   }
 
-  auto note_rows = [this](size_t rows) {
-    stats_.peak_intermediate_rows = std::max(stats_.peak_intermediate_rows, rows);
-  };
-
-  // Profiling applies to the top-level block only; `prof` gates every clock
-  // read and label construction so an unprofiled Execute pays nothing.
-  const bool prof = (profile_ != nullptr && depth == 0);
-  ProfClock::time_point op_start;
-  auto op_begin = [&]() {
-    if (prof) op_start = ProfClock::now();
-  };
-  auto op_end = [&](std::string label, size_t rows_in, size_t rows_out) {
-    if (prof) {
-      profile_->ops.push_back(OperatorProfile{std::move(label), rows_in,
-                                              rows_out, MicrosSince(op_start)});
-    }
-  };
-  // Mirrors explain_plan's describe_input: table name, stored cardinality
-  // (the cost model's input estimate), pushed-down filter.
-  auto input_label = [&](size_t t, const std::vector<Predicate>& filters) {
-    std::string s = query.from[t].table + " [" +
-                    std::to_string(inputs[t]->num_rows()) + " rows]";
-    if (!filters.empty()) s += " filter(" + PredicateList(filters) + ")";
-    return s;
-  };
-
-  // ---- Join phase: produce `joined` rows under `layout`. ----
-  std::vector<Row> joined;
-  ColumnIndexMap layout;
-
-  // The Cartesian reference plan is the executable specification tests
-  // compare everything against, so it stays pure row-at-a-time.
-  const bool vec = options_.vectorized && options_.use_hash_join;
-
-  // Aggregation output; the columnar fast path below can produce it
-  // directly from the table's cached columnar image, in which case the join
-  // phase and row-based aggregation are skipped entirely.
-  std::vector<Row> grouped;
-  bool grouped_ready = false;
-  std::vector<Operand> agg_terms = query.AggregateTerms();
-  auto agg_label = [&](bool vectorized) {
-    std::vector<std::string> aggs;
-    for (const Operand& term : agg_terms) aggs.push_back(term.ToString());
-    return "HashAggregate(groups: " +
-           (query.group_by.empty() ? std::string("<global>")
-                                   : Join(query.group_by, ", ")) +
-           "; aggregates: " + Join(aggs, ", ") + ")" +
-           (vectorized ? " [vec]" : "");
-  };
-
-  // ---- Columnar fast path: single-table aggregation runs scan + filter +
-  // hash-group entirely over typed column arrays (selection vectors instead
-  // of materialized rows). Falls through to the row engine whenever the
-  // compiled operators cannot reproduce its semantics exactly.
-  if (vec && n == 1 && !query.IsConjunctive()) {
-    PredicateClassification cls = ClassifyPredicates(query);
-    if (cls.multi_table.empty() && cls.equi_joins.empty()) {
-      ColumnIndexMap scan_layout;
-      for (size_t j = 0; j < query.from[0].columns.size(); ++j) {
-        scan_layout[query.from[0].columns[j]] = static_cast<int>(j);
-      }
-      std::vector<int> group_ordinals;
-      group_ordinals.reserve(query.group_by.size());
-      for (const std::string& g : query.group_by) {
-        group_ordinals.push_back(scan_layout.at(g));
-      }
-      std::vector<AggSpec> specs;
-      specs.reserve(agg_terms.size());
-      for (const Operand& term : agg_terms) {
-        int mult =
-            term.multiplier.empty() ? -1 : scan_layout.at(term.multiplier);
-        specs.push_back(AggSpec{term.agg, scan_layout.at(term.column), mult});
-      }
-      const ColumnarTable& ct = inputs[0]->columnar();
-      const std::vector<Predicate>& filters = cls.single_table[0];
-      CompiledFilter filter;
-      VectorizedAggregation agg;
-      if (CompiledFilter::Compile(filters, scan_layout, ct, &filter) &&
-          VectorizedAggregation::Compile(ct, group_ordinals, specs, &agg)) {
-        op_begin();
-        SelVector sel;
-        const bool use_sel = !filters.empty();
-        if (use_sel) sel = filter.Run(ct, ctx_);
-        size_t scanned = use_sel ? sel.size() : ct.num_rows();
-        op_end("Scan " + input_label(0, filters) + " [vec]",
-               inputs[0]->num_rows(), scanned);
-        note_rows(scanned);
-        op_begin();
-        grouped = agg.Run(ct, use_sel ? &sel : nullptr, ctx_);
-        op_end(agg_label(true), scanned, grouped.size());
-        note_rows(grouped.size());
-        stats_.vectorized_ops += 2;
-        grouped_ready = true;
-      }
-    }
-  }
-
-  if (grouped_ready) {
-    // Join phase skipped: aggregation came straight off the columnar image.
-  } else if (!options_.use_hash_join) {
-    // Reference plan: Cartesian product in FROM order, then filter.
-    int offset = 0;
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j < query.from[i].columns.size(); ++j) {
-        layout[query.from[i].columns[j]] = offset++;
-      }
-      op_begin();
-      if (i == 0) {
-        joined = inputs[0]->rows();
-        op_end("Scan " + input_label(0, {}), inputs[0]->num_rows(),
-               joined.size());
-      } else {
-        size_t before = joined.size();
-        joined = CartesianProduct(joined, inputs[i]->rows(), ctx_);
-        op_end("CartesianProduct with " + input_label(i, {}), before,
-               joined.size());
-      }
-      note_rows(joined.size());
-    }
-    op_begin();
-    size_t before = joined.size();
-    joined = FilterRows(joined, query.where, layout, ctx_);
-    if (!query.where.empty()) {
-      op_end("Filter(" + PredicateList(query.where) + ")", before,
-             joined.size());
-    }
-  } else {
-    PredicateClassification cls = ClassifyPredicates(query);
-
-    // Per-input filtered scans: vectorized (filter over the columnar image,
-    // then gather the survivors) when every predicate compiles, row engine
-    // otherwise. Both charge one row per stored row, so governance
-    // accounting is engine-independent.
-    std::vector<std::vector<Row>> scans(n);
-    std::vector<uint64_t> scan_micros(n, 0);
-    std::vector<bool> scan_vec(n, false);
-    for (size_t i = 0; i < n; ++i) {
-      ColumnIndexMap scan_layout;
-      for (size_t j = 0; j < query.from[i].columns.size(); ++j) {
-        scan_layout[query.from[i].columns[j]] = static_cast<int>(j);
-      }
-      op_begin();
-      if (vec && !cls.single_table[i].empty()) {
-        const ColumnarTable& ct = inputs[i]->columnar();
-        CompiledFilter filter;
-        if (CompiledFilter::Compile(cls.single_table[i], scan_layout, ct,
-                                    &filter)) {
-          scans[i] = GatherRows(ct, filter.Run(ct, ctx_));
-          scan_vec[i] = true;
-          ++stats_.vectorized_ops;
-        }
-      }
-      if (!scan_vec[i]) {
-        scans[i] = FilterRows(inputs[i]->rows(), cls.single_table[i],
-                              scan_layout, ctx_);
-      }
-      if (prof) scan_micros[i] = MicrosSince(op_start);
-    }
-
-    std::vector<size_t> sizes(n);
-    for (size_t i = 0; i < n; ++i) sizes[i] = scans[i].size();
-    std::vector<int> order = GreedyJoinOrder(sizes, cls.equi_joins);
-
-    std::vector<bool> bound(n, false);
-    std::vector<bool> edge_used(cls.equi_joins.size(), false);
-    std::vector<bool> multi_applied(cls.multi_table.size(), false);
-
-    auto apply_ready_multi = [&]() {
-      std::vector<Predicate> ready;
-      for (size_t k = 0; k < cls.multi_table.size(); ++k) {
-        if (multi_applied[k]) continue;
-        bool all_bound = true;
-        for (const std::string& c : cls.multi_table[k].ReferencedColumns()) {
-          auto loc = query.FindColumn(c);
-          if (loc && !bound[loc->first]) all_bound = false;
-        }
-        if (all_bound) {
-          ready.push_back(cls.multi_table[k]);
-          multi_applied[k] = true;
-        }
-      }
-      if (!ready.empty()) {
-        op_begin();
-        size_t before = joined.size();
-        joined = FilterRows(joined, ready, layout, ctx_);
-        op_end("Filter(" + PredicateList(ready) + ")", before, joined.size());
-      }
-    };
-
-    for (size_t step = 0; step < order.size(); ++step) {
-      int t = order[step];
-      // The input's filtered scan, with its stored cardinality (= the cost
-      // model's estimate) in the label and the scan actuals measured above.
-      if (prof) {
-        profile_->ops.push_back(OperatorProfile{
-            "Scan " + input_label(t, cls.single_table[t]) +
-                (scan_vec[t] ? " [vec]" : ""),
-            inputs[t]->num_rows(), scans[t].size(), scan_micros[t]});
-      }
-      if (step == 0) {
-        joined = scans[t];
-        for (size_t j = 0; j < query.from[t].columns.size(); ++j) {
-          layout[query.from[t].columns[j]] = static_cast<int>(j);
-        }
-        bound[t] = true;
-        note_rows(joined.size());
-        apply_ready_multi();
-        continue;
-      }
-
-      // Keys: every unused equi edge connecting t to the bound set.
-      std::vector<std::pair<int, int>> keys;  // (joined ordinal, scan ordinal)
-      std::vector<std::string> key_names;
-      for (size_t k = 0; k < cls.equi_joins.size(); ++k) {
-        if (edge_used[k]) continue;
-        const auto& e = cls.equi_joins[k];
-        std::string bound_col, new_col;
-        if (e.left_table == t && bound[e.right_table]) {
-          new_col = e.left_column;
-          bound_col = e.right_column;
-        } else if (e.right_table == t && bound[e.left_table]) {
-          new_col = e.right_column;
-          bound_col = e.left_column;
-        } else {
-          continue;
-        }
-        auto loc = query.FindColumn(new_col);
-        keys.emplace_back(layout.at(bound_col), loc->second);
-        edge_used[k] = true;
-        if (prof) key_names.push_back(e.left_column + " = " + e.right_column);
-      }
-
-      op_begin();
-      size_t before = joined.size();
-      if (keys.empty()) {
-        joined = CartesianProduct(joined, scans[t], ctx_);
-        op_end("CartesianProduct with " + query.from[t].table, before,
-               joined.size());
-      } else {
-        joined = HashJoin(joined, scans[t], keys, ctx_);
-        op_end("HashJoin(" + Join(key_names, ", ") + ") with " +
-                   query.from[t].table,
-               before, joined.size());
-      }
-      int offset = static_cast<int>(layout.size());
-      for (size_t j = 0; j < query.from[t].columns.size(); ++j) {
-        layout[query.from[t].columns[j]] = offset + static_cast<int>(j);
-      }
-      bound[t] = true;
-      note_rows(joined.size());
-      apply_ready_multi();
-    }
-
-    // Equi edges between two tables joined through a third path may remain:
-    // apply them as residual filters.
-    std::vector<Predicate> leftover;
-    for (size_t k = 0; k < cls.equi_joins.size(); ++k) {
-      if (edge_used[k]) continue;
-      const auto& e = cls.equi_joins[k];
-      leftover.push_back(Predicate{Operand::Column(e.left_column), CmpOp::kEq,
-                                   Operand::Column(e.right_column)});
-    }
-    if (!leftover.empty()) {
-      op_begin();
-      size_t before = joined.size();
-      joined = FilterRows(joined, leftover, layout, ctx_);
-      op_end("Filter(" + PredicateList(leftover) + ")", before, joined.size());
-    }
-  }
-
-  // A tripped limit leaves partial join output; discard it and surface the
-  // violation rather than aggregating over truncated input.
-  if (ctx_ != nullptr && !ctx_->ok()) return ctx_->status();
-
-  // ---- Projection / aggregation phase. ----
+  std::unique_ptr<PlanNode> plan = PlanQuery(query, inputs, options_);
+  AQV_ASSIGN_OR_RETURN(std::vector<Row> rows, Run(*plan));
+  if (depth == 0) executed_ = std::move(plan);
   Table out(query.OutputColumns());
-
-  auto select_label = [&]() {
-    std::vector<std::string> items;
-    for (const SelectItem& s : query.select) items.push_back(s.ToString());
-    return std::string(query.distinct ? "ProjectDistinct(" : "Project(") +
-           Join(items, ", ") + ")";
-  };
-
-  if (query.IsConjunctive()) {
-    std::vector<int> ordinals;
-    ordinals.reserve(query.select.size());
-    for (const SelectItem& s : query.select) {
-      ordinals.push_back(layout.at(s.column));
-    }
-    op_begin();
-    size_t proj_in = joined.size();
-    std::vector<Row> rows = ProjectRows(joined, ordinals, ctx_);
-    if (query.distinct) rows = DistinctRows(rows, ctx_);
-    op_end(select_label(), proj_in, rows.size());
-    if (ctx_ != nullptr && !ctx_->ok()) return ctx_->status();
-    *out.mutable_rows() = std::move(rows);
-    return out;
-  }
-
-  // Grouped/aggregated query (post-join path; the columnar fast path above
-  // may already have produced `grouped`).
-  if (!grouped_ready) {
-    std::vector<int> group_ordinals;
-    group_ordinals.reserve(query.group_by.size());
-    for (const std::string& g : query.group_by) {
-      group_ordinals.push_back(layout.at(g));
-    }
-
-    std::vector<AggSpec> specs;
-    specs.reserve(agg_terms.size());
-    for (const Operand& term : agg_terms) {
-      int mult = term.multiplier.empty() ? -1 : layout.at(term.multiplier);
-      specs.push_back(AggSpec{term.agg, layout.at(term.column), mult});
-    }
-
-    op_begin();
-    size_t agg_in = joined.size();
-    bool vec_agg = false;
-    grouped = vec ? VectorizedGroupAggregateRows(joined, group_ordinals, specs,
-                                                 ctx_, &vec_agg)
-                  : GroupAggregate(joined, group_ordinals, specs, ctx_);
-    if (vec_agg) ++stats_.vectorized_ops;
-    if (prof) op_end(agg_label(vec_agg), agg_in, grouped.size());
-    note_rows(grouped.size());
-  }
-
-  // Layout of the grouped rows: grouping columns then one synthetic column
-  // per aggregate term.
-  ColumnIndexMap group_layout;
-  for (size_t i = 0; i < query.group_by.size(); ++i) {
-    group_layout[query.group_by[i]] = static_cast<int>(i);
-  }
-  auto agg_position = [&](const Operand& term) -> int {
-    for (size_t i = 0; i < agg_terms.size(); ++i) {
-      if (agg_terms[i] == term) {
-        return static_cast<int>(query.group_by.size() + i);
-      }
-    }
-    return -1;
-  };
-  auto synthetic_name = [](size_t i) { return "#agg" + std::to_string(i); };
-  for (size_t i = 0; i < agg_terms.size(); ++i) {
-    group_layout[synthetic_name(i)] =
-        static_cast<int>(query.group_by.size() + i);
-  }
-
-  // HAVING: rewrite aggregate operands to the synthetic columns, then filter.
-  if (!query.having.empty()) {
-    std::vector<Predicate> having;
-    having.reserve(query.having.size());
-    for (Predicate p : query.having) {
-      for (Operand* o : {&p.lhs, &p.rhs}) {
-        if (o->is_aggregate()) {
-          int pos = agg_position(*o);
-          *o = Operand::Column(synthetic_name(
-              static_cast<size_t>(pos) - query.group_by.size()));
-        }
-      }
-      having.push_back(std::move(p));
-    }
-    op_begin();
-    size_t having_in = grouped.size();
-    grouped = FilterRows(grouped, having, group_layout, ctx_);
-    if (prof) {
-      std::vector<std::string> conds;
-      for (const Predicate& p : query.having) conds.push_back(p.ToString());
-      op_end("Having(" + Join(conds, " AND ") + ")", having_in,
-             grouped.size());
-    }
-  }
-
-  // Final projection. Ratio items divide two SUM positions, so this is a
-  // custom loop rather than ProjectRows.
-  op_begin();
-  size_t proj_in = grouped.size();
-  std::vector<Row> rows;
-  rows.reserve(grouped.size());
-  for (const Row& g : grouped) {
-    if (ctx_ != nullptr && !ctx_->TickRows()) break;
-    Row projected;
-    projected.reserve(query.select.size());
-    for (const SelectItem& s : query.select) {
-      switch (s.kind) {
-        case SelectItem::Kind::kColumn:
-          projected.push_back(g[group_layout.at(s.column)]);
-          break;
-        case SelectItem::Kind::kAggregate:
-          projected.push_back(g[agg_position(
-              Operand::Aggregate(s.agg, s.arg.column, s.arg.multiplier))]);
-          break;
-        case SelectItem::Kind::kRatio: {
-          const Value& num = g[agg_position(Operand::Aggregate(
-              AggFn::kSum, s.arg.column, s.arg.multiplier))];
-          const Value& den = g[agg_position(Operand::Aggregate(
-              AggFn::kSum, s.den.column, s.den.multiplier))];
-          if (num.is_null() || den.is_null() || !den.is_numeric() ||
-              den.AsDouble() == 0.0) {
-            projected.push_back(Value::Null());
-          } else {
-            projected.push_back(Value::Double(num.AsDouble() / den.AsDouble()));
-          }
-          break;
-        }
-      }
-    }
-    rows.push_back(std::move(projected));
-  }
-  if (query.distinct) rows = DistinctRows(rows, ctx_);
-  op_end(select_label(), proj_in, rows.size());
-  if (ctx_ != nullptr && !ctx_->ok()) return ctx_->status();
   *out.mutable_rows() = std::move(rows);
+  return out;
+}
+
+Result<std::vector<Row>> Evaluator::Run(PlanNode& node) {
+  using Kind = PlanNode::Kind;
+  PlanNode::Actual& actual = node.actual;
+  std::vector<Row> out;
+  if (node.columnar_agg != nullptr) {
+    // Scan + aggregate entirely over the table's columnar image: the scan's
+    // selection vector feeds the aggregation with no row gather.
+    PlanNode& scan = *node.children[0];
+    const ColumnarTable& ct = scan.source->columnar();
+    ProfClock::time_point start = ProfClock::now();
+    SelVector sel;
+    const bool use_sel = !scan.preds.empty();
+    if (use_sel) sel = scan.filter->Run(ct, ctx_);
+    scan.actual = {Engine::kVectorized, ct.num_rows(),
+                   use_sel ? sel.size() : ct.num_rows(), MicrosSince(start)};
+    start = ProfClock::now();
+    out = node.columnar_agg->Run(ct, use_sel ? &sel : nullptr, ctx_);
+    actual = {Engine::kVectorized, scan.actual.rows_out, out.size(),
+              MicrosSince(start)};
+    stats_.vectorized_ops += 2;
+  } else {
+    std::vector<std::vector<Row>> in;
+    in.reserve(node.children.size());
+    for (const std::unique_ptr<PlanNode>& child : node.children) {
+      AQV_ASSIGN_OR_RETURN(std::vector<Row> rows, Run(*child));
+      in.push_back(std::move(rows));
+    }
+    ProfClock::time_point start = ProfClock::now();
+    actual.engine = Engine::kRow;
+    actual.rows_in = in.empty() ? 0 : in[0].size();
+    switch (node.kind) {
+      case Kind::kScan: {
+        const Table& table = *node.source;
+        actual.rows_in = table.num_rows();
+        if (node.filter != nullptr) {
+          const ColumnarTable& ct = table.columnar();
+          out = GatherRows(ct, node.filter->Run(ct, ctx_));
+          actual.engine = Engine::kVectorized;
+        } else {
+          out = FilterRows(table.rows(), node.preds, node.layout, ctx_);
+        }
+        break;
+      }
+      case Kind::kHashJoin:
+        out = HashJoin(in[0], in[1], node.key_ordinals, ctx_);
+        break;
+      case Kind::kCartesian:
+        out = CartesianProduct(in[0], in[1], ctx_);
+        break;
+      case Kind::kFilter:
+      case Kind::kHaving:
+        out = FilterRows(in[0], node.preds, node.layout, ctx_);
+        break;
+      case Kind::kAggregate: {
+        bool used_vectorized = false;
+        out = node.engine == Engine::kVectorized
+                  ? VectorizedGroupAggregateRows(in[0], node.group_ordinals,
+                                                 node.specs, ctx_,
+                                                 &used_vectorized)
+                  : GroupAggregate(in[0], node.group_ordinals, node.specs,
+                                   ctx_);
+        if (used_vectorized) actual.engine = Engine::kVectorized;
+        break;
+      }
+      case Kind::kProject:
+        out = ProjectItems(in[0], node.project_ordinals, ctx_);
+        if (node.distinct) out = DistinctRows(out, ctx_);
+        break;
+    }
+    actual.rows_out = out.size();
+    actual.micros = MicrosSince(start);
+    if (actual.engine == Engine::kVectorized) ++stats_.vectorized_ops;
+  }
+  // A tripped limit leaves partial output; discard it and surface the
+  // violation rather than computing on truncated input.
+  if (ctx_ != nullptr && !ctx_->ok()) return ctx_->status();
   return out;
 }
 

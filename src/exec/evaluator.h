@@ -3,59 +3,21 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "base/exec_context.h"
 #include "base/result.h"
+#include "exec/planner.h"
 #include "exec/table.h"
 #include "ir/query.h"
 #include "ir/views.h"
 
 namespace aqv {
 
-/// One executed operator of a profiled query: the label matches the
-/// EXPLAIN plan rendering ("Scan R [100 rows] filter(...)", "HashJoin(...)
-/// with S [10 rows]", "HashAggregate(...)", ...); rows and micros are
-/// actuals observed during execution. Scan labels keep the "[N rows]"
-/// stored-cardinality annotation — the number the cost model estimates
-/// from — so EXPLAIN ANALYZE shows estimate and actual side by side.
-struct OperatorProfile {
-  std::string label;
-  size_t rows_in = 0;
-  size_t rows_out = 0;
-  uint64_t micros = 0;
-};
-
-/// Per-operator runtime profile of one top-level Execute call (the data
-/// behind EXPLAIN ANALYZE). Nested blocks are not expanded: a registered
-/// view computed on demand appears as a single "Materialize" operator.
-struct PlanProfile {
-  std::vector<OperatorProfile> ops;
-  uint64_t total_micros = 0;
-};
-
-/// Evaluation knobs. The default plan pushes single-table filters below the
-/// joins and uses greedy left-deep hash equi-joins; the reference plan is a
-/// filtered Cartesian product, used by tests as an executable specification
-/// of multiset semantics.
-struct EvalOptions {
-  bool use_hash_join = true;
-  /// Batch-at-a-time columnar execution (exec/vectorized.h) for scans,
-  /// filters and hash-group aggregation, over the table's cached columnar
-  /// image. Operators without a vectorized implementation — joins,
-  /// HAVING, final projection, anything touching a mixed-type column —
-  /// fall back to the row engine per operator; results are identical
-  /// either way (enforced by tests/vectorized_differential_test.cc). Only
-  /// effective with use_hash_join: the Cartesian reference plan stays pure
-  /// row-at-a-time, as it is the executable specification tests compare
-  /// against.
-  bool vectorized = true;
-};
-
 /// Counters for benches and plan-quality assertions.
 struct EvalStats {
-  size_t peak_intermediate_rows = 0;
   size_t views_materialized = 0;
   /// Operators executed by the vectorized engine, cumulative across
   /// Execute calls (scans/filters and aggregations count separately). Lets
@@ -69,6 +31,10 @@ struct EvalStats {
 /// stored contents (this is how *materialized* views are served); a FROM
 /// entry naming a registered but unmaterialized view is computed on demand
 /// from its definition and cached for the lifetime of the Evaluator.
+///
+/// Each block is bound (inputs resolved, views materialized), planned by
+/// PlanQuery against the bound cardinalities, and executed by walking that
+/// PlanNode tree; every node records its actuals as it runs.
 class Evaluator {
  public:
   explicit Evaluator(const Database* db, const ViewRegistry* views = nullptr,
@@ -89,11 +55,11 @@ class Evaluator {
     pinned_.clear();
   }
 
-  /// Attaches a per-operator profile collector to subsequent Execute calls
-  /// (top-level stages only). `profile` must outlive the Evaluator or be
-  /// detached with set_profile(nullptr); it is cleared on each Execute.
-  /// Null (the default) disables collection — and its timing overhead.
-  void set_profile(PlanProfile* profile) { profile_ = profile; }
+  /// The plan the last top-level Execute ran, annotated with per-node
+  /// actuals (engine that ran, rows in/out, exclusive wall time) — the data
+  /// behind EXPLAIN ANALYZE. Null if that Execute failed. Views computed
+  /// on demand are not expanded: each appears as the Scan that reads it.
+  const PlanNode* executed_plan() const { return executed_.get(); }
 
   /// Attaches per-statement resource governance (deadline, row budget,
   /// cancel) to subsequent Execute calls, including nested view
@@ -107,6 +73,9 @@ class Evaluator {
 
   Result<Table> ExecuteInternal(const Query& query, int depth);
   Result<const Table*> InputTable(const std::string& name, int depth);
+  /// Runs `node` (children first), recording its actuals; returns its
+  /// output rows.
+  Result<std::vector<Row>> Run(PlanNode& node);
 
   const Database* db_;
   const ViewRegistry* views_;
@@ -117,7 +86,7 @@ class Evaluator {
   /// alive even if a writer replaces the stored version mid-execution.
   std::map<std::string, TablePtr> pinned_;
   EvalStats stats_;
-  PlanProfile* profile_ = nullptr;
+  std::unique_ptr<PlanNode> executed_;
   ExecContext* ctx_ = nullptr;
 };
 

@@ -1,142 +1,126 @@
 #include "exec/explain_plan.h"
 
-#include <algorithm>
+#include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "base/strings.h"
-#include "exec/planner.h"
 #include "ir/validate.h"
 
 namespace aqv {
 
-Result<std::string> ExplainPlan(const Query& query, const Database& db,
-                                const ViewRegistry* views) {
-  AQV_RETURN_NOT_OK(ValidateQuery(query));
+namespace {
 
-  size_t n = query.from.size();
-  std::vector<size_t> sizes(n, 0);
-  std::vector<bool> known(n, false);
-  for (size_t i = 0; i < n; ++i) {
-    Result<const Table*> t = db.Get(query.from[i].table);
-    if (t.ok()) {
-      sizes[i] = (*t)->num_rows();
-      known[i] = true;
-    } else if (views == nullptr || !views->Has(query.from[i].table)) {
-      return Status::NotFound("'" + query.from[i].table +
-                              "' is neither a stored table nor a view");
+using Kind = PlanNode::Kind;
+
+std::string Conjunction(const std::vector<Predicate>& preds,
+                        const char* separator = " AND ") {
+  std::vector<std::string> parts;
+  parts.reserve(preds.size());
+  for (const Predicate& p : preds) parts.push_back(p.ToString());
+  return Join(parts, separator);
+}
+
+std::string VecTag(const PlanNode& node, bool analyzed) {
+  Engine engine = analyzed ? node.actual.engine : node.engine;
+  return engine == Engine::kVectorized ? " [vec]" : "";
+}
+
+std::string DescribeScan(const PlanNode& scan, bool analyzed) {
+  std::string s = scan.table;
+  s += scan.source == nullptr
+           ? " [virtual]"
+           : " [" + std::to_string(static_cast<size_t>(scan.input_rows)) +
+                 " rows]";
+  if (!scan.preds.empty()) s += " filter(" + Conjunction(scan.preds) + ")";
+  return s + VecTag(scan, analyzed);
+}
+
+std::string Label(const PlanNode& node, bool analyzed) {
+  switch (node.kind) {
+    case Kind::kScan:
+      return "Scan " + DescribeScan(node, analyzed);
+    case Kind::kHashJoin:
+    case Kind::kCartesian:
+      return (node.preds.empty() ? std::string("CartesianProduct")
+                                 : "HashJoin(" + Conjunction(node.preds, ", ") +
+                                       ")") +
+             " with " + DescribeScan(*node.children[1], analyzed);
+    case Kind::kFilter:
+      return "Filter(" + Conjunction(node.preds) + ")";
+    case Kind::kAggregate: {
+      std::vector<std::string> aggs;
+      for (const Operand& term : node.aggs) aggs.push_back(term.ToString());
+      return "HashAggregate(groups: " +
+             (node.groups.empty() ? std::string("<global>")
+                                  : Join(node.groups, ", ")) +
+             "; aggregates: " + Join(aggs, ", ") + ")" +
+             VecTag(node, analyzed);
+    }
+    case Kind::kHaving:
+      return "Having(" + Conjunction(node.preds) + ")";
+    case Kind::kProject: {
+      std::vector<std::string> items;
+      for (const SelectItem& s : node.select) items.push_back(s.ToString());
+      return std::string(node.distinct ? "ProjectDistinct(" : "Project(") +
+             Join(items, ", ") + ")";
     }
   }
+  return "?";
+}
 
-  PredicateClassification cls = ClassifyPredicates(query);
-  std::vector<int> order = GreedyJoinOrder(sizes, cls.equi_joins);
+/// Estimated rows, actual rows and exclusive time of one node.
+std::string Figures(const PlanNode& node, bool analyzed) {
+  char est[32];
+  std::snprintf(est, sizeof(est), node.est_rows < 100 ? "est=%.3g" : "est=%.0f",
+                node.est_rows);
+  if (!analyzed) return est;
+  return "actual rows=" + std::to_string(node.actual.rows_in) + " -> " +
+         std::to_string(node.actual.rows_out) + ", " + est + ", " +
+         std::to_string(node.actual.micros) + " us";
+}
 
+/// Appends `node`'s line after its (left) input's. A join's right-hand
+/// scan shares the join's line, its figures after the join's.
+void Render(const PlanNode& node, bool analyzed, std::string* out) {
+  if (!node.children.empty()) Render(*node.children[0], analyzed, out);
+  std::string figures = Figures(node, analyzed);
+  if (node.children.size() == 2) {
+    figures += "; scan " + Figures(*node.children[1], analyzed);
+  }
+  *out += Label(node, analyzed) + "  (" + figures + ")\n";
+}
+
+}  // namespace
+
+std::string RenderPlan(const PlanNode& root, bool analyzed) {
   std::string out;
-  auto describe_input = [&](int t) {
-    std::string s = query.from[t].table;
-    if (known[t]) {
-      s += " [" + std::to_string(sizes[t]) + " rows]";
-    } else {
-      s += " [virtual]";
-    }
-    if (!cls.single_table[t].empty()) {
-      std::vector<std::string> preds;
-      for (const Predicate& p : cls.single_table[t]) {
-        preds.push_back(p.ToString());
-      }
-      s += " filter(" + Join(preds, " AND ") + ")";
-    }
-    return s;
-  };
-
-  out += "Scan " + describe_input(order.empty() ? 0 : order[0]) + "\n";
-  std::vector<bool> bound(n, false);
-  if (!order.empty()) bound[order[0]] = true;
-  std::vector<bool> edge_used(cls.equi_joins.size(), false);
-
-  for (size_t step = 1; step < order.size(); ++step) {
-    int t = order[step];
-    std::vector<std::string> keys;
-    for (size_t k = 0; k < cls.equi_joins.size(); ++k) {
-      if (edge_used[k]) continue;
-      const auto& e = cls.equi_joins[k];
-      if ((e.left_table == t && bound[e.right_table]) ||
-          (e.right_table == t && bound[e.left_table])) {
-        keys.push_back(e.left_column + " = " + e.right_column);
-        edge_used[k] = true;
-      }
-    }
-    if (keys.empty()) {
-      out += "CartesianProduct with " + describe_input(t) + "\n";
-    } else {
-      out += "HashJoin(" + Join(keys, ", ") + ") with " + describe_input(t) +
-             "\n";
-    }
-    bound[t] = true;
-  }
-
-  std::vector<std::string> residual;
-  for (size_t k = 0; k < cls.equi_joins.size(); ++k) {
-    if (!edge_used[k]) {
-      residual.push_back(cls.equi_joins[k].left_column + " = " +
-                         cls.equi_joins[k].right_column);
-    }
-  }
-  for (const Predicate& p : cls.multi_table) residual.push_back(p.ToString());
-  if (!residual.empty()) {
-    out += "Filter(" + Join(residual, " AND ") + ")\n";
-  }
-
-  if (query.IsAggregation()) {
-    std::vector<std::string> aggs;
-    for (const Operand& term : query.AggregateTerms()) {
-      aggs.push_back(term.ToString());
-    }
-    out += "HashAggregate(groups: " +
-           (query.group_by.empty() ? std::string("<global>")
-                                   : Join(query.group_by, ", ")) +
-           "; aggregates: " + Join(aggs, ", ") + ")\n";
-    if (!query.having.empty()) {
-      std::vector<std::string> conds;
-      for (const Predicate& p : query.having) conds.push_back(p.ToString());
-      out += "Having(" + Join(conds, " AND ") + ")\n";
-    }
-  }
-  {
-    std::vector<std::string> items;
-    for (const SelectItem& s : query.select) items.push_back(s.ToString());
-    out += std::string(query.distinct ? "ProjectDistinct(" : "Project(") +
-           Join(items, ", ") + ")\n";
-  }
+  Render(root, analyzed, &out);
   return out;
 }
 
-std::string RenderAnalyzedPlan(const PlanProfile& profile) {
-  // Pad labels so the actuals line up in a column; cap the pad so one very
-  // long predicate list doesn't push everything off-screen.
-  size_t width = 0;
-  for (const OperatorProfile& op : profile.ops) {
-    width = std::max(width, op.label.size());
+Result<std::string> ExplainPlan(const Query& query, const Database& db,
+                                const ViewRegistry* views,
+                                const EvalOptions& options) {
+  AQV_RETURN_NOT_OK(ValidateQuery(query));
+  // Hold the versions read for the duration of planning.
+  std::vector<TablePtr> pins;
+  std::vector<PlanInput> inputs(query.from.size());
+  for (size_t i = 0; i < query.from.size(); ++i) {
+    const std::string& name = query.from[i].table;
+    TablePtr table = db.GetShared(name);
+    if (table != nullptr) {
+      inputs[i] = PlanInput{static_cast<double>(table->num_rows()),
+                            table.get()};
+      pins.push_back(std::move(table));
+    } else if (views != nullptr && views->Has(name)) {
+      inputs[i] = PlanInput{kUnknownInputRows};
+    } else {
+      return Status::NotFound("'" + name +
+                              "' is neither a stored table nor a view");
+    }
   }
-  width = std::min<size_t>(width, 72);
-
-  std::string out;
-  size_t vec_ops = 0;
-  for (const OperatorProfile& op : profile.ops) {
-    if (op.label.find(" [vec]") != std::string::npos) ++vec_ops;
-    out += op.label;
-    if (op.label.size() < width) out += std::string(width - op.label.size(), ' ');
-    out += "  (actual rows=" + std::to_string(op.rows_in) + " -> " +
-           std::to_string(op.rows_out) + ", " + std::to_string(op.micros) +
-           " us)\n";
-  }
-  out += "total: " + std::to_string(profile.total_micros) + " us\n";
-  if (vec_ops > 0) {
-    // Operators tagged [vec] ran batch-at-a-time over the columnar image;
-    // the rest fell back to the row engine (see README "Execution engine").
-    out += "engine: vectorized (" + std::to_string(vec_ops) + "/" +
-           std::to_string(profile.ops.size()) + " operators batched)\n";
-  }
-  return out;
+  return RenderPlan(*PlanQuery(query, inputs, options), false);
 }
 
 }  // namespace aqv

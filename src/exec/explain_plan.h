@@ -4,33 +4,30 @@
 #include <string>
 
 #include "base/result.h"
-#include "exec/evaluator.h"
+#include "exec/planner.h"
 #include "exec/table.h"
 #include "ir/query.h"
 #include "ir/views.h"
 
 namespace aqv {
 
-/// Renders the physical plan the Evaluator would execute for `query`:
-/// filtered scans with their pushed-down predicates, the greedy left-deep
-/// join order with the equi-join keys each step uses (or a Cartesian step
-/// when the join graph is disconnected), residual filters, and the
-/// aggregation / HAVING / projection stages. Cardinalities are annotated
-/// for inputs stored in `db`; registered-but-unmaterialized views show as
-/// "virtual".
-///
-/// Purely advisory: nothing is executed or materialized.
-Result<std::string> ExplainPlan(const Query& query, const Database& db,
-                                const ViewRegistry* views = nullptr);
+/// Renders a plan bottom-up, one operator per line: filtered scans with
+/// their pushed-down predicates, each join step with its keys and the scan
+/// it joins, filters, and the aggregation / HAVING / projection stages.
+/// Stored inputs show their cardinality ("[N rows]"), unmaterialized views
+/// "[virtual]", vectorized operators a " [vec]" suffix. Each line ends with
+/// the node's estimated rows; with `analyzed` it also shows the actuals the
+/// Evaluator recorded (rows in -> out, exclusive wall time), and the engine
+/// tag reflects the engine that actually ran.
+std::string RenderPlan(const PlanNode& root, bool analyzed);
 
-/// Renders a PlanProfile recorded by an Evaluator (see
-/// Evaluator::set_profile) as the EXPLAIN ANALYZE operator tree: one line
-/// per executed operator with the actual input/output row counts and wall
-/// time next to the label's stored-cardinality estimates, plus a total
-/// footer. Unlike ExplainPlan this reflects the plan that actually ran —
-/// the Evaluator orders joins by post-filter scan sizes, which can differ
-/// from the advisory plan derived from stored cardinalities.
-std::string RenderAnalyzedPlan(const PlanProfile& profile);
+/// Renders the plan the Evaluator would run for `query` over `db`: each
+/// FROM entry is bound to its stored table, or — for a registered view with
+/// no stored contents — planned at kUnknownInputRows (the cost model's price
+/// for it) with no engine choice. Nothing is executed or materialized.
+Result<std::string> ExplainPlan(const Query& query, const Database& db,
+                                const ViewRegistry* views = nullptr,
+                                const EvalOptions& options = EvalOptions{});
 
 }  // namespace aqv
 

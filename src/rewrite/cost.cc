@@ -1,54 +1,38 @@
 #include "rewrite/cost.h"
 
-#include <algorithm>
+#include <memory>
 
 #include "exec/planner.h"
 
 namespace aqv {
 
+namespace {
+
+/// Adds the estimated rows of every join step, bottom-up, to `cost`; returns
+/// the estimated output of the join phase (a Filter keeps its input's
+/// estimate).
+double AddJoinSteps(const PlanNode& node, double* cost) {
+  if (node.children.empty()) return node.est_rows;  // a scan
+  double below = AddJoinSteps(*node.children[0], cost);
+  if (node.children.size() == 1) return below;
+  *cost += node.est_rows;  // a join step materializes its intermediate
+  return node.est_rows;
+}
+
+}  // namespace
+
 double CostModel::Estimate(const Query& query, const Database& db,
                            double unknown_input_rows) const {
-  size_t n = query.from.size();
-  std::vector<double> sizes(n, unknown_input_rows);
+  std::vector<PlanInput> inputs(query.from.size(),
+                                PlanInput{unknown_input_rows});
   double cost = 0;
-  for (size_t i = 0; i < n; ++i) {
+  for (size_t i = 0; i < inputs.size(); ++i) {
     Result<const Table*> t = db.Get(query.from[i].table);
-    if (t.ok()) sizes[i] = static_cast<double>((*t)->num_rows());
-    cost += sizes[i];  // scan cost
+    if (t.ok()) inputs[i] = PlanInput{static_cast<double>((*t)->num_rows())};
+    cost += inputs[i].rows;  // scan cost
   }
-
-  PredicateClassification cls = ClassifyPredicates(query);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t k = 0; k < cls.single_table[i].size(); ++k) {
-      sizes[i] *= kFilterSelectivity;
-    }
-  }
-
-  // Simulate the greedy join order and accumulate intermediate sizes.
-  std::vector<size_t> int_sizes(n);
-  for (size_t i = 0; i < n; ++i) {
-    int_sizes[i] = static_cast<size_t>(std::max(1.0, sizes[i]));
-  }
-  std::vector<int> order = GreedyJoinOrder(int_sizes, cls.equi_joins);
-
-  std::vector<bool> bound(n, false);
-  double card = 0;
-  for (size_t step = 0; step < order.size(); ++step) {
-    int t = order[step];
-    if (step == 0) {
-      card = sizes[t];
-    } else {
-      double joined = card * sizes[t];
-      for (const auto& e : cls.equi_joins) {
-        bool connects = (e.left_table == t && bound[e.right_table]) ||
-                        (e.right_table == t && bound[e.left_table]);
-        if (connects) joined *= kJoinSelectivity;
-      }
-      card = std::max(1.0, joined);
-      cost += card;  // materialization of the intermediate
-    }
-    bound[t] = true;
-  }
+  std::unique_ptr<PlanNode> joins = PlanJoinPhase(query, inputs, EvalOptions{});
+  double card = AddJoinSteps(*joins, &cost);
   return cost + card;  // final pass (grouping/projection)
 }
 

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "base/result.h"
+#include "exec/planner.h"
 #include "exec/table.h"
 #include "ir/query.h"
 #include "ir/views.h"
@@ -14,20 +15,16 @@ namespace aqv {
 
 /// A deliberately simple cardinality-based cost model, enough to rank a
 /// query against its rewritings (a summary view several orders of magnitude
-/// smaller than its base table wins by scan size alone). Cost is the sum of
-/// input cardinalities plus estimated intermediate join cardinalities under
-/// a textbook independence model: single-table conjuncts keep a fraction
-/// `kFilterSelectivity` of rows, and each equi-join edge contributes a
-/// `kJoinSelectivity` factor to the joined cardinality.
+/// smaller than its base table wins by scan size alone). It prices the join
+/// phase of the plan the Evaluator runs (PlanJoinPhase, whose estimates use
+/// exec/planner.h's constants): input cardinalities, plus each join step's
+/// estimated output, plus the final estimate again for grouping/projection.
 struct CostModel {
-  static constexpr double kFilterSelectivity = 0.3;
-  static constexpr double kJoinSelectivity = 0.01;
-
   /// Estimated cost of evaluating `query` against `db`. FROM entries must
   /// resolve to stored tables (materialized views included); an entry that
   /// does not resolve is priced at `unknown_input_rows`.
   double Estimate(const Query& query, const Database& db,
-                  double unknown_input_rows = 1e12) const;
+                  double unknown_input_rows = kUnknownInputRows) const;
 };
 
 /// Ranks `query` and `candidates` by estimated cost and returns a copy of

@@ -244,7 +244,7 @@ QueryService::QueryService(ServiceOptions options)
       optimize_latency_(metrics_.GetHistogram("service.optimize_latency")),
       exec_latency_(metrics_.GetHistogram("service.exec_latency")),
       maintain_latency_(metrics_.GetHistogram("service.maintain_latency")) {
-  options_.eval.vectorized = options_.vectorized;
+  eval_options_.vectorized = options_.vectorized;
   cache_capacity_gauge_.Set(static_cast<int64_t>(plan_cache_.capacity()));
   metrics_.SetHelp("service.statements", "Statements accepted (all kinds)");
   metrics_.SetHelp("service.queries_served", "SELECTs executed to completion");
@@ -1298,8 +1298,9 @@ Result<StatementResult> QueryService::Read(const std::string& stmt,
     out.message = ExplainHeader(query, *entry, out.cache_hit);
   }
   if (kind == ReadKind::kExplain) {
-    AQV_ASSIGN_OR_RETURN(std::string tree,
-                         ExplainPlan(entry->plan, state.db, state.views.get()));
+    AQV_ASSIGN_OR_RETURN(
+        std::string tree,
+        ExplainPlan(entry->plan, state.db, state.views.get(), eval_options_));
     out.message += tree;
     return out;
   }
@@ -1312,18 +1313,23 @@ Result<StatementResult> QueryService::Read(const std::string& stmt,
       rewrites_skipped_.Increment();
     }
   }
-  // EXPLAIN ANALYZE executes with the per-operator profile attached; the
-  // rendered tree shows actual rows and wall time next to the stored
-  // cardinalities the cost model estimated from.
-  PlanProfile profile;
+  // EXPLAIN ANALYZE renders the plan that ran, with each node's actual
+  // rows and wall time next to the estimates the cost model priced.
+  std::string analyzed;
   Clock::time_point start = Clock::now();
   {
     TraceSpan exec_span("execute");
     auto execute = [&](const Query& plan) {
-      Evaluator eval(&state.db, state.views.get(), options_.eval);
+      Clock::time_point attempt_start = Clock::now();
+      Evaluator eval(&state.db, state.views.get(), eval_options_);
       eval.set_context(&ctx);
-      if (kind == ReadKind::kExplainAnalyze) eval.set_profile(&profile);
-      return eval.Execute(plan);
+      Result<Table> result = eval.Execute(plan);
+      uint64_t micros = ElapsedMicros(attempt_start);
+      if (result.ok() && kind == ReadKind::kExplainAnalyze) {
+        analyzed = RenderPlan(*eval.executed_plan(), true) + "total: " +
+                   std::to_string(micros) + " us\n";
+      }
+      return result;
     };
     Result<Table> result = execute(entry->plan);
     if (!result.ok()) {
@@ -1342,7 +1348,6 @@ Result<StatementResult> QueryService::Read(const std::string& stmt,
       }
       degraded_fallbacks_.Increment();
       ctx.ResetForRetry();
-      profile = PlanProfile{};
       result = execute(query);
       AQV_RETURN_NOT_OK(result.status());
       out.degraded = true;
@@ -1363,7 +1368,7 @@ Result<StatementResult> QueryService::Read(const std::string& stmt,
   qs.degraded = out.degraded;
   qs.total_micros = ElapsedMicros(stmt_start);
   if (kind == ReadKind::kExplainAnalyze) {
-    out.message += RenderAnalyzedPlan(profile);
+    out.message += analyzed;
     out.message +=
         "result: " + std::to_string(out.table->num_rows()) + " row(s)\n";
     out.message += RenderAttribution(qs);
@@ -1670,7 +1675,7 @@ Result<StatementResult> QueryService::HandleSave(const std::string& stmt) {
   std::vector<std::string> footprint;
   CollectDependencies({tokens[1].text}, *state->views, &footprint);
   AQV_RETURN_NOT_OK(CheckTableQuarantine(footprint));
-  Evaluator eval(&state->db, state->views.get());
+  Evaluator eval(&state->db, state->views.get(), eval_options_);
   AQV_ASSIGN_OR_RETURN(Table contents, eval.MaterializeView(tokens[1].text));
   AQV_RETURN_NOT_OK(WriteCsvFile(contents, tokens[3].text));
   StatementResult out;
@@ -2008,7 +2013,7 @@ QueryService::DependentViewsOf(const std::vector<std::string>& tables) const {
 Status QueryService::RecomputeViewInto(const std::string& name,
                                        Database* staging) {
   AQV_ASSIGN_OR_RETURN(const ViewDef* def, views_->Get(name));
-  Evaluator fresh(staging, views_.get());
+  Evaluator fresh(staging, views_.get(), eval_options_);
   AQV_ASSIGN_OR_RETURN(Table contents, fresh.Execute(def->query));
   staging->Put(name, std::move(contents));
   return Status::OK();
@@ -2307,7 +2312,7 @@ Result<QueryService::WriteApplied> QueryService::ApplyWrite(
     }
     if (base_only) {
       Result<IncrementalMaintainer> maintainer =
-          IncrementalMaintainer::Create(*def, options_.eval);
+          IncrementalMaintainer::Create(*def, eval_options_);
       if (maintainer.ok()) {
         AQV_ASSIGN_OR_RETURN(const Table* current, db_.Get(d.name));
         Result<Table> fresh = maintainer->ApplyToCopy(effective, db_, *current);
@@ -2543,7 +2548,7 @@ Result<size_t> QueryService::RefreshLatched(const std::string& name) {
     return Status::NotFound("no view named '" + name + "'");
   }
   AQV_ASSIGN_OR_RETURN(const ViewDef* def, views_->Get(name));
-  Evaluator fresh(&db_, views_.get());
+  Evaluator fresh(&db_, views_.get(), eval_options_);
   AQV_ASSIGN_OR_RETURN(Table contents, fresh.Execute(def->query));
   size_t rows = contents.num_rows();
   db_.Put(name, std::move(contents));

@@ -140,12 +140,12 @@ struct ServiceOptions {
   /// Batch-at-a-time columnar execution for scans, filters and hash-group
   /// aggregation; operators without a vectorized implementation fall back
   /// to the row engine per operator, with identical results (enforced by
-  /// the row-vs-batch differential oracle). Copied into `eval.vectorized`
-  /// at construction; set false to force the row engine everywhere.
+  /// the row-vs-batch differential oracle). Applies to every evaluator the
+  /// service runs (reads, SAVE, view recompute and REFRESH, incremental
+  /// maintenance); set false to force the row engine everywhere.
   bool vectorized = true;
 
   RewriteOptions rewrite;
-  EvalOptions eval;
 
   ServiceOptions() { rewrite.use_key_information = true; }
 };
@@ -634,6 +634,8 @@ class QueryService {
   Result<size_t> RefreshLatched(const std::string& name);
 
   ServiceOptions options_;
+  /// Evaluator options derived from options_ (the engine setting).
+  EvalOptions eval_options_;
 
   /// The ddl latch and writers' stripes (see the class comment). The plan
   /// cache and metrics have their own internal synchronization; Database

@@ -11,7 +11,10 @@
 //       across every wired site: each statement must either return exactly
 //       the reference rows or fail with a clean Status, never crash or
 //       silently return wrong rows. The fault schedule replays from the
-//       same seed as the workload.
+//       same seed as the workload;
+//   (d) one plan — the tree EXPLAIN renders for a query is the tree the
+//       Evaluator executes, on both engines and on the Cartesian reference
+//       plan (whose rows must match the default plan's).
 //
 // Every assertion failure prints a self-contained repro: the seed (replay
 // with AQV_TEST_SEED=<n>) plus the exact SQL of the query and view.
@@ -24,6 +27,7 @@
 
 #include "base/failpoint.h"
 #include "exec/evaluator.h"
+#include "exec/explain_plan.h"
 #include "ir/printer.h"
 #include "rewrite/optimizer.h"
 #include "service/query_service.h"
@@ -51,6 +55,40 @@ void MaterializeInto(Database* db, const ViewRegistry& views,
   Result<Table> contents = eval.MaterializeView(name);
   ASSERT_TRUE(contents.ok()) << contents.status().ToString();
   db->Put(name, *std::move(contents));
+}
+
+/// Planned engines hold at run time, except where a kernel may still
+/// refuse: post-join aggregation falls back to the row engine over too few
+/// or mixed-type rows.
+void ExpectEnginesRanAsPlanned(const PlanNode& node) {
+  bool may_refuse = node.kind == PlanNode::Kind::kAggregate &&
+                    node.columnar_agg == nullptr;
+  EXPECT_TRUE(node.actual.engine == node.engine ||
+              (may_refuse && node.actual.engine == Engine::kRow))
+      << "a node ran on an engine it was not planned for:\n"
+      << RenderPlan(node, true);
+  for (const std::unique_ptr<PlanNode>& child : node.children) {
+    ExpectEnginesRanAsPlanned(*child);
+  }
+}
+
+/// Executes `query` under `options` and checks that the executed tree is
+/// the one EXPLAIN renders; returns the rows.
+Table ExpectExplainedPlanRuns(const Query& query, const Database& db,
+                              const ViewRegistry& views,
+                              const EvalOptions& options) {
+  SCOPED_TRACE(std::string("hash_join=") +
+               (options.use_hash_join ? "on" : "off") +
+               " vectorized=" + (options.vectorized ? "on" : "off"));
+  Result<std::string> explained = ExplainPlan(query, db, &views, options);
+  EXPECT_TRUE(explained.ok()) << explained.status().ToString();
+  Evaluator eval(&db, &views, options);
+  Result<Table> rows = eval.Execute(query);
+  EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+  if (!explained.ok() || !rows.ok()) return Table(std::vector<std::string>{});
+  EXPECT_EQ(*explained, RenderPlan(*eval.executed_plan(), false));
+  ExpectEnginesRanAsPlanned(*eval.executed_plan());
+  return *std::move(rows);
 }
 
 class DifferentialTest : public ::testing::TestWithParam<int> {};
@@ -468,6 +506,45 @@ TEST_P(DifferentialTest, WritesStayFreshWithoutRefresh) {
   // The sweep must exercise write-path maintenance, not no-op writes.
   ServiceStats stats = service.Stats();
   EXPECT_GE(stats.views_maintained + stats.views_recomputed, 1u);
+}
+
+// (d) EXPLAIN shows the plan that runs: node kinds, order, tables, keys,
+// predicates, planned engines and estimates, for the original query and
+// the optimizer's chosen rewriting, under every evaluation mode.
+TEST_P(DifferentialTest, ExplainedPlanIsExecutedPlan) {
+  uint64_t seed = TestSeed(19000 + GetParam());
+  SCOPED_TRACE(SeedTrace(seed));
+  RandomWorkloadGen gen(seed);
+  RandomPairConfig config = ConfigForParam(GetParam());
+  EvalOptions row_engine;
+  row_engine.vectorized = false;
+  EvalOptions reference;
+  reference.use_hash_join = false;
+  for (int q = 0; q < kPairsPerSweep; ++q) {
+    QueryViewPair pair = gen.NextPair(config);
+    ViewRegistry views;
+    ASSERT_OK(views.Register(pair.view));
+    SCOPED_TRACE("repro:\n  Q: " + ToSql(pair.query) +
+                 "\n  V: CREATE MATERIALIZED VIEW " + pair.view.name + " AS " +
+                 ToSql(pair.view.query));
+    for (int d = 0; d < kDatabasesPerPair; ++d) {
+      // Three-table joins cross the columnar conversion threshold of
+      // post-join aggregation; the reference plan's products stay small.
+      Database db = gen.NextDatabase(24, 3);
+      MaterializeInto(&db, views, pair.view.name);
+      Optimizer optimizer(&db, &views, &gen.catalog());
+      Result<OptimizeResult> plan = optimizer.Optimize(pair.query);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      for (const Query* query : {&pair.query, &plan->chosen}) {
+        SCOPED_TRACE("query: " + ToSql(*query));
+        Table vectorized = ExpectExplainedPlanRuns(*query, db, views, {});
+        ExpectExplainedPlanRuns(*query, db, views, row_engine);
+        Table specified = ExpectExplainedPlanRuns(*query, db, views, reference);
+        EXPECT_TRUE(MultisetAlmostEqual(vectorized, specified))
+            << DescribeMultisetDifference(vectorized, specified);
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, DifferentialTest, ::testing::Range(0, 6));

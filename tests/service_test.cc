@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -466,6 +467,61 @@ TEST(ServiceObservabilityTest, ExplainAnalyzeMatchesPlainSelectRows) {
                                   " row(s)"),
             std::string::npos)
       << analyzed.message;
+}
+
+/// The operator lines of a rendered plan, without their figures or engine
+/// tags: what ran (or would run), in order, with tables, keys and filters.
+std::vector<std::string> PlanOperators(const std::string& message) {
+  std::vector<std::string> ops;
+  std::istringstream lines(message);
+  for (std::string line; std::getline(lines, line);) {
+    bool is_op = false;
+    for (const char* kind : {"Scan ", "HashJoin(", "CartesianProduct ",
+                             "Filter(", "HashAggregate(", "Having(",
+                             "Project(", "ProjectDistinct("}) {
+      is_op = is_op || line.rfind(kind, 0) == 0;
+    }
+    if (!is_op) continue;
+    line = line.substr(0, line.find("  ("));
+    for (size_t at; (at = line.find(" [vec]")) != std::string::npos;) {
+      line.erase(at, 6);
+    }
+    ops.push_back(line.substr(0, line.find_last_not_of(' ') + 1));
+  }
+  return ops;
+}
+
+// EXPLAIN prints the plan EXPLAIN ANALYZE runs. R's 100 rows under a filter
+// are estimated below S's 50, so R leads the join even though it is larger
+// — whether the filter keeps one row or all of them.
+TEST(ServiceObservabilityTest, ExplainShowsTheExecutedPlan) {
+  QueryService service;
+  ExecuteOrDie(service, "CREATE TABLE R(A, B)");
+  ExecuteOrDie(service, "CREATE TABLE S(C, D)");
+  std::string r_rows;
+  for (int i = 0; i < 100; ++i) {
+    r_rows += (i > 0 ? ", (" : "(") + std::to_string(i) + ", " +
+              std::to_string(i % 50) + ")";
+  }
+  ExecuteOrDie(service, "INSERT INTO R VALUES " + r_rows);
+  std::string s_rows;
+  for (int i = 0; i < 50; ++i) {
+    s_rows += (i > 0 ? ", (" : "(") + std::to_string(i) + ", " +
+              std::to_string(i) + ")";
+  }
+  ExecuteOrDie(service, "INSERT INTO S VALUES " + s_rows);
+  for (const char* filter : {"A_1 = 7", "A_1 >= 0"}) {
+    std::string q = std::string("SELECT A_1, SUM(D_2) FROM R, S WHERE ") +
+                    "B_1 = C_2 AND " + filter + " GROUPBY A_1";
+    std::vector<std::string> explained =
+        PlanOperators(ExecuteOrDie(service, "EXPLAIN " + q).message);
+    std::vector<std::string> analyzed =
+        PlanOperators(ExecuteOrDie(service, "EXPLAIN ANALYZE " + q).message);
+    ASSERT_EQ(explained.size(), 4u) << q;
+    EXPECT_EQ(explained[0],
+              std::string("Scan R [100 rows] filter(") + filter + ")");
+    EXPECT_EQ(explained, analyzed) << q;
+  }
 }
 
 TEST(ServiceObservabilityTest, TraceDumpEmitsChromeTraceJson) {
