@@ -184,8 +184,7 @@ QueryService* GetService(bool cache_enabled) {
   TelephonyWorkload w = MakeTelephonyWorkload(params);
 
   ServiceOptions options;
-  options.enable_plan_cache = cache_enabled;
-  options.plan_cache_capacity = g_cache_capacity;
+  options.plan_cache_capacity = cache_enabled ? g_cache_capacity : 0;
   auto* service = new QueryService(options);
   CheckOrDie(
       service->Bootstrap(std::move(w.catalog), std::move(w.db),
@@ -226,7 +225,6 @@ QueryService* GetMixService(size_t stripes) {
   TelephonyWorkload w = MakeTelephonyWorkload(params);
 
   ServiceOptions options;
-  options.enable_plan_cache = true;
   options.plan_cache_capacity = g_cache_capacity;
   options.latch_stripes = stripes;
   auto* service = new QueryService(options);

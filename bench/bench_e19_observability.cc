@@ -145,7 +145,6 @@ int main(int argc, char** argv) {
   params.seed = seed;
   aqv::TelephonyWorkload w = aqv::MakeTelephonyWorkload(params);
   aqv::ServiceOptions options;
-  options.enable_plan_cache = true;
   options.telemetry_interval_micros = interval_micros;
   options.telemetry_history_capacity = 1024;
   aqv::QueryService service(options);

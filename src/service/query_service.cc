@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
+#include <set>
 #include <unordered_map>
 #include <utility>
 
@@ -73,6 +74,27 @@ void StampState(PlanCache::Entry* entry, const ServiceSnapshot& state) {
   for (const std::string& dep : entry->dependencies) {
     entry->versions.push_back(state.db.VersionOf(dep));
   }
+}
+
+/// Total rows across every table of one side of a delta.
+size_t CountRows(const std::map<std::string, std::vector<Row>>& side) {
+  size_t n = 0;
+  for (const auto& [table, rows] : side) n += rows.size();
+  return n;
+}
+
+/// The first base table in `view`'s definition closure that `quarantine`
+/// names, or "" when there is none. Views in the closure never count: they
+/// are derivations, recomputed from their own inputs.
+std::string QuarantinedBaseOf(
+    const std::string& view, const ViewRegistry& views,
+    const std::map<std::string, std::string>& quarantine) {
+  std::vector<std::string> closure;
+  CollectDependencies({view}, views, &closure);
+  for (const std::string& n : closure) {
+    if (!views.Has(n) && quarantine.count(n) > 0) return n;
+  }
+  return "";
 }
 
 }  // namespace
@@ -219,7 +241,7 @@ std::string ServiceStats::ToString() const {
 QueryService::QueryService(ServiceOptions options)
     : options_(options),
       latches_(options.latch_stripes),
-      plan_cache_(options.enable_plan_cache ? options.plan_cache_capacity : 0),
+      plan_cache_(options.plan_cache_capacity),
       statements_(metrics_.GetCounter("service.statements")),
       queries_served_(metrics_.GetCounter("service.queries_served")),
       cache_hits_(metrics_.GetCounter("service.plan_cache.hits")),
@@ -258,9 +280,9 @@ QueryService::QueryService(ServiceOptions options)
   metrics_.SetHelp("service.maintain_latency",
                    "Write-path view maintenance wall time, microseconds");
   metrics_.SetHelp("service.rows_inserted_total",
-                   "Rows added by INSERT/UPDATE/COMMIT batches");
+                   "Rows added by INSERT/UPDATE/LOAD/COMMIT batches");
   metrics_.SetHelp("service.rows_deleted_total",
-                   "Rows removed by DELETE/UPDATE/COMMIT batches");
+                   "Rows removed by DELETE/UPDATE/LOAD/COMMIT batches");
   metrics_.SetHelp("mvcc.versions_alive",
                    "Table versions still reachable (current + retired "
                    "versions pinned by snapshots or in-flight readers)");
@@ -357,19 +379,10 @@ Status QueryService::AttachStorage() {
   std::vector<std::string> healed_views;
   for (const auto& [name, reason] : rec.quarantined_tables) {
     if (!views_->Has(name)) continue;
-    std::vector<std::string> closure;
-    CollectDependencies({name}, *views_, &closure);
-    bool clean = true;
-    for (const std::string& n : closure) {
-      // Quarantined views in the closure do not block healing: they are
-      // derivations too, and the upstream-first recompute refreshes them
-      // before this one reads them.
-      if (n != name && !views_->Has(n) && quarantined.count(n) > 0) {
-        clean = false;
-        break;
-      }
-    }
-    if (clean) {
+    // Quarantined views in the closure do not block healing: they are
+    // derivations too, and the upstream-first recompute refreshes them
+    // before this one reads them.
+    if (QuarantinedBaseOf(name, *views_, quarantined).empty()) {
       quarantined.erase(name);
       storage_->ClearQuarantinedTable(name);
       healed_views.push_back(name);
@@ -389,14 +402,10 @@ Status QueryService::AttachStorage() {
     std::lock_guard<std::mutex> lock(quarantine_mutex_);
     for (const std::string& view : views_->ViewNames()) {
       if (!db_.Has(view)) continue;  // virtual: reads hit the base check
-      std::vector<std::string> closure;
-      CollectDependencies({view}, *views_, &closure);
-      for (const std::string& n : closure) {
-        auto it = quarantined.find(n);
-        if (it == quarantined.end()) continue;
+      std::string base = QuarantinedBaseOf(view, *views_, quarantined);
+      if (!base.empty()) {
         table_quarantine_.emplace(
-            view, "depends on quarantined table '" + n + "'");
-        break;
+            view, "depends on quarantined table '" + base + "'");
       }
     }
   }
@@ -409,46 +418,26 @@ Status QueryService::AttachStorage() {
   // recoveries apart. Quarantined views are skipped, not recomputed: their
   // inputs cannot be trusted, and their reads error until repair.
   Clock::time_point recompute_start = Clock::now();
+  // Healed views re-derive their contents here too; their salvaged-empty
+  // checkpoint image is never served.
   std::vector<std::string> pending = rec.stale_views;
+  pending.insert(pending.end(), healed_views.begin(), healed_views.end());
+  std::vector<DependentView> stale;
   {
     std::lock_guard<std::mutex> lock(quarantine_mutex_);
-    pending.erase(std::remove_if(pending.begin(), pending.end(),
-                                 [&](const std::string& v) {
-                                   return table_quarantine_.count(v) > 0;
-                                 }),
-                  pending.end());
-  }
-  // Healed views re-derive their contents here; their salvaged-empty
-  // checkpoint image is never served.
-  for (const std::string& view : healed_views) {
-    if (std::find(pending.begin(), pending.end(), view) == pending.end()) {
-      pending.push_back(view);
-    }
-  }
-  while (!pending.empty()) {
-    bool progressed = false;
-    for (auto it = pending.begin(); it != pending.end();) {
+    for (std::string& view : pending) {
+      bool queued = std::any_of(
+          stale.begin(), stale.end(),
+          [&](const DependentView& v) { return v.name == view; });
+      if (queued || table_quarantine_.count(view) > 0) continue;
       std::vector<std::string> closure;
-      CollectDependencies({*it}, *views_, &closure);
-      bool ready = true;
-      for (const std::string& n : closure) {
-        if (n != *it &&
-            std::find(pending.begin(), pending.end(), n) != pending.end()) {
-          ready = false;
-          break;
-        }
-      }
-      if (!ready) {
-        ++it;
-        continue;
-      }
-      AQV_RETURN_NOT_OK(RecomputeViewInto(*it, &db_));
-      it = pending.erase(it);
-      progressed = true;
+      CollectDependencies({view}, *views_, &closure);
+      stale.push_back({std::move(view), std::move(closure)});
     }
-    if (!progressed) {
-      return Status::Internal("cyclic stale-view dependencies at recovery");
-    }
+  }
+  AQV_ASSIGN_OR_RETURN(stale, UpstreamFirst(std::move(stale)));
+  for (const DependentView& view : stale) {
+    AQV_RETURN_NOT_OK(RecomputeViewInto(view.name, &db_).status());
   }
   metrics_.GetGauge("storage.recovery_recompute_ms")
       .Set(static_cast<int64_t>(ElapsedMicros(recompute_start) / 1000));
@@ -962,9 +951,7 @@ Result<StatementResult> QueryService::HandleBeginWrite() {
         "a snapshot is open on this thread; COMMIT it before BEGIN WRITE");
   }
   std::lock_guard<std::mutex> lock(write_batch_mutex_);
-  auto [it, opened] = write_batches_.try_emplace(std::this_thread::get_id());
-  (void)it;
-  if (!opened) {
+  if (!write_batches_.try_emplace(std::this_thread::get_id()).second) {
     return Status::InvalidArgument(
         "a write batch is already open on this thread; COMMIT or ROLLBACK "
         "it first");
@@ -982,13 +969,8 @@ Result<StatementResult> QueryService::HandleRollback() {
     return Status::InvalidArgument(
         "no open write batch on this thread (BEGIN WRITE first)");
   }
-  size_t rows = 0;
-  for (const auto& [table, buffered] : it->second.inserts) {
-    rows += buffered.size();
-  }
-  for (const auto& [table, buffered] : it->second.deletes) {
-    rows += buffered.size();
-  }
+  size_t rows =
+      CountRows(it->second.inserts) + CountRows(it->second.deletes);
   write_batches_.erase(it);
   StatementResult out;
   out.message =
@@ -997,41 +979,6 @@ Result<StatementResult> QueryService::HandleRollback() {
 }
 
 Result<StatementResult> QueryService::HandleCommit() {
-  // An open write batch takes precedence; BEGIN WRITE and BEGIN SNAPSHOT
-  // are mutually exclusive per thread, so at most one of the two branches
-  // has anything to commit.
-  std::optional<Delta> batch;
-  {
-    std::lock_guard<std::mutex> lock(write_batch_mutex_);
-    auto it = write_batches_.find(std::this_thread::get_id());
-    if (it != write_batches_.end()) {
-      batch = std::move(it->second);
-      // Erase up front: a failed apply discards the batch (nothing was
-      // published), rather than leaving it open to fail every retry.
-      write_batches_.erase(it);
-    }
-  }
-  if (batch.has_value()) {
-    Clock::time_point stmt_start = Clock::now();
-    QueryStats qs;
-    AQV_ASSIGN_OR_RETURN(WriteApplied applied, ApplyWriteDelta(*batch, &qs));
-    uint64_t apply_micros = ElapsedMicros(stmt_start);
-    uint64_t attributed = qs.maintain_micros + qs.wal_commit_micros;
-    qs.exec_micros = apply_micros > attributed ? apply_micros - attributed : 0;
-    qs.rows_processed += applied.rows;
-    qs.epoch = db_.epoch();
-    qs.total_micros = apply_micros;
-    MaybeRecordSlowStatement("COMMIT", qs);
-    StatementResult out;
-    out.message = std::to_string(applied.rows_inserted) +
-                  " row(s) inserted / " +
-                  std::to_string(applied.rows_deleted) +
-                  " deleted across " + std::to_string(applied.tables) +
-                  " table(s); " + std::to_string(applied.views_maintained) +
-                  " view(s) maintained, " +
-                  std::to_string(applied.views_recomputed) + " recomputed\n";
-    return out;
-  }
   std::lock_guard<std::mutex> lock(snapshot_mutex_);
   auto it = thread_snapshots_.find(std::this_thread::get_id());
   if (it == thread_snapshots_.end()) {
@@ -1074,7 +1021,11 @@ Result<StatementResult> QueryService::Dispatch(const std::string& stmt,
   if (upper == "BEGIN SNAPSHOT" || upper == "BEGIN") {
     return HandleBeginSnapshot();
   }
-  if (upper == "COMMIT") return HandleCommit();
+  // BEGIN WRITE and BEGIN SNAPSHOT are mutually exclusive per thread, so a
+  // COMMIT either applies the thread's batch or releases its pin.
+  if (upper == "COMMIT") {
+    return ThreadHasWriteBatch() ? HandleWrite(stmt, upper) : HandleCommit();
+  }
   if (upper == "ROLLBACK") return HandleRollback();
   if (upper == "TABLES") return HandleListTables();
   if (upper == "VIEWS") return HandleListViews();
@@ -1107,9 +1058,7 @@ Result<StatementResult> QueryService::Dispatch(const std::string& stmt,
   if (Leads(upper, "CREATE VIEW")) {
     return HandleCreateView(stmt, /*materialized=*/false);
   }
-  if (Leads(upper, "INSERT INTO")) return HandleInsert(stmt);
-  if (Leads(upper, "DELETE")) return HandleDelete(stmt);
-  if (Leads(upper, "UPDATE")) return HandleUpdate(stmt);
+  if (is_dml || Leads(upper, "LOAD")) return HandleWrite(stmt, upper);
   if (Leads(upper, "REFRESH")) {
     return HandleRefresh(TrimStatement(stmt.substr(7)));
   }
@@ -1124,7 +1073,6 @@ Result<StatementResult> QueryService::Dispatch(const std::string& stmt,
   if (Leads(upper, "SELECT")) {
     return Read(stmt, ReadKind::kSelect, nullptr);
   }
-  if (Leads(upper, "LOAD")) return HandleLoad(stmt);
   if (Leads(upper, "SAVE")) return HandleSave(stmt);
   return Status::InvalidArgument("unrecognized statement: " + stmt);
 }
@@ -1192,7 +1140,7 @@ Result<PlanCache::EntryPtr> QueryService::PlanThroughCache(
     ExecContext* ctx, bool* degraded) {
   *cache_hit = false;
   std::string key;
-  if (options_.enable_plan_cache) {
+  if (plan_cache_.capacity() > 0) {
     TraceSpan lookup("plan_cache.lookup");
     key = CanonicalCacheKey(query);
     PlanCache::EntryPtr cached = plan_cache_.Lookup(key);
@@ -1237,7 +1185,7 @@ Result<PlanCache::EntryPtr> QueryService::PlanThroughCache(
   entry->cost_chosen = plan.cost_chosen;
   entry->dependencies = std::move(plan.dependencies);
   StampState(entry.get(), state);
-  if (options_.enable_plan_cache) plan_cache_.Insert(key, entry);
+  if (plan_cache_.capacity() > 0) plan_cache_.Insert(key, entry);
   return PlanCache::EntryPtr(std::move(entry));
 }
 
@@ -1339,7 +1287,7 @@ Result<StatementResult> QueryService::Read(const std::string& stmt,
       Status s = result.status();
       bool plan_differs = entry->used_materialized_view || out.cache_hit;
       if (!plan_differs || !ShouldDegrade(s)) return s;
-      if (options_.enable_plan_cache) {
+      if (plan_cache_.capacity() > 0) {
         cache_invalidated_.Increment(
             plan_cache_.Erase(CanonicalCacheKey(query)));
       }
@@ -1775,7 +1723,7 @@ Result<StatementResult> QueryService::HandleCreateView(const std::string& stmt,
   views_ = std::move(views);
   StatementResult out;
   if (materialized) {
-    AQV_ASSIGN_OR_RETURN(size_t rows, RefreshLatched(name));
+    AQV_ASSIGN_OR_RETURN(size_t rows, RecomputeViewInto(name, &db_));
     out.message =
         "view " + name + " materialized: " + std::to_string(rows) + " rows\n";
   } else {
@@ -1786,51 +1734,12 @@ Result<StatementResult> QueryService::HandleCreateView(const std::string& stmt,
   return out;
 }
 
-Result<StatementResult> QueryService::HandleInsert(const std::string& stmt) {
-  Clock::time_point stmt_start = Clock::now();
-  QueryStats qs;
-  AQV_ASSIGN_OR_RETURN(InsertStatement insert, ParseInsert(stmt));
-  qs.parse_micros = ElapsedMicros(stmt_start);
-  const size_t rows = insert.rows.size();
-  {
-    // An open BEGIN WRITE batch on this thread buffers the rows; COMMIT
-    // validates and applies them all at once.
-    std::lock_guard<std::mutex> lock(write_batch_mutex_);
-    auto it = write_batches_.find(std::this_thread::get_id());
-    if (it != write_batches_.end()) {
-      std::vector<Row>& buffered = it->second.inserts[insert.table];
-      for (Row& row : insert.rows) buffered.push_back(std::move(row));
-      StatementResult out;
-      out.message = std::to_string(rows) + " row(s) buffered into " +
-                    insert.table + " (COMMIT to apply)\n";
-      return out;
-    }
-  }
-  Delta delta;
-  delta.inserts[insert.table] = std::move(insert.rows);
-  Clock::time_point exec_start = Clock::now();
-  AQV_ASSIGN_OR_RETURN(WriteApplied applied, ApplyWriteDelta(delta, &qs));
-  // The write's "exec" phase is apply minus the attributed sub-phases so
-  // the phases stay disjoint and their sum tracks the wall clock.
-  uint64_t apply_micros = ElapsedMicros(exec_start);
-  uint64_t attributed = qs.maintain_micros + qs.wal_commit_micros;
-  qs.exec_micros = apply_micros > attributed ? apply_micros - attributed : 0;
-  qs.rows_processed += applied.rows;
-  qs.epoch = db_.epoch();
-  qs.total_micros = ElapsedMicros(stmt_start);
-  MaybeRecordSlowStatement(stmt, qs);  // fingerprint 0: writes aggregate only
-  StatementResult out;
-  out.message =
-      std::to_string(rows) + " row(s) inserted into " + insert.table + "\n";
-  return out;
-}
-
 namespace {
 
 /// The identifier at `word_index` of a whitespace-split statement, or ""
-/// when the statement is too short. Used to peek a DML target table name
-/// before parsing, so a write aimed at a view gets a verb-accurate refusal
-/// instead of the binder's generic unknown-table error.
+/// when the statement is too short. Used to peek a write's target table
+/// name before parsing, so a write aimed at a view gets a verb-accurate
+/// refusal instead of the binder's generic unknown-table error.
 std::string PeekDmlTarget(const std::string& stmt, size_t word_index) {
   size_t i = 0;
   size_t word = 0;
@@ -1846,180 +1755,30 @@ std::string PeekDmlTarget(const std::string& stmt, size_t word_index) {
   return "";
 }
 
-}  // namespace
+/// How a row-changing statement names itself: when refused for aiming at a
+/// view, in its ack, and in its ack when buffered into a BEGIN WRITE batch.
+/// Indexed by WriteRequest::Kind; COMMIT has an ack of its own.
+struct WriteVerb {
+  const char* refusal;
+  const char* applied;
+  const char* buffered;
+};
+constexpr WriteVerb kWriteVerbs[] = {
+    {"INSERT into", "inserted into", "buffered into"},
+    {"DELETE from", "deleted from", "buffered to delete from"},
+    {"UPDATE", "updated in", "buffered to update in"},
+    {"LOAD into", "loaded into", ""},
+};
 
-Result<StatementResult> QueryService::HandleDelete(const std::string& stmt) {
-  Clock::time_point stmt_start = Clock::now();
-  QueryStats qs;
-  DeleteStatement del;
-  {
-    // Binding reads the catalog; the statement latch freezes it.
-    LatchManager::Guard guard = latches_.StatementShared();
-    std::string target = PeekDmlTarget(stmt, 2);  // DELETE FROM <t>
-    if (!target.empty() && views_->Has(target)) {
-      return Status::InvalidArgument("cannot DELETE from view '" + target +
-                                     "'; write its base tables");
-    }
-    AQV_ASSIGN_OR_RETURN(del, ParseDelete(stmt, catalog_.get()));
+/// Refuses rows over the storage row cap. Rows that large could never be
+/// checkpointed or replayed, so a durable service refuses them when they
+/// arrive rather than poisoning a later CHECKPOINT.
+Status CheckRowSizes(const std::vector<Row>& rows) {
+  for (const Row& row : rows) {
+    AQV_RETURN_NOT_OK(StorageEngine::CheckRowSize(row));
   }
-  qs.parse_micros = ElapsedMicros(stmt_start);
-  Mutation mutation;
-  mutation.kind = Mutation::Kind::kDelete;
-  mutation.table = std::move(del.table);
-  mutation.where = std::move(del.where);
-  Result<StatementResult> out = ExecuteMutation(std::move(mutation), &qs);
-  if (out.ok()) {
-    qs.total_micros = ElapsedMicros(stmt_start);
-    MaybeRecordSlowStatement(stmt, qs);
-  }
-  return out;
-}
-
-Result<StatementResult> QueryService::HandleUpdate(const std::string& stmt) {
-  Clock::time_point stmt_start = Clock::now();
-  QueryStats qs;
-  UpdateStatement upd;
-  {
-    LatchManager::Guard guard = latches_.StatementShared();
-    std::string target = PeekDmlTarget(stmt, 1);  // UPDATE <t>
-    if (!target.empty() && views_->Has(target)) {
-      return Status::InvalidArgument("cannot UPDATE view '" + target +
-                                     "'; write its base tables");
-    }
-    AQV_ASSIGN_OR_RETURN(upd, ParseUpdate(stmt, catalog_.get()));
-  }
-  qs.parse_micros = ElapsedMicros(stmt_start);
-  Mutation mutation;
-  mutation.kind = Mutation::Kind::kUpdate;
-  mutation.table = std::move(upd.table);
-  mutation.where = std::move(upd.where);
-  mutation.sets = std::move(upd.sets);
-  Result<StatementResult> out = ExecuteMutation(std::move(mutation), &qs);
-  if (out.ok()) {
-    qs.total_micros = ElapsedMicros(stmt_start);
-    MaybeRecordSlowStatement(stmt, qs);
-  }
-  return out;
-}
-
-Result<StatementResult> QueryService::ExecuteMutation(Mutation mutation,
-                                                      QueryStats* qs) {
-  const bool is_update = mutation.kind == Mutation::Kind::kUpdate;
-  if (ThreadHasWriteBatch()) {
-    // Buffer into the open batch: the mutation is evaluated against the
-    // *committed* state now (same visibility rule as SELECT inside BEGIN
-    // WRITE) and its delta rides the batch; COMMIT re-validates delete
-    // containment against the then-current base, so a concurrent write
-    // that removed a matched row fails the batch cleanly instead of
-    // desyncing views.
-    size_t matched = 0;
-    AQV_ASSIGN_OR_RETURN(Delta staged,
-                         MaterializeMutation(mutation, Pin()->db, &matched));
-    std::lock_guard<std::mutex> lock(write_batch_mutex_);
-    auto it = write_batches_.find(std::this_thread::get_id());
-    if (it == write_batches_.end()) {
-      return Status::InvalidArgument(
-          "the write batch on this thread closed while the statement ran");
-    }
-    for (auto& [name, rows] : staged.inserts) {
-      std::vector<Row>& buffered = it->second.inserts[name];
-      for (Row& row : rows) buffered.push_back(std::move(row));
-    }
-    for (auto& [name, rows] : staged.deletes) {
-      std::vector<Row>& buffered = it->second.deletes[name];
-      for (Row& row : rows) buffered.push_back(std::move(row));
-    }
-    StatementResult out;
-    out.message = std::to_string(matched) + " row(s) buffered to " +
-                  (is_update ? "update in " : "delete from ") + mutation.table +
-                  " (COMMIT to apply)\n";
-    return out;
-  }
-  Clock::time_point exec_start = Clock::now();
-  AQV_ASSIGN_OR_RETURN(WriteApplied applied, ApplyWrite(Delta{}, &mutation, qs));
-  // The write's "exec" phase is apply minus the attributed sub-phases so
-  // the phases stay disjoint and their sum tracks the wall clock.
-  uint64_t apply_micros = ElapsedMicros(exec_start);
-  uint64_t attributed = qs->maintain_micros + qs->wal_commit_micros;
-  qs->exec_micros = apply_micros > attributed ? apply_micros - attributed : 0;
-  qs->rows_processed += applied.rows;
-  qs->epoch = db_.epoch();
-  StatementResult out;
-  out.message = std::to_string(applied.rows_deleted) + " row(s) " +
-                (is_update ? "updated in " : "deleted from ") + mutation.table +
-                "; " + std::to_string(applied.views_maintained) +
-                " view(s) maintained, " +
-                std::to_string(applied.views_recomputed) + " recomputed\n";
-  return out;
-}
-
-Result<std::vector<QueryService::DependentView>>
-QueryService::DependentViewsOf(const std::vector<std::string>& tables) const {
-  std::vector<DependentView> dependents;
-  for (const std::string& view : views_->ViewNames()) {
-    // Only stored (materialized) views need write-path maintenance; virtual
-    // views are recomputed on every read anyway.
-    if (!db_.Has(view)) continue;
-    std::vector<std::string> closure;
-    CollectDependencies({view}, *views_, &closure);
-    bool touched = false;
-    for (const std::string& t : tables) {
-      if (std::find(closure.begin(), closure.end(), t) != closure.end()) {
-        touched = true;
-        break;
-      }
-    }
-    if (touched) dependents.push_back({view, std::move(closure)});
-  }
-  // Upstream-first order: a dependent defined over another dependent must
-  // refresh after its input. The registry rejects cyclic definitions, so
-  // this terminates.
-  std::vector<DependentView> ordered;
-  std::vector<std::string> placed;
-  auto is_pending = [&](const std::string& name) {
-    if (std::find(placed.begin(), placed.end(), name) != placed.end()) {
-      return false;
-    }
-    for (const DependentView& d : dependents) {
-      if (d.name == name) return true;
-    }
-    return false;
-  };
-  while (ordered.size() < dependents.size()) {
-    bool progressed = false;
-    for (const DependentView& d : dependents) {
-      if (std::find(placed.begin(), placed.end(), d.name) != placed.end()) {
-        continue;
-      }
-      bool ready = true;
-      for (const std::string& n : d.closure) {
-        if (n != d.name && is_pending(n)) {
-          ready = false;
-          break;
-        }
-      }
-      if (!ready) continue;
-      ordered.push_back(d);
-      placed.push_back(d.name);
-      progressed = true;
-    }
-    if (!progressed) {
-      return Status::Internal("cyclic materialized-view dependencies");
-    }
-  }
-  return ordered;
-}
-
-Status QueryService::RecomputeViewInto(const std::string& name,
-                                       Database* staging) {
-  AQV_ASSIGN_OR_RETURN(const ViewDef* def, views_->Get(name));
-  Evaluator fresh(staging, views_.get(), eval_options_);
-  AQV_ASSIGN_OR_RETURN(Table contents, fresh.Execute(def->query));
-  staging->Put(name, std::move(contents));
   return Status::OK();
 }
-
-namespace {
 
 /// Renders a row as "(v1, v2, ...)" for write-path error messages.
 std::string RowText(const Row& row) {
@@ -2131,11 +1890,208 @@ Result<Value> EvalSetExpr(const SetExpr& expr, const Row& row,
 
 }  // namespace
 
-Result<Delta> QueryService::MaterializeMutation(const Mutation& mutation,
-                                                const Database& db,
-                                                size_t* matched) const {
+Result<StatementResult> QueryService::HandleWrite(const std::string& stmt,
+                                                  const std::string& upper) {
+  using Kind = WriteRequest::Kind;
+  Clock::time_point stmt_start = Clock::now();
+  QueryStats qs;
+  ServiceSnapshotPtr state = Pin();
+  AQV_ASSIGN_OR_RETURN(WriteRequest request, BindWrite(stmt, upper, *state));
+  qs.parse_micros = ElapsedMicros(stmt_start);
+  const std::string table = request.table;
+  const Kind kind = request.kind;
+  StatementResult out;
+  if (kind == Kind::kLoad && !state->catalog->HasTable(table)) {
+    // A LOAD that creates its table is a schema change.
+    if (storage_attached()) {
+      AQV_RETURN_NOT_OK(CheckRowSizes(request.replacement->rows()));
+    }
+    LatchManager::Guard guard = latches_.Ddl();
+    if (catalog_->HasTable(table)) {
+      // Created by another thread since the pin: bind again, as a
+      // replacement.
+      guard.Release();
+      return HandleWrite(stmt, upper);
+    }
+    auto catalog = std::make_shared<Catalog>(*catalog_);
+    AQV_RETURN_NOT_OK(
+        catalog->AddTable(TableDef(table, request.replacement->columns())));
+    catalog_ = std::move(catalog);
+    out.message = "table " + table + " created from the CSV header\n" +
+                  std::to_string(request.replacement->num_rows()) +
+                  " row(s) loaded into " + table + "\n";
+    db_.Put(table, *std::move(request.replacement));
+    // New table + its contents: DDL, so durability comes from a checkpoint.
+    AQV_RETURN_NOT_OK(CheckpointIfDurable());
+    return out;
+  }
+  const WriteVerb* verb =
+      kind == Kind::kCommit ? nullptr : &kWriteVerbs[static_cast<size_t>(kind)];
+  if (verb != nullptr && ThreadHasWriteBatch()) {
+    // Buffer into the open batch: the delta is materialized against the
+    // pinned committed state (the visibility rule of SELECT inside BEGIN
+    // WRITE). COMMIT re-validates delete containment against the
+    // then-current base, so a concurrent write that removed a matched row
+    // fails the batch cleanly instead of desyncing views.
+    AQV_ASSIGN_OR_RETURN(Delta delta, MaterializeWrite(&request, state->db));
+    size_t rows =
+        CountRows(kind == Kind::kInsert ? delta.inserts : delta.deletes);
+    AQV_RETURN_NOT_OK(BufferWrite(std::move(delta)));
+    out.message = std::to_string(rows) + " row(s) " + verb->buffered + " " +
+                  table + " (COMMIT to apply)\n";
+    return out;
+  }
+  Clock::time_point apply_start = Clock::now();
+  AQV_ASSIGN_OR_RETURN(WriteApplied applied,
+                       ApplyWrite(std::move(request), &qs));
+  // The write's "exec" phase is apply minus the attributed sub-phases so
+  // the phases stay disjoint and their sum tracks the wall clock.
+  uint64_t apply_micros = ElapsedMicros(apply_start);
+  uint64_t attributed = qs.maintain_micros + qs.wal_commit_micros;
+  qs.exec_micros = apply_micros > attributed ? apply_micros - attributed : 0;
+  qs.rows_processed += applied.rows_inserted + applied.rows_deleted;
+  qs.epoch = db_.epoch();
+  std::string views = std::to_string(applied.views_maintained) +
+                      " view(s) maintained, " +
+                      std::to_string(applied.views_recomputed) +
+                      " recomputed\n";
+  if (verb == nullptr) {
+    out.message = std::to_string(applied.rows_inserted) +
+                  " row(s) inserted / " +
+                  std::to_string(applied.rows_deleted) + " deleted across " +
+                  std::to_string(applied.tables) + " table(s); " + views;
+  } else {
+    bool adds = kind == Kind::kInsert || kind == Kind::kLoad;
+    out.message =
+        std::to_string(adds ? applied.rows_inserted : applied.rows_deleted) +
+        " row(s) " + verb->applied + " " + table + "; " + views;
+  }
+  if (applied.repaired) {
+    // The WAL-logged replacement alone would not survive a restart: the
+    // corrupt checkpoint pages are still on disk, so recovery would
+    // re-derive the quarantine from them and discard the repair delta as
+    // suspect. A checkpoint rewrites the damaged pages from the repaired
+    // live contents and persists the cleared quarantine map. Quiesce first
+    // — the repair held only the table's own stripes.
+    LatchManager::Guard guard = latches_.Ddl();
+    AQV_RETURN_NOT_OK(CheckpointIfDurable());
+    out.message += "quarantine repaired; checkpoint rewrote the damaged pages\n";
+  }
+  qs.total_micros = ElapsedMicros(stmt_start);
+  MaybeRecordSlowStatement(stmt, qs);  // fingerprint 0: writes aggregate only
+  return out;
+}
+
+Result<QueryService::WriteRequest> QueryService::BindWrite(
+    const std::string& stmt, const std::string& upper,
+    const ServiceSnapshot& state) {
+  using Kind = WriteRequest::Kind;
+  WriteRequest request;
+  if (upper == "COMMIT") {
+    request.kind = Kind::kCommit;
+    std::lock_guard<std::mutex> lock(write_batch_mutex_);
+    auto it = write_batches_.find(std::this_thread::get_id());
+    if (it == write_batches_.end()) {
+      return Status::InvalidArgument("no open write batch on this thread");
+    }
+    // Taken up front: a failed apply discards the batch (nothing was
+    // published), rather than leaving it open to fail every retry.
+    request.delta = std::move(it->second);
+    write_batches_.erase(it);
+    return request;
+  }
+  request.kind = Leads(upper, "INSERT INTO") ? Kind::kInsert
+                 : Leads(upper, "DELETE")    ? Kind::kDelete
+                 : Leads(upper, "UPDATE")    ? Kind::kUpdate
+                                             : Kind::kLoad;
+  // INSERT INTO <t> and DELETE FROM <t> name the target second, UPDATE <t>
+  // and LOAD <t> first.
+  std::string target = PeekDmlTarget(
+      stmt, request.kind == Kind::kInsert || request.kind == Kind::kDelete
+                ? 2
+                : 1);
+  if (state.views->Has(target)) {
+    return Status::InvalidArgument(
+        std::string("cannot ") +
+        kWriteVerbs[static_cast<size_t>(request.kind)].refusal + " view '" +
+        target + "'; write its base tables");
+  }
+  switch (request.kind) {
+    case Kind::kInsert: {
+      AQV_ASSIGN_OR_RETURN(InsertStatement insert, ParseInsert(stmt));
+      request.table = std::move(insert.table);
+      request.delta.inserts[request.table] = std::move(insert.rows);
+      break;
+    }
+    case Kind::kDelete: {
+      AQV_ASSIGN_OR_RETURN(DeleteStatement del,
+                           ParseDelete(stmt, state.catalog.get()));
+      request.table = std::move(del.table);
+      request.where = std::move(del.where);
+      break;
+    }
+    case Kind::kUpdate: {
+      AQV_ASSIGN_OR_RETURN(UpdateStatement upd,
+                           ParseUpdate(stmt, state.catalog.get()));
+      request.table = std::move(upd.table);
+      request.where = std::move(upd.where);
+      request.sets = std::move(upd.sets);
+      break;
+    }
+    default: {
+      // LOAD <table> FROM '<path>'
+      AQV_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(stmt));
+      if (tokens.size() != 5 || tokens[1].kind != TokenKind::kIdentifier ||
+          !tokens[2].IsKeyword("FROM") ||
+          tokens[3].kind != TokenKind::kString) {
+        return Status::InvalidArgument("usage: LOAD R FROM 'file.csv'");
+      }
+      request.table = tokens[1].text;
+      AQV_ASSIGN_OR_RETURN(Table loaded, ReadCsvFile(tokens[3].text));
+      request.replacement = std::move(loaded);
+      // A LOAD into a table that does not exist yet creates it.
+      if (!state.catalog->HasTable(request.table)) return request;
+    }
+  }
+  // Incoming rows must fit the target, checked here so that a batch never
+  // buffers a row its COMMIT would refuse.
+  Result<const TableDef*> def = state.catalog->GetTable(request.table);
+  if (!def.ok()) {
+    return Status::NotFound("table '" + request.table + "' not in database");
+  }
+  const size_t arity = static_cast<size_t>((*def)->num_columns());
+  auto check_arity = [&](size_t got) -> Status {
+    if (got == arity) return Status::OK();
+    return Status::InvalidArgument(
+        "row arity " + std::to_string(got) + " != arity " +
+        std::to_string(arity) + " of table '" + request.table + "'");
+  };
+  if (request.replacement.has_value()) {
+    AQV_RETURN_NOT_OK(check_arity(
+        static_cast<size_t>(request.replacement->num_columns())));
+  }
+  for (const auto& [name, rows] : request.delta.inserts) {
+    for (const Row& row : rows) AQV_RETURN_NOT_OK(check_arity(row.size()));
+  }
+  return request;
+}
+
+Result<Delta> QueryService::MaterializeWrite(WriteRequest* request,
+                                             const Database& db) const {
+  using Kind = WriteRequest::Kind;
+  if (request->kind == Kind::kInsert || request->kind == Kind::kCommit) {
+    return std::move(request->delta);
+  }
   Delta out;
-  AQV_ASSIGN_OR_RETURN(const Table* table, db.Get(mutation.table));
+  AQV_ASSIGN_OR_RETURN(const Table* table, db.Get(request->table));
+  if (request->kind == Kind::kLoad) {
+    // Delete-all plus insert-all: replay applies the inserts, then removes
+    // one occurrence per old row, landing exactly on the loaded contents,
+    // so the replacement is durable without a checkpoint.
+    out.deletes[request->table] = table->rows();
+    out.inserts[request->table] = request->replacement->rows();
+    return out;
+  }
   ColumnIndexMap layout;
   for (int i = 0; i < table->num_columns(); ++i) {
     layout[table->columns()[static_cast<size_t>(i)]] = i;
@@ -2144,7 +2100,7 @@ Result<Delta> QueryService::MaterializeMutation(const Mutation& mutation,
   std::vector<Row> inserted;
   for (const Row& row : table->rows()) {
     bool match = true;
-    for (const Predicate& p : mutation.where) {
+    for (const Predicate& p : request->where) {
       if (!EvalScalarPredicate(p, row, layout)) {
         match = false;
         break;
@@ -2152,9 +2108,9 @@ Result<Delta> QueryService::MaterializeMutation(const Mutation& mutation,
     }
     if (!match) continue;
     deleted.push_back(row);
-    if (mutation.kind == Mutation::Kind::kUpdate) {
+    if (request->kind == Kind::kUpdate) {
       Row updated = row;
-      for (const Assignment& a : mutation.sets) {
+      for (const Assignment& a : request->sets) {
         auto it = layout.find(a.column);
         if (it == layout.end()) {
           return Status::Internal("unbound UPDATE target column '" + a.column +
@@ -2168,65 +2124,119 @@ Result<Delta> QueryService::MaterializeMutation(const Mutation& mutation,
       inserted.push_back(std::move(updated));
     }
   }
-  if (matched != nullptr) *matched = deleted.size();
   if (!deleted.empty()) {
-    if (mutation.kind == Mutation::Kind::kUpdate) {
-      out.inserts[mutation.table] = std::move(inserted);
+    if (request->kind == Kind::kUpdate) {
+      out.inserts[request->table] = std::move(inserted);
     }
-    out.deletes[mutation.table] = std::move(deleted);
+    out.deletes[request->table] = std::move(deleted);
   }
   return out;
 }
 
-Result<QueryService::WriteApplied> QueryService::ApplyWriteDelta(
-    const Delta& delta, QueryStats* stats) {
-  return ApplyWrite(delta, nullptr, stats);
+Status QueryService::BufferWrite(Delta delta) {
+  std::lock_guard<std::mutex> lock(write_batch_mutex_);
+  auto it = write_batches_.find(std::this_thread::get_id());
+  if (it == write_batches_.end()) {
+    return Status::InvalidArgument(
+        "no open write batch on this thread (BEGIN WRITE first)");
+  }
+  auto append = [](std::map<std::string, std::vector<Row>>& from,
+                   std::map<std::string, std::vector<Row>>* into) {
+    for (auto& [name, rows] : from) {
+      std::vector<Row>& buffered = (*into)[name];
+      for (Row& row : rows) buffered.push_back(std::move(row));
+    }
+  };
+  append(delta.inserts, &it->second.inserts);
+  append(delta.deletes, &it->second.deletes);
+  return Status::OK();
+}
+
+Result<std::vector<QueryService::DependentView>>
+QueryService::DependentViewsOf(const std::vector<std::string>& tables) const {
+  std::vector<DependentView> dependents;
+  for (const std::string& view : views_->ViewNames()) {
+    // Only stored (materialized) views need write-path maintenance; virtual
+    // views are recomputed on every read anyway.
+    if (!db_.Has(view)) continue;
+    std::vector<std::string> closure;
+    CollectDependencies({view}, *views_, &closure);
+    bool touched = std::any_of(
+        tables.begin(), tables.end(), [&](const std::string& t) {
+          return std::find(closure.begin(), closure.end(), t) != closure.end();
+        });
+    if (touched) dependents.push_back({view, std::move(closure)});
+  }
+  return UpstreamFirst(std::move(dependents));
+}
+
+Result<std::vector<QueryService::DependentView>> QueryService::UpstreamFirst(
+    std::vector<DependentView> views) {
+  // Each pass places, in order, every view whose closure names no view
+  // still waiting. The registry rejects cyclic definitions, so every pass
+  // places at least one.
+  std::vector<DependentView> ordered;
+  while (!views.empty()) {
+    const size_t waiting = views.size();
+    for (auto it = views.begin(); it != views.end();) {
+      bool blocked = std::any_of(
+          it->closure.begin(), it->closure.end(), [&](const std::string& n) {
+            return n != it->name &&
+                   std::any_of(views.begin(), views.end(),
+                               [&](const DependentView& v) {
+                                 return v.name == n;
+                               });
+          });
+      if (blocked) {
+        ++it;
+        continue;
+      }
+      ordered.push_back(std::move(*it));
+      it = views.erase(it);
+    }
+    if (views.size() == waiting) {
+      return Status::Internal("cyclic materialized-view dependencies");
+    }
+  }
+  return ordered;
+}
+
+Result<size_t> QueryService::RecomputeViewInto(const std::string& name,
+                                               Database* db) {
+  AQV_FAILPOINT("service.refresh");
+  AQV_ASSIGN_OR_RETURN(const ViewDef* def, views_->Get(name));
+  Evaluator fresh(db, views_.get(), eval_options_);
+  AQV_ASSIGN_OR_RETURN(Table contents, fresh.Execute(def->query));
+  size_t rows = contents.num_rows();
+  db->Put(name, std::move(contents));
+  return rows;
 }
 
 Result<QueryService::WriteApplied> QueryService::ApplyWrite(
-    const Delta& delta, const Mutation* mutation, QueryStats* stats) {
+    WriteRequest request, QueryStats* stats) {
+  using Kind = WriteRequest::Kind;
+  const bool load = request.kind == Kind::kLoad;
+  // The base tables written: a COMMIT's are every table its batch names.
+  std::vector<std::string> written{request.table};
+  if (request.kind == Kind::kCommit) {
+    std::set<std::string> names;
+    for (const auto& [name, rows] : request.delta.inserts) names.insert(name);
+    for (const auto& [name, rows] : request.delta.deletes) names.insert(name);
+    written.assign(names.begin(), names.end());
+  }
   WriteApplied applied;
-  if (mutation == nullptr && delta.empty()) return applied;
+  applied.tables = written.size();
+  if (written.empty()) return applied;  // an empty batch changes nothing
   TraceSpan span("write_apply");
   // Backpressure gate BEFORE any latch: a writer stalled here holds
   // nothing, so the auto-checkpointer's exclusive ddl acquisition (which
   // shrinks the WAL and releases the stall) can always proceed.
   AQV_RETURN_NOT_OK(WaitOutBackpressure());
   LatchManager::Guard guard = latches_.StatementShared();
-
-  // Validate targets and collect the written table names. The error verb
-  // matches the side of the delta that hit the view: "cannot INSERT into
-  // view" on the delete side would point the user at the wrong statement.
-  std::vector<std::string> written;
-  auto add_target = [&](const std::string& name, const char* verb) -> Status {
-    if (views_->Has(name)) {
-      return Status::InvalidArgument(std::string("cannot ") + verb +
-                                     " view '" + name +
-                                     "'; write its base tables");
-    }
-    if (!db_.Has(name)) {
-      return Status::NotFound("table '" + name + "' not in database");
-    }
-    if (std::find(written.begin(), written.end(), name) == written.end()) {
-      written.push_back(name);
-    }
-    return Status::OK();
-  };
-  for (const auto& [name, rows] : delta.inserts) {
-    AQV_RETURN_NOT_OK(add_target(name, "INSERT into"));
-  }
-  for (const auto& [name, rows] : delta.deletes) {
-    AQV_RETURN_NOT_OK(add_target(name, "DELETE from"));
-  }
-  if (mutation != nullptr) {
-    AQV_RETURN_NOT_OK(add_target(
-        mutation->table,
-        mutation->kind == Mutation::Kind::kUpdate ? "UPDATE" : "DELETE from"));
-  }
-  applied.tables = written.size();
   // Writing into a quarantined table would mingle new rows with salvaged
   // (possibly empty) contents; refuse until a LOAD replaces it wholesale.
-  AQV_RETURN_NOT_OK(CheckTableQuarantine(written));
+  // LOAD is that repair, so its own target is exempt.
+  if (!load) AQV_RETURN_NOT_OK(CheckTableQuarantine(written));
 
   AQV_ASSIGN_OR_RETURN(std::vector<DependentView> dependents,
                        DependentViewsOf(written));
@@ -2249,52 +2259,45 @@ Result<QueryService::WriteApplied> QueryService::ApplyWrite(
     span.AddAttr("dependents", static_cast<uint64_t>(dependents.size()));
   }
 
-  // Materialize a DML mutation now, under the acquired write latches: the
-  // WHERE predicate runs against the exact table version the delta will be
-  // applied to, so the matched multiset cannot race a concurrent writer.
-  Delta mutated;
-  if (mutation != nullptr) {
-    size_t matched = 0;
-    AQV_ASSIGN_OR_RETURN(mutated,
-                         MaterializeMutation(*mutation, db_, &matched));
-  }
-  const Delta& effective = mutation != nullptr ? mutated : delta;
-  for (const auto& [name, rows] : effective.inserts) {
-    applied.rows_inserted += rows.size();
-  }
-  for (const auto& [name, rows] : effective.deletes) {
-    applied.rows_deleted += rows.size();
-  }
-  applied.rows = applied.rows_inserted + applied.rows_deleted;
+  // Materialize now, under the acquired write latches: a DELETE/UPDATE
+  // predicate runs against the exact table version the delta will be
+  // applied to, so the matched multiset cannot race a concurrent writer,
+  // and a LOAD deletes exactly the rows it replaces.
+  AQV_ASSIGN_OR_RETURN(Delta delta, MaterializeWrite(&request, db_));
+  applied.rows_inserted = CountRows(delta.inserts);
+  applied.rows_deleted = CountRows(delta.deletes);
 
   // A delete the base (plus this batch's inserts) cannot cover is rejected
-  // before anything is staged, logged or published.
-  AQV_RETURN_NOT_OK(ValidateDeleteContainment(effective, db_));
+  // before anything is staged, logged or published. A LOAD's deletes are
+  // the current rows by construction.
+  if (!load) AQV_RETURN_NOT_OK(ValidateDeleteContainment(delta, db_));
   // Oversized rows are refused HERE, when they arrive, not deferred to the
-  // next CHECKPOINT: rows above the overflow-chain cap can never be made
-  // durable, so accepting them would poison the checkpoint later. Checked
-  // on the effective delta so UPDATE-transformed rows are covered too.
+  // next CHECKPOINT. Checked on the materialized delta so UPDATE-transformed
+  // rows are covered too.
   if (storage_ != nullptr) {
-    for (const auto& [name, rows] : effective.inserts) {
-      for (const Row& row : rows) {
-        AQV_RETURN_NOT_OK(StorageEngine::CheckRowSize(row));
-      }
+    for (const auto& [name, rows] : delta.inserts) {
+      AQV_RETURN_NOT_OK(CheckRowSizes(rows));
     }
   }
-  // A mutation that matched nothing changes nothing: skip the COW copy, the
-  // maintenance sweep, the WAL record and the epoch bump entirely.
-  if (effective.empty()) return applied;
+  // A predicate that matched nothing changes nothing: skip the COW copy,
+  // the maintenance sweep, the WAL record and the epoch bump entirely.
+  if (delta.empty()) return applied;
 
   // One COW copy per written table, however many rows the batch carries; a
   // fault injected here must leave the published state untouched.
   AQV_FAILPOINT("table.cow_copy");
   Database staging = db_.Snapshot();
-  AQV_RETURN_NOT_OK(ApplyDeltaToBase(effective, &staging));
+  if (load) {
+    staging.Put(request.table, *std::move(request.replacement));
+  } else {
+    AQV_RETURN_NOT_OK(ApplyDeltaToBase(delta, &staging));
+  }
 
   // Bring every dependent view up to date in the staging state: fold the
   // delta in where the maintainer supports the view's shape, recompute from
   // the staged bases otherwise. db_ still holds the pre-delta state the
-  // maintainer differences against.
+  // maintainer differences against. A LOAD replaces its table wholesale,
+  // so its dependents are recomputed, never folded.
   Clock::time_point maintain_start = Clock::now();
   std::vector<std::string> recomputed;
   for (const DependentView& d : dependents) {
@@ -2303,19 +2306,15 @@ Result<QueryService::WriteApplied> QueryService::ApplyWrite(
     // The delta names base tables only, so the maintainer's telescoped
     // differencing sees no change for a view reading another view — those
     // must be recomputed, not silently no-opped.
-    bool base_only = true;
-    for (const TableRef& ref : def->query.from) {
-      if (views_->Has(ref.table)) {
-        base_only = false;
-        break;
-      }
-    }
-    if (base_only) {
+    bool base_only = std::none_of(
+        def->query.from.begin(), def->query.from.end(),
+        [&](const TableRef& ref) { return views_->Has(ref.table); });
+    if (!load && base_only) {
       Result<IncrementalMaintainer> maintainer =
           IncrementalMaintainer::Create(*def, eval_options_);
       if (maintainer.ok()) {
         AQV_ASSIGN_OR_RETURN(const Table* current, db_.Get(d.name));
-        Result<Table> fresh = maintainer->ApplyToCopy(effective, db_, *current);
+        Result<Table> fresh = maintainer->ApplyToCopy(delta, db_, *current);
         if (fresh.ok()) {
           staging.Put(d.name, *std::move(fresh));
           maintained = true;
@@ -2329,7 +2328,7 @@ Result<QueryService::WriteApplied> QueryService::ApplyWrite(
     if (maintained) {
       ++applied.views_maintained;
     } else {
-      AQV_RETURN_NOT_OK(RecomputeViewInto(d.name, &staging));
+      AQV_RETURN_NOT_OK(RecomputeViewInto(d.name, &staging).status());
       ++applied.views_recomputed;
       recomputed.push_back(d.name);
     }
@@ -2347,7 +2346,7 @@ Result<QueryService::WriteApplied> QueryService::ApplyWrite(
   // the ack), recovery replays it atomically; the client simply never
   // learned its fate, which is the usual commit-ack contract.
   if (storage_ != nullptr) {
-    AQV_RETURN_NOT_OK(storage_->LogCommit(effective, stats));
+    AQV_RETURN_NOT_OK(storage_->LogCommit(delta, stats));
   }
 
   // Publish base tables and views as ONE version swap at a single epoch:
@@ -2365,6 +2364,9 @@ Result<QueryService::WriteApplied> QueryService::ApplyWrite(
   rows_deleted_.Increment(applied.rows_deleted);
   views_maintained_.Increment(applied.views_maintained);
   views_recomputed_.Increment(applied.views_recomputed);
+  // A full replacement is the quarantine repair path: the table's contents
+  // no longer owe anything to the corrupt durable state.
+  if (load) applied.repaired = ClearTableQuarantine(request.table);
   return applied;
 }
 
@@ -2511,21 +2513,8 @@ bool QueryService::ClearTableQuarantine(const std::string& name) {
   // Dependent views re-enter service once no quarantined base table remains
   // in their closure — the LOAD that lifted `name` just recomputed them.
   for (auto it = table_quarantine_.begin(); it != table_quarantine_.end();) {
-    if (!views_->Has(it->first)) {
-      ++it;
-      continue;
-    }
-    std::vector<std::string> closure;
-    CollectDependencies({it->first}, *views_, &closure);
-    bool dirty = false;
-    for (const std::string& n : closure) {
-      if (n == it->first || views_->Has(n)) continue;
-      if (table_quarantine_.count(n) > 0) {
-        dirty = true;
-        break;
-      }
-    }
-    if (dirty) {
+    if (!views_->Has(it->first) ||
+        !QuarantinedBaseOf(it->first, *views_, table_quarantine_).empty()) {
       ++it;
     } else {
       if (storage_ != nullptr) storage_->ClearQuarantinedTable(it->first);
@@ -2542,22 +2531,6 @@ QueryService::QuarantinedTables() const {
       table_quarantine_.begin(), table_quarantine_.end());
 }
 
-Result<size_t> QueryService::RefreshLatched(const std::string& name) {
-  AQV_FAILPOINT("service.refresh");
-  if (!views_->Has(name)) {
-    return Status::NotFound("no view named '" + name + "'");
-  }
-  AQV_ASSIGN_OR_RETURN(const ViewDef* def, views_->Get(name));
-  Evaluator fresh(&db_, views_.get(), eval_options_);
-  AQV_ASSIGN_OR_RETURN(Table contents, fresh.Execute(def->query));
-  size_t rows = contents.num_rows();
-  db_.Put(name, std::move(contents));
-  // A freshly materialized view gets a clean slate: REFRESH is the
-  // operator's way out of quarantine.
-  ClearViewFailures(name);
-  return rows;
-}
-
 Result<StatementResult> QueryService::HandleRefresh(const std::string& name) {
   LatchManager::Guard guard = latches_.StatementShared();
   if (!views_->Has(name)) {
@@ -2570,149 +2543,13 @@ Result<StatementResult> QueryService::HandleRefresh(const std::string& name) {
   CollectDependencies({name}, *views_, &reads);
   AQV_RETURN_NOT_OK(CheckTableQuarantine(reads));
   latches_.AcquireWrite(&guard, {name}, reads);
-  AQV_ASSIGN_OR_RETURN(size_t rows, RefreshLatched(name));
+  AQV_ASSIGN_OR_RETURN(size_t rows, RecomputeViewInto(name, &db_));
+  // A freshly materialized view gets a clean slate: REFRESH is the
+  // operator's way out of quarantine.
+  ClearViewFailures(name);
   StatementResult out;
   out.message =
       "view " + name + " materialized: " + std::to_string(rows) + " rows\n";
-  return out;
-}
-
-Result<StatementResult> QueryService::HandleLoad(const std::string& stmt) {
-  // LOAD <table> FROM '<path>'
-  AQV_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(stmt));
-  if (tokens.size() != 5 || tokens[1].kind != TokenKind::kIdentifier ||
-      !tokens[2].IsKeyword("FROM") || tokens[3].kind != TokenKind::kString) {
-    return Status::InvalidArgument("usage: LOAD R FROM 'file.csv'");
-  }
-  std::string name = tokens[1].text;
-  // A LOAD over a view name would otherwise fall through to the new-table
-  // DDL path (views live in the registry, not the catalog) and shadow the
-  // view; refuse with the verb that matches the statement.
-  {
-    LatchManager::Guard guard = latches_.StatementShared();
-    if (views_->Has(name)) {
-      return Status::InvalidArgument("cannot LOAD into view '" + name +
-                                     "'; write its base tables");
-    }
-  }
-  AQV_ASSIGN_OR_RETURN(Table loaded, ReadCsvFile(tokens[3].text));
-  size_t loaded_rows = loaded.num_rows();
-  // Row-size gate at arrival time (durable services only): a row beyond the
-  // overflow-chain cap could never be checkpointed or replayed, so the LOAD
-  // is refused before anything is published.
-  if (storage_attached()) {
-    for (const Row& row : loaded.rows()) {
-      AQV_RETURN_NOT_OK(StorageEngine::CheckRowSize(row));
-    }
-  }
-  StatementResult out;
-  // Replacing a table wholesale invalidates every dependent materialized
-  // view with no delta to fold, so all of them are recomputed and published
-  // with the new contents at one epoch (same freshness contract as INSERT).
-  auto replace_with_dependents = [&](LatchManager::Guard* guard,
-                                     bool latched) -> Status {
-    AQV_ASSIGN_OR_RETURN(std::vector<DependentView> dependents,
-                         DependentViewsOf({name}));
-    if (latched) {
-      std::vector<std::string> lwrites{name};
-      std::vector<std::string> lreads;
-      for (const DependentView& d : dependents) {
-        lwrites.push_back(d.name);
-        lreads.insert(lreads.end(), d.closure.begin(), d.closure.end());
-      }
-      latches_.AcquireWrite(guard, lwrites, lreads);
-    }
-    // WAL-log the replacement as delete-all + insert-all: replay applies
-    // the inserts then removes one occurrence per old row, landing exactly
-    // on the loaded contents. This keeps LOAD-over-existing-table durable
-    // without a checkpoint (which would need full quiescence, and this
-    // path holds only the table's own stripes).
-    Delta replacement;
-    if (storage_ != nullptr) {
-      AQV_ASSIGN_OR_RETURN(const Table* current, db_.Get(name));
-      replacement.deletes[name] = current->rows();
-      replacement.inserts[name] = loaded.rows();
-    }
-    Database staging = db_.Snapshot();
-    staging.Put(name, std::move(loaded));
-    for (const DependentView& d : dependents) {
-      AQV_RETURN_NOT_OK(RecomputeViewInto(d.name, &staging));
-    }
-    if (storage_ != nullptr) {
-      AQV_RETURN_NOT_OK(storage_->LogCommit(replacement));
-    }
-    std::vector<std::pair<std::string, TablePtr>> publish;
-    publish.emplace_back(name, staging.GetShared(name));
-    for (const DependentView& d : dependents) {
-      publish.emplace_back(d.name, staging.GetShared(d.name));
-    }
-    db_.PutAll(std::move(publish));
-    for (const DependentView& d : dependents) ClearViewFailures(d.name);
-    views_recomputed_.Increment(dependents.size());
-    return Status::OK();
-  };
-  bool repaired = false;
-  {
-    // Fast path: the table exists, so this is a row write, not DDL.
-    LatchManager::Guard guard = latches_.StatementShared();
-    if (catalog_->HasTable(name)) {
-      AQV_ASSIGN_OR_RETURN(const TableDef* def, catalog_->GetTable(name));
-      if (def->num_columns() != loaded.num_columns()) {
-        return Status::InvalidArgument("CSV arity does not match table '" +
-                                       name + "'");
-      }
-      AQV_RETURN_NOT_OK(replace_with_dependents(&guard, /*latched=*/true));
-      // A full replacement is the quarantine repair path: the table's
-      // contents no longer owe anything to the corrupt durable state.
-      repaired = ClearTableQuarantine(name);
-      out.message = std::to_string(loaded_rows) + " row(s) loaded into " +
-                    name + "\n";
-      if (!repaired) return out;
-    }
-  }
-  if (repaired) {
-    // The WAL-logged replacement alone would not survive a restart: the
-    // corrupt checkpoint pages are still on disk, so recovery would
-    // re-derive the quarantine from them and discard the repair delta as
-    // suspect. A checkpoint rewrites the damaged pages from the repaired
-    // live contents and persists the cleared quarantine map. Quiesce first
-    // — the repair above held only the table's own stripes.
-    LatchManager::Guard ddl = latches_.Ddl();
-    AQV_RETURN_NOT_OK(CheckpointIfDurable());
-    out.message +=
-        "quarantine repaired; checkpoint rewrote the damaged pages\n";
-    return out;
-  }
-  // The table is new: schema change. Re-check under the ddl latch — another
-  // thread may have created it between the two acquisitions.
-  LatchManager::Guard guard = latches_.Ddl();
-  if (!catalog_->HasTable(name)) {
-    auto catalog = std::make_shared<Catalog>(*catalog_);
-    AQV_RETURN_NOT_OK(catalog->AddTable(TableDef(name, loaded.columns())));
-    catalog_ = std::move(catalog);
-    out.message = "table " + name + " created from the CSV header\n";
-    out.message += std::to_string(loaded_rows) + " row(s) loaded into " +
-                   name + "\n";
-    db_.Put(name, std::move(loaded));
-    // New table + its contents: DDL, so durability comes from a checkpoint.
-    AQV_RETURN_NOT_OK(CheckpointIfDurable());
-    return out;
-  }
-  AQV_ASSIGN_OR_RETURN(const TableDef* def, catalog_->GetTable(name));
-  if (def->num_columns() != loaded.num_columns()) {
-    return Status::InvalidArgument("CSV arity does not match table '" + name +
-                                   "'");
-  }
-  // Ddl() is totally exclusive; no stripes needed.
-  AQV_RETURN_NOT_OK(replace_with_dependents(&guard, /*latched=*/false));
-  out.message += std::to_string(loaded_rows) + " row(s) loaded into " + name +
-                 "\n";
-  if (ClearTableQuarantine(name)) {
-    // Already fully quiesced under Ddl(): persist the repair directly.
-    AQV_RETURN_NOT_OK(CheckpointIfDurable());
-    out.message +=
-        "quarantine repaired; checkpoint rewrote the damaged pages\n";
-  }
   return out;
 }
 

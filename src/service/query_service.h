@@ -35,8 +35,6 @@ namespace aqv {
 struct ServiceOptions {
   /// Maximum number of cached plans; 0 disables caching outright.
   size_t plan_cache_capacity = 256;
-  /// Master switch for the rewrite-plan cache (the bench sweeps this).
-  bool enable_plan_cache = true;
   /// Number of per-table writer latch stripes. 1 serializes every writer on
   /// one latch (the bench's baseline); more stripes let writes to disjoint
   /// tables proceed in parallel. Reads take no stripes.
@@ -198,8 +196,8 @@ struct ServiceStats {
   uint64_t snapshot_reads = 0;     // SELECTs served from an explicit pin
   uint64_t admission_rejects = 0;  // statements rejected SERVER_BUSY
   uint64_t degraded_fallbacks = 0; // retries on the unrewritten plan
-  uint64_t rows_inserted = 0;      // rows applied by INSERT/UPDATE/COMMIT
-  uint64_t rows_deleted = 0;       // rows removed by DELETE/UPDATE/COMMIT
+  uint64_t rows_inserted = 0;  // INSERT/UPDATE/COMMIT rows + LOAD's new rows
+  uint64_t rows_deleted = 0;   // DELETE/UPDATE/COMMIT rows + LOAD's old rows
   uint64_t views_maintained = 0;   // write-path incremental maintenances
   uint64_t views_recomputed = 0;   // write-path full recomputes (fallback)
   /// Per-table MVCC accounting at snapshot time: live versions, bytes pinned
@@ -294,9 +292,10 @@ struct SlowQueryRecord {
 ///     and the table-version vector; the read then parses, plans and
 ///     executes latch-free. A live SELECT is a snapshot read at the head
 ///     epoch; inside BEGIN SNAPSHOT it reads the thread's pin.
-///   - Writers take the ddl latch shared plus the latch stripes of what
-///     they write (exclusive) and what a recompute reads (shared), in
-///     ascending stripe order, and publish with one Database::PutAll. DDL
+///   - Every row write binds against a pin, then runs ApplyWrite, which
+///     takes the ddl latch shared plus the latch stripes of what it writes
+///     (exclusive) and what a recompute reads (shared), in ascending stripe
+///     order, and publishes with one Database::PutAll. DDL
 ///     takes the ddl latch exclusive and replaces the catalog or registry
 ///     copy-on-write. Reads take no stripes, so they never wait for writers.
 ///   - Plan-cache coherence comes from versions, not hooks: an entry records
@@ -321,13 +320,14 @@ class QueryService {
   /// epoch until COMMIT releases it. Writes and DDL are rejected on a
   /// thread with an open snapshot.
   ///
-  /// BEGIN WRITE opens a per-thread write batch: subsequent INSERTs buffer
-  /// rows instead of applying them, COMMIT applies the whole batch through
-  /// the transactional write path (one COW copy per table, dependent views
+  /// BEGIN WRITE opens a per-thread write batch: subsequent INSERT, DELETE
+  /// and UPDATE statements are checked against committed state and buffer
+  /// their rows instead of applying them, COMMIT applies the whole batch
+  /// through the one write path (one COW copy per table, dependent views
   /// maintained, everything published at one epoch), and ROLLBACK discards
-  /// it. Only INSERT (and SELECT, which reads committed state) may run
-  /// inside a batch; a failed COMMIT discards the batch with nothing
-  /// published.
+  /// it. Only those statements (and SELECT, which reads committed state)
+  /// may run inside a batch; a failed COMMIT discards the batch with
+  /// nothing published.
   Result<StatementResult> Execute(const std::string& statement);
 
   /// Typed convenience wrapper: Execute on a SELECT, returning the rows.
@@ -416,19 +416,51 @@ class QueryService {
   Result<StatementResult> HandleListTables();
   Result<StatementResult> HandleListViews();
 
-  // Row-write statements: ddl shared + written stripes (and those of every
-  // dependent materialized view) exclusive.
-  Result<StatementResult> HandleInsert(const std::string& stmt);
-  /// DELETE FROM t [WHERE ...]: the predicate is evaluated against the
-  /// current epoch *inside* the write latches (so the matched multiset is
-  /// exactly what the delta removes), then the delete delta rides the same
-  /// transactional path as INSERT. Inside BEGIN WRITE the rows matching the
-  /// committed state are buffered into the batch instead.
-  Result<StatementResult> HandleDelete(const std::string& stmt);
-  /// UPDATE t SET col = expr, ... [WHERE ...]: materialized as a
-  /// delete+insert delta (old rows out, transformed rows in), published at
-  /// one epoch like every other write.
-  Result<StatementResult> HandleUpdate(const std::string& stmt);
+  /// One row-changing statement as the write path receives it. INSERT
+  /// rows and a committed BEGIN WRITE batch arrive as `delta`; a DELETE or
+  /// UPDATE arrives as its predicate, materialized against the table version
+  /// it applies to; a LOAD into an existing table arrives as the table's
+  /// new contents and becomes delete-all-old-rows plus insert-all-new-rows.
+  struct WriteRequest {
+    enum class Kind { kInsert, kDelete, kUpdate, kLoad, kCommit };
+    Kind kind = Kind::kInsert;
+    std::string table;             // the target (every kind but kCommit)
+    Delta delta;                   // kInsert / kCommit
+    std::vector<Predicate> where;  // kDelete / kUpdate; empty = all rows
+    std::vector<Assignment> sets;  // kUpdate
+    std::optional<Table> replacement;  // kLoad
+  };
+
+  /// The one statement shell of every row-changing statement: INSERT,
+  /// DELETE, UPDATE, LOAD and the COMMIT of a BEGIN WRITE batch. It binds
+  /// the statement against a pin (BindWrite), then either buffers the
+  /// request's delta, materialized against that pin, into the thread's open
+  /// batch, or runs it through ApplyWrite; phase accounting, the slow-log
+  /// record and the ack happen here once. A LOAD whose table does not
+  /// exist yet is DDL instead: it creates the table under the exclusive
+  /// ddl latch.
+  Result<StatementResult> HandleWrite(const std::string& stmt,
+                                      const std::string& upper);
+
+  /// Parses `stmt` into a WriteRequest and checks it against `state`: a
+  /// target that is a view is refused with the statement's verb, a missing
+  /// table with kNotFound (except LOAD, which then creates it), and incoming
+  /// rows of the wrong arity with kInvalidArgument. COMMIT takes the thread's
+  /// batch, whose statements were checked as they were buffered.
+  Result<WriteRequest> BindWrite(const std::string& stmt,
+                                 const std::string& upper,
+                                 const ServiceSnapshot& state);
+
+  /// The delta `request` makes against `db`: the rows it carries, the rows
+  /// its predicate matches (plus their updated images), or every old row
+  /// replaced by every loaded one. Moves the rows out of `request->delta`.
+  Result<Delta> MaterializeWrite(WriteRequest* request,
+                                 const Database& db) const;
+
+  /// Appends `delta` to the calling thread's open BEGIN WRITE batch; the
+  /// only code that grows a batch.
+  Status BufferWrite(Delta delta);
+
   Result<StatementResult> HandleRefresh(const std::string& name);
 
   /// CHECKPOINT: flushes a full shadow-paged checkpoint and truncates the
@@ -488,62 +520,32 @@ class QueryService {
   /// The plan cache as storage images (LRU first; see PlanCache::Snapshot).
   std::vector<PlanImage> CollectPlanImages() const;
 
-  /// What one ApplyWriteDelta call changed, for acks and metrics. Inserted
-  /// and deleted rows are counted separately (an UPDATE of n rows is n
-  /// deletes plus n inserts); `rows` keeps the combined total for callers
-  /// that only want magnitude.
+  /// What one ApplyWrite call changed, for acks and metrics. Inserted and
+  /// deleted rows are counted separately (an UPDATE of n rows is n deletes
+  /// plus n inserts).
   struct WriteApplied {
-    size_t rows = 0;              // rows_inserted + rows_deleted
     size_t rows_inserted = 0;     // rows added across all tables
     size_t rows_deleted = 0;      // rows removed across all tables
     size_t tables = 0;            // base tables written
     size_t views_maintained = 0;  // dependents folded incrementally
-    size_t views_recomputed = 0;  // dependents fully recomputed (fallback)
+    size_t views_recomputed = 0;  // dependents fully recomputed
+    bool repaired = false;        // a LOAD lifted its table's quarantine
   };
 
-  /// A DML mutation whose delta must be materialized *inside* the write
-  /// latches: the WHERE predicate is evaluated against the then-current
-  /// table version, so the matched multiset cannot race a concurrent write.
-  struct Mutation {
-    enum class Kind { kDelete, kUpdate };
-    Kind kind = Kind::kDelete;
-    std::string table;
-    std::vector<Predicate> where;    // empty = all rows
-    std::vector<Assignment> sets;    // kUpdate only
-  };
-
-  /// The transactional write path shared by single-statement INSERT and
-  /// BEGIN WRITE..COMMIT: validates the delta, grows the latch footprint to
-  /// every dependent materialized view, copies each written base table once
-  /// (however many rows the delta carries), brings every dependent view
-  /// up to date — incrementally via IncrementalMaintainer where the view
-  /// shape allows, by full recompute otherwise — and publishes base tables
-  /// plus views as ONE COW version swap at a single epoch (Database::PutAll),
-  /// so snapshot readers never observe a table/view mismatch. Any failure
-  /// before the swap leaves the published state untouched.
-  Result<WriteApplied> ApplyWriteDelta(const Delta& delta,
-                                       QueryStats* stats = nullptr);
-
-  /// ApplyWriteDelta's general form: when `mutation` is non-null, its WHERE
-  /// is evaluated under the acquired write latches to materialize the
-  /// delete (+ insert, for UPDATE) delta, which then flows through the same
-  /// validate/maintain/log/publish sequence as `delta`. Exactly one of
-  /// `delta`-with-rows or `mutation` is the payload.
-  Result<WriteApplied> ApplyWrite(const Delta& delta, const Mutation* mutation,
-                                  QueryStats* stats);
-
-  /// Evaluates `mutation` against the table version in `db` (no latches
-  /// taken — the caller either holds them or reads committed state for
-  /// batch buffering). Returns the delete/insert delta plus the matched-row
-  /// count via `matched`.
-  Result<Delta> MaterializeMutation(const Mutation& mutation,
-                                    const Database& db, size_t* matched) const;
-
-  /// Post-parse tail shared by HandleDelete/HandleUpdate: either buffers
-  /// the mutation's delta into the thread's open BEGIN WRITE batch
-  /// (evaluated against committed state, like SELECT inside a batch) or
-  /// runs it through ApplyWrite, with phase accounting into `qs`.
-  Result<StatementResult> ExecuteMutation(Mutation mutation, QueryStats* qs);
+  /// The only code that runs the write sequence: the backpressure gate
+  /// (before any latch), the latch footprint (ddl shared; written tables
+  /// and every dependent materialized view exclusive, the dependents'
+  /// closures shared), the request materialized under those latches,
+  /// delete-containment and row-size checks, one COW copy per written
+  /// table, every dependent view brought up to date upstream-first —
+  /// folded by IncrementalMaintainer where its shape allows, recomputed
+  /// otherwise — the WAL record, and base tables plus views published as
+  /// ONE version swap at a single epoch (Database::PutAll), so snapshot
+  /// readers never see a table/view mismatch. Any failure before the swap
+  /// leaves the published state untouched. A LOAD recomputes its
+  /// dependents instead of folding, and is accepted on a quarantined table:
+  /// it replaces the salvaged contents wholesale and lifts the quarantine.
+  Result<WriteApplied> ApplyWrite(WriteRequest request, QueryStats* stats);
 
   /// A materialized view whose stored contents must follow writes to any
   /// table in `closure`.
@@ -553,24 +555,34 @@ class QueryService {
   };
 
   /// Materialized (stored) views whose definition closure touches any of
-  /// `tables`, ordered upstream-first so views defined over other dependent
-  /// views refresh after their inputs. Caller holds the ddl latch.
+  /// `tables`, ordered upstream-first. Caller holds the ddl latch.
   Result<std::vector<DependentView>> DependentViewsOf(
       const std::vector<std::string>& tables) const;
 
-  /// Recomputes `name`'s definition against `staging` (which holds the
-  /// post-write base tables and any already-refreshed upstream views) and
-  /// stores the result there. Caller holds latches covering the recompute.
-  Status RecomputeViewInto(const std::string& name, Database* staging);
-  // Schema-change statements: ddl exclusive (LOAD only when the table is new).
+  /// `views` reordered upstream-first: a view whose closure names another
+  /// entry comes after it, so it recomputes from refreshed inputs.
+  static Result<std::vector<DependentView>> UpstreamFirst(
+      std::vector<DependentView> views);
+
+  /// The one view-recompute primitive (write path, REFRESH, CREATE
+  /// MATERIALIZED VIEW, recovery): evaluates `name`'s definition against
+  /// `db` — a write's staging state holding the post-write base tables and
+  /// any already-refreshed upstream views, or db_ itself — and stores the
+  /// result there. Returns its row count. Caller holds latches covering
+  /// the recompute.
+  Result<size_t> RecomputeViewInto(const std::string& name, Database* db);
+
+  // Schema-change statements: ddl exclusive (LOAD only when the table is
+  // new; see HandleWrite).
   Result<StatementResult> HandleCreateTable(const std::string& stmt);
   Result<StatementResult> HandleCreateView(const std::string& stmt,
                                            bool materialized);
-  Result<StatementResult> HandleLoad(const std::string& stmt);
 
   // Snapshot / write-batch statement dialect (per calling thread).
   Result<StatementResult> HandleBeginSnapshot();
   Result<StatementResult> HandleBeginWrite();
+  /// COMMIT of a BEGIN SNAPSHOT: releases the pin (a batch's COMMIT is a
+  /// write; see HandleWrite).
   Result<StatementResult> HandleCommit();
   Result<StatementResult> HandleRollback();
   /// The snapshot pinned by BEGIN SNAPSHOT on the calling thread, or null.
@@ -629,10 +641,6 @@ class QueryService {
   /// or the statement was fast enough).
   void MaybeRecordSlowStatement(const std::string& stmt, const QueryStats& qs);
 
-  /// Recomputes the named view's contents into db_. Caller holds latches
-  /// covering the view (exclusive) and its dependencies (at least shared).
-  Result<size_t> RefreshLatched(const std::string& name);
-
   ServiceOptions options_;
   /// Evaluator options derived from options_ (the engine setting).
   EvalOptions eval_options_;
@@ -674,8 +682,8 @@ class QueryService {
   std::condition_variable admission_cv_;
   size_t inflight_statements_ = 0;
 
-  /// BEGIN WRITE bookkeeping: per-thread buffered deltas, applied atomically
-  /// by COMMIT and discarded by ROLLBACK. Mutually exclusive with an open
+  /// BEGIN WRITE bookkeeping: per-thread buffered deltas (grown only by
+  /// BufferWrite), applied atomically by COMMIT and discarded by ROLLBACK. Mutually exclusive with an open
   /// snapshot on the same thread.
   mutable std::mutex write_batch_mutex_;
   std::unordered_map<std::thread::id, Delta> write_batches_;

@@ -20,12 +20,14 @@
 // with AQV_TEST_SEED=<n>) plus the exact SQL of the query and view.
 
 #include <algorithm>
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "base/failpoint.h"
+#include "exec/csv.h"
 #include "exec/evaluator.h"
 #include "exec/explain_plan.h"
 #include "ir/printer.h"
@@ -156,7 +158,7 @@ TEST_P(DifferentialTest, CachedPlanMatchesFreshOptimize) {
     QueryService cached_service;
     ASSERT_OK(cached_service.Bootstrap(gen.catalog(), db.Snapshot(), views));
     ServiceOptions fresh_options;
-    fresh_options.enable_plan_cache = false;
+    fresh_options.plan_cache_capacity = 0;
     QueryService fresh_service(fresh_options);
     ASSERT_OK(fresh_service.Bootstrap(gen.catalog(), db.Snapshot(), views));
 
@@ -392,6 +394,32 @@ TEST_P(DifferentialTest, WritesStayFreshWithoutRefresh) {
     mirror.Put(table, std::move(copy));
   };
 
+  // After each round: rewritten reads must see the write — with no REFRESH
+  // in between — and, in any pinned snapshot, no base table is newer than
+  // a view whose definition reads it (the publication invariant).
+  auto check_fresh = [&](int round) {
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      std::string sql = ToSql(pairs[i].query);
+      SCOPED_TRACE("round " + std::to_string(round) + " repro:\n  Q: " + sql +
+                   "\n  V: CREATE MATERIALIZED VIEW " + pairs[i].view.name +
+                   " AS " + ToSql(pairs[i].view.query));
+      ASSERT_OK_AND_ASSIGN(Table got, service.Select(sql));
+      Evaluator direct(&mirror, &views);
+      ASSERT_OK_AND_ASSIGN(Table want, direct.Execute(pairs[i].query));
+      EXPECT_TRUE(MultisetAlmostEqual(got, want))
+          << "service read diverged from hand-maintained mirror:\n  "
+          << DescribeMultisetDifference(got, want);
+    }
+    ServiceSnapshotPtr snap = service.PinSnapshot();
+    for (const QueryViewPair& pair : pairs) {
+      uint64_t view_version = snap->db.VersionOf(pair.view.name);
+      for (const TableRef& ref : pair.view.query.from) {
+        EXPECT_LE(snap->db.VersionOf(ref.table), view_version)
+            << pair.view.name << " is stale relative to " << ref.table;
+      }
+    }
+  };
+
   // Rounds 0..5 insert (single-row, multi-row, batch); rounds 6..11 mix in
   // DELETE, UPDATE, and a batch that inserts into one table and deletes
   // from another — all with the mirror maintained by hand.
@@ -477,31 +505,33 @@ TEST_P(DifferentialTest, WritesStayFreshWithoutRefresh) {
         break;
       }
     }
+    ASSERT_NO_FATAL_FAILURE(check_fresh(round));
+  }
 
-    // Rewritten reads must see the write — with no REFRESH in between.
-    for (size_t i = 0; i < pairs.size(); ++i) {
-      std::string sql = ToSql(pairs[i].query);
-      SCOPED_TRACE("round " + std::to_string(round) + " repro:\n  Q: " + sql +
-                   "\n  V: CREATE MATERIALIZED VIEW " + pairs[i].view.name +
-                   " AS " + ToSql(pairs[i].view.query));
-      ASSERT_OK_AND_ASSIGN(Table got, service.Select(sql));
-      Evaluator direct(&mirror, &views);
-      ASSERT_OK_AND_ASSIGN(Table want, direct.Execute(pairs[i].query));
-      EXPECT_TRUE(MultisetAlmostEqual(got, want))
-          << "service read diverged from hand-maintained mirror:\n  "
-          << DescribeMultisetDifference(got, want);
-    }
-
-    // Publication invariant: in any pinned snapshot, no base table is newer
-    // than a view whose definition reads it.
-    ServiceSnapshotPtr snap = service.PinSnapshot();
-    for (const QueryViewPair& pair : pairs) {
-      uint64_t view_version = snap->db.VersionOf(pair.view.name);
-      for (const TableRef& ref : pair.view.query.from) {
-        EXPECT_LE(snap->db.VersionOf(ref.table), view_version)
-            << pair.view.name << " is stale relative to " << ref.table;
+  // LOAD rounds, appended so the rounds above keep their random stream: a
+  // LOAD that replaces a base table wholesale rides the same write path,
+  // and every view over it must follow with no REFRESH.
+  for (int round = 12; round < 16; ++round) {
+    const auto& target = kTables[rng() % 3];
+    Table loaded(mirror.GetShared(target.table)->columns());
+    const int rows = static_cast<int>(rng() % 4);  // 0 empties the table
+    for (int r = 0; r < rows; ++r) {
+      Row row;
+      for (int64_t v : random_tuple(target.arity)) {
+        row.push_back(Value::Int64(v));
       }
+      loaded.AddRowOrDie(std::move(row));
     }
+    std::string csv = ::testing::TempDir() + "/aqv_fresh_load_" +
+                      std::to_string(GetParam()) + ".csv";
+    ASSERT_OK(WriteCsvFile(loaded, csv));
+    std::string sql = "LOAD " + std::string(target.table) + " FROM '" + csv +
+                      "'";
+    SCOPED_TRACE("write: " + sql + " (" + std::to_string(rows) + " rows)");
+    ASSERT_OK(service.Execute(sql).status());
+    std::remove(csv.c_str());
+    mirror.Put(target.table, loaded);
+    ASSERT_NO_FATAL_FAILURE(check_fresh(round));
   }
   // The sweep must exercise write-path maintenance, not no-op writes.
   ServiceStats stats = service.Stats();

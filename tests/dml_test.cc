@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "catalog/catalog.h"
+#include "exec/csv.h"
 #include "exec/table.h"
 #include "parser/parser.h"
 #include "service/query_service.h"
@@ -257,6 +258,63 @@ TEST(DmlServiceTest, WritesAimedAtViewsNameTheRightVerb) {
   ASSERT_FALSE(load.ok());
   EXPECT_NE(load.status().ToString().find("cannot LOAD into view 'Totals'"),
             std::string::npos);
+
+  // Inside BEGIN WRITE the same writes are refused when they are buffered,
+  // not at COMMIT; so are an unknown table and a row of the wrong arity.
+  // None of the refusals costs the batch the row buffered before them.
+  ASSERT_OK(service->Execute("BEGIN WRITE").status());
+  ASSERT_OK(service->Execute("INSERT INTO Sales VALUES (2, 20)").status());
+  const struct {
+    const char* stmt;
+    const char* error;
+  } kRefused[] = {
+      {"INSERT INTO Totals VALUES (9, 9, 9)",
+       "cannot INSERT into view 'Totals'"},
+      {"DELETE FROM Totals", "cannot DELETE from view 'Totals'"},
+      {"UPDATE Totals SET T = 0", "cannot UPDATE view 'Totals'"},
+      {"INSERT INTO Nope VALUES (1)", "table 'Nope' not in database"},
+      {"INSERT INTO Sales VALUES (3)", "row arity 1 != arity 2"},
+  };
+  for (const auto& refused : kRefused) {
+    Result<StatementResult> r = service->Execute(refused.stmt);
+    ASSERT_FALSE(r.ok()) << refused.stmt;
+    EXPECT_NE(r.status().ToString().find(refused.error), std::string::npos)
+        << r.status().ToString();
+  }
+  ASSERT_OK_AND_ASSIGN(StatementResult committed, service->Execute("COMMIT"));
+  EXPECT_NE(committed.message.find("1 row(s) inserted / 0 deleted"),
+            std::string::npos);
+  ServiceSnapshotPtr snap = service->PinSnapshot();
+  ASSERT_OK_AND_ASSIGN(const Table* totals, snap->db.Get("Totals"));
+  EXPECT_EQ(CellForShop(*totals, 2, 1), 80);  // 30 + 30 + the buffered 20
+}
+
+// A LOAD that replaces a table is one more write request: Stats() counts
+// it the way its WAL record carries it — every old row deleted, every
+// loaded row inserted — and every dependent view recomputed, not folded.
+TEST(DmlServiceTest, LoadReplacementCountsLikeItsWalRecord) {
+  std::unique_ptr<QueryService> service = MakeSalesService();
+  Table replacement({"Shop", "Amount"});
+  replacement.AddRowOrDie({Value::Int64(3), Value::Int64(5)});
+  replacement.AddRowOrDie({Value::Int64(3), Value::Int64(6)});
+  replacement.AddRowOrDie({Value::Int64(4), Value::Int64(7)});
+  std::string csv = FreshPath("load_stats.csv");
+  ASSERT_OK(WriteCsvFile(replacement, csv));
+  ServiceStats before = service->Stats();
+  ASSERT_OK_AND_ASSIGN(StatementResult ack,
+                       service->Execute("LOAD Sales FROM '" + csv + "'"));
+  EXPECT_NE(ack.message.find("3 row(s) loaded into Sales"), std::string::npos);
+  ServiceStats after = service->Stats();
+  EXPECT_EQ(after.rows_deleted - before.rows_deleted, 4u);
+  EXPECT_EQ(after.rows_inserted - before.rows_inserted, 3u);
+  EXPECT_EQ(after.views_recomputed - before.views_recomputed, 1u);
+  EXPECT_EQ(after.views_maintained, before.views_maintained);
+  ServiceSnapshotPtr snap = service->PinSnapshot();
+  ASSERT_OK_AND_ASSIGN(const Table* totals, snap->db.Get("Totals"));
+  EXPECT_EQ(totals->num_rows(), 2u);
+  EXPECT_EQ(CellForShop(*totals, 3, 1), 11);
+  EXPECT_EQ(CellForShop(*totals, 4, 1), 7);
+  std::remove(csv.c_str());
 }
 
 // --------------------------------------------------- containment checking

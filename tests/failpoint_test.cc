@@ -10,6 +10,7 @@
 // arming would poison unrelated tests in this binary.
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -18,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "base/failpoint.h"
+#include "exec/csv.h"
 #include "service/query_service.h"
 #include "tests/test_util.h"
 
@@ -226,6 +228,11 @@ TEST_F(FailpointTest, InjectedSitesFailStatementsCleanly) {
   // kUnavailable (degradation off isolates the site under test).
   ServiceOptions options;
   options.degrade_on_failure = false;
+  // A LOAD that replaces Sales runs the same write path as INSERT.
+  Table replacement({"Shop", "Amount"});
+  replacement.AddRowOrDie({Value::Int64(4), Value::Int64(40)});
+  std::string csv = ::testing::TempDir() + "/aqv_failpoint_load.csv";
+  ASSERT_OK(WriteCsvFile(replacement, csv));
   struct SiteCase {
     const char* site;
     std::string stmt;
@@ -235,6 +242,7 @@ TEST_F(FailpointTest, InjectedSitesFailStatementsCleanly) {
       {"optimizer.optimize", SalesQuery()},
       {"exec.operator", SalesQuery()},
       {"table.cow_copy", "INSERT INTO Sales VALUES (4, 40)"},
+      {"table.cow_copy", "LOAD Sales FROM '" + csv + "'"},
       {"maintain.apply", "INSERT INTO Sales VALUES (4, 40)"},
       {"service.refresh", "REFRESH Totals"},
   };
@@ -247,6 +255,7 @@ TEST_F(FailpointTest, InjectedSitesFailStatementsCleanly) {
     EXPECT_EQ(r.status().code(), StatusCode::kUnavailable) << c.site;
     EXPECT_NE(r.status().ToString().find(c.site), std::string::npos) << c.site;
   }
+  std::remove(csv.c_str());
 }
 
 TEST_F(FailpointTest, PlanCacheFaultsDegradeToMissAndSkip) {

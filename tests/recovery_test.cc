@@ -978,6 +978,25 @@ TEST(RecoveryTest, BackpressureRefusesWhenCheckpointerCannotCatchUp) {
   EXPECT_NE(busy.status().message().find("SERVER_BUSY"), std::string::npos);
   EXPECT_GE(service->Stats().storage_backpressure_waits, 1u);
 
+  // A LOAD that replaces R is a write like any other: the same gate refuses
+  // it and R keeps its rows.
+  Table replacement({"A", "B"});
+  replacement.AddRowOrDie({Value::Int64(7), Value::Int64(70)});
+  std::string csv = ::testing::TempDir() + "/aqv_backpressure_load.csv";
+  ASSERT_OK(WriteCsvFile(replacement, csv));
+  Result<StatementResult> busy_load =
+      service->Execute("LOAD R FROM '" + csv + "'");
+  std::remove(csv.c_str());
+  ASSERT_FALSE(busy_load.ok());
+  EXPECT_EQ(busy_load.status().code(), StatusCode::kUnavailable);
+  EXPECT_NE(busy_load.status().message().find("SERVER_BUSY"),
+            std::string::npos);
+  ASSERT_OK_AND_ASSIGN(StatementResult kept,
+                       service->Execute("SELECT A_1, B_1 FROM R"));
+  Table original({"A", "B"});
+  original.AddRowOrDie({Value::Int64(1), Value::Int64(10)});
+  EXPECT_TRUE(MultisetEqual(*kept.table, original));
+
   // A manual CHECKPOINT truncates the WAL and lets writers through again.
   ASSERT_OK(service->Execute("CHECKPOINT").status());
   ASSERT_OK(service->Execute("INSERT INTO R VALUES (2, 20)").status());

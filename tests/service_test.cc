@@ -228,7 +228,7 @@ TEST(ServicePlanCacheTest, RefreshInvalidatesViewDependents) {
 
   // Ground truth: a cache-less service fed the same statements.
   ServiceOptions no_cache;
-  no_cache.enable_plan_cache = false;
+  no_cache.plan_cache_capacity = 0;
   std::unique_ptr<QueryService> witness = MakeTelephonyService(no_cache);
   EXPECT_OK(witness
                 ->Execute("INSERT INTO Calls VALUES "
@@ -288,7 +288,7 @@ TEST(ServicePlanCacheTest, CreateMaterializedViewFlipsPlanToRewrite) {
 TEST(ServicePlanCacheTest, EntriesAreValidatedAgainstThePinnedState) {
   QueryService service;
   ServiceOptions no_cache;
-  no_cache.enable_plan_cache = false;
+  no_cache.plan_cache_capacity = 0;
   QueryService witness(no_cache);
   for (QueryService* s : {&service, &witness}) {
     EXPECT_OK(s->Execute("CREATE TABLE Sales(Shop, Amount)").status());
@@ -809,12 +809,17 @@ TEST(ServiceWritePathTest, RollbackDiscardsAndFailedCommitPublishesNothing) {
   EXPECT_EQ(SumForShop(t, 9), -1);
   EXPECT_FALSE(service->Execute("ROLLBACK").ok());  // nothing open
 
-  // A batch naming an unknown table fails at COMMIT; nothing lands and the
-  // batch is discarded rather than wedged open.
+  // An INSERT naming an unknown table is refused when it is buffered. A
+  // batch that fails at COMMIT (here: the same single row deleted twice)
+  // lands nothing and is discarded rather than wedged open.
   ASSERT_OK(service->Execute("BEGIN WRITE").status());
   ASSERT_OK(service->Execute("INSERT INTO Sales VALUES (9, 9)").status());
-  ASSERT_OK(service->Execute("INSERT INTO Nope VALUES (1)").status());
-  EXPECT_EQ(service->Execute("COMMIT").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(service->Execute("INSERT INTO Nope VALUES (1)").status().code(),
+            StatusCode::kNotFound);
+  ASSERT_OK(service->Execute("DELETE FROM Sales WHERE Amount = 10").status());
+  ASSERT_OK(service->Execute("DELETE FROM Sales WHERE Amount = 10").status());
+  EXPECT_EQ(service->Execute("COMMIT").status().code(),
+            StatusCode::kInvalidArgument);
   ASSERT_OK_AND_ASSIGN(
       Table t2, service->Select("SELECT Shop_1, SUM(Amount_1) AS T "
                                 "FROM Sales GROUPBY Shop_1"));
