@@ -6,8 +6,8 @@
 //
 //   1. scan_filter — the E8 Filter shape (50%-selective predicate over an
 //      INT64 column): FilterRows materializing survivors vs CompiledFilter
-//      producing a selection vector over the cached columnar image. This is
-//      the gated series (--min-scan-speedup).
+//      producing one selection vector per chunk over the chunks' cached
+//      columnar images. This is the gated series (--min-scan-speedup).
 //
 //   2. aggregate — the E8 HashAggregate shape (SUM + COUNT grouped by a
 //      low-cardinality key): GroupAggregate vs VectorizedAggregation.
@@ -155,8 +155,8 @@ int main(int argc, char** argv) {
   }
 
   // The table: A = grouping key, B = INT64 payload, C = DOUBLE payload.
-  // Stored once; the vectorized arms read the cached columnar image exactly
-  // as the evaluator would.
+  // Stored once; the vectorized arms read the chunks' cached columnar
+  // images exactly as the evaluator would.
   std::mt19937_64 rng(seed);
   std::uniform_int_distribution<int64_t> key(0, groups - 1);
   std::uniform_int_distribution<int64_t> payload(0, 1 << 20);
@@ -171,16 +171,15 @@ int main(int argc, char** argv) {
     }
     aqv::CheckOrDie(table.AddRows(std::move(data)), "populate table");
   }
-  const std::vector<aqv::Row>& data = table.rows();
-  const aqv::ColumnarTable& ct = table.columnar();
+  const std::vector<aqv::Row> data = table.rows();
 
   const aqv::ColumnIndexMap layout{{"A", 0}, {"B", 1}, {"C", 2}};
   // ~50% selectivity on the grouping key.
   const std::vector<aqv::Predicate> preds{
       {aqv::Operand::Column("A"), aqv::CmpOp::kLt,
        aqv::Operand::Constant(aqv::Value::Int64(groups / 2))}};
-  aqv::CompiledFilter filter;
-  if (!aqv::CompiledFilter::Compile(preds, layout, ct, &filter)) {
+  std::vector<aqv::CompiledFilter> filters;
+  if (!aqv::CompileChunkFilters(preds, layout, table, &filters)) {
     std::fprintf(stderr, "filter unexpectedly not vectorizable\n");
     return 2;
   }
@@ -189,32 +188,43 @@ int main(int argc, char** argv) {
                                        {aqv::AggFn::kCount, 1, -1},
                                        {aqv::AggFn::kSum, 2, -1}};
   aqv::VectorizedAggregation agg;
-  if (!aqv::VectorizedAggregation::Compile(ct, group_cols, aggs, &agg)) {
+  if (!aqv::VectorizedAggregation::Compile(table, group_cols, aggs, &agg)) {
     std::fprintf(stderr, "aggregation unexpectedly not vectorizable\n");
     return 2;
   }
+  const std::vector<aqv::ChunkPtr>& chunks = table.chunks();
 
-  // 1. scan_filter: materialized survivors vs selection vector.
+  // 1. scan_filter: materialized survivors vs one selection vector per
+  // chunk, each over that chunk's cached columnar image.
   aqv::Series scan;
   {
     std::vector<aqv::Row> row_out;
-    aqv::SelVector vec_out;
+    std::vector<aqv::SelVector> vec_out(chunks.size());
     scan.Run(
         reps,
         [&] { row_out = aqv::FilterRows(data, preds, layout); },
-        [&] { vec_out = filter.Run(ct, nullptr); });
-    if (row_out.size() != vec_out.size()) {
+        [&] {
+          for (size_t c = 0; c < chunks.size(); ++c) {
+            vec_out[c] = filters[c].Run(chunks[c]->columnar(), nullptr);
+          }
+        });
+    std::vector<aqv::Row> gathered;
+    for (size_t c = 0; c < chunks.size(); ++c) {
+      aqv::GatherRows(chunks[c]->columnar(), vec_out[c], &gathered);
+    }
+    if (row_out.size() != gathered.size()) {
       std::fprintf(stderr,
                    "EQUIVALENCE VIOLATION in scan_filter: row engine kept "
                    "%zu rows, vectorized kept %zu\n",
-                   row_out.size(), vec_out.size());
+                   row_out.size(), gathered.size());
       return 1;
     }
-    aqv::DieIfNotEqual(aqv::ToTable(aqv::GatherRows(ct, vec_out), 3),
-                       aqv::ToTable(row_out, 3), "scan_filter");
+    aqv::DieIfNotEqual(aqv::ToTable(gathered, 3), aqv::ToTable(row_out, 3),
+                       "scan_filter");
   }
 
-  // 2. aggregate: row-at-a-time grouping vs typed accumulation loops.
+  // 2. aggregate: row-at-a-time grouping vs typed accumulation loops that
+  // fold the chunks into one set of groups.
   aqv::Series aggregate;
   {
     std::vector<aqv::Row> row_out;
@@ -222,7 +232,13 @@ int main(int argc, char** argv) {
     aggregate.Run(
         reps,
         [&] { row_out = aqv::GroupAggregate(data, group_cols, aggs); },
-        [&] { vec_out = agg.Run(ct, nullptr, nullptr); });
+        [&] {
+          aqv::VectorizedAggregation::Groups folded;
+          for (const aqv::ChunkPtr& chunk : chunks) {
+            agg.Accumulate(chunk->columnar(), nullptr, nullptr, &folded);
+          }
+          vec_out = agg.Finish(&folded, nullptr);
+        });
     int arity = 1 + static_cast<int>(aggs.size());
     aqv::DieIfNotEqual(aqv::ToTable(vec_out, arity),
                        aqv::ToTable(row_out, arity), "aggregate");

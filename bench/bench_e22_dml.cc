@@ -1,40 +1,59 @@
-// Experiment E22 — what do DELETE/UPDATE cost through the maintained write
-// path, and does MVCC churn stay memory-bounded? (PR 10). A self-timed A/B
-// harness in the E19 mould (no google-benchmark: the binary is the CI gate,
-// so it owns its exit code and its JSON artifact). Three series:
+// Experiment E22 — what do single-row INSERT/DELETE/UPDATE cost through
+// the maintained write path, does that cost stay flat as the table grows,
+// and does MVCC churn stay memory-bounded? A self-timed A/B harness in the
+// E19 mould (no google-benchmark: the binary is the CI gate, so it owns its
+// exit code and its JSON artifact). Four series:
 //
 //   1. delete_maintain — per-statement latency of single-row DELETEs against
 //      a service whose dependent view folds deletes incrementally (SUM+COUNT
 //      tracks group liveness) vs an identical service whose view cannot (a
-//      MAX view with no COUNT output forces the full-recompute fallback).
-//      This is the gated series (--min-maintain-speedup): incremental delete
-//      maintenance must beat recompute once the table is large enough to
-//      make recomputation hurt.
+//      MAX view with no COUNT output forces the full-recompute fallback), at
+//      --rows. Gated by --min-maintain-speedup: incremental delete
+//      maintenance must beat recompute.
 //
 //   2. update_maintain — the same A/B for single-row UPDATEs (a delete+
 //      insert delta through the identical path).
 //
-//   3. churn_memory — an insert/select/delete churn loop with no pinned
+//   3. size_sweep — at 20k, 200k and 2M rows, the p50 of single-row
+//      INSERT, DELETE and UPDATE on the folding service; the DELETE and
+//      UPDATE targets are spread over the whole table, so they land in
+//      every chunk. Their WHERE key B is clustered by insertion order, so
+//      zone maps skip every chunk but the one holding the row. Table
+//      versions are chunked and share every chunk a write does not touch,
+//      so such a write costs its chunk, not its table: gated by
+//      --max-size-ratio (largest-size p50 over smallest-size p50, per
+//      statement kind). Each size also times single-row DELETEs on a second
+//      table whose B values are shuffled across the rows: no column is
+//      clustered, no chunk can be skipped, and that cost grows with the
+//      table. It is reported, never gated. At the largest size the delete
+//      A/B of series 1 runs again, gated by --min-largest-speedup.
+//
+//   4. churn_memory — an insert/select/delete churn loop with no pinned
 //      snapshot, sampling the MVCC ledger (Database::MvccStats) every
 //      cycle. The always-on memory gate: retired versions (and their
-//      columnar pivot caches) must die with the write that replaced them —
-//      peak versions_alive stays small and final bytes_pinned is zero.
+//      columnar images) must die with the write that replaced them — peak
+//      versions_alive stays small and final bytes_pinned is zero.
 //
-// Both latency arms run the same statements over identical seeded data, and
-// the harness cross-checks multiset equality of the two base tables at the
+// Every A/B runs the same statements over identical seeded data, and the
+// harness cross-checks multiset equality of the two base tables at the
 // end — a wrong-result incremental fold aborts the bench.
 //
 // Flags:
-//   --rows=N                   rows in the base table (default 200000)
-//   --groups=N                 grouping-key cardinality (default 32)
-//   --reps=N                   timed statements per series (default 40)
-//   --churn=N                  churn cycles in series 3 (default 60)
-//   --seed=N                   data seed (default 42)
-//   --json=PATH                JSON artifact (default e22_dml.json)
-//   --min-maintain-speedup=X   exit 1 if delete speedup < X
-//                              (default: report only, never fail)
+//   --rows=N                  rows for series 1, 2 (default 200000)
+//   --groups=N                grouping-key cardinality (default 32)
+//   --reps=N                  timed statements per series (default 40)
+//   --churn=N                 churn cycles in series 4 (default 60)
+//   --seed=N                  data seed (default 42)
+//   --json=PATH               JSON artifact (default e22_dml.json)
+//   --min-maintain-speedup=X  exit 1 if the series 1 delete speedup < X
+//   --max-size-ratio=X        exit 1 if a series 3 largest/smallest p50
+//                             ratio > X
+//   --min-largest-speedup=X   exit 1 if the delete speedup at the largest
+//                             size is not > X
+//                             (each gate: default report only, never fail)
 //
-// e.g. build/bench/bench_e22_dml --min-maintain-speedup=2
+// e.g. build/bench/bench_e22_dml --min-maintain-speedup=1.05
+//          --max-size-ratio=2 --min-largest-speedup=10
 //          --json=bench/e22_dml.json
 
 #include <algorithm>
@@ -43,13 +62,16 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "catalog/catalog.h"
 #include "exec/table.h"
+#include "ir/views.h"
 #include "service/query_service.h"
 
 namespace aqv {
@@ -57,26 +79,40 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// A service over T(A, B) — A in [0, groups), B unique per row — plus one
-// materialized view over T: SUM+COUNT (delete-foldable) or MAX-only
-// (deletes force the recompute fallback).
+/// Series 3 table sizes, ascending.
+constexpr int kSweepSizes[] = {20000, 200000, 2000000};
+
+// A service over T(A, B) — A in [0, groups); B a permutation of
+// 0..rows-1, either the row's ordinal (`clustered`: a key that rises with
+// insertion order, so a value's zone maps admit one chunk) or shuffled (a
+// value may sit in any chunk) — plus one materialized view over T:
+// SUM+COUNT (delete-foldable) or MAX-only (deletes force the recompute
+// fallback). The table is bootstrapped, not inserted, so a 2M-row arm sets
+// up in seconds.
 std::unique_ptr<QueryService> MakeArm(int rows, int groups, uint64_t seed,
-                                      bool foldable) {
-  auto service = std::make_unique<QueryService>();
-  CheckOrDie(service->Execute("CREATE TABLE T(A, B)").status(), "create T");
+                                      bool foldable, bool clustered = true) {
   std::mt19937_64 rng(seed);
-  std::string sql;
-  const int kBatch = 1000;
-  for (int i = 0; i < rows; ++i) {
-    if (sql.empty()) sql = "INSERT INTO T VALUES ";
-    else sql += ", ";
-    sql += "(" + std::to_string(rng() % groups) + ", " + std::to_string(i) +
-           ")";
-    if ((i + 1) % kBatch == 0 || i + 1 == rows) {
-      CheckOrDie(service->Execute(sql).status(), "populate T");
-      sql.clear();
-    }
+  std::vector<int64_t> keys(static_cast<size_t>(rows));
+  for (int i = 0; i < rows; ++i) keys[i] = i;
+  if (!clustered) {
+    std::shuffle(keys.begin(), keys.end(), std::mt19937_64(seed + 7));
   }
+  std::vector<Row> data;
+  data.reserve(static_cast<size_t>(rows));
+  for (int i = 0; i < rows; ++i) {
+    data.push_back(Row{Value::Int64(static_cast<int64_t>(rng() % groups)),
+                       Value::Int64(keys[i])});
+  }
+  Table t({"A", "B"});
+  CheckOrDie(t.AddRows(std::move(data)), "populate T");
+  Catalog catalog;
+  CheckOrDie(catalog.AddTable(TableDef("T", {"A", "B"})), "catalog");
+  Database db;
+  db.Put("T", std::move(t));
+  auto service = std::make_unique<QueryService>();
+  CheckOrDie(service->Bootstrap(std::move(catalog), std::move(db),
+                                ViewRegistry()),
+             "bootstrap");
   const char* view =
       foldable ? "CREATE MATERIALIZED VIEW V AS SELECT A_1, SUM(B_1) AS S, "
                  "COUNT(B_1) AS N FROM T GROUPBY A_1"
@@ -92,6 +128,92 @@ double TimedStatement(QueryService* service, const std::string& sql) {
   return MicrosSince(t0);
 }
 
+/// The two arms' base tables must be the same multiset, or the incremental
+/// fold corrupted the write path.
+void DieIfArmsDiverged(QueryService* a, QueryService* b) {
+  ServiceSnapshotPtr sa = a->PinSnapshot();
+  ServiceSnapshotPtr sb = b->PinSnapshot();
+  const Table* ta = ValueOrDie(sa->db.Get("T"), "arm A table");
+  const Table* tb = ValueOrDie(sb->db.Get("T"), "arm B table");
+  if (!MultisetEqual(*ta, *tb)) {
+    std::fprintf(stderr, "EQUIVALENCE VIOLATION: arms diverged:\n%s\n",
+                 DescribeMultisetDifference(*ta, *tb).c_str());
+    std::abort();
+  }
+}
+
+/// Incremental-vs-recompute medians of one statement series, run
+/// alternately on the two arms.
+struct AB {
+  double incremental = 0.0;
+  double recompute = 0.0;
+  double speedup() const {
+    return incremental > 0 ? recompute / incremental : 0.0;
+  }
+};
+
+/// Times `sql(i)` for i = -1 (a discarded warmup) .. reps-1 on both arms.
+template <typename SqlFn>
+AB RunAB(QueryService* inc, QueryService* rec, int reps, SqlFn sql) {
+  std::vector<double> a, b;
+  for (int i = -1; i < reps; ++i) {
+    std::string stmt = sql(i);
+    double ta = TimedStatement(inc, stmt);
+    double tb = TimedStatement(rec, stmt);
+    if (i < 0) continue;
+    a.push_back(ta);
+    b.push_back(tb);
+  }
+  return AB{Median(a), Median(b)};
+}
+
+/// p50s of single-row statements on one folding service of `rows` rows.
+struct SizePoint {
+  int rows = 0;
+  double insert_p50 = 0.0;
+  double delete_p50 = 0.0;
+  double update_p50 = 0.0;
+  double unclustered_delete_p50 = 0.0;  // B shuffled: nothing skipped
+};
+
+/// DELETE targets B = k * stride and UPDATE targets B = k * stride + 1, for
+/// k < reps + 1: spread over every chunk, disjoint, never reused. The
+/// unclustered DELETEs target the same B values on the shuffled table.
+SizePoint MeasureSize(int rows, int groups, int reps, uint64_t seed) {
+  const int64_t stride = rows / (reps + 1);
+  auto delete_sql = [&](int64_t k) {
+    return "DELETE FROM T WHERE B = " + std::to_string(k * stride);
+  };
+  std::vector<double> ins, del, upd, unclustered;
+  {
+    auto service = MakeArm(rows, groups, seed, /*foldable=*/true);
+    for (int i = -1; i < reps; ++i) {  // i == -1: discarded warmup
+      const int64_t k = i + 1;
+      double ti = TimedStatement(
+          service.get(), "INSERT INTO T VALUES (" +
+                             std::to_string(k % groups) + ", " +
+                             std::to_string(3000000000LL + k) + ")");
+      double td = TimedStatement(service.get(), delete_sql(k));
+      double tu = TimedStatement(
+          service.get(), "UPDATE T SET B = B + 1000000000 WHERE B = " +
+                             std::to_string(k * stride + 1));
+      if (i < 0) continue;
+      ins.push_back(ti);
+      del.push_back(td);
+      upd.push_back(tu);
+    }
+  }
+  // One size's tables at a time: the clustered arm is gone before this one.
+  auto shuffled = MakeArm(rows, groups, seed, /*foldable=*/true,
+                          /*clustered=*/false);
+  for (int i = -1; i < reps; ++i) {
+    double tc = TimedStatement(shuffled.get(), delete_sql(i + 1));
+    if (i >= 0) unclustered.push_back(tc);
+  }
+  return SizePoint{rows, Median(ins), Median(del), Median(upd),
+                   Median(unclustered)};
+}
+
 }  // namespace
 }  // namespace aqv
 
@@ -103,6 +225,8 @@ int main(int argc, char** argv) {
   uint64_t seed = 42;
   std::string json_path = "e22_dml.json";
   double min_maintain_speedup = -1.0;  // report only
+  double max_size_ratio = -1.0;
+  double min_largest_speedup = -1.0;
 
   for (int i = 1; i < argc; ++i) {
     if (const char* v = aqv::FlagValue(argv[i], "--rows")) {
@@ -120,14 +244,25 @@ int main(int argc, char** argv) {
     } else if (const char* v =
                    aqv::FlagValue(argv[i], "--min-maintain-speedup")) {
       min_maintain_speedup = std::atof(v);
+    } else if (const char* v = aqv::FlagValue(argv[i], "--max-size-ratio")) {
+      max_size_ratio = std::atof(v);
+    } else if (const char* v =
+                   aqv::FlagValue(argv[i], "--min-largest-speedup")) {
+      min_largest_speedup = std::atof(v);
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       return 2;
     }
   }
-  if (rows < 4 * reps || groups < 1 || reps < 1 || churn < 1) {
+  const int smallest_size = aqv::kSweepSizes[0];
+  const int largest_size =
+      aqv::kSweepSizes[std::size(aqv::kSweepSizes) - 1];
+  if (rows < 4 * reps || smallest_size < 4 * reps || groups < 1 ||
+      reps < 1 || churn < 1) {
     std::fprintf(stderr,
-                 "need --rows >= 4*reps, --groups>=1, --reps>=1, --churn>=1\n");
+                 "need --rows >= 4*reps, --reps <= %d, --groups>=1, "
+                 "--reps>=1, --churn>=1\n",
+                 smallest_size / 4);
     return 2;
   }
 
@@ -136,58 +271,60 @@ int main(int argc, char** argv) {
   // shape lets the maintainer fold deletes. DELETEs consume B = 0..reps-1,
   // UPDATEs move B = 2*reps..3*reps-1 out of the matchable range; the two
   // index windows never overlap.
-  auto incremental = aqv::MakeArm(rows, groups, seed, /*foldable=*/true);
-  auto recompute = aqv::MakeArm(rows, groups, seed, /*foldable=*/false);
-
-  std::vector<double> del_inc, del_rec, upd_inc, upd_rec;
-  for (int i = -1; i < reps; ++i) {  // i == -1: discarded warmup pair
-    std::string del =
-        "DELETE FROM T WHERE B = " + std::to_string(i < 0 ? reps : i);
-    double inc = aqv::TimedStatement(incremental.get(), del);
-    double rec = aqv::TimedStatement(recompute.get(), del);
-    if (i >= 0) {
-      del_inc.push_back(inc);
-      del_rec.push_back(rec);
-    }
-  }
-  for (int i = -1; i < reps; ++i) {
-    std::string upd = "UPDATE T SET B = B + 1000000000 WHERE B = " +
-                      std::to_string(2 * reps + (i < 0 ? reps : i));
-    double inc = aqv::TimedStatement(incremental.get(), upd);
-    double rec = aqv::TimedStatement(recompute.get(), upd);
-    if (i >= 0) {
-      upd_inc.push_back(inc);
-      upd_rec.push_back(rec);
-    }
-  }
-
-  // The arms ran identical DML over identical data: their base tables must
-  // be the same multiset, or the incremental fold corrupted the write path.
+  aqv::AB del, upd;
+  aqv::ServiceStats inc_stats, rec_stats;
   {
-    aqv::ServiceSnapshotPtr a = incremental->PinSnapshot();
-    aqv::ServiceSnapshotPtr b = recompute->PinSnapshot();
-    const aqv::Table* ta = aqv::ValueOrDie(a->db.Get("T"), "arm A table");
-    const aqv::Table* tb = aqv::ValueOrDie(b->db.Get("T"), "arm B table");
-    if (!aqv::MultisetEqual(*ta, *tb)) {
-      std::fprintf(stderr, "EQUIVALENCE VIOLATION: arms diverged:\n%s\n",
-                   aqv::DescribeMultisetDifference(*ta, *tb).c_str());
-      std::abort();
-    }
+    auto incremental = aqv::MakeArm(rows, groups, seed, /*foldable=*/true);
+    auto recompute = aqv::MakeArm(rows, groups, seed, /*foldable=*/false);
+    del = aqv::RunAB(incremental.get(), recompute.get(), reps, [&](int i) {
+      return "DELETE FROM T WHERE B = " + std::to_string(i < 0 ? reps : i);
+    });
+    upd = aqv::RunAB(incremental.get(), recompute.get(), reps, [&](int i) {
+      return "UPDATE T SET B = B + 1000000000 WHERE B = " +
+             std::to_string(2 * reps + (i < 0 ? reps : i));
+    });
+    aqv::DieIfArmsDiverged(incremental.get(), recompute.get());
+    inc_stats = incremental->Stats();
+    rec_stats = recompute->Stats();
   }
-  aqv::ServiceStats inc_stats = incremental->Stats();
-  aqv::ServiceStats rec_stats = recompute->Stats();
 
-  double del_inc_med = aqv::Median(del_inc);
-  double del_rec_med = aqv::Median(del_rec);
-  double del_speedup = del_inc_med > 0 ? del_rec_med / del_inc_med : 0.0;
-  double upd_inc_med = aqv::Median(upd_inc);
-  double upd_rec_med = aqv::Median(upd_rec);
-  double upd_speedup = upd_inc_med > 0 ? upd_rec_med / upd_inc_med : 0.0;
+  // ---- Series 3: single-row statement cost across table sizes. ----
+  // One size at a time, so at most one large table is alive.
+  std::vector<aqv::SizePoint> sweep;
+  for (int size : aqv::kSweepSizes) {
+    sweep.push_back(aqv::MeasureSize(size, groups, reps, seed));
+    std::fprintf(stderr,
+                 "sweep %8d rows: insert=%.0fus delete=%.0fus update=%.0fus "
+                 "unclustered delete=%.0fus\n",
+                 size, sweep.back().insert_p50, sweep.back().delete_p50,
+                 sweep.back().update_p50, sweep.back().unclustered_delete_p50);
+  }
+  auto ratio = [&](double aqv::SizePoint::*field) {
+    double lo = sweep.front().*field;
+    return lo > 0 ? sweep.back().*field / lo : 0.0;
+  };
+  const double insert_ratio = ratio(&aqv::SizePoint::insert_p50);
+  const double delete_ratio = ratio(&aqv::SizePoint::delete_p50);
+  const double update_ratio = ratio(&aqv::SizePoint::update_p50);
+  const double unclustered_ratio =
+      ratio(&aqv::SizePoint::unclustered_delete_p50);
+  aqv::AB largest;
+  {
+    auto incremental =
+        aqv::MakeArm(largest_size, groups, seed, /*foldable=*/true);
+    auto recompute =
+        aqv::MakeArm(largest_size, groups, seed, /*foldable=*/false);
+    const int64_t stride = largest_size / (reps + 1);
+    largest = aqv::RunAB(incremental.get(), recompute.get(), reps, [&](int i) {
+      return "DELETE FROM T WHERE B = " + std::to_string((i + 1) * stride);
+    });
+    aqv::DieIfArmsDiverged(incremental.get(), recompute.get());
+  }
 
-  // ---- Series 3: MVCC churn with no pinned snapshot. ----
+  // ---- Series 4: MVCC churn with no pinned snapshot. ----
   // Each cycle inserts a row, runs a SELECT (building the new version's
-  // columnar pivot cache — the bytes that must die with it), then deletes
-  // the row. The ledger is sampled every cycle.
+  // columnar images — the bytes that must die with it), then deletes the
+  // row. The ledger is sampled every cycle.
   auto churn_service = aqv::MakeArm(rows / 10, groups, seed + 1,
                                     /*foldable=*/true);
   size_t peak_versions = 0;
@@ -227,13 +364,19 @@ int main(int argc, char** argv) {
       "delete: incremental=%.0fus recompute=%.0fus speedup=%.1fx "
       "(maintained=%llu, recomputed=%llu)\n"
       "update: incremental=%.0fus recompute=%.0fus speedup=%.1fx\n"
+      "sweep:  largest/smallest p50 insert=%.2fx delete=%.2fx update=%.2fx "
+      "(unclustered delete=%.2fx, not gated); "
+      "delete at %d rows: incremental=%.0fus recompute=%.0fus "
+      "speedup=%.1fx\n"
       "churn:  peak_versions=%zu peak_pinned=%zuB final_pinned=%zuB "
       "bounded=%s\n",
-      del_inc_med, del_rec_med, del_speedup,
+      del.incremental, del.recompute, del.speedup(),
       static_cast<unsigned long long>(inc_stats.views_maintained),
       static_cast<unsigned long long>(rec_stats.views_recomputed),
-      upd_inc_med, upd_rec_med, upd_speedup, peak_versions, peak_pinned,
-      final_pinned, memory_bounded ? "yes" : "NO");
+      upd.incremental, upd.recompute, upd.speedup(), insert_ratio,
+      delete_ratio, update_ratio, unclustered_ratio, largest_size,
+      largest.incremental, largest.recompute, largest.speedup(), peak_versions,
+      peak_pinned, final_pinned, memory_bounded ? "yes" : "NO");
 
   // The A/B premise must actually hold: the incremental arm folded, the
   // recompute arm fell back. Otherwise the speedup compares nothing.
@@ -246,10 +389,36 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  bool speedup_pass =
-      min_maintain_speedup < 0 || del_speedup >= min_maintain_speedup;
-  bool pass = speedup_pass && memory_bounded;
-  char json[2048];
+  std::vector<std::string> failures;
+  if (min_maintain_speedup >= 0 && del.speedup() < min_maintain_speedup) {
+    failures.push_back("delete maintenance speedup below gate");
+  }
+  if (max_size_ratio >= 0 &&
+      std::max({insert_ratio, delete_ratio, update_ratio}) > max_size_ratio) {
+    failures.push_back("single-row write cost grows with the table");
+  }
+  if (min_largest_speedup >= 0 && !(largest.speedup() > min_largest_speedup)) {
+    failures.push_back("incremental vs recompute at the largest size below "
+                       "gate");
+  }
+  if (!memory_bounded) {
+    failures.push_back("MVCC churn left memory pinned or versions growing");
+  }
+  const bool pass = failures.empty();
+
+  std::string sweep_json;
+  for (size_t i = 0; i < sweep.size(); ++i) {
+    char line[320];
+    std::snprintf(line, sizeof(line),
+                  "%s\n    {\"rows\": %d, \"insert_p50_micros\": %.0f, "
+                  "\"delete_p50_micros\": %.0f, \"update_p50_micros\": %.0f, "
+                  "\"unclustered_delete_p50_micros\": %.0f}",
+                  i == 0 ? "" : ",", sweep[i].rows, sweep[i].insert_p50,
+                  sweep[i].delete_p50, sweep[i].update_p50,
+                  sweep[i].unclustered_delete_p50);
+    sweep_json += line;
+  }
+  char json[4096];
   std::snprintf(
       json, sizeof(json),
       "{\n"
@@ -262,18 +431,32 @@ int main(int argc, char** argv) {
       "  \"update_maintain\": {\"incremental_median_micros\": %.0f,\n"
       "                       \"recompute_median_micros\": %.0f,\n"
       "                       \"speedup\": %.2f},\n"
+      "  \"size_sweep\": {\"points\": [%s],\n"
+      "                  \"largest_over_smallest\": {\"insert\": %.2f, "
+      "\"delete\": %.2f, \"update\": %.2f},\n"
+      "                  \"unclustered_delete_largest_over_smallest\": "
+      "%.2f,\n"
+      "                  \"largest_delete_maintain\": {\"rows\": %d,\n"
+      "                       \"incremental_median_micros\": %.0f,\n"
+      "                       \"recompute_median_micros\": %.0f,\n"
+      "                       \"speedup\": %.2f}},\n"
       "  \"churn_memory\": {\"peak_versions_alive\": %zu,\n"
       "                    \"peak_bytes_pinned\": %zu,\n"
       "                    \"final_bytes_pinned\": %zu,\n"
       "                    \"bounded\": %s},\n"
       "  \"equivalence_checked\": true,\n"
-      "  \"min_maintain_speedup\": %.1f,\n"
+      "  \"min_maintain_speedup\": %.2f,\n"
+      "  \"max_size_ratio\": %.2f,\n"
+      "  \"min_largest_speedup\": %.2f,\n"
       "  \"pass\": %s\n"
       "}\n",
       rows, groups, reps, churn, static_cast<unsigned long long>(seed),
-      del_inc_med, del_rec_med, del_speedup, upd_inc_med, upd_rec_med,
-      upd_speedup, peak_versions, peak_pinned, final_pinned,
-      memory_bounded ? "true" : "false", min_maintain_speedup,
+      del.incremental, del.recompute, del.speedup(), upd.incremental,
+      upd.recompute, upd.speedup(), sweep_json.c_str(), insert_ratio,
+      delete_ratio, update_ratio, unclustered_ratio, largest_size,
+      largest.incremental, largest.recompute, largest.speedup(), peak_versions,
+      peak_pinned, final_pinned, memory_bounded ? "true" : "false",
+      min_maintain_speedup, max_size_ratio, min_largest_speedup,
       pass ? "true" : "false");
   std::fputs(json, stdout);
   std::ofstream out(json_path, std::ios::trunc);
@@ -283,13 +466,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "warning: cannot write %s\n", json_path.c_str());
   }
 
-  if (!pass) {
-    std::fprintf(stderr,
-                 "FAIL: %s\n",
-                 !memory_bounded
-                     ? "MVCC churn left memory pinned or versions growing"
-                     : "delete maintenance speedup below gate");
-    return 1;
+  for (const std::string& f : failures) {
+    std::fprintf(stderr, "FAIL: %s\n", f.c_str());
   }
-  return 0;
+  return pass ? 0 : 1;
 }

@@ -95,6 +95,14 @@ class ExecContext {
     return true;
   }
 
+  /// Stops the statement with `error` (an operator's own failure, such as
+  /// an INT64 SUM that left its range), exactly as a tripped limit does:
+  /// later TickRows calls return false and status() holds the first
+  /// violation.
+  void Fail(Status error) {
+    if (status_.ok()) status_ = std::move(error);
+  }
+
   /// Non-OK once a limit has tripped; the first violation wins.
   const Status& status() const { return status_; }
   bool ok() const { return status_.ok(); }

@@ -24,6 +24,8 @@ const char* StatusCodeToString(StatusCode code) {
       return "deadline exceeded";
     case StatusCode::kUnavailable:
       return "unavailable";
+    case StatusCode::kOutOfRange:
+      return "out of range";
   }
   return "unknown";
 }

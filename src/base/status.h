@@ -22,6 +22,7 @@ enum class StatusCode {
   kResourceExhausted, // a statement exceeded its row budget (ExecContext)
   kDeadlineExceeded,  // a statement exceeded its deadline or was cancelled
   kUnavailable,       // transient: admission rejection, injected fault
+  kOutOfRange,        // an exact result does not fit its type (INT64 SUM)
 };
 
 /// Returns the canonical lowercase name of a status code ("ok", "not found"...).
@@ -69,6 +70,9 @@ class Status {
   }
   static Status Unavailable(std::string msg) {
     return Status(StatusCode::kUnavailable, std::move(msg));
+  }
+  static Status OutOfRange(std::string msg) {
+    return Status(StatusCode::kOutOfRange, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

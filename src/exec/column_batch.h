@@ -53,10 +53,10 @@ struct Column {
   Value ValueAt(size_t row) const;
 };
 
-/// A columnar image of a row table: per-column typed arrays sharing one row
-/// count. Built once from `Table` rows (see Table::columnar() for the cached
-/// path) and immutable afterwards, so concurrent readers of a published
-/// table version can share it freely.
+/// A columnar image of rows: per-column typed arrays sharing one row count.
+/// Built once per table chunk (see Chunk::columnar() for the cached path)
+/// and immutable afterwards, so concurrent readers of the table versions
+/// that share the chunk can share it freely.
 ///
 /// Column types are inferred per column: the first non-null value fixes the
 /// type; a later conflicting type degrades that column to kMixed (exact

@@ -1,7 +1,8 @@
 #include "exec/evaluator.h"
 
-#include <utility>
 #include <chrono>
+#include <iterator>
+#include <utility>
 
 #include "base/failpoint.h"
 #include "exec/operators.h"
@@ -127,30 +128,49 @@ Result<Table> Evaluator::ExecuteInternal(const Query& query, int depth) {
   std::unique_ptr<PlanNode> plan = PlanQuery(query, inputs, options_);
   AQV_ASSIGN_OR_RETURN(std::vector<Row> rows, Run(*plan));
   if (depth == 0) executed_ = std::move(plan);
-  Table out(query.OutputColumns());
-  *out.mutable_rows() = std::move(rows);
-  return out;
+  return Table(query.OutputColumns(), std::move(rows));
 }
 
 Result<std::vector<Row>> Evaluator::Run(PlanNode& node) {
   using Kind = PlanNode::Kind;
   PlanNode::Actual& actual = node.actual;
   std::vector<Row> out;
+  // Aggregation reports an INT64 SUM that leaves its range by failing its
+  // context, so it always gets one, even when the statement has none.
+  ExecContext unlimited;
+  ExecContext* agg_ctx = ctx_ != nullptr ? ctx_ : &unlimited;
   if (node.columnar_agg != nullptr) {
-    // Scan + aggregate entirely over the table's columnar image: the scan's
-    // selection vector feeds the aggregation with no row gather.
+    // Scan + aggregate entirely over the chunks' columnar images: each
+    // chunk's selection vector feeds the aggregation with no row gather.
     PlanNode& scan = *node.children[0];
-    const ColumnarTable& ct = scan.source->columnar();
-    ProfClock::time_point start = ProfClock::now();
-    SelVector sel;
+    const Table& table = *scan.source;
     const bool use_sel = !scan.preds.empty();
-    if (use_sel) sel = scan.filter->Run(ct, ctx_);
-    scan.actual = {Engine::kVectorized, ct.num_rows(),
-                   use_sel ? sel.size() : ct.num_rows(), MicrosSince(start)};
-    start = ProfClock::now();
-    out = node.columnar_agg->Run(ct, use_sel ? &sel : nullptr, ctx_);
-    actual = {Engine::kVectorized, scan.actual.rows_out, out.size(),
-              MicrosSince(start)};
+    ProfClock::duration scan_time{};
+    ProfClock::duration agg_time{};
+    size_t selected = 0;
+    VectorizedAggregation::Groups groups;
+    for (size_t c = 0; c < table.chunks().size(); ++c) {
+      ProfClock::time_point t0 = ProfClock::now();
+      const ColumnarTable& ct = table.chunks()[c]->columnar();
+      SelVector sel;
+      if (use_sel) sel = (*scan.filter)[c].Run(ct, ctx_);
+      selected += use_sel ? sel.size() : ct.num_rows();
+      ProfClock::time_point t1 = ProfClock::now();
+      node.columnar_agg->Accumulate(ct, use_sel ? &sel : nullptr, agg_ctx,
+                                    &groups);
+      scan_time += t1 - t0;
+      agg_time += ProfClock::now() - t1;
+    }
+    ProfClock::time_point t0 = ProfClock::now();
+    out = node.columnar_agg->Finish(&groups, agg_ctx);
+    agg_time += ProfClock::now() - t0;
+    auto micros = [](ProfClock::duration d) {
+      return static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(d).count());
+    };
+    scan.actual = {Engine::kVectorized, table.num_rows(), selected,
+                   micros(scan_time)};
+    actual = {Engine::kVectorized, selected, out.size(), micros(agg_time)};
     stats_.vectorized_ops += 2;
   } else {
     std::vector<std::vector<Row>> in;
@@ -166,13 +186,22 @@ Result<std::vector<Row>> Evaluator::Run(PlanNode& node) {
       case Kind::kScan: {
         const Table& table = *node.source;
         actual.rows_in = table.num_rows();
-        if (node.filter != nullptr) {
-          const ColumnarTable& ct = table.columnar();
-          out = GatherRows(ct, node.filter->Run(ct, ctx_));
-          actual.engine = Engine::kVectorized;
-        } else {
-          out = FilterRows(table.rows(), node.preds, node.layout, ctx_);
+        if (node.preds.empty()) out.reserve(table.num_rows());
+        for (size_t c = 0; c < table.chunks().size(); ++c) {
+          const Chunk& chunk = *table.chunks()[c];
+          if (node.filter != nullptr) {
+            GatherRows(chunk.columnar(),
+                       (*node.filter)[c].Run(chunk.columnar(), ctx_), &out);
+          } else if (node.preds.empty()) {
+            out.insert(out.end(), chunk.rows().begin(), chunk.rows().end());
+          } else {
+            std::vector<Row> kept =
+                FilterRows(chunk.rows(), node.preds, node.layout, ctx_);
+            out.insert(out.end(), std::make_move_iterator(kept.begin()),
+                       std::make_move_iterator(kept.end()));
+          }
         }
+        if (node.filter != nullptr) actual.engine = Engine::kVectorized;
         break;
       }
       case Kind::kHashJoin:
@@ -189,10 +218,10 @@ Result<std::vector<Row>> Evaluator::Run(PlanNode& node) {
         bool used_vectorized = false;
         out = node.engine == Engine::kVectorized
                   ? VectorizedGroupAggregateRows(in[0], node.group_ordinals,
-                                                 node.specs, ctx_,
+                                                 node.specs, agg_ctx,
                                                  &used_vectorized)
                   : GroupAggregate(in[0], node.group_ordinals, node.specs,
-                                   ctx_);
+                                   agg_ctx);
         if (used_vectorized) actual.engine = Engine::kVectorized;
         break;
       }
@@ -207,7 +236,7 @@ Result<std::vector<Row>> Evaluator::Run(PlanNode& node) {
   }
   // A tripped limit leaves partial output; discard it and surface the
   // violation rather than computing on truncated input.
-  if (ctx_ != nullptr && !ctx_->ok()) return ctx_->status();
+  if (!agg_ctx->ok()) return agg_ctx->status();
   return out;
 }
 

@@ -5,6 +5,11 @@
 
 namespace aqv {
 
+Status SumOutOfRange() {
+  return Status::OutOfRange("INT64 SUM overflow: the exact sum does not fit "
+                            "in a 64-bit integer");
+}
+
 void Aggregator::Add(const Value& v) {
   if (v.is_null()) return;
   switch (fn_) {
@@ -36,9 +41,12 @@ Value Aggregator::Finish() const {
     case AggFn::kMin:
     case AggFn::kMax:
       return any_ ? extreme_ : Value::Null();
-    case AggFn::kSum:
+    case AggFn::kSum: {
       if (!any_) return Value::Null();
-      return all_int_ ? Value::Int64(sum_int_) : Value::Double(sum_dbl_);
+      if (!all_int_) return Value::Double(sum_dbl_);
+      int64_t sum;
+      return NarrowSum(sum_int_, &sum) ? Value::Int64(sum) : Value::Null();
+    }
     case AggFn::kCount:
       return Value::Int64(count_);
     case AggFn::kAvg:
@@ -46,6 +54,12 @@ Value Aggregator::Finish() const {
       return Value::Double(sum_dbl_ / static_cast<double>(count_));
   }
   return Value::Null();
+}
+
+bool Aggregator::Overflowed() const {
+  int64_t unused;
+  return fn_ == AggFn::kSum && any_ && all_int_ &&
+         !NarrowSum(sum_int_, &unused);
 }
 
 Value NumericProduct(const Value& a, const Value& b) {
@@ -230,7 +244,13 @@ std::vector<Row> GroupAggregate(const std::vector<Row>& rows,
   for (auto& [k, state] : groups) {
     Row row = std::move(state.key);
     row.reserve(row.size() + aggs.size());
-    for (const Aggregator& a : state.accumulators) row.push_back(a.Finish());
+    for (const Aggregator& a : state.accumulators) {
+      if (a.Overflowed() && ctx != nullptr) {
+        ctx->Fail(SumOutOfRange());
+        return out;
+      }
+      row.push_back(a.Finish());
+    }
     out.push_back(std::move(row));
   }
   return out;

@@ -1,15 +1,29 @@
 #ifndef AQV_EXEC_OPERATORS_H_
 #define AQV_EXEC_OPERATORS_H_
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "base/exec_context.h"
+#include "base/status.h"
 #include "base/value.h"
 #include "exec/expression.h"
 #include "ir/query.h"
 
 namespace aqv {
+
+/// The error of a SUM over INT64 values whose exact total leaves the
+/// INT64 range. Every engine that sums INT64 values (row, vectorized,
+/// maintained) adds into 128 bits and fails with this rather than wrap.
+Status SumOutOfRange();
+
+/// Narrows an exact 128-bit INT64 sum; false if it does not fit.
+inline bool NarrowSum(__int128 sum, int64_t* out) {
+  if (sum < INT64_MIN || sum > INT64_MAX) return false;
+  *out = static_cast<int64_t>(sum);
+  return true;
+}
 
 /// Streaming accumulator for one SQL aggregate function. NULL inputs are
 /// ignored per SQL. An accumulator that saw no (non-null) input finishes to
@@ -21,13 +35,18 @@ class Aggregator {
   void Add(const Value& v);
   Value Finish() const;
 
+  /// True if this is a SUM over INT64 values only whose exact total does
+  /// not fit INT64. Finish() then returns NULL; the caller must fail the
+  /// statement with SumOutOfRange().
+  bool Overflowed() const;
+
  private:
   AggFn fn_;
   bool any_ = false;
-  Value extreme_;         // MIN/MAX running extremum
-  int64_t count_ = 0;     // COUNT / AVG denominator
-  int64_t sum_int_ = 0;   // exact integer sum while all inputs are INT64
-  double sum_dbl_ = 0.0;  // numeric sum (always maintained)
+  Value extreme_;          // MIN/MAX running extremum
+  int64_t count_ = 0;      // COUNT / AVG denominator
+  __int128 sum_int_ = 0;   // exact integer sum while all inputs are INT64
+  double sum_dbl_ = 0.0;   // numeric sum (always maintained)
   bool all_int_ = true;
 };
 
@@ -77,7 +96,9 @@ std::vector<Row> CartesianProduct(const std::vector<Row>& left,
 /// computes `aggs` within each group. Output rows are
 /// [group values..., aggregate values...] in spec order. With empty
 /// `group_cols` there is exactly one global group, emitted even on empty
-/// input (COUNT(...) over an empty table is 0).
+/// input (COUNT(...) over an empty table is 0). An INT64 SUM that leaves
+/// its range fails `ctx` with SumOutOfRange() (with no context, that sum
+/// finishes to NULL).
 std::vector<Row> GroupAggregate(const std::vector<Row>& rows,
                                 const std::vector<int>& group_cols,
                                 const std::vector<AggSpec>& aggs,

@@ -147,12 +147,11 @@ std::unique_ptr<PlanNode> Scan(const Query& query, int i,
   return node;
 }
 
-/// Compiles `scan`'s filter against its table's columnar image; on success
+/// Compiles `scan`'s filter against every chunk of its table; on success
 /// the scan runs vectorized.
 bool CompileScan(PlanNode* scan, const Table& table) {
-  auto filter = std::make_shared<CompiledFilter>();
-  if (!CompiledFilter::Compile(scan->preds, scan->layout, table.columnar(),
-                               filter.get())) {
+  auto filter = std::make_shared<std::vector<CompiledFilter>>();
+  if (!CompileChunkFilters(scan->preds, scan->layout, table, filter.get())) {
     return false;
   }
   scan->filter = std::move(filter);
@@ -312,7 +311,7 @@ std::unique_ptr<PlanNode> PlanQuery(const Query& query,
       PlanNode* scan = agg->children[0].get();
       auto columnar = std::make_shared<VectorizedAggregation>();
       if (query.from.size() == 1 && table != nullptr &&
-          VectorizedAggregation::Compile(table->columnar(), agg->group_ordinals,
+          VectorizedAggregation::Compile(*table, agg->group_ordinals,
                                          agg->specs, columnar.get()) &&
           (scan->filter != nullptr || CompileScan(scan, *table))) {
         agg->columnar_agg = std::move(columnar);

@@ -56,10 +56,10 @@ std::vector<int> GreedyJoinOrder(
 struct EvalOptions {
   bool use_hash_join = true;
   /// Batch-at-a-time columnar execution (exec/vectorized.h) for scans,
-  /// filters and hash-group aggregation, over the table's cached columnar
-  /// image. The planner sets each Scan's and Aggregate's engine; every other
-  /// node, and anything touching a mixed-type column, runs on the row
-  /// engine. Results are identical either way (enforced by
+  /// filters and hash-group aggregation, over the cached columnar images of
+  /// the table's chunks. The planner sets each Scan's and Aggregate's
+  /// engine; every other node, and anything touching a mixed-type column,
+  /// runs on the row engine. Results are identical either way (enforced by
   /// tests/vectorized_differential_test.cc). Only effective with
   /// use_hash_join: the Cartesian reference plan stays pure row-at-a-time,
   /// as it is the executable specification tests compare against.
@@ -115,10 +115,11 @@ struct PlanNode {
   bool distinct = false;
   std::vector<std::pair<int, int>> project_ordinals;
 
-  /// Kernels compiled at plan time against the bound input's columnar
-  /// image: a vectorized Scan's filter, and an Aggregate that consumes its
-  /// Scan child's selection vector directly (no row gather).
-  std::shared_ptr<const CompiledFilter> filter;
+  /// Kernels compiled at plan time against the columnar images of the
+  /// bound input's chunks: a vectorized Scan's filter (one per chunk, in
+  /// chunk order), and an Aggregate that folds its Scan child's selection
+  /// vectors chunk by chunk (no row gather).
+  std::shared_ptr<const std::vector<CompiledFilter>> filter;
   std::shared_ptr<const VectorizedAggregation> columnar_agg;
 
   /// What the Evaluator observed running this node. `engine` differs from

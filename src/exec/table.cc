@@ -4,66 +4,175 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <mutex>
 #include <sstream>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "base/strings.h"
 #include "exec/column_batch.h"
 
 namespace aqv {
 
-Table::Table() : columnar_(std::make_shared<ColumnarSlot>()) {}
+namespace {
 
-Table::Table(std::vector<std::string> columns)
-    : columns_(std::move(columns)), columnar_(std::make_shared<ColumnarSlot>()) {}
-
-Table::Table(const Table& other)
-    : columns_(other.columns_),
-      rows_(other.rows_),
-      columnar_(std::make_shared<ColumnarSlot>()) {}
-
-Table::Table(Table&& other) noexcept
-    : columns_(std::move(other.columns_)),
-      rows_(std::move(other.rows_)),
-      columnar_(std::move(other.columnar_)) {
-  other.columnar_ = std::make_shared<ColumnarSlot>();
+size_t RowPayloadBytes(const Row& row) {
+  size_t bytes = row.capacity() * sizeof(Value);
+  for (const Value& v : row) {
+    if (v.type() == ValueType::kString) bytes += v.str().capacity();
+  }
+  return bytes;
 }
 
-Table& Table::operator=(const Table& other) {
-  if (this == &other) return *this;
-  columns_ = other.columns_;
-  rows_ = other.rows_;
-  columnar_ = std::make_shared<ColumnarSlot>();
-  return *this;
+size_t ColumnarBytes(const ColumnarTable& img) {
+  size_t bytes = 0;
+  for (int i = 0; i < img.num_columns(); ++i) {
+    const Column& col = img.col(i);
+    bytes += col.null_words.capacity() * sizeof(uint64_t);
+    bytes += col.i64.capacity() * sizeof(int64_t);
+    bytes += col.f64.capacity() * sizeof(double);
+    bytes += col.codes.capacity() * sizeof(int32_t);
+    for (const std::string& s : col.dict) {
+      bytes += sizeof(std::string) + s.capacity();
+    }
+    bytes += col.mixed.capacity() * sizeof(Value);
+  }
+  return bytes;
 }
 
-Table& Table::operator=(Table&& other) noexcept {
-  if (this == &other) return *this;
-  columns_ = std::move(other.columns_);
-  rows_ = std::move(other.rows_);
-  columnar_ = std::move(other.columnar_);
-  other.columnar_ = std::make_shared<ColumnarSlot>();
-  return *this;
+std::string ArityError(size_t got, int want) {
+  return "row arity " + std::to_string(got) + " != table arity " +
+         std::to_string(want);
 }
 
-Table::~Table() = default;
+}  // namespace
 
-const ColumnarTable& Table::columnar() const {
+void ZoneMap::Add(const Value& v) {
+  switch (v.type()) {
+    case ValueType::kNull:
+      ++null_count;
+      return;
+    case ValueType::kInt64:
+    case ValueType::kDouble: {
+      // NaN compares equal to every number in the row engine; only an
+      // unbounded range stays truthful about it.
+      double d = v.AsDouble();
+      double lo = std::isnan(d) ? -std::numeric_limits<double>::infinity() : d;
+      double hi = std::isnan(d) ? std::numeric_limits<double>::infinity() : d;
+      if (!has_num) {
+        num_min = lo;
+        num_max = hi;
+        has_num = true;
+      } else {
+        num_min = std::min(num_min, lo);
+        num_max = std::max(num_max, hi);
+      }
+      return;
+    }
+    case ValueType::kString:
+      if (!has_str) {
+        str_min = str_max = v.str();
+        has_str = true;
+      } else if (v.str() < str_min) {
+        str_min = v.str();
+      } else if (v.str() > str_max) {
+        str_max = v.str();
+      }
+      return;
+  }
+}
+
+bool ZoneMap::MayContain(const Value& v) const {
+  switch (v.type()) {
+    case ValueType::kNull:
+      return null_count > 0;
+    case ValueType::kInt64:
+    case ValueType::kDouble: {
+      if (!has_num) return false;
+      double d = v.AsDouble();
+      return std::isnan(d) || (num_min <= d && d <= num_max);
+    }
+    case ValueType::kString:
+      return has_str && str_min <= v.str() && v.str() <= str_max;
+  }
+  return true;
+}
+
+Chunk::Chunk(std::vector<Row> rows, int num_columns)
+    : rows_(std::move(rows)),
+      zones_(static_cast<size_t>(num_columns)),
+      columnar_(std::make_unique<ColumnarSlot>()) {
+  for (const Row& row : rows_) {
+    for (size_t c = 0; c < zones_.size(); ++c) zones_[c].Add(row[c]);
+    payload_bytes_ += RowPayloadBytes(row);
+  }
+}
+
+Chunk::Chunk(const Chunk& other)
+    : rows_(other.rows_),
+      zones_(other.zones_),
+      payload_bytes_(other.payload_bytes_),
+      columnar_(std::make_unique<ColumnarSlot>()) {}
+
+void Chunk::Append(Row row) {
+  for (size_t c = 0; c < zones_.size(); ++c) zones_[c].Add(row[c]);
+  payload_bytes_ += RowPayloadBytes(row);
+  rows_.push_back(std::move(row));
+  // The sole owner mutates, so replacing the slot races no reader.
+  if (columnar_->built.load(std::memory_order_acquire)) {
+    columnar_ = std::make_unique<ColumnarSlot>();
+  }
+}
+
+const ColumnarTable& Chunk::columnar() const {
   ColumnarSlot* slot = columnar_.get();
   std::call_once(slot->once, [&] {
     slot->image = std::make_unique<const ColumnarTable>(
-        ColumnarTable::FromRows(rows_, num_columns()));
+        ColumnarTable::FromRows(rows_, static_cast<int>(zones_.size())));
     slot->built.store(true, std::memory_order_release);
   });
   return *slot->image;
 }
 
-void Table::InvalidateColumnar() {
-  // Replacing the slot (rather than clearing it) keeps columnar() free of
-  // pointer races; skip the allocation while nothing was ever built.
-  if (!columnar_->built.load(std::memory_order_acquire)) return;
-  columnar_ = std::make_shared<ColumnarSlot>();
+size_t Chunk::ApproxBytes() const {
+  size_t bytes = sizeof(Chunk) + rows_.capacity() * sizeof(Row) +
+                 payload_bytes_ + zones_.capacity() * sizeof(ZoneMap);
+  for (const ZoneMap& z : zones_) {
+    bytes += z.str_min.capacity() + z.str_max.capacity();
+  }
+  // The columnar image belongs to this chunk and dies with it; a ledger
+  // that ignored it would undercount exactly the garbage it exists to
+  // bound.
+  if (columnar_->built.load(std::memory_order_acquire)) {
+    bytes += ColumnarBytes(*columnar_->image);
+  }
+  return bytes;
+}
+
+const Row& Table::RowRange::operator[](size_t i) const {
+  for (const ChunkPtr& chunk : *chunks_) {
+    if (i < chunk->num_rows()) return chunk->rows()[i];
+    i -= chunk->num_rows();
+  }
+  std::fprintf(stderr, "Table::rows()[]: index out of range\n");
+  std::abort();
+}
+
+Table::RowRange::operator std::vector<Row>() const {
+  std::vector<Row> out;
+  out.reserve(size_);
+  for (const ChunkPtr& chunk : *chunks_) {
+    out.insert(out.end(), chunk->rows().begin(), chunk->rows().end());
+  }
+  return out;
+}
+
+Table::Table(std::vector<std::string> columns) : columns_(std::move(columns)) {}
+
+Table::Table(std::vector<std::string> columns, std::vector<Row> rows)
+    : columns_(std::move(columns)) {
+  AppendRows(std::move(rows));
 }
 
 int Table::ColumnIndex(const std::string& column) const {
@@ -75,27 +184,53 @@ int Table::ColumnIndex(const std::string& column) const {
 
 Status Table::AddRow(Row row) {
   if (static_cast<int>(row.size()) != num_columns()) {
-    return Status::InvalidArgument(
-        "row arity " + std::to_string(row.size()) + " != table arity " +
-        std::to_string(num_columns()));
+    return Status::InvalidArgument(ArityError(row.size(), num_columns()));
   }
-  InvalidateColumnar();
-  rows_.push_back(std::move(row));
+  AppendRow(std::move(row));
   return Status::OK();
 }
 
 Status Table::AddRows(std::vector<Row> rows) {
   for (const Row& row : rows) {
     if (static_cast<int>(row.size()) != num_columns()) {
-      return Status::InvalidArgument(
-          "row arity " + std::to_string(row.size()) + " != table arity " +
-          std::to_string(num_columns()));
+      return Status::InvalidArgument(ArityError(row.size(), num_columns()));
     }
   }
-  InvalidateColumnar();
-  rows_.reserve(rows_.size() + rows.size());
-  for (Row& row : rows) rows_.push_back(std::move(row));
+  AppendRows(std::move(rows));
   return Status::OK();
+}
+
+void Table::AppendRows(std::vector<Row> rows) {
+  // Top up the tail chunk, then cut the rest into whole chunks.
+  auto it = rows.begin();
+  while (it != rows.end() && !chunks_.empty() &&
+         chunks_.back()->num_rows() < kChunkRows) {
+    AppendRow(std::move(*it++));
+  }
+  while (it != rows.end()) {
+    const size_t n = std::min<size_t>(kChunkRows, rows.end() - it);
+    chunks_.push_back(std::make_shared<Chunk>(
+        std::vector<Row>(std::make_move_iterator(it),
+                         std::make_move_iterator(it + n)),
+        num_columns()));
+    it += n;
+    num_rows_ += n;
+  }
+}
+
+void Table::AppendRow(Row row) {
+  if (chunks_.empty() || chunks_.back()->num_rows() >= kChunkRows) {
+    chunks_.push_back(
+        std::make_shared<Chunk>(std::vector<Row>{}, num_columns()));
+  } else if (chunks_.back().use_count() > 1) {
+    // Another version shares the tail: this one gets its own copy.
+    chunks_.back() = ChunkPtr(new Chunk(*chunks_.back()));
+  }
+  // The tail is now this table's alone, and every chunk is allocated as a
+  // non-const Chunk (ChunkPtr only restricts access), so appending in place
+  // is safe.
+  const_cast<Chunk*>(chunks_.back().get())->Append(std::move(row));
+  ++num_rows_;
 }
 
 void Table::AddRowOrDie(Row row) {
@@ -106,35 +241,107 @@ void Table::AddRowOrDie(Row row) {
   }
 }
 
+std::vector<std::pair<size_t, std::vector<uint32_t>>> Table::LocateRows(
+    RowCounts* needed, size_t* chunks_scanned) const {
+  std::vector<std::pair<size_t, std::vector<uint32_t>>> found;
+  int64_t remaining = 0;
+  for (const auto& [row, count] : *needed) {
+    remaining += std::max<int64_t>(0, count);
+  }
+  // Zone checks cost O(distinct rows) per chunk; past a few dozen rows a
+  // plain scan of every chunk is cheaper.
+  const bool prune = needed->size() <= 64;
+  size_t scanned = 0;
+  for (size_t c = 0; c < chunks_.size() && remaining > 0; ++c) {
+    const Chunk& chunk = *chunks_[c];
+    if (prune) {
+      bool may_hold = false;
+      for (const auto& [row, count] : *needed) {
+        if (count <= 0) continue;
+        // A row of another arity equals no stored row.
+        bool fits = static_cast<int>(row.size()) == num_columns();
+        for (size_t i = 0; i < row.size() && fits; ++i) {
+          fits = chunk.zone(static_cast<int>(i)).MayContain(row[i]);
+        }
+        if (fits) {
+          may_hold = true;
+          break;
+        }
+      }
+      if (!may_hold) continue;
+    }
+    ++scanned;
+    std::vector<uint32_t> hits;
+    const std::vector<Row>& rows = chunk.rows();
+    for (size_t r = 0; r < rows.size() && remaining > 0; ++r) {
+      // A few wanted rows: compare directly, which usually stops at the
+      // first column, instead of hashing every row.
+      auto it = needed->end();
+      if (needed->size() <= 4) {
+        for (auto w = needed->begin(); w != needed->end(); ++w) {
+          if (w->second > 0 && RowEq()(w->first, rows[r])) {
+            it = w;
+            break;
+          }
+        }
+      } else {
+        it = needed->find(rows[r]);
+      }
+      if (it == needed->end() || it->second <= 0) continue;
+      --it->second;
+      --remaining;
+      hits.push_back(static_cast<uint32_t>(r));
+    }
+    if (!hits.empty()) found.emplace_back(c, std::move(hits));
+  }
+  if (chunks_scanned != nullptr) *chunks_scanned = scanned;
+  return found;
+}
+
+Status Table::RemoveRows(const std::vector<Row>& rows, size_t* chunks_scanned) {
+  RowCounts needed;
+  for (const Row& row : rows) ++needed[row];
+  auto found = LocateRows(&needed, chunks_scanned);
+  for (const auto& [row, count] : needed) {
+    if (count > 0) {
+      return Status::InvalidArgument("a deleted row is not present");
+    }
+  }
+  std::vector<ChunkPtr> kept;
+  kept.reserve(chunks_.size());
+  size_t next = 0;  // next entry of `found`
+  for (size_t c = 0; c < chunks_.size(); ++c) {
+    if (next == found.size() || found[next].first != c) {
+      kept.push_back(chunks_[c]);
+      continue;
+    }
+    const std::vector<uint32_t>& hits = found[next++].second;
+    const std::vector<Row>& old = chunks_[c]->rows();
+    if (hits.size() == old.size()) continue;  // the chunk empties: drop it
+    std::vector<Row> survivors;
+    survivors.reserve(old.size() - hits.size());
+    size_t h = 0;
+    for (size_t r = 0; r < old.size(); ++r) {
+      if (h < hits.size() && hits[h] == r) {
+        ++h;
+        continue;
+      }
+      survivors.push_back(old[r]);
+    }
+    kept.push_back(
+        std::make_shared<Chunk>(std::move(survivors), num_columns()));
+  }
+  chunks_ = std::move(kept);
+  num_rows_ -= rows.size();
+  return Status::OK();
+}
+
 size_t Table::ApproxBytes() const {
-  size_t bytes = sizeof(Table);
+  size_t bytes = sizeof(Table) + chunks_.capacity() * sizeof(ChunkPtr);
   for (const std::string& c : columns_) {
     bytes += sizeof(std::string) + c.capacity();
   }
-  bytes += rows_.capacity() * sizeof(Row);
-  for (const Row& row : rows_) {
-    bytes += row.capacity() * sizeof(Value);
-    for (const Value& v : row) {
-      if (v.type() == ValueType::kString) bytes += v.str().capacity();
-    }
-  }
-  // The cached columnar pivot belongs to this version and dies with it; an
-  // MVCC ledger that ignored it would undercount exactly the garbage the
-  // reclamation test exists to bound.
-  if (columnar_->built.load(std::memory_order_acquire)) {
-    const ColumnarTable& img = *columnar_->image;
-    for (int i = 0; i < img.num_columns(); ++i) {
-      const Column& col = img.col(i);
-      bytes += col.null_words.capacity() * sizeof(uint64_t);
-      bytes += col.i64.capacity() * sizeof(int64_t);
-      bytes += col.f64.capacity() * sizeof(double);
-      bytes += col.codes.capacity() * sizeof(int32_t);
-      for (const std::string& s : col.dict) {
-        bytes += sizeof(std::string) + s.capacity();
-      }
-      bytes += col.mixed.capacity() * sizeof(Value);
-    }
-  }
+  for (const ChunkPtr& chunk : chunks_) bytes += chunk->ApproxBytes();
   return bytes;
 }
 
@@ -142,9 +349,9 @@ std::string Table::ToString(size_t max_rows) const {
   std::ostringstream os;
   os << Join(columns_, " | ") << "\n";
   size_t shown = 0;
-  for (const Row& row : rows_) {
+  for (const Row& row : rows()) {
     if (shown++ >= max_rows) {
-      os << "... (" << rows_.size() << " rows total)\n";
+      os << "... (" << num_rows_ << " rows total)\n";
       break;
     }
     for (size_t i = 0; i < row.size(); ++i) {
@@ -246,11 +453,23 @@ std::vector<Database::TableMvcc> Database::MvccStats() const {
     m.versions_alive = versioned.table != nullptr ? 1 : 0;
     auto it = retired_.find(name);
     if (it != retired_.end()) {
+      // Chunks the current version still references cost a pinned version
+      // nothing; seed them as already counted.
+      std::unordered_set<const Chunk*> counted;
+      if (versioned.table != nullptr) {
+        for (const ChunkPtr& chunk : versioned.table->chunks()) {
+          counted.insert(chunk.get());
+        }
+      }
       for (const Retired& r : it->second) {
         TablePtr pinned = r.table.lock();
         if (pinned == nullptr) continue;
         ++m.versions_alive;
-        m.bytes_pinned += pinned->ApproxBytes();
+        for (const ChunkPtr& chunk : pinned->chunks()) {
+          if (counted.insert(chunk.get()).second) {
+            m.bytes_pinned += chunk->ApproxBytes();
+          }
+        }
         if (m.oldest_pinned_epoch == 0 || r.version < m.oldest_pinned_epoch) {
           m.oldest_pinned_epoch = r.version;
         }
@@ -340,7 +559,8 @@ bool MultisetAlmostEqual(const Table& a, const Table& b,
                          double relative_tolerance) {
   if (a.num_columns() != b.num_columns()) return false;
   if (a.num_rows() != b.num_rows()) return false;
-  std::vector<Row> ra = a.rows(), rb = b.rows();
+  std::vector<Row> ra = a.rows();
+  std::vector<Row> rb = b.rows();
   auto by_total_order = [](const Row& x, const Row& y) {
     return CompareRows(x, y) < 0;
   };

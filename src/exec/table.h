@@ -2,12 +2,16 @@
 #define AQV_EXEC_TABLE_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "base/result.h"
@@ -18,22 +22,156 @@ namespace aqv {
 
 class ColumnarTable;
 
+/// Rows per chunk of a Table version. A write rewrites only the chunks it
+/// touches, so this bounds what one single-row write copies and re-pivots.
+inline constexpr size_t kChunkRows = 16384;
+
+/// Per-column facts about one chunk, grouped by the comparison families of
+/// the row engine (NULL, numeric, string). Used to skip chunks that cannot
+/// hold a row a predicate or a delete is looking for; every answer errs on
+/// the side of "may match".
+struct ZoneMap {
+  size_t null_count = 0;
+  bool has_num = false;  // some INT64/DOUBLE value; bounds compare as doubles
+  double num_min = 0.0;
+  double num_max = 0.0;
+  bool has_str = false;
+  std::string str_min;
+  std::string str_max;
+
+  void Add(const Value& v);
+
+  /// False only if no value of the column equals `v` under Value::Compare
+  /// (the equality RowEq and a delete use).
+  bool MayContain(const Value& v) const;
+};
+
+/// Up to kChunkRows rows of one Table version, immutable once shared by
+/// two versions. Carries its zone maps (kept current on every append) and
+/// a lazily built columnar image, so a new version re-pivots only the
+/// chunks its write rewrote.
+class Chunk {
+ public:
+  Chunk(std::vector<Row> rows, int num_columns);
+
+  const std::vector<Row>& rows() const { return rows_; }
+  size_t num_rows() const { return rows_.size(); }
+  const ZoneMap& zone(int column) const {
+    return zones_[static_cast<size_t>(column)];
+  }
+
+  /// Columnar image of this chunk (exec/column_batch.h). Built once under a
+  /// once-flag; concurrent readers of a shared chunk share it.
+  const ColumnarTable& columnar() const;
+
+  /// Approximate heap bytes: rows, zone maps, and the columnar image once
+  /// built.
+  size_t ApproxBytes() const;
+
+ private:
+  friend class Table;
+
+  struct ColumnarSlot {
+    std::once_flag once;
+    std::atomic<bool> built{false};
+    std::unique_ptr<const ColumnarTable> image;
+  };
+
+  /// A private copy (rows and zone maps; no columnar image yet), for the
+  /// copy-on-write of a shared tail chunk.
+  Chunk(const Chunk& other);
+
+  /// Appends in place; only the Table that solely owns this chunk calls it.
+  void Append(Row row);
+
+  std::vector<Row> rows_;
+  std::vector<ZoneMap> zones_;
+  size_t payload_bytes_ = 0;  // per-row vectors and string bytes
+  std::unique_ptr<ColumnarSlot> columnar_;
+};
+
+/// Shared read-only handle to a chunk. Chunks are allocated non-const, so
+/// the one owner of a tail chunk may append to it in place.
+using ChunkPtr = std::shared_ptr<const Chunk>;
+
+/// Row -> multiplicity, with SQL-equal values (1 and 1.0) as one key.
+using RowCounts = std::unordered_map<Row, int64_t, RowHash, RowEq>;
+
 /// An in-memory multiset of rows with named columns. Duplicate rows are
 /// first-class: the paper's semantics are over bags, and a Table preserves
 /// multiplicities exactly.
+///
+/// Rows are stored in chunks of at most kChunkRows, in row order. Copying a
+/// Table copies chunk pointers, not rows; a write then replaces only the
+/// chunks it changes (copy-on-write per chunk), so a new version shares
+/// every untouched chunk, with its zone maps and columnar image, with the
+/// version it came from. Appends go to the tail chunk; no chunk is empty.
 class Table {
  public:
-  Table();
+  /// Forward range over all rows, chunk by chunk.
+  class RowRange {
+   public:
+    class iterator {
+     public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = Row;
+      using difference_type = std::ptrdiff_t;
+      using pointer = const Row*;
+      using reference = const Row&;
+
+      iterator() = default;
+      iterator(const std::vector<ChunkPtr>* chunks, size_t chunk)
+          : chunks_(chunks), chunk_(chunk) {}
+      const Row& operator*() const { return (*chunks_)[chunk_]->rows()[row_]; }
+      const Row* operator->() const { return &**this; }
+      iterator& operator++() {
+        if (++row_ == (*chunks_)[chunk_]->num_rows()) {
+          ++chunk_;
+          row_ = 0;
+        }
+        return *this;
+      }
+      iterator operator++(int) {
+        iterator old = *this;
+        ++*this;
+        return old;
+      }
+      bool operator==(const iterator& o) const {
+        return chunk_ == o.chunk_ && row_ == o.row_;
+      }
+      bool operator!=(const iterator& o) const { return !(*this == o); }
+
+     private:
+      const std::vector<ChunkPtr>* chunks_ = nullptr;
+      size_t chunk_ = 0;
+      size_t row_ = 0;
+    };
+
+    RowRange(const std::vector<ChunkPtr>* chunks, size_t size)
+        : chunks_(chunks), size_(size) {}
+    iterator begin() const { return iterator(chunks_, 0); }
+    iterator end() const { return iterator(chunks_, chunks_->size()); }
+    size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    /// The i-th row; walks the chunk list, so O(#chunks).
+    const Row& operator[](size_t i) const;
+    /// A copy of every row, in order.
+    operator std::vector<Row>() const;
+
+   private:
+    const std::vector<ChunkPtr>* chunks_;
+    size_t size_;
+  };
+
+  Table() = default;
   explicit Table(std::vector<std::string> columns);
-  Table(const Table& other);
-  Table(Table&& other) noexcept;
-  Table& operator=(const Table& other);
-  Table& operator=(Table&& other) noexcept;
-  ~Table();
+  /// A table holding `rows`, each of arity columns.size() (not checked:
+  /// for operator output whose shape is known).
+  Table(std::vector<std::string> columns, std::vector<Row> rows);
 
   const std::vector<std::string>& columns() const { return columns_; }
   int num_columns() const { return static_cast<int>(columns_.size()); }
-  size_t num_rows() const { return rows_.size(); }
+  size_t num_rows() const { return num_rows_; }
 
   /// Ordinal of `column`, or -1.
   int ColumnIndex(const std::string& column) const;
@@ -41,59 +179,57 @@ class Table {
   /// Appends `row`; its arity must match the schema.
   Status AddRow(Row row);
 
-  /// Appends a batch of rows (all-or-nothing on arity mismatch). One cache
-  /// invalidation and one capacity reservation for the whole batch, so the
-  /// write path's delta application stays O(batch), not O(batch * rebuilds).
+  /// Appends a batch of rows (all-or-nothing on arity mismatch). Only the
+  /// tail chunk is rewritten, plus the new chunks the batch fills.
   Status AddRows(std::vector<Row> rows);
 
   /// AddRow that aborts on arity mismatch; for literal test data.
   void AddRowOrDie(Row row);
 
-  const std::vector<Row>& rows() const { return rows_; }
-  std::vector<Row>* mutable_rows() {
-    InvalidateColumnar();
-    return &rows_;
-  }
+  /// Removes one occurrence of each row of `rows` (a multiset; the first
+  /// occurrences in row order), rewriting only the chunks that held one.
+  /// kInvalidArgument, with the table unchanged, if some row is not
+  /// present. `chunks_scanned` (optional) receives the number of chunks
+  /// whose rows were examined; zone maps rule out the rest.
+  Status RemoveRows(const std::vector<Row>& rows,
+                    size_t* chunks_scanned = nullptr);
 
-  /// Lazily built, cached columnar image of this table (exec/column_batch.h),
-  /// the input of the vectorized operators. Safe for concurrent readers of
-  /// an immutable (published) table version: the first caller builds under a
-  /// once-flag, later callers share the image. Mutation through AddRow /
-  /// AddRows / mutable_rows discards the cache; mutating while another
-  /// thread reads is outside the Table contract (stored versions are
-  /// copy-on-write, see TablePtr below).
-  const ColumnarTable& columnar() const;
+  /// Finds one occurrence of each row still counted in `*needed`, in row
+  /// order, decrementing its count; stops once every count is zero. Only
+  /// chunks whose zone maps may hold a counted row are scanned. Returns the
+  /// matched positions as (chunk ordinal, ascending row ordinals) pairs.
+  std::vector<std::pair<size_t, std::vector<uint32_t>>> LocateRows(
+      RowCounts* needed, size_t* chunks_scanned = nullptr) const;
+
+  RowRange rows() const { return RowRange(&chunks_, num_rows_); }
+  const std::vector<ChunkPtr>& chunks() const { return chunks_; }
 
   /// Multi-line human-readable rendering (for examples and test failures).
   std::string ToString(size_t max_rows = 20) const;
 
-  /// Approximate heap footprint of this version in bytes: row storage plus
-  /// the cached columnar pivot image when one has been built. Used by the
-  /// MVCC accounting (Database::MvccStats) to size what pinned old versions
-  /// hold; O(rows), so call it from stats paths, not hot loops.
+  /// Approximate heap footprint of this version in bytes: its chunks (see
+  /// Chunk::ApproxBytes), shared or not. O(#chunks).
   size_t ApproxBytes() const;
 
  private:
-  /// Holder for the lazily built columnar image. A fresh slot is assigned on
-  /// construction, copy, and mutation, so the pointer itself is never
-  /// written while concurrent readers race through columnar().
-  struct ColumnarSlot {
-    std::once_flag once;
-    std::atomic<bool> built{false};
-    std::unique_ptr<const ColumnarTable> image;
-  };
-
-  void InvalidateColumnar();
+  /// Appends `row` (arity already checked) to the tail chunk, starting a
+  /// new chunk when it is full and copying it first when another version
+  /// shares it.
+  void AppendRow(Row row);
+  /// AppendRow for a batch: rows past the tail chunk go into whole new
+  /// chunks at once.
+  void AppendRows(std::vector<Row> rows);
 
   std::vector<std::string> columns_;
-  std::vector<Row> rows_;
-  mutable std::shared_ptr<ColumnarSlot> columnar_;
+  std::vector<ChunkPtr> chunks_;
+  size_t num_rows_ = 0;
 };
 
 /// An immutable stored table version. Once a Table is Put into a Database it
-/// is never mutated again: writers replace the whole pointer (copy-on-write),
-/// so any holder of a TablePtr — a pinned snapshot, an in-flight evaluator —
-/// keeps reading the version it started with.
+/// is never mutated again: a writer builds a new version that shares every
+/// chunk it did not change and publishes that, so any holder of a TablePtr
+/// — a pinned snapshot, an in-flight evaluator — keeps reading the version
+/// it started with.
 using TablePtr = std::shared_ptr<const Table>;
 
 /// A database instance: base-table name -> contents. Materialized view
@@ -157,21 +293,24 @@ class Database {
 
   /// MVCC accounting for one table: how many versions are still reachable
   /// (the current one plus retired versions kept alive by snapshots or
-  /// in-flight readers), how many bytes those retired versions pin, and the
-  /// epoch of the oldest still-pinned retired version (0 when only the
-  /// current version is alive).
+  /// in-flight readers), how many bytes those retired versions pin that
+  /// the current version does not share, and the epoch of the oldest
+  /// still-pinned retired version (0 when only the current version is
+  /// alive).
   struct TableMvcc {
     std::string table;
     size_t versions_alive = 0;  // current version + live retired versions
-    size_t bytes_pinned = 0;    // bytes held by live retired versions
+    size_t bytes_pinned = 0;    // unshared chunk bytes of retired versions
     uint64_t oldest_pinned_epoch = 0;
   };
 
   /// Per-table MVCC accounting, name-sorted. Retired versions are tracked
-  /// by weak_ptr, so a version (and its columnar pivot cache) that no
-  /// snapshot holds any more drops out of the numbers the moment the last
-  /// shared_ptr dies — reclamation is the shared_ptr itself; this is the
-  /// ledger proving it happened. O(total pinned rows) for the byte sizing.
+  /// by weak_ptr, so a version that no snapshot holds any more drops out of
+  /// the numbers the moment the last shared_ptr dies — reclamation is the
+  /// shared_ptr itself; this is the ledger proving it happened. A pinned
+  /// version costs only its chunks the current version no longer
+  /// references (each counted once, with its columnar image): the chunks
+  /// it shares stay alive anyway. O(#chunks) of the live versions.
   std::vector<TableMvcc> MvccStats() const;
 
   /// The smallest epoch any live retired version was published at, across

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cmath>
+#include <string>
 #include <unordered_map>
 
 namespace aqv {
@@ -39,6 +41,25 @@ inline double NumAt(const Column& c, size_t r) {
 inline int Sign(int c) { return c < 0 ? -1 : (c > 0 ? 1 : 0); }
 
 using Pred = CompiledFilter::Pred;
+
+/// An operand resolved the way EvalScalarPredicate resolves it: constants
+/// pass through, columns go through the layout, and anything unresolvable
+/// becomes a NULL constant (which makes the predicate constant-false).
+struct Resolved {
+  bool is_const;
+  Value cv;
+  int col;
+};
+
+Resolved Resolve(const Operand& o, const ColumnIndexMap& layout,
+                 int num_columns) {
+  if (o.is_constant()) return {true, o.constant, -1};
+  auto it = layout.find(o.column);
+  if (it == layout.end() || it->second < 0 || it->second >= num_columns) {
+    return {true, Value::Null(), -1};
+  }
+  return {false, Value(), it->second};
+}
 
 bool PredPass(const Pred& p, const ColumnarTable& t, size_t r) {
   switch (p.kind) {
@@ -169,24 +190,8 @@ bool CompiledFilter::Compile(const std::vector<Predicate>& preds,
   out->preds_.reserve(preds.size());
   for (const Predicate& p : preds) {
     if (!p.IsScalar()) return false;
-    // Resolve each operand the way EvalScalarPredicate does: constants pass
-    // through, columns go through the layout, anything unresolvable becomes
-    // a NULL constant (which makes the predicate constant-false).
-    struct Res {
-      bool is_const;
-      Value cv;
-      int col;
-    };
-    auto resolve = [&](const Operand& o) -> Res {
-      if (o.is_constant()) return {true, o.constant, -1};
-      auto it = layout.find(o.column);
-      if (it == layout.end() || it->second < 0 ||
-          it->second >= table.num_columns()) {
-        return {true, Value::Null(), -1};
-      }
-      return {false, Value(), it->second};
-    };
-    Res l = resolve(p.lhs), r = resolve(p.rhs);
+    Resolved l = Resolve(p.lhs, layout, table.num_columns());
+    Resolved r = Resolve(p.rhs, layout, table.num_columns());
     if (!l.is_const && !table.ColumnVectorizable(l.col)) return false;
     if (!r.is_const && !table.ColumnVectorizable(r.col)) return false;
 
@@ -273,14 +278,121 @@ SelVector CompiledFilter::Run(const ColumnarTable& table,
   return sel;
 }
 
-std::vector<Row> GatherRows(const ColumnarTable& table, const SelVector& sel) {
-  std::vector<Row> out;
-  out.reserve(sel.size());
+void GatherRows(const ColumnarTable& table, const SelVector& sel,
+                std::vector<Row>* out) {
+  // Reserving again per chunk would defeat the geometric growth.
+  if (out->empty()) out->reserve(sel.size());
   for (uint32_t r : sel) {
     Row row;
     table.AppendRowTo(r, &row);
-    out.push_back(std::move(row));
+    out->push_back(std::move(row));
   }
+}
+
+bool CompileChunkFilters(const std::vector<Predicate>& preds,
+                         const ColumnIndexMap& layout, const Table& table,
+                         std::vector<CompiledFilter>* out) {
+  out->assign(table.chunks().size(), CompiledFilter());
+  for (size_t c = 0; c < table.chunks().size(); ++c) {
+    if (!CompiledFilter::Compile(preds, layout, table.chunks()[c]->columnar(),
+                                 &(*out)[c])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+namespace {
+
+/// False only if no row of `chunk` can satisfy `p` (EvalScalarPredicate's
+/// semantics): a column compared with a constant outside its zone, a NULL
+/// or unresolvable operand, an all-NULL column.
+bool ZoneMayPass(const Predicate& p, const Chunk& chunk,
+                 const ColumnIndexMap& layout, int num_columns) {
+  Resolved l = Resolve(p.lhs, layout, num_columns);
+  Resolved r = Resolve(p.rhs, layout, num_columns);
+  const size_t rows = chunk.num_rows();
+  auto all_null = [&](int col) { return chunk.zone(col).null_count == rows; };
+  if (l.is_const && r.is_const) return EvalCmp(l.cv, p.op, r.cv);
+  if (!l.is_const && !r.is_const) return !all_null(l.col) && !all_null(r.col);
+  // Normalize to `column op constant`.
+  const ZoneMap& z = chunk.zone(l.is_const ? r.col : l.col);
+  const Value& c = l.is_const ? l.cv : r.cv;
+  const CmpOp op = l.is_const ? FlipCmpOp(p.op) : p.op;
+  if (c.is_null() || z.null_count == rows) return false;
+  if (op == CmpOp::kNe) return true;  // cross-family `<>` passes
+  if (c.is_numeric()) {
+    double d = c.AsDouble();
+    if (!z.has_num) return false;
+    if (std::isnan(d)) return true;
+    switch (op) {
+      case CmpOp::kEq:
+        return z.num_min <= d && d <= z.num_max;
+      case CmpOp::kLt:
+        return z.num_min < d;
+      case CmpOp::kLe:
+        return z.num_min <= d;
+      case CmpOp::kGt:
+        return z.num_max > d;
+      default:  // kGe
+        return z.num_max >= d;
+    }
+  }
+  if (!z.has_str) return false;
+  const std::string& str = c.str();
+  switch (op) {
+    case CmpOp::kEq:
+      return z.str_min <= str && str <= z.str_max;
+    case CmpOp::kLt:
+      return z.str_min < str;
+    case CmpOp::kLe:
+      return z.str_min <= str;
+    case CmpOp::kGt:
+      return z.str_max > str;
+    default:  // kGe
+      return z.str_max >= str;
+  }
+}
+
+}  // namespace
+
+std::vector<std::pair<size_t, SelVector>> SelectRows(
+    const Table& table, const std::vector<Predicate>& preds,
+    const ColumnIndexMap& layout, size_t* chunks_scanned) {
+  std::vector<std::pair<size_t, SelVector>> out;
+  size_t scanned = 0;
+  for (size_t c = 0; c < table.chunks().size(); ++c) {
+    const Chunk& chunk = *table.chunks()[c];
+    bool may_match = true;
+    for (const Predicate& p : preds) {
+      if (p.IsScalar() &&
+          !ZoneMayPass(p, chunk, layout, table.num_columns())) {
+        may_match = false;
+        break;
+      }
+    }
+    if (!may_match) continue;
+    ++scanned;
+    SelVector sel;
+    CompiledFilter filter;
+    if (CompiledFilter::Compile(preds, layout, chunk.columnar(), &filter)) {
+      sel = filter.Run(chunk.columnar(), nullptr);
+    } else {
+      const std::vector<Row>& rows = chunk.rows();
+      for (size_t r = 0; r < rows.size(); ++r) {
+        bool keep = true;
+        for (const Predicate& p : preds) {
+          if (!EvalScalarPredicate(p, rows[r], layout)) {
+            keep = false;
+            break;
+          }
+        }
+        if (keep) sel.push_back(static_cast<uint32_t>(r));
+      }
+    }
+    if (!sel.empty()) out.emplace_back(c, std::move(sel));
+  }
+  if (chunks_scanned != nullptr) *chunks_scanned = scanned;
   return out;
 }
 
@@ -289,7 +401,8 @@ namespace {
 /// Packed canonical group key: (tag, bits) per grouping column, zero-padded
 /// to the maximum width so the map type is fixed. Tags: 0 NULL, 1 integer
 /// space (INT64 and integral DOUBLE collapse here — CanonicalKey's rule),
-/// 2 non-integral DOUBLE (IEEE bits), 3 string (dictionary code).
+/// 2 non-integral DOUBLE (IEEE bits), 3 string (code in the column's
+/// aggregation-wide dictionary).
 using GroupKey = std::array<uint64_t, 2 * VectorizedAggregation::kMaxGroupCols>;
 
 struct GroupKeyHash {
@@ -305,19 +418,63 @@ struct GroupKeyHash {
 };
 
 /// Mirrors Aggregator's accumulator state; which fields are live is decided
-/// by the compiled (fn, stream) pair, so the struct carries no tags.
+/// by the aggregate and by each image's stream, so the struct carries only
+/// the tags Aggregator's Value fields would.
 struct AggState {
-  int64_t sum_i = 0;
+  __int128 sum_i = 0;  // exact, while every input is INT64
   double sum_d = 0.0;
   int64_t cnt = 0;
   int64_t ext_i = 0;
   double ext_d = 0.0;
   int32_t ext_code = -1;
+  enum : uint8_t { kNone, kInt, kDbl, kStr } ext = kNone;  // MIN/MAX kind
   bool any = false;
+  bool all_int = true;
 };
 
-inline void EncodeKeyCol(const Column& c, size_t r, uint64_t* tag,
-                         uint64_t* bits) {
+/// One column's strings across every image of one aggregation. The first
+/// image's dictionary is used in place (identity remap); the first later
+/// image copies it into `merged`, and every later image maps its codes onto
+/// that copy through `index`.
+struct GlobalDict {
+  const std::vector<std::string>* first = nullptr;
+  std::vector<std::string> merged;
+  std::unordered_map<std::string, int32_t> index;
+
+  const std::vector<std::string>& strings() const {
+    return merged.empty() ? *first : merged;
+  }
+
+  /// Remap of `dict`'s codes; empty means identity.
+  std::vector<int32_t> Remap(const std::vector<std::string>& dict) {
+    if (first == nullptr) {
+      first = &dict;
+      return {};
+    }
+    if (merged.empty()) {
+      merged = *first;
+      for (size_t i = 0; i < merged.size(); ++i) {
+        index.emplace(merged[i], static_cast<int32_t>(i));
+      }
+    }
+    std::vector<int32_t> remap(dict.size());
+    for (size_t i = 0; i < dict.size(); ++i) {
+      auto [it, inserted] =
+          index.emplace(dict[i], static_cast<int32_t>(merged.size()));
+      if (inserted) merged.push_back(dict[i]);
+      remap[i] = it->second;
+    }
+    return remap;
+  }
+};
+
+/// Typed value stream an aggregate consumes from one image: fixed per
+/// image since a non-kMixed column holds one type (a product with a string
+/// operand is always NULL, hence kNullStream).
+enum class Stream : uint8_t { kInt, kDbl, kStr, kNullStream };
+
+inline void EncodeKeyCol(const Column& c, size_t r, const int32_t* remap,
+                         uint64_t* tag, uint64_t* bits) {
   if (c.IsNull(r)) {
     *tag = 0;
     *bits = 0;
@@ -340,77 +497,166 @@ inline void EncodeKeyCol(const Column& c, size_t r, uint64_t* tag,
       }
       break;
     }
-    case ColumnType::kString:
+    case ColumnType::kString: {
+      int32_t code = c.codes[r];
+      if (remap != nullptr) code = remap[code];
       *tag = 3;
-      *bits = static_cast<uint64_t>(static_cast<uint32_t>(c.codes[r]));
+      *bits = static_cast<uint64_t>(static_cast<uint32_t>(code));
       break;
+    }
     case ColumnType::kMixed:
       break;  // rejected at Compile
   }
 }
 
+/// True if column `c` of an image holds at least one non-NULL value.
+bool HasValues(const Column& c, size_t rows) {
+  if (!c.has_nulls) return rows > 0;
+  size_t nulls = 0;
+  for (uint64_t w : c.null_words) {
+    nulls += static_cast<size_t>(std::popcount(w));
+  }
+  return nulls < rows;
+}
+
 }  // namespace
 
-bool VectorizedAggregation::Compile(const ColumnarTable& table,
-                                    const std::vector<int>& group_cols,
-                                    const std::vector<AggSpec>& aggs,
-                                    VectorizedAggregation* out) {
+struct VectorizedAggregation::Groups::Impl {
+  std::unordered_map<GroupKey, uint32_t, GroupKeyHash> index;
+  std::vector<Row> keys;         // first-encountered group values
+  std::vector<AggState> states;  // group-major, one per aggregate
+  std::unordered_map<int, GlobalDict> dicts;  // by column ordinal
+  explicit Impl(size_t key_words) : index(16, GroupKeyHash{key_words}) {}
+};
+
+VectorizedAggregation::Groups::Groups() = default;
+VectorizedAggregation::Groups::~Groups() = default;
+VectorizedAggregation::Groups::Groups(Groups&&) noexcept = default;
+VectorizedAggregation::Groups& VectorizedAggregation::Groups::operator=(
+    Groups&&) noexcept = default;
+
+bool VectorizedAggregation::CompileImages(
+    const std::vector<const ColumnarTable*>& images,
+    const std::vector<int>& group_cols, const std::vector<AggSpec>& aggs,
+    VectorizedAggregation* out) {
   if (group_cols.size() > kMaxGroupCols) return false;
+  auto vectorizable = [&](int col) {
+    for (const ColumnarTable* t : images) {
+      if (!t->ColumnVectorizable(col)) return false;
+    }
+    return true;
+  };
   for (int g : group_cols) {
-    if (!table.ColumnVectorizable(g)) return false;
+    if (!vectorizable(g)) return false;
   }
   out->group_cols_ = group_cols;
   out->aggs_.clear();
   out->aggs_.reserve(aggs.size());
   for (const AggSpec& a : aggs) {
-    Agg c;
-    c.fn = a.fn;
-    c.col = a.column;
-    c.mult = a.multiplier;
-    if (!table.ColumnVectorizable(a.column)) return false;
-    ColumnType ct = table.col(a.column).type;
+    if (!vectorizable(a.column)) return false;
     if (a.multiplier >= 0) {
-      if (!table.ColumnVectorizable(a.multiplier)) return false;
-      ColumnType mt = table.col(a.multiplier).type;
-      if (ct == ColumnType::kString || mt == ColumnType::kString) {
-        // NumericProduct of a non-numeric operand is NULL for every row.
-        c.stream = Stream::kNullStream;
-      } else if (ct == ColumnType::kInt64 && mt == ColumnType::kInt64) {
-        c.stream = Stream::kInt;
-      } else {
-        c.stream = Stream::kDbl;
-      }
+      // NumericProduct: a string operand yields NULL, numbers multiply.
+      if (!vectorizable(a.multiplier)) return false;
     } else {
-      c.stream = ct == ColumnType::kInt64    ? Stream::kInt
-                 : ct == ColumnType::kDouble ? Stream::kDbl
-                                             : Stream::kStr;
+      bool strings = false;
+      bool numbers = false;
+      for (const ColumnarTable* t : images) {
+        const Column& c = t->col(a.column);
+        if (c.type == ColumnType::kString) {
+          strings = true;
+        } else if (HasValues(c, t->num_rows())) {
+          numbers = true;
+        }
+      }
+      // SUM/AVG over a string column would hit AsDouble on a string in the
+      // row engine; keep that path byte-identical by not vectorizing it.
+      // MIN/MAX across families keeps the first family's extremum in the
+      // row engine; a typed loop would not, so that falls back too.
+      if ((a.fn == AggFn::kSum || a.fn == AggFn::kAvg) && strings) {
+        return false;
+      }
+      if ((a.fn == AggFn::kMin || a.fn == AggFn::kMax) && strings && numbers) {
+        return false;
+      }
     }
-    // SUM/AVG over a string column would hit AsDouble on a string in the
-    // row engine; keep that path byte-identical by not vectorizing it.
-    if ((a.fn == AggFn::kSum || a.fn == AggFn::kAvg) &&
-        c.stream == Stream::kStr) {
-      return false;
-    }
-    out->aggs_.push_back(c);
+    out->aggs_.push_back(Agg{a.fn, a.column, a.multiplier});
   }
   return true;
 }
 
-std::vector<Row> VectorizedAggregation::Run(const ColumnarTable& table,
-                                            const SelVector* sel,
-                                            ExecContext* ctx) const {
+bool VectorizedAggregation::Compile(const ColumnarTable& table,
+                                    const std::vector<int>& group_cols,
+                                    const std::vector<AggSpec>& aggs,
+                                    VectorizedAggregation* out) {
+  return CompileImages({&table}, group_cols, aggs, out);
+}
+
+bool VectorizedAggregation::Compile(const Table& table,
+                                    const std::vector<int>& group_cols,
+                                    const std::vector<AggSpec>& aggs,
+                                    VectorizedAggregation* out) {
+  std::vector<const ColumnarTable*> images;
+  images.reserve(table.chunks().size());
+  for (const ChunkPtr& chunk : table.chunks()) {
+    images.push_back(&chunk->columnar());
+  }
+  return CompileImages(images, group_cols, aggs, out);
+}
+
+void VectorizedAggregation::Accumulate(const ColumnarTable& table,
+                                       const SelVector* sel, ExecContext* ctx,
+                                       Groups* groups) const {
   const size_t total = sel != nullptr ? sel->size() : table.num_rows();
   const size_t nspecs = aggs_.size();
   const size_t ng = group_cols_.size();
-
-  std::unordered_map<GroupKey, uint32_t, GroupKeyHash> gmap(
-      16, GroupKeyHash{2 * ng});
-  std::vector<uint32_t> first_rows;
-  std::vector<AggState> states;
-  if (ng == 0) {
+  if (groups->impl_ == nullptr) {
+    groups->impl_ = std::make_unique<Groups::Impl>(2 * ng);
+  }
+  Groups::Impl& g = *groups->impl_;
+  if (ng == 0 && g.keys.empty()) {
     // Global aggregate: exactly one group, present even on empty input.
-    first_rows.push_back(0);
-    states.resize(nspecs);
+    g.keys.emplace_back();
+    g.states.resize(nspecs);
+  }
+
+  // This image's string codes, mapped onto each column's dictionary.
+  std::unordered_map<int, std::vector<int32_t>> remaps;
+  auto remap_of = [&](int col) -> const int32_t* {
+    auto it = remaps.find(col);
+    if (it == remaps.end()) {
+      it = remaps.emplace(col, g.dicts[col].Remap(table.col(col).dict)).first;
+    }
+    return it->second.empty() ? nullptr : it->second.data();
+  };
+  std::array<const int32_t*, kMaxGroupCols> key_remap{};
+  for (size_t i = 0; i < ng; ++i) {
+    if (table.col(group_cols_[i]).type == ColumnType::kString) {
+      key_remap[i] = remap_of(group_cols_[i]);
+    }
+  }
+  // Per aggregate: this image's stream, and the code remap of a string
+  // MIN/MAX.
+  std::vector<Stream> streams(nspecs);
+  std::vector<const int32_t*> agg_remap(nspecs, nullptr);
+  for (size_t s = 0; s < nspecs; ++s) {
+    const Agg& a = aggs_[s];
+    ColumnType ct = table.col(a.col).type;
+    if (a.mult >= 0) {
+      ColumnType mt = table.col(a.mult).type;
+      streams[s] = ct == ColumnType::kString || mt == ColumnType::kString
+                       ? Stream::kNullStream
+                   : ct == ColumnType::kInt64 && mt == ColumnType::kInt64
+                       ? Stream::kInt
+                       : Stream::kDbl;
+    } else {
+      streams[s] = ct == ColumnType::kInt64    ? Stream::kInt
+                   : ct == ColumnType::kDouble ? Stream::kDbl
+                                               : Stream::kStr;
+    }
+    if (streams[s] == Stream::kStr &&
+        (a.fn == AggFn::kMin || a.fn == AggFn::kMax)) {
+      agg_remap[s] = remap_of(a.col);
+    }
   }
 
   std::vector<uint32_t> gids(kBatchRows);
@@ -426,15 +672,18 @@ std::vector<Row> VectorizedAggregation::Run(const ColumnarTable& table,
       GroupKey key{};
       for (size_t k = 0; k < bn; ++k) {
         size_t r = selp != nullptr ? selp[k] : base + k;
-        for (size_t g = 0; g < ng; ++g) {
-          EncodeKeyCol(table.col(group_cols_[g]), r, &key[2 * g],
-                       &key[2 * g + 1]);
+        for (size_t i = 0; i < ng; ++i) {
+          EncodeKeyCol(table.col(group_cols_[i]), r, key_remap[i],
+                       &key[2 * i], &key[2 * i + 1]);
         }
         auto [it, inserted] =
-            gmap.try_emplace(key, static_cast<uint32_t>(first_rows.size()));
+            g.index.try_emplace(key, static_cast<uint32_t>(g.keys.size()));
         if (inserted) {
-          first_rows.push_back(static_cast<uint32_t>(r));
-          states.resize(states.size() + nspecs);
+          Row values;
+          values.reserve(ng + nspecs);  // Finish appends the aggregates
+          for (int col : group_cols_) values.push_back(table.ValueAt(col, r));
+          g.keys.push_back(std::move(values));
+          g.states.resize(g.states.size() + nspecs);
         }
         gids[k] = it->second;
       }
@@ -443,9 +692,10 @@ std::vector<Row> VectorizedAggregation::Run(const ColumnarTable& table,
     // Stage 2: per-aggregate typed accumulation over the batch.
     for (size_t s = 0; s < nspecs; ++s) {
       const Agg& a = aggs_[s];
-      if (a.stream == Stream::kNullStream) continue;
+      const Stream stream = streams[s];
+      if (stream == Stream::kNullStream) continue;
       auto state = [&](size_t k) -> AggState& {
-        return states[gids[k] * nspecs + s];
+        return g.states[gids[k] * nspecs + s];
       };
       auto row_of = [&](size_t k) {
         return selp != nullptr ? static_cast<size_t>(selp[k]) : base + k;
@@ -456,7 +706,7 @@ std::vector<Row> VectorizedAggregation::Run(const ColumnarTable& table,
       switch (a.fn) {
         case AggFn::kSum:
         case AggFn::kAvg:
-          if (a.stream == Stream::kInt) {
+          if (stream == Stream::kInt) {
             for (size_t k = 0; k < bn; ++k) {
               size_t r = row_of(k);
               if (c.IsNull(r) || (m != nullptr && m->IsNull(r))) continue;
@@ -476,6 +726,7 @@ std::vector<Row> VectorizedAggregation::Run(const ColumnarTable& table,
               st.sum_d += v;
               ++st.cnt;
               st.any = true;
+              st.all_int = false;
             }
           }
           break;
@@ -490,42 +741,54 @@ std::vector<Row> VectorizedAggregation::Run(const ColumnarTable& table,
           break;
         case AggFn::kMin:
         case AggFn::kMax: {
+          // Strict double comparison like EvalCmp: the first value wins
+          // ties, including INT64/DOUBLE pairs that collapse as doubles.
           const bool is_min = a.fn == AggFn::kMin;
-          if (a.stream == Stream::kInt) {
+          auto beats = [is_min](double v, const AggState& st) {
+            double e = st.ext == AggState::kInt
+                           ? static_cast<double>(st.ext_i)
+                           : st.ext_d;
+            return st.ext == AggState::kNone || (is_min ? v < e : v > e);
+          };
+          if (stream == Stream::kInt) {
             for (size_t k = 0; k < bn; ++k) {
               size_t r = row_of(k);
               if (c.IsNull(r) || (m != nullptr && m->IsNull(r))) continue;
               int64_t v = m != nullptr ? c.i64[r] * m->i64[r] : c.i64[r];
               AggState& st = state(k);
-              // Strict double comparison like EvalCmp: first value wins
-              // ties, including int64 pairs that collapse as doubles.
-              double d = static_cast<double>(v);
-              double e = static_cast<double>(st.ext_i);
-              if (!st.any || (is_min ? d < e : d > e)) st.ext_i = v;
+              if (beats(static_cast<double>(v), st)) {
+                st.ext = AggState::kInt;
+                st.ext_i = v;
+              }
               st.any = true;
             }
-          } else if (a.stream == Stream::kDbl) {
+          } else if (stream == Stream::kDbl) {
             for (size_t k = 0; k < bn; ++k) {
               size_t r = row_of(k);
               if (c.IsNull(r) || (m != nullptr && m->IsNull(r))) continue;
               double v = m != nullptr ? NumAt(c, r) * NumAt(*m, r) : NumAt(c, r);
               AggState& st = state(k);
-              if (!st.any || (is_min ? v < st.ext_d : v > st.ext_d)) {
+              if (beats(v, st)) {
+                st.ext = AggState::kDbl;
                 st.ext_d = v;
               }
               st.any = true;
             }
           } else {  // Stream::kStr (unscaled: a string mult is kNullStream)
+            const int32_t* remap = agg_remap[s];
+            const std::vector<std::string>& dict = g.dicts[a.col].strings();
             for (size_t k = 0; k < bn; ++k) {
               size_t r = row_of(k);
               if (c.IsNull(r)) continue;
               int32_t code = c.codes[r];
+              if (remap != nullptr) code = remap[code];
               AggState& st = state(k);
-              if (!st.any) {
+              if (st.ext == AggState::kNone) {
+                st.ext = AggState::kStr;
                 st.ext_code = code;
               } else if (code != st.ext_code) {
-                int cm = c.dict[static_cast<size_t>(code)].compare(
-                    c.dict[static_cast<size_t>(st.ext_code)]);
+                int cm = dict[static_cast<size_t>(code)].compare(
+                    dict[static_cast<size_t>(st.ext_code)]);
                 if (is_min ? cm < 0 : cm > 0) st.ext_code = code;
               }
               st.any = true;
@@ -536,43 +799,63 @@ std::vector<Row> VectorizedAggregation::Run(const ColumnarTable& table,
       }
     }
   }
+}
 
-  // Emit [group values..., aggregate finishes...]; group values are the
-  // first-encountered originals, like GroupAggregate.
+std::vector<Row> VectorizedAggregation::Finish(Groups* groups,
+                                               ExecContext* ctx) const {
+  const size_t nspecs = aggs_.size();
+  if (groups->impl_ == nullptr) {
+    groups->impl_ = std::make_unique<Groups::Impl>(2 * group_cols_.size());
+  }
+  Groups::Impl& g = *groups->impl_;
+  if (group_cols_.empty() && g.keys.empty()) {
+    g.keys.emplace_back();
+    g.states.resize(nspecs);
+  }
+  // Emit [group values..., aggregate finishes...].
   std::vector<Row> out;
-  out.reserve(first_rows.size());
-  for (size_t g = 0; g < first_rows.size(); ++g) {
-    Row row;
-    row.reserve(ng + nspecs);
-    for (size_t i = 0; i < ng; ++i) {
-      row.push_back(table.ValueAt(group_cols_[i], first_rows[g]));
-    }
+  out.reserve(g.keys.size());
+  for (size_t gi = 0; gi < g.keys.size(); ++gi) {
+    Row row = std::move(g.keys[gi]);
+    row.reserve(row.size() + nspecs);
     for (size_t s = 0; s < nspecs; ++s) {
       const Agg& a = aggs_[s];
-      const AggState& st = states[g * nspecs + s];
+      const AggState& st = g.states[gi * nspecs + s];
       switch (a.fn) {
         case AggFn::kMin:
         case AggFn::kMax:
-          if (!st.any) {
-            row.push_back(Value::Null());
-          } else if (a.stream == Stream::kInt) {
-            row.push_back(Value::Int64(st.ext_i));
-          } else if (a.stream == Stream::kDbl) {
-            row.push_back(Value::Double(st.ext_d));
-          } else {
-            row.push_back(Value::String(
-                table.col(a.col).dict[static_cast<size_t>(st.ext_code)]));
+          switch (st.ext) {
+            case AggState::kNone:
+              row.push_back(Value::Null());
+              break;
+            case AggState::kInt:
+              row.push_back(Value::Int64(st.ext_i));
+              break;
+            case AggState::kDbl:
+              row.push_back(Value::Double(st.ext_d));
+              break;
+            case AggState::kStr:
+              row.push_back(Value::String(
+                  g.dicts[a.col].strings()[static_cast<size_t>(st.ext_code)]));
+              break;
           }
           break;
-        case AggFn::kSum:
+        case AggFn::kSum: {
+          int64_t sum = 0;
           if (!st.any) {
             row.push_back(Value::Null());
-          } else if (a.stream == Stream::kInt) {
-            row.push_back(Value::Int64(st.sum_i));
-          } else {
+          } else if (!st.all_int) {
             row.push_back(Value::Double(st.sum_d));
+          } else if (NarrowSum(st.sum_i, &sum)) {
+            row.push_back(Value::Int64(sum));
+          } else if (ctx != nullptr) {
+            ctx->Fail(SumOutOfRange());
+            return out;
+          } else {
+            row.push_back(Value::Null());
           }
           break;
+        }
         case AggFn::kCount:
           row.push_back(Value::Int64(st.cnt));
           break;
@@ -587,6 +870,14 @@ std::vector<Row> VectorizedAggregation::Run(const ColumnarTable& table,
     out.push_back(std::move(row));
   }
   return out;
+}
+
+std::vector<Row> VectorizedAggregation::Run(const ColumnarTable& table,
+                                            const SelVector* sel,
+                                            ExecContext* ctx) const {
+  Groups groups;
+  Accumulate(table, sel, ctx, &groups);
+  return Finish(&groups, ctx);
 }
 
 std::vector<Row> VectorizedGroupAggregateRows(const std::vector<Row>& rows,

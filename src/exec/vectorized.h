@@ -2,6 +2,8 @@
 #define AQV_EXEC_VECTORIZED_H_
 
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "base/exec_context.h"
@@ -9,15 +11,18 @@
 #include "exec/column_batch.h"
 #include "exec/expression.h"
 #include "exec/operators.h"
+#include "exec/table.h"
 #include "ir/query.h"
 
 namespace aqv {
 
-/// Batch-at-a-time operators over ColumnarTable images. Each operator is
-/// compiled once per query against a concrete columnar layout (so all type
-/// dispatch happens per column, not per value), then runs tight typed loops
-/// in kBatchRows chunks, charging the ExecContext per batch — governance
-/// (deadline / row budget / cancel) therefore fires *inside* a long scan.
+/// Batch-at-a-time operators over ColumnarTable images — a table is read
+/// chunk by chunk, each chunk through its own cached image (exec/table.h).
+/// Each operator is compiled once per query against concrete columnar
+/// layouts (so all type dispatch happens per column, not per value), then
+/// runs tight typed loops in kBatchRows batches, charging the ExecContext
+/// per batch — governance (deadline / row budget / cancel) therefore fires
+/// *inside* a long scan.
 ///
 /// Compilation fails (returns false) whenever the row engine's semantics
 /// cannot be reproduced exactly — a kMixed column, too many grouping
@@ -66,55 +71,109 @@ class CompiledFilter {
   std::vector<Pred> preds_;
 };
 
-/// Hash-group aggregation compiled against one columnar layout: group keys
-/// are packed into fixed-width canonical (tag, bits) words (integral
-/// doubles collapse to INT64, exactly like the row engine's CanonicalKey),
-/// and each aggregate runs a typed accumulation loop chosen once from the
-/// column's storage class. State mirrors Aggregator field-for-field — the
-/// double sum is accumulated in input-row order, so SUM/AVG results are
-/// bit-identical to the row engine, not merely close.
+/// Compiles `preds` against the columnar image of every chunk of `table`,
+/// one CompiledFilter per chunk in chunk order. False if some chunk refuses
+/// (a kMixed column); the scan then runs on the row engine.
+bool CompileChunkFilters(const std::vector<Predicate>& preds,
+                         const ColumnIndexMap& layout, const Table& table,
+                         std::vector<CompiledFilter>* out);
+
+/// The rows of `table` satisfying the scalar conjunction `preds` (resolved
+/// against `layout`, like FilterRows), as (chunk ordinal, ascending row
+/// ordinals) pairs in row order; chunks with no match are left out. A chunk
+/// whose zone maps rule out every row is skipped unscanned; a chunk where a
+/// referenced column is kMixed runs on the row engine, every other chunk
+/// through a CompiledFilter. `chunks_scanned` (optional) receives the
+/// number of chunks scanned. The write path's WHERE.
+std::vector<std::pair<size_t, SelVector>> SelectRows(
+    const Table& table, const std::vector<Predicate>& preds,
+    const ColumnIndexMap& layout, size_t* chunks_scanned = nullptr);
+
+/// Hash-group aggregation over columnar images: group keys are packed into
+/// fixed-width canonical (tag, bits) words (integral doubles collapse to
+/// INT64, exactly like the row engine's CanonicalKey), and each aggregate
+/// runs a typed accumulation loop chosen per image from the column's
+/// storage class. One aggregation may fold several images — the chunks of
+/// a table, in row order — into one set of groups: string keys and string
+/// MIN/MAX go through a per-image remap of dictionary codes onto one
+/// dictionary per column. State mirrors Aggregator field-for-field — the
+/// double sum is accumulated in input-row order and INT64 sums exactly in
+/// 128 bits — so results are bit-identical to the row engine, not merely
+/// close.
 class VectorizedAggregation {
  public:
-  /// Compiles grouping by `group_cols` with aggregates `aggs`. Returns
-  /// false if any referenced column is kMixed, there are more than
-  /// kMaxGroupCols grouping columns, or a SUM/AVG argument is a string
-  /// column (the row engine's error behaviour is preserved by falling back).
+  /// Compiles grouping by `group_cols` with aggregates `aggs` against one
+  /// image. Returns false if any referenced column is kMixed, there are
+  /// more than kMaxGroupCols grouping columns, or a SUM/AVG argument is a
+  /// string column (the row engine's error behaviour is preserved by
+  /// falling back).
   static bool Compile(const ColumnarTable& table,
                       const std::vector<int>& group_cols,
                       const std::vector<AggSpec>& aggs,
                       VectorizedAggregation* out);
 
-  /// Aggregates the selected rows (all rows when `sel` is null). Output
-  /// rows are [group values..., aggregate values...] like GroupAggregate;
-  /// group values are the first-encountered originals and a global
-  /// aggregate over empty input still emits one row. Charges one row per
-  /// input row in kBatchRows chunks.
+  /// The same against every chunk of `table`; also false if a MIN/MAX
+  /// argument holds strings in one chunk and numbers in another.
+  static bool Compile(const Table& table, const std::vector<int>& group_cols,
+                      const std::vector<AggSpec>& aggs,
+                      VectorizedAggregation* out);
+
+  /// The groups one aggregation has folded so far.
+  class Groups {
+   public:
+    Groups();
+    ~Groups();
+    Groups(Groups&&) noexcept;
+    Groups& operator=(Groups&&) noexcept;
+
+   private:
+    friend class VectorizedAggregation;
+    struct Impl;
+    std::unique_ptr<Impl> impl_;
+  };
+
+  /// Folds the selected rows of `image` (all rows when `sel` is null) into
+  /// `groups`. Charges one row per input row in kBatchRows chunks. `image`
+  /// must outlive Finish: string extrema may still point into its
+  /// dictionary.
+  void Accumulate(const ColumnarTable& image, const SelVector* sel,
+                  ExecContext* ctx, Groups* groups) const;
+
+  /// Output rows [group values..., aggregate values...] like
+  /// GroupAggregate; group values are the first-encountered originals and
+  /// a global aggregate over empty input still emits one row. An INT64 SUM
+  /// that leaves its range fails `ctx` with SumOutOfRange() (with no
+  /// context, that sum finishes to NULL).
+  std::vector<Row> Finish(Groups* groups, ExecContext* ctx) const;
+
+  /// Accumulate + Finish over one image.
   std::vector<Row> Run(const ColumnarTable& table, const SelVector* sel,
                        ExecContext* ctx) const;
 
   static constexpr size_t kMaxGroupCols = 4;
 
  private:
-  /// Typed value stream an aggregate consumes: fixed at compile time since
-  /// a non-kMixed column holds one type (a product of a string operand is
-  /// always NULL, hence kNullStream).
-  enum class Stream : uint8_t { kInt, kDbl, kStr, kNullStream };
-
   struct Agg {
     AggFn fn;
-    Stream stream = Stream::kNullStream;
     int col = -1;
     int mult = -1;  // >= 0: scaled argument (Section 4 multiplicity)
   };
+
+  /// Shared checks of both Compile overloads over the images to be folded.
+  static bool CompileImages(const std::vector<const ColumnarTable*>& images,
+                            const std::vector<int>& group_cols,
+                            const std::vector<AggSpec>& aggs,
+                            VectorizedAggregation* out);
 
   std::vector<int> group_cols_;
   std::vector<Agg> aggs_;
 };
 
-/// Materializes the selected rows of `table` (all columns, schema order).
-/// Charges nothing: the filter that produced `sel` already charged the
-/// scan, matching the row engine's accounting.
-std::vector<Row> GatherRows(const ColumnarTable& table, const SelVector& sel);
+/// Appends the selected rows of `table` (all columns, schema order) to
+/// `*out`. Charges nothing: the filter that produced `sel` already charged
+/// the scan, matching the row engine's accounting.
+void GatherRows(const ColumnarTable& table, const SelVector& sel,
+                std::vector<Row>* out);
 
 /// Drop-in replacement for GroupAggregate over materialized rows (the
 /// post-join aggregation path): converts to a transient columnar image and

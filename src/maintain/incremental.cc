@@ -27,26 +27,10 @@ Status ApplyDeltaToBase(const Delta& delta, Database* db) {
   }
   for (const auto& [name, rows] : delta.deletes) {
     AQV_ASSIGN_OR_RETURN(const Table* t, db->Get(name));
-    // Remove one occurrence per delete row.
-    std::unordered_map<Row, int64_t, RowHash, RowEq> to_remove;
-    for (const Row& row : rows) ++to_remove[row];
-    Table updated(t->columns());
-    std::vector<Row> kept;
-    kept.reserve(t->num_rows());
-    for (const Row& row : t->rows()) {
-      auto it = to_remove.find(row);
-      if (it != to_remove.end() && it->second > 0) {
-        --it->second;
-        continue;
-      }
-      kept.push_back(row);
-    }
-    AQV_RETURN_NOT_OK(updated.AddRows(std::move(kept)));
-    for (const auto& [row, remaining] : to_remove) {
-      if (remaining > 0) {
-        return Status::InvalidArgument(
-            "delete batch removes a row not present in '" + name + "'");
-      }
+    Table updated = *t;
+    if (!updated.RemoveRows(rows).ok()) {
+      return Status::InvalidArgument(
+          "delete batch removes a row not present in '" + name + "'");
     }
     db->Put(name, std::move(updated));
   }
@@ -103,18 +87,25 @@ Value ArgValue(const AggArg& arg, const Row& row, const ColumnIndexMap& layout) 
 }
 
 // Numeric a + sign * b for SUM maintenance (NULLs propagate like SQL SUM
-// over no rows: NULL + x = x).
-Value AddSigned(const Value& a, const Value& b, int sign) {
+// over no rows: NULL + x = x). INT64 arithmetic is exact in 128 bits; a
+// result outside INT64 is kUnsupported, so the write falls back to a
+// recompute, whose exact sum either fits or fails with kOutOfRange.
+Result<Value> AddSigned(const Value& a, const Value& b, int sign) {
   if (b.is_null()) return a;
-  if (a.is_null()) {
-    if (sign > 0) return b;
-    // Subtracting from nothing: negate.
-    if (b.type() == ValueType::kInt64) return Value::Int64(-b.int64());
-    return Value::Double(-b.AsDouble());
+  if (a.is_null() && sign > 0) return b;
+  if (b.type() == ValueType::kInt64 &&
+      (a.is_null() || a.type() == ValueType::kInt64)) {
+    __int128 sum = a.is_null() ? 0 : a.int64();
+    sum += static_cast<__int128>(sign) * b.int64();
+    int64_t narrow;
+    if (!NarrowSum(sum, &narrow)) {
+      return Status::Unsupported(
+          "INT64 SUM overflow in maintenance; recompute");
+    }
+    return Value::Int64(narrow);
   }
-  if (a.type() == ValueType::kInt64 && b.type() == ValueType::kInt64) {
-    return Value::Int64(a.int64() + sign * b.int64());
-  }
+  // Subtracting from nothing negates.
+  if (a.is_null()) return Value::Double(-b.AsDouble());
   return Value::Double(a.AsDouble() + sign * b.AsDouble());
 }
 
@@ -327,9 +318,11 @@ Status IncrementalMaintainer::Apply(const Delta& delta, const Database& before,
       if (s.kind != SelectItem::Kind::kAggregate) continue;
       Value v = ArgValue(s.arg, core.row, layout);
       switch (s.agg) {
-        case AggFn::kSum:
-          u.sum_delta[p] = AddSigned(u.sum_delta[p], v, core.weight);
+        case AggFn::kSum: {
+          AQV_ASSIGN_OR_RETURN(u.sum_delta[p],
+                               AddSigned(u.sum_delta[p], v, core.weight));
           break;
+        }
         case AggFn::kCount:
           if (!v.is_null()) u.count_delta[p] += core.weight;
           break;
@@ -448,9 +441,10 @@ Status IncrementalMaintainer::Apply(const Delta& delta, const Database& before,
       const SelectItem& s = q.select[p];
       if (s.kind != SelectItem::Kind::kAggregate) continue;
       switch (s.agg) {
-        case AggFn::kSum:
-          row[p] = AddSigned(row[p], u.sum_delta[p], +1);
+        case AggFn::kSum: {
+          AQV_ASSIGN_OR_RETURN(row[p], AddSigned(row[p], u.sum_delta[p], +1));
           break;
+        }
         case AggFn::kCount:
           row[p] = Value::Int64(row[p].int64() + u.count_delta[p]);
           break;

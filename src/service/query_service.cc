@@ -17,6 +17,7 @@
 #include "exec/csv.h"
 #include "exec/expression.h"
 #include "exec/explain_plan.h"
+#include "exec/vectorized.h"
 #include "ir/fingerprint.h"
 #include "ir/printer.h"
 #include "parser/lexer.h"
@@ -148,7 +149,7 @@ std::string ServiceStats::ToString() const {
     }
     out += "mvcc                " + std::to_string(versions) +
            " version(s) alive, " + std::to_string(bytes) +
-           " bytes pinned by retired versions";
+           " unshared bytes pinned by retired versions";
     if (mvcc_oldest_pinned_epoch > 0) {
       out += " (oldest pinned epoch " +
              std::to_string(mvcc_oldest_pinned_epoch) + ")";
@@ -158,7 +159,7 @@ std::string ServiceStats::ToString() const {
       if (m.versions_alive <= 1 && m.bytes_pinned == 0) continue;
       out += "  mvcc " + m.table + "  " + std::to_string(m.versions_alive) +
              " version(s), " + std::to_string(m.bytes_pinned) +
-             " bytes pinned\n";
+             " unshared bytes pinned\n";
     }
   }
   if (!errors_by_code.empty()) {
@@ -287,8 +288,9 @@ QueryService::QueryService(ServiceOptions options)
                    "Table versions still reachable (current + retired "
                    "versions pinned by snapshots or in-flight readers)");
   metrics_.SetHelp("mvcc.bytes_pinned",
-                   "Approximate bytes held by retired-but-referenced table "
-                   "versions, including their columnar pivot caches");
+                   "Approximate bytes of retired-but-referenced table "
+                   "versions that the current version does not share: "
+                   "their unshared chunks, with columnar images");
   metrics_.SetHelp("mvcc.oldest_pinned_epoch",
                    "Epoch of the oldest retired table version still alive "
                    "(0 = nothing but current versions)");
@@ -1130,9 +1132,12 @@ std::string RenderAttribution(const QueryStats& qs) {
 }  // namespace
 
 bool QueryService::ShouldDegrade(const Status& s) const {
+  // An INT64 SUM overflow is exact arithmetic, not a fault of the plan:
+  // the unrewritten query overflows too.
   return options_.degrade_on_failure &&
          s.code() != StatusCode::kDeadlineExceeded &&
-         s.code() != StatusCode::kResourceExhausted;
+         s.code() != StatusCode::kResourceExhausted &&
+         s.code() != StatusCode::kOutOfRange;
 }
 
 Result<PlanCache::EntryPtr> QueryService::PlanThroughCache(
@@ -1773,7 +1778,8 @@ constexpr WriteVerb kWriteVerbs[] = {
 /// Refuses rows over the storage row cap. Rows that large could never be
 /// checkpointed or replayed, so a durable service refuses them when they
 /// arrive rather than poisoning a later CHECKPOINT.
-Status CheckRowSizes(const std::vector<Row>& rows) {
+template <typename Rows>
+Status CheckRowSizes(const Rows& rows) {
   for (const Row& row : rows) {
     AQV_RETURN_NOT_OK(StorageEngine::CheckRowSize(row));
   }
@@ -1795,49 +1801,31 @@ std::string RowText(const Row& row) {
 /// ApplyDeltaToBase lands inserts before deletes, so an insert in the same
 /// batch legitimately covers a delete of an identical row (the extremum-tie
 /// write tests rely on that). A delete the available multiset cannot cover
-/// is rejected here, before
-/// anything is staged, logged or published — otherwise the base would drop
-/// fewer rows than the maintainer subtracted and views would silently
-/// desync from their bases.
+/// is rejected here, before anything is staged, logged or published —
+/// otherwise the base would drop fewer rows than the maintainer subtracted
+/// and views would silently desync from their bases.
 Status ValidateDeleteContainment(const Delta& delta, const Database& db) {
   for (const auto& [name, dels] : delta.deletes) {
     if (dels.empty()) continue;
     // Histogram the (usually few) deletes, then drain it against the
-    // available rows — same-batch inserts first, then the base, stopping as
-    // soon as every delete is covered. A single-row delete touching a large
-    // table ends the base scan at the first match instead of hashing the
-    // whole table.
-    std::unordered_map<Row, int64_t, RowHash, RowEq> needed;
+    // available rows: same-batch inserts first, then the base, whose zone
+    // maps skip every chunk that cannot hold a wanted row. A single-row
+    // delete from a large table scans one chunk, up to its match.
+    RowCounts needed;
     for (const Row& row : dels) ++needed[row];
-    int64_t remaining = static_cast<int64_t>(dels.size());
-    auto consume = [&](const Row& row) {
-      auto it = needed.find(row);
-      if (it == needed.end() || it->second <= 0) return;
-      --it->second;
-      --remaining;
-    };
     auto ins = delta.inserts.find(name);
     if (ins != delta.inserts.end()) {
       for (const Row& row : ins->second) {
-        if (remaining == 0) break;
-        consume(row);
+        auto it = needed.find(row);
+        if (it != needed.end() && it->second > 0) --it->second;
       }
     }
-    if (remaining > 0) {
-      if (TablePtr base = db.GetShared(name)) {
-        for (const Row& row : base->rows()) {
-          if (remaining == 0) break;
-          consume(row);
-        }
-      }
-    }
-    if (remaining > 0) {
-      for (const auto& [row, count] : needed) {
-        if (count > 0) {
-          return Status::InvalidArgument(
-              "cannot delete row " + RowText(row) + " from '" + name +
-              "': not present in the stored table");
-        }
+    if (TablePtr base = db.GetShared(name)) base->LocateRows(&needed);
+    for (const auto& [row, count] : needed) {
+      if (count > 0) {
+        return Status::InvalidArgument(
+            "cannot delete row " + RowText(row) + " from '" + name +
+            "': not present in the stored table");
       }
     }
   }
@@ -2096,32 +2084,30 @@ Result<Delta> QueryService::MaterializeWrite(WriteRequest* request,
   for (int i = 0; i < table->num_columns(); ++i) {
     layout[table->columns()[static_cast<size_t>(i)]] = i;
   }
+  // The WHERE runs chunk by chunk; zone maps skip the chunks it cannot
+  // match (a key-equality predicate scans one).
   std::vector<Row> deleted;
   std::vector<Row> inserted;
-  for (const Row& row : table->rows()) {
-    bool match = true;
-    for (const Predicate& p : request->where) {
-      if (!EvalScalarPredicate(p, row, layout)) {
-        match = false;
-        break;
-      }
-    }
-    if (!match) continue;
-    deleted.push_back(row);
-    if (request->kind == Kind::kUpdate) {
-      Row updated = row;
-      for (const Assignment& a : request->sets) {
-        auto it = layout.find(a.column);
-        if (it == layout.end()) {
-          return Status::Internal("unbound UPDATE target column '" + a.column +
-                                  "'");
+  for (const auto& [chunk, sel] :
+       SelectRows(*table, request->where, layout)) {
+    for (uint32_t r : sel) {
+      const Row& row = table->chunks()[chunk]->rows()[r];
+      deleted.push_back(row);
+      if (request->kind == Kind::kUpdate) {
+        Row updated = row;
+        for (const Assignment& a : request->sets) {
+          auto it = layout.find(a.column);
+          if (it == layout.end()) {
+            return Status::Internal("unbound UPDATE target column '" +
+                                    a.column + "'");
+          }
+          // Assignments all read the OLD row (SQL semantics: SET a = b,
+          // b = a swaps), so the source is `row`, never `updated`.
+          AQV_ASSIGN_OR_RETURN(Value v, EvalSetExpr(a.expr, row, layout));
+          updated[static_cast<size_t>(it->second)] = std::move(v);
         }
-        // Assignments all read the OLD row (SQL semantics: SET a = b,
-        // b = a swaps), so the source is `row`, never `updated`.
-        AQV_ASSIGN_OR_RETURN(Value v, EvalSetExpr(a.expr, row, layout));
-        updated[static_cast<size_t>(it->second)] = std::move(v);
+        inserted.push_back(std::move(updated));
       }
-      inserted.push_back(std::move(updated));
     }
   }
   if (!deleted.empty()) {
@@ -2283,8 +2269,9 @@ Result<QueryService::WriteApplied> QueryService::ApplyWrite(
   // the maintenance sweep, the WAL record and the epoch bump entirely.
   if (delta.empty()) return applied;
 
-  // One COW copy per written table, however many rows the batch carries; a
-  // fault injected here must leave the published state untouched.
+  // One copy-on-write version per written table, sharing every chunk the
+  // batch does not touch; a fault injected here must leave the published
+  // state untouched.
   AQV_FAILPOINT("table.cow_copy");
   Database staging = db_.Snapshot();
   if (load) {

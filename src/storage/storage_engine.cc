@@ -81,34 +81,6 @@ struct TableEntry {
   std::vector<uint32_t> pages;
 };
 
-/// Removes one occurrence per row of `rows` from `table` in place — the
-/// staged-replay counterpart of ApplyDeltaToBase's delete side, without the
-/// whole-table copy-per-record that made E18's replay superlinear.
-Status RemoveRowsFromTable(const std::vector<Row>& rows,
-                           const std::string& name, Table* table) {
-  std::unordered_map<Row, int64_t, RowHash, RowEq> to_remove;
-  for (const Row& row : rows) ++to_remove[row];
-  std::vector<Row>& stored = *table->mutable_rows();
-  size_t out = 0;
-  for (size_t i = 0; i < stored.size(); ++i) {
-    auto it = to_remove.find(stored[i]);
-    if (it != to_remove.end() && it->second > 0) {
-      --it->second;
-      continue;
-    }
-    if (out != i) stored[out] = std::move(stored[i]);
-    ++out;
-  }
-  stored.resize(out);
-  for (const auto& [row, remaining] : to_remove) {
-    if (remaining > 0) {
-      return Status::InvalidArgument(
-          "replayed delete removes a row not present in '" + name + "'");
-    }
-  }
-  return Status::OK();
-}
-
 /// Base tables a view reads, transitively through other views.
 std::set<std::string> ViewClosure(const ViewRegistry& views,
                                   const std::string& name) {
@@ -485,10 +457,9 @@ Status StorageEngine::ReplayWal() {
 
   // Staged replay applies every record into one in-memory staging image
   // (copy-on-first-touch from the checkpoint) and publishes ONE epoch,
-  // instead of a full COW publication per record — E18 measured the latter
-  // superlinear (~360 ms at 4k commits; each record re-copied its whole
-  // table). The per-record path is kept behind the option as the bench
-  // baseline.
+  // instead of a COW publication per record, each of which copies the
+  // table's tail chunk (E21). The per-record path is kept behind the option
+  // as the bench baseline.
   std::map<std::string, Table> staging;
   auto staged_table = [&](const std::string& name) -> Result<Table*> {
     auto it = staging.find(name);
@@ -514,7 +485,10 @@ Status StorageEngine::ReplayWal() {
       }
       for (const auto& [table, rows] : delta.deletes) {
         AQV_ASSIGN_OR_RETURN(Table * staged, staged_table(table));
-        AQV_RETURN_NOT_OK(RemoveRowsFromTable(rows, table, staged));
+        if (!staged->RemoveRows(rows).ok()) {
+          return Status::InvalidArgument(
+              "replayed delete removes a row not present in '" + table + "'");
+        }
       }
     } else {
       AQV_RETURN_NOT_OK(ApplyDeltaToBase(delta, &recovered_.db));
@@ -650,7 +624,7 @@ Status StorageEngine::CheckRowSize(const Row& row) {
   return Status::OK();
 }
 
-Status StorageEngine::WriteRows(const std::vector<Row>& rows,
+Status StorageEngine::WriteRows(Table::RowRange rows,
                                 std::vector<uint32_t>* pages) {
   Page* current = nullptr;
   uint32_t current_id = 0;

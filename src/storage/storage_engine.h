@@ -277,7 +277,7 @@ class StorageEngine {
   uint32_t AllocatePage();
 
   /// Packs `rows` into freshly allocated pages; appends their ids.
-  Status WriteRows(const std::vector<Row>& rows, std::vector<uint32_t>* pages);
+  Status WriteRows(Table::RowRange rows, std::vector<uint32_t>* pages);
   Result<std::vector<Row>> ReadRows(const std::vector<uint32_t>& pages,
                                     size_t expected_rows);
 

@@ -111,7 +111,8 @@ TEST(ColumnBatchTest, FilterMatchesRowEngineWithNullsAtBoundaries) {
     ColumnarTable ct = ColumnarTable::FromRows(rows, 2);
     CompiledFilter filter;
     ASSERT_TRUE(CompiledFilter::Compile(preds, layout, ct, &filter));
-    std::vector<Row> got = GatherRows(ct, filter.Run(ct, nullptr));
+    std::vector<Row> got;
+    GatherRows(ct, filter.Run(ct, nullptr), &got);
     std::vector<Row> want = FilterRows(rows, preds, layout);
     ExpectSameRows(got, want, 2);
   }
@@ -145,7 +146,8 @@ TEST(ColumnBatchTest, DictionarySurvivesGrowthPastRehash) {
                                 Operand::Constant(Value::String("k5000"))}};
   CompiledFilter filter;
   ASSERT_TRUE(CompiledFilter::Compile(preds, layout, ct, &filter));
-  std::vector<Row> got = GatherRows(ct, filter.Run(ct, nullptr));
+  std::vector<Row> got;
+  GatherRows(ct, filter.Run(ct, nullptr), &got);
   std::vector<Row> want = FilterRows(rows, preds, layout);
   ASSERT_EQ(want.size(), 3u);
   ExpectSameRows(got, want, 2);

@@ -6,6 +6,7 @@
 // MVCC garbage accounting (versions_alive / bytes_pinned) that real deletes
 // make meaningful.
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -446,7 +447,7 @@ TEST(MvccAccountingTest, ChurnWithNoPinnedSnapshotStaysBounded) {
                   ->Execute("INSERT INTO Sales VALUES (9, " +
                             std::to_string(i) + ")")
                   .status());
-    // A SELECT builds the current version's columnar pivot cache, so each
+    // A SELECT builds the current version's columnar images, so each
     // retired version carries one — the bytes the ledger must see die.
     EXPECT_OK(service->Select("SELECT Shop_1, SUM(Amount_1) AS T "
                               "FROM Sales GROUPBY Shop_1")
@@ -505,6 +506,102 @@ TEST(MvccAccountingTest, PinnedSnapshotShowsUpInTheLedgerAndDrains) {
     EXPECT_LE(m.versions_alive, 1u) << m.table;
   }
   EXPECT_EQ(released.mvcc_oldest_pinned_epoch, 0u);
+}
+
+// A pinned snapshot of a multi-chunk table costs, after a single-row
+// INSERT, only the one chunk the write replaced: the other chunks are
+// shared by the current version and are not "pinned" garbage.
+TEST(MvccAccountingTest, PinnedSnapshotOfAChunkedTableCountsUnsharedBytes) {
+  Catalog catalog;
+  ASSERT_OK(catalog.AddTable(TableDef("Big", {"K", "V"})));
+  Table big({"K", "V"});
+  std::vector<Row> rows;
+  for (size_t i = 0; i < 3 * kChunkRows + 50; ++i) {
+    rows.push_back(Row{Value::Int64(static_cast<int64_t>(i)),
+                       Value::Int64(static_cast<int64_t>(i % 10))});
+  }
+  ASSERT_OK(big.AddRows(std::move(rows)));
+  ASSERT_GE(big.chunks().size(), 3u);
+  Database db;
+  db.Put("Big", std::move(big));
+  QueryService service;
+  ASSERT_OK(service.Bootstrap(catalog, std::move(db), ViewRegistry()));
+  // A read builds every chunk's columnar image first.
+  ASSERT_OK(service.Select("SELECT V_1, COUNT(K_1) AS N FROM Big GROUPBY V_1")
+                .status());
+  ServiceSnapshotPtr pinned = service.PinSnapshot();
+  ASSERT_OK(service.Execute("INSERT INTO Big VALUES (-1, 0)").status());
+
+  TablePtr old_version = pinned->db.GetShared("Big");
+  size_t largest_chunk = 0;
+  for (const ChunkPtr& chunk : old_version->chunks()) {
+    largest_chunk = std::max(largest_chunk, chunk->ApproxBytes());
+  }
+  bool seen = false;
+  for (const Database::TableMvcc& m : service.Stats().mvcc) {
+    if (m.table != "Big") continue;
+    seen = true;
+    EXPECT_EQ(m.versions_alive, 2u);
+    EXPECT_GT(m.bytes_pinned, 0u);
+    EXPECT_LE(m.bytes_pinned, largest_chunk);
+    EXPECT_LT(m.bytes_pinned, old_version->ApproxBytes() / 3);
+  }
+  EXPECT_TRUE(seen);
+}
+
+// ---------------------------------------------------------------- SUM range
+
+// Repro C through the service: an INT64 SUM whose exact value leaves the
+// INT64 range is a clean kOutOfRange on every engine, never a wrapped row.
+TEST(SumOverflowTest, ReadsRefuseAnInt64SumThatLeavesItsRange) {
+  for (bool vectorized : {true, false}) {
+    SCOPED_TRACE(vectorized ? "vectorized" : "row engine");
+    ServiceOptions options;
+    options.vectorized = vectorized;
+    QueryService service(options);
+    ASSERT_OK(service.Execute("CREATE TABLE D(G, X)").status());
+    ASSERT_OK(service
+                  .Execute("INSERT INTO D VALUES (1, 4611686018427387904), "
+                           "(1, 4611686018427387904)")
+                  .status());
+    for (const char* sql : {"SELECT G_1, SUM(X_1) FROM D GROUPBY G_1",
+                            "SELECT SUM(X_1) FROM D"}) {
+      Result<Table> r = service.Select(sql);
+      EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange) << sql;
+    }
+    // Back in range: the exact sum, not an overflowed intermediate.
+    ASSERT_OK(service.Execute("INSERT INTO D VALUES (1, -4611686018427387904)")
+                  .status());
+    ASSERT_OK_AND_ASSIGN(Table t, service.Select("SELECT SUM(X_1) FROM D"));
+    ASSERT_EQ(t.num_rows(), 1u);
+    EXPECT_EQ(t.rows()[0][0], Value::Int64(int64_t{1} << 62));
+  }
+}
+
+// The maintained path: folding a write into a view whose SUM would leave
+// the INT64 range falls back to a recompute, which refuses the write with
+// kOutOfRange before anything is published.
+TEST(SumOverflowTest, MaintainedViewRefusesAWriteThatWouldWrapItsSum) {
+  QueryService service;
+  ASSERT_OK(service.Execute("CREATE TABLE D(G, X)").status());
+  ASSERT_OK(service.Execute("INSERT INTO D VALUES (1, 4611686018427387904)")
+                .status());
+  ASSERT_OK(service
+                .Execute("CREATE MATERIALIZED VIEW DV AS SELECT G_1, "
+                         "SUM(X_1) AS S, COUNT(X_1) AS N FROM D GROUPBY G_1")
+                .status());
+  Result<StatementResult> wrapped =
+      service.Execute("INSERT INTO D VALUES (1, 4611686018427387904)");
+  EXPECT_EQ(wrapped.status().code(), StatusCode::kOutOfRange);
+  ASSERT_OK_AND_ASSIGN(Table base, service.Select("SELECT COUNT(X_1) FROM D"));
+  EXPECT_EQ(base.rows()[0][0], Value::Int64(1));
+  // A write that stays in range still folds.
+  ASSERT_OK(service.Execute("INSERT INTO D VALUES (1, -5)").status());
+  ServiceSnapshotPtr snap = service.PinSnapshot();
+  ASSERT_OK_AND_ASSIGN(const Table* dv, snap->db.Get("DV"));
+  ASSERT_EQ(dv->num_rows(), 1u);
+  EXPECT_EQ(dv->rows()[0][1], Value::Int64((int64_t{1} << 62) - 5));
+  EXPECT_GE(service.Stats().views_maintained, 1u);
 }
 
 }  // namespace

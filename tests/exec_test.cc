@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/column_batch.h"
 #include "exec/expression.h"
 #include "exec/operators.h"
 #include "exec/planner.h"
 #include "exec/table.h"
+#include "exec/vectorized.h"
 #include "ir/builder.h"
 #include "tests/test_util.h"
 
@@ -146,6 +148,60 @@ TEST(AggregatorTest, MixedNumericSumBecomesDouble) {
   agg.Add(Value::Int64(1));
   agg.Add(Value::Double(2.5));
   EXPECT_EQ(agg.Finish(), Value::Double(3.5));
+}
+
+TEST(AggregatorTest, Int64SumIsExactAndNeverWraps) {
+  const int64_t big = int64_t{1} << 62;
+  Aggregator agg(AggFn::kSum);
+  agg.Add(Value::Int64(big));
+  agg.Add(Value::Int64(big));
+  EXPECT_TRUE(agg.Overflowed());
+  EXPECT_TRUE(agg.Finish().is_null());  // never -9223372036854775808
+  // The sum is exact, not saturated: coming back into range is fine.
+  agg.Add(Value::Int64(-big));
+  EXPECT_FALSE(agg.Overflowed());
+  EXPECT_EQ(agg.Finish(), Value::Int64(big));
+  // A DOUBLE input makes it a double sum, which has no INT64 range.
+  Aggregator mixed(AggFn::kSum);
+  mixed.Add(Value::Int64(big));
+  mixed.Add(Value::Int64(big));
+  mixed.Add(Value::Double(0.5));
+  EXPECT_FALSE(mixed.Overflowed());
+  EXPECT_EQ(mixed.Finish(),
+            Value::Double(2.0 * static_cast<double>(big) + 0.5));
+}
+
+// Repro C: two rows (1, 2^62) must fail SUM with kOutOfRange on the row
+// engine and on the vectorized engine alike.
+TEST(OperatorsTest, SumOverflowFailsTheStatementOnBothEngines) {
+  const int64_t big = int64_t{1} << 62;
+  std::vector<Row> rows = {R({1, big}), R({1, big})};
+  std::vector<AggSpec> aggs = {AggSpec{AggFn::kSum, 1, -1}};
+  for (std::vector<int> groups : {std::vector<int>{0}, std::vector<int>{}}) {
+    ExecContext row_ctx;
+    GroupAggregate(rows, groups, aggs, &row_ctx);
+    EXPECT_EQ(row_ctx.status().code(), StatusCode::kOutOfRange);
+
+    ColumnarTable ct = ColumnarTable::FromRows(rows, 2);
+    VectorizedAggregation agg;
+    ASSERT_TRUE(VectorizedAggregation::Compile(ct, groups, aggs, &agg));
+    ExecContext vec_ctx;
+    agg.Run(ct, nullptr, &vec_ctx);
+    EXPECT_EQ(vec_ctx.status().code(), StatusCode::kOutOfRange);
+  }
+  // In range again after a negative row: both engines give the exact sum.
+  rows.push_back(R({1, -big}));
+  ExecContext ctx;
+  std::vector<Row> out = GroupAggregate(rows, {0}, aggs, &ctx);
+  ASSERT_TRUE(ctx.ok());
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0][1], Value::Int64(big));
+  ColumnarTable ct = ColumnarTable::FromRows(rows, 2);
+  VectorizedAggregation agg;
+  ASSERT_TRUE(VectorizedAggregation::Compile(ct, {0}, aggs, &agg));
+  std::vector<Row> vec = agg.Run(ct, nullptr, &ctx);
+  ASSERT_TRUE(ctx.ok());
+  EXPECT_EQ(vec, out);
 }
 
 TEST(OperatorsTest, NumericProduct) {
