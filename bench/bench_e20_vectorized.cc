@@ -1,20 +1,32 @@
 // Experiment E20 — what does vectorized columnar execution buy, and is it
 // exactly equivalent? (PR 8). A self-timed A/B harness in the E19 mould (no
 // google-benchmark: the binary is the CI gate, so it owns its exit code and
-// its JSON artifact). Three series, each alternating row-engine and
+// its JSON artifact). Five series, each alternating row-engine and
 // vectorized arms over identical data, medians reported:
 //
 //   1. scan_filter — the E8 Filter shape (50%-selective predicate over an
 //      INT64 column): FilterRows materializing survivors vs CompiledFilter
 //      producing one selection vector per chunk over the chunks' cached
-//      columnar images. This is the gated series (--min-scan-speedup).
+//      columnar images. Gated by --min-scan-speedup.
 //
 //   2. aggregate — the E8 HashAggregate shape (SUM + COUNT grouped by a
-//      low-cardinality key): GroupAggregate vs VectorizedAggregation.
+//      low-cardinality INT64 key): GroupAggregate vs VectorizedAggregation
+//      on its dense group-id path (the bench aborts if any chunk would
+//      hash instead). Gated by --min-agg-speedup.
 //
-//   3. query_e2e — a full single-table filtered GROUP BY through the
+//   3. aggregate_hash — the same aggregates grouped by a key spanning twice
+//      VectorizedAggregation::kDenseGroupSlots values, over the dense budget
+//      in every chunk, so the vectorized arm probes its canonical-key map
+//      per row: the contrast to 2.
+//
+//   4. query_e2e — a full single-table filtered GROUP BY through the
 //      Evaluator with EvalOptions::vectorized off vs on: the user-visible
 //      payoff including plan glue and output materialization.
+//
+//   5. zone_skip — a filtered global aggregate over a second table whose
+//      key is clustered by insertion order, selecting its last 1/64: the
+//      row engine scans every chunk, the vectorized Scan + Aggregate reads
+//      only the chunks the zone maps admit.
 //
 // Every iteration of every series is also an equivalence check: the two
 // arms' results are compared as multisets (exactly — the vectorized
@@ -86,6 +98,13 @@ Table ToTable(const std::vector<Row>& rows, int arity) {
   Table t(std::move(cols));
   for (const Row& r : rows) t.AddRowOrDie(r);
   return t;
+}
+
+/// The columnar images of every chunk of `t`, in chunk order.
+std::vector<const ColumnarTable*> Images(const Table& t) {
+  std::vector<const ColumnarTable*> images;
+  for (const ChunkPtr& chunk : t.chunks()) images.push_back(&chunk->columnar());
+  return images;
 }
 
 /// One A/B series: alternating row/vec repetitions (reps pairs after one
@@ -178,7 +197,7 @@ int main(int argc, char** argv) {
   const std::vector<aqv::Predicate> preds{
       {aqv::Operand::Column("A"), aqv::CmpOp::kLt,
        aqv::Operand::Constant(aqv::Value::Int64(groups / 2))}};
-  std::vector<aqv::CompiledFilter> filters;
+  aqv::ChunkFilters filters;
   if (!aqv::CompileChunkFilters(preds, layout, table, &filters)) {
     std::fprintf(stderr, "filter unexpectedly not vectorizable\n");
     return 2;
@@ -188,11 +207,22 @@ int main(int argc, char** argv) {
                                        {aqv::AggFn::kCount, 1, -1},
                                        {aqv::AggFn::kSum, 2, -1}};
   aqv::VectorizedAggregation agg;
-  if (!aqv::VectorizedAggregation::Compile(table, group_cols, aggs, &agg)) {
+  if (!aqv::VectorizedAggregation::Compile(aqv::Images(table), group_cols, aggs,
+                                           &agg)) {
     std::fprintf(stderr, "aggregation unexpectedly not vectorizable\n");
     return 2;
   }
   const std::vector<aqv::ChunkPtr>& chunks = table.chunks();
+  // The gated series must really take the dense path.
+  size_t dense_slots = 0;
+  for (const aqv::ChunkPtr& chunk : chunks) {
+    size_t slots = agg.DenseSlotCount(chunk->columnar());
+    if (slots == 0) {
+      std::fprintf(stderr, "aggregate fell back to the hash path\n");
+      return 2;
+    }
+    dense_slots = std::max(dense_slots, slots);
+  }
 
   // 1. scan_filter: materialized survivors vs one selection vector per
   // chunk, each over that chunk's cached columnar image.
@@ -205,7 +235,9 @@ int main(int argc, char** argv) {
         [&] { row_out = aqv::FilterRows(data, preds, layout); },
         [&] {
           for (size_t c = 0; c < chunks.size(); ++c) {
-            vec_out[c] = filters[c].Run(chunks[c]->columnar(), nullptr);
+            vec_out[c] = filters[c] ? filters[c]->Run(chunks[c]->columnar(),
+                                                      nullptr)
+                                    : aqv::SelVector();
           }
         });
     std::vector<aqv::Row> gathered;
@@ -244,7 +276,47 @@ int main(int argc, char** argv) {
                        aqv::ToTable(row_out, arity), "aggregate");
   }
 
-  // 3. query_e2e: the whole statement through the Evaluator.
+  // 3. aggregate_hash: the same fold over a copy of the table whose key,
+  // spanning twice the dense budget, forces the canonical-key map.
+  aqv::Series aggregate_hash;
+  {
+    const int64_t wide = 2 * static_cast<int64_t>(
+                                 aqv::VectorizedAggregation::kDenseGroupSlots);
+    std::uniform_int_distribution<int64_t> wide_key(0, wide - 1);
+    std::vector<aqv::Row> hash_data = data;
+    for (aqv::Row& row : hash_data) row[0] = aqv::Value::Int64(wide_key(rng));
+    aqv::Table hash_table({"A", "B", "C"});
+    aqv::CheckOrDie(hash_table.AddRows(hash_data), "populate hash table");
+    aqv::VectorizedAggregation hash_agg;
+    if (!aqv::VectorizedAggregation::Compile(aqv::Images(hash_table), group_cols,
+                                             aggs, &hash_agg)) {
+      std::fprintf(stderr, "aggregation unexpectedly not vectorizable\n");
+      return 2;
+    }
+    for (const aqv::ChunkPtr& chunk : hash_table.chunks()) {
+      if (hash_agg.DenseSlotCount(chunk->columnar()) != 0) {
+        std::fprintf(stderr, "aggregate_hash took the dense path\n");
+        return 2;
+      }
+    }
+    std::vector<aqv::Row> row_out;
+    std::vector<aqv::Row> vec_out;
+    aggregate_hash.Run(
+        reps,
+        [&] { row_out = aqv::GroupAggregate(hash_data, group_cols, aggs); },
+        [&] {
+          aqv::VectorizedAggregation::Groups folded;
+          for (const aqv::ChunkPtr& chunk : hash_table.chunks()) {
+            hash_agg.Accumulate(chunk->columnar(), nullptr, nullptr, &folded);
+          }
+          vec_out = hash_agg.Finish(&folded, nullptr);
+        });
+    int arity = 1 + static_cast<int>(aggs.size());
+    aqv::DieIfNotEqual(aqv::ToTable(vec_out, arity),
+                       aqv::ToTable(row_out, arity), "aggregate_hash");
+  }
+
+  // 4. query_e2e: the whole statement through the Evaluator.
   aqv::Database db;
   db.Put("T", std::move(table));
   aqv::Query query = aqv::QueryBuilder()
@@ -282,17 +354,71 @@ int main(int argc, char** argv) {
     aqv::DieIfNotEqual(vec_out, row_out, "query_e2e");
   }
 
+  // 5. zone_skip: Z(K, V) with K = row number; the filter admits the last
+  // 1/64 of the rows, which the zone maps pin to the last chunk or two.
+  {
+    aqv::Table z({"K", "V"});
+    std::vector<aqv::Row> zdata;
+    zdata.reserve(static_cast<size_t>(rows));
+    for (int i = 0; i < rows; ++i) {
+      zdata.push_back(aqv::Row{aqv::Value::Int64(i),
+                               aqv::Value::Int64(payload(rng))});
+    }
+    aqv::CheckOrDie(z.AddRows(std::move(zdata)), "populate zone table");
+    db.Put("Z", std::move(z));
+  }
+  aqv::Query zone_query = aqv::QueryBuilder()
+                              .From("Z", {"K1", "V1"})
+                              .SelectAgg(aqv::AggFn::kSum, "V1", "S")
+                              .SelectAgg(aqv::AggFn::kCount, "V1", "N")
+                              .WhereConst("K1", aqv::CmpOp::kGe,
+                                          aqv::Value::Int64(rows - rows / 64))
+                              .BuildOrDie();
+  aqv::Series zone;
+  size_t chunks_scanned = 0;
+  size_t chunks_total = 0;
+  {
+    aqv::Table row_out;
+    aqv::Table vec_out;
+    zone.Run(
+        reps,
+        [&] {
+          aqv::Evaluator eval(&db, nullptr, row_options);
+          row_out = aqv::ValueOrDie(eval.Execute(zone_query), "row zone");
+        },
+        [&] {
+          aqv::Evaluator eval(&db);
+          vec_out = aqv::ValueOrDie(eval.Execute(zone_query), "vec zone");
+          const aqv::PlanNode* scan = eval.executed_plan();
+          while (!scan->children.empty()) scan = scan->children[0].get();
+          chunks_scanned = scan->actual.chunks_scanned;
+          chunks_total = scan->actual.chunks_total;
+        });
+    if (chunks_total > 1 && chunks_scanned >= chunks_total) {
+      std::fprintf(stderr, "zone_skip did not skip any chunk\n");
+      return 1;
+    }
+    aqv::DieIfNotEqual(vec_out, row_out, "zone_skip");
+  }
+
   std::fprintf(stderr,
-               "scan_filter: row=%.0fus vec=%.0fus speedup=%.1fx\n"
-               "aggregate:   row=%.0fus vec=%.0fus speedup=%.1fx\n"
-               "query_e2e:   row=%.0fus vec=%.0fus speedup=%.1fx\n",
+               "scan_filter:    row=%.0fus vec=%.0fus speedup=%.1fx\n"
+               "aggregate:      row=%.0fus vec=%.0fus speedup=%.1fx "
+               "(dense, %zu slots)\n"
+               "aggregate_hash: row=%.0fus vec=%.0fus speedup=%.1fx\n"
+               "query_e2e:      row=%.0fus vec=%.0fus speedup=%.1fx\n"
+               "zone_skip:      row=%.0fus vec=%.0fus speedup=%.1fx "
+               "(%zu/%zu chunks)\n",
                scan.row_median, scan.vec_median, scan.speedup,
                aggregate.row_median, aggregate.vec_median, aggregate.speedup,
-               e2e.row_median, e2e.vec_median, e2e.speedup);
+               dense_slots, aggregate_hash.row_median,
+               aggregate_hash.vec_median, aggregate_hash.speedup,
+               e2e.row_median, e2e.vec_median, e2e.speedup, zone.row_median,
+               zone.vec_median, zone.speedup, chunks_scanned, chunks_total);
 
   bool pass = (min_scan_speedup < 0 || scan.speedup >= min_scan_speedup) &&
               (min_agg_speedup < 0 || aggregate.speedup >= min_agg_speedup);
-  char json[4096];
+  char json[8192];
   std::snprintf(
       json, sizeof(json),
       "{\n"
@@ -306,20 +432,34 @@ int main(int argc, char** argv) {
       "                   \"speedup\": %.2f},\n"
       "  \"aggregate\": {\"row_median_micros\": %.0f,\n"
       "                 \"vec_median_micros\": %.0f,\n"
-      "                 \"speedup\": %.2f},\n"
+      "                 \"speedup\": %.2f,\n"
+      "                 \"dense_slots\": %zu},\n"
+      "  \"aggregate_hash\": {\"row_median_micros\": %.0f,\n"
+      "                      \"vec_median_micros\": %.0f,\n"
+      "                      \"speedup\": %.2f},\n"
       "  \"query_e2e\": {\"row_median_micros\": %.0f,\n"
       "                 \"vec_median_micros\": %.0f,\n"
       "                 \"speedup\": %.2f},\n"
+      "  \"zone_skip\": {\"row_median_micros\": %.0f,\n"
+      "                 \"vec_median_micros\": %.0f,\n"
+      "                 \"speedup\": %.2f,\n"
+      "                 \"chunks_scanned\": %zu,\n"
+      "                 \"chunks_total\": %zu},\n"
       "  \"equivalence_checked\": true,\n"
       "  \"min_scan_speedup\": %.1f,\n"
+      "  \"min_agg_speedup\": %.1f,\n"
       "  \"pass\": %s\n"
       "}\n",
       rows, groups, reps, static_cast<unsigned long long>(seed),
       aqv::JsonList(scan.row_micros).c_str(),
       aqv::JsonList(scan.vec_micros).c_str(), scan.row_median,
       scan.vec_median, scan.speedup, aggregate.row_median,
-      aggregate.vec_median, aggregate.speedup, e2e.row_median, e2e.vec_median,
-      e2e.speedup, min_scan_speedup, pass ? "true" : "false");
+      aggregate.vec_median, aggregate.speedup, dense_slots,
+      aggregate_hash.row_median, aggregate_hash.vec_median,
+      aggregate_hash.speedup, e2e.row_median, e2e.vec_median, e2e.speedup,
+      zone.row_median, zone.vec_median, zone.speedup, chunks_scanned,
+      chunks_total, min_scan_speedup, min_agg_speedup,
+      pass ? "true" : "false");
   std::fputs(json, stdout);
   std::ofstream out(json_path, std::ios::trunc);
   if (out) {
@@ -330,8 +470,10 @@ int main(int argc, char** argv) {
 
   if (!pass) {
     std::fprintf(stderr,
-                 "FAIL: speedup below gate (scan %.2fx vs %.1fx required)\n",
-                 scan.speedup, min_scan_speedup);
+                 "FAIL: speedup below gate (scan %.2fx vs %.1fx required, "
+                 "aggregate %.2fx vs %.1fx required)\n",
+                 scan.speedup, min_scan_speedup, aggregate.speedup,
+                 min_agg_speedup);
     return 1;
   }
   return 0;

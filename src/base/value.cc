@@ -75,6 +75,9 @@ int Value::Compare(const Value& other) const {
 
 bool Value::SqlEquals(const Value& other) const {
   if (is_null() || other.is_null()) return false;
+  if (type() == ValueType::kInt64 && other.type() == ValueType::kInt64) {
+    return int64() == other.int64();
+  }
   if (is_numeric() && other.is_numeric()) return AsDouble() == other.AsDouble();
   if (type() != other.type()) return false;
   return Compare(other) == 0;

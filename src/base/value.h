@@ -58,8 +58,9 @@ class Value {
   double AsDouble() const;
 
   /// Total-order comparison: returns <0, 0, >0. NULL sorts first; all
-  /// numerics sort together by numeric value (kInt64 before kDouble on
-  /// ties, so distinct representations stay distinguishable); strings last.
+  /// numerics sort together by numeric value (INT64 against INT64 exactly,
+  /// anything involving a DOUBLE as doubles, so 1 and 1.0 tie); strings
+  /// last.
   int Compare(const Value& other) const;
 
   /// Value equality under the total order (NULL == NULL here).
@@ -67,8 +68,8 @@ class Value {
   bool operator!=(const Value& other) const { return Compare(other) != 0; }
   bool operator<(const Value& other) const { return Compare(other) < 0; }
 
-  /// SQL-comparison equality: false if either side is NULL; numeric types
-  /// compare by numeric value.
+  /// SQL-comparison equality: false if either side is NULL; INT64 against
+  /// INT64 compares exactly, other numeric pairs by double value.
   bool SqlEquals(const Value& other) const;
 
   size_t Hash() const;

@@ -1,5 +1,7 @@
 #include "exec/column_batch.h"
 
+#include <algorithm>
+
 namespace aqv {
 
 const char* ColumnTypeToString(ColumnType type) {
@@ -43,96 +45,84 @@ void SetNull(Column* c, size_t row) {
 ColumnarTable ColumnarTable::FromRows(const std::vector<Row>& rows,
                                       int num_columns) {
   ColumnarTable out;
-  out.num_rows_ = rows.size();
-  size_t nc = static_cast<size_t>(num_columns);
+  const size_t n = rows.size();
+  out.num_rows_ = n;
+  const size_t nc = static_cast<size_t>(num_columns);
   out.cols_.resize(nc);
 
-  // Pass 1: infer each column's storage class. The first non-null value
-  // fixes the type; any later non-null value of a different type degrades
-  // the column to kMixed. All-null columns stay kInt64 (every slot is
-  // covered by the bitmap, so the payload type is arbitrary).
-  std::vector<ColumnType> inferred(nc, ColumnType::kInt64);
-  std::vector<bool> seen(nc, false);
-  for (const Row& row : rows) {
-    for (size_t c = 0; c < nc; ++c) {
-      const Value& v = row[c];
-      if (v.is_null()) continue;
-      ColumnType t;
-      switch (v.type()) {
-        case ValueType::kInt64:
-          t = ColumnType::kInt64;
-          break;
-        case ValueType::kDouble:
-          t = ColumnType::kDouble;
-          break;
-        default:
-          t = ColumnType::kString;
-          break;
-      }
-      if (!seen[c]) {
-        seen[c] = true;
-        inferred[c] = t;
-      } else if (inferred[c] != t) {
-        inferred[c] = ColumnType::kMixed;
-      }
-    }
-  }
-
-  size_t words = (rows.size() + 63) / 64;
+  // One pass, row by row. The first non-null value of a column fixes its
+  // type and allocates its payload; a later non-null value of another type
+  // marks the column mixed, and only such columns are revisited. All-null
+  // columns stay kInt64 (every slot is covered by the bitmap, so the
+  // payload type is arbitrary).
+  std::vector<bool> typed(nc, false);
+  std::vector<bool> mixed(nc, false);
   std::vector<std::unordered_map<std::string, int32_t>> dict_index(nc);
-  for (size_t c = 0; c < nc; ++c) {
-    Column& col = out.cols_[c];
-    col.type = inferred[c];
-    col.null_words.assign(words, 0);
-    switch (col.type) {
-      case ColumnType::kInt64:
-        col.i64.assign(rows.size(), 0);
-        break;
-      case ColumnType::kDouble:
-        col.f64.assign(rows.size(), 0.0);
-        break;
-      case ColumnType::kString:
-        col.codes.assign(rows.size(), -1);
-        break;
-      case ColumnType::kMixed:
-        col.mixed.resize(rows.size());
-        break;
-    }
-  }
-
-  // Pass 2: fill payloads.
-  for (size_t r = 0; r < rows.size(); ++r) {
+  for (Column& col : out.cols_) col.null_words.assign((n + 63) / 64, 0);
+  for (size_t r = 0; r < n; ++r) {
     const Row& row = rows[r];
     for (size_t c = 0; c < nc; ++c) {
       const Value& v = row[c];
       Column& col = out.cols_[c];
-      if (col.type == ColumnType::kMixed) {
-        col.mixed[r] = v;
-        if (v.is_null()) SetNull(&col, r);
-        continue;
-      }
       if (v.is_null()) {
         SetNull(&col, r);
         continue;
       }
-      switch (col.type) {
+      if (mixed[c]) continue;
+      const ColumnType t =
+          v.type() == ValueType::kInt64    ? ColumnType::kInt64
+          : v.type() == ValueType::kDouble ? ColumnType::kDouble
+                                           : ColumnType::kString;
+      if (!typed[c]) {
+        typed[c] = true;
+        col.type = t;
+        switch (t) {
+          case ColumnType::kInt64:
+            col.i64.assign(n, 0);
+            break;
+          case ColumnType::kDouble:
+            col.f64.assign(n, 0.0);
+            break;
+          default:
+            col.codes.assign(n, -1);
+            break;
+        }
+      } else if (col.type != t) {
+        mixed[c] = true;
+        continue;
+      }
+      switch (t) {
         case ColumnType::kInt64:
           col.i64[r] = v.int64();
+          col.i64_min = std::min(col.i64_min, v.int64());
+          col.i64_max = std::max(col.i64_max, v.int64());
           break;
         case ColumnType::kDouble:
           col.f64[r] = v.dbl();
           break;
-        case ColumnType::kString: {
+        default: {
           auto [it, inserted] = dict_index[c].emplace(
               v.str(), static_cast<int32_t>(col.dict.size()));
           if (inserted) col.dict.push_back(v.str());
           col.codes[r] = it->second;
           break;
         }
-        case ColumnType::kMixed:
-          break;  // handled above
       }
     }
+  }
+  for (size_t c = 0; c < nc; ++c) {
+    Column& col = out.cols_[c];
+    // Kernels read payload slots at NULLs too.
+    if (!typed[c]) col.i64.assign(n, 0);
+    if (!mixed[c]) continue;
+    // A mixed column keeps exact tagged values instead (its bitmap is done).
+    Column fresh;
+    fresh.type = ColumnType::kMixed;
+    fresh.has_nulls = col.has_nulls;
+    fresh.null_words = std::move(col.null_words);
+    fresh.mixed.reserve(n);
+    for (const Row& row : rows) fresh.mixed.push_back(row[c]);
+    col = std::move(fresh);
   }
   return out;
 }

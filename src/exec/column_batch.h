@@ -2,6 +2,7 @@
 #define AQV_EXEC_COLUMN_BATCH_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -44,6 +45,11 @@ struct Column {
   std::vector<int32_t> codes;      // kString: dictionary codes, -1 at NULLs
   std::vector<std::string> dict;   // kString: code -> string
   std::vector<Value> mixed;        // kMixed: full tagged values
+
+  /// kInt64: exact bounds of the non-NULL values, recorded while pivoting
+  /// (i64_min > i64_max when there are none).
+  int64_t i64_min = std::numeric_limits<int64_t>::max();
+  int64_t i64_max = std::numeric_limits<int64_t>::min();
 
   bool IsNull(size_t row) const {
     return has_nulls && ((null_words[row >> 6] >> (row & 63)) & 1) != 0;

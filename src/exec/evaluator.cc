@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <iterator>
+#include <optional>
 #include <utility>
 
 #include "base/failpoint.h"
@@ -148,12 +149,22 @@ Result<std::vector<Row>> Evaluator::Run(PlanNode& node) {
     ProfClock::duration scan_time{};
     ProfClock::duration agg_time{};
     size_t selected = 0;
+    size_t scanned = 0;
     VectorizedAggregation::Groups groups;
     for (size_t c = 0; c < table.chunks().size(); ++c) {
+      const Chunk& chunk = *table.chunks()[c];
+      const std::optional<CompiledFilter>& filter = (*scan.filter)[c];
+      if (!filter) {
+        // Ruled out by its zone maps at plan time: charged, as the row
+        // engine's scan charges it, but not read.
+        if (ctx_ != nullptr && !ctx_->TickRows(chunk.num_rows())) break;
+        continue;
+      }
       ProfClock::time_point t0 = ProfClock::now();
-      const ColumnarTable& ct = table.chunks()[c]->columnar();
+      ++scanned;
+      const ColumnarTable& ct = chunk.columnar();
       SelVector sel;
-      if (use_sel) sel = (*scan.filter)[c].Run(ct, ctx_);
+      if (use_sel) sel = filter->Run(ct, ctx_);
       selected += use_sel ? sel.size() : ct.num_rows();
       ProfClock::time_point t1 = ProfClock::now();
       node.columnar_agg->Accumulate(ct, use_sel ? &sel : nullptr, agg_ctx,
@@ -169,7 +180,7 @@ Result<std::vector<Row>> Evaluator::Run(PlanNode& node) {
           std::chrono::duration_cast<std::chrono::microseconds>(d).count());
     };
     scan.actual = {Engine::kVectorized, table.num_rows(), selected,
-                   micros(scan_time)};
+                   micros(scan_time), scanned, table.chunks().size()};
     actual = {Engine::kVectorized, selected, out.size(), micros(agg_time)};
     stats_.vectorized_ops += 2;
   } else {
@@ -186,12 +197,18 @@ Result<std::vector<Row>> Evaluator::Run(PlanNode& node) {
       case Kind::kScan: {
         const Table& table = *node.source;
         actual.rows_in = table.num_rows();
+        actual.chunks_total = table.chunks().size();
         if (node.preds.empty()) out.reserve(table.num_rows());
         for (size_t c = 0; c < table.chunks().size(); ++c) {
           const Chunk& chunk = *table.chunks()[c];
           if (node.filter != nullptr) {
-            GatherRows(chunk.columnar(),
-                       (*node.filter)[c].Run(chunk.columnar(), ctx_), &out);
+            const std::optional<CompiledFilter>& filter = (*node.filter)[c];
+            if (!filter) {  // ruled out at plan time: charged, not read
+              if (ctx_ != nullptr && !ctx_->TickRows(chunk.num_rows())) break;
+              continue;
+            }
+            GatherRows(chunk.columnar(), filter->Run(chunk.columnar(), ctx_),
+                       &out);
           } else if (node.preds.empty()) {
             out.insert(out.end(), chunk.rows().begin(), chunk.rows().end());
           } else {
@@ -200,6 +217,7 @@ Result<std::vector<Row>> Evaluator::Run(PlanNode& node) {
             out.insert(out.end(), std::make_move_iterator(kept.begin()),
                        std::make_move_iterator(kept.end()));
           }
+          ++actual.chunks_scanned;
         }
         if (node.filter != nullptr) actual.engine = Engine::kVectorized;
         break;

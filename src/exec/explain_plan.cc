@@ -75,8 +75,13 @@ std::string Figures(const PlanNode& node, bool analyzed) {
   std::snprintf(est, sizeof(est), node.est_rows < 100 ? "est=%.3g" : "est=%.0f",
                 node.est_rows);
   if (!analyzed) return est;
+  std::string chunks;
+  if (node.kind == Kind::kScan && node.source != nullptr) {
+    chunks = "chunks=" + std::to_string(node.actual.chunks_scanned) + "/" +
+             std::to_string(node.actual.chunks_total) + ", ";
+  }
   return "actual rows=" + std::to_string(node.actual.rows_in) + " -> " +
-         std::to_string(node.actual.rows_out) + ", " + est + ", " +
+         std::to_string(node.actual.rows_out) + ", " + chunks + est + ", " +
          std::to_string(node.actual.micros) + " us";
 }
 

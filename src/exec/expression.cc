@@ -13,14 +13,9 @@ bool EvalCmp(const Value& lhs, CmpOp op, const Value& rhs) {
     return op == CmpOp::kNe;
   }
 
-  int c;
-  if (lhs.is_numeric()) {
-    double a = lhs.AsDouble(), b = rhs.AsDouble();
-    c = a < b ? -1 : (a > b ? 1 : 0);
-  } else {
-    c = lhs.str().compare(rhs.str());
-    c = c < 0 ? -1 : (c > 0 ? 1 : 0);
-  }
+  // INT64 against INT64 compares exactly; a DOUBLE operand makes it a
+  // double comparison (where NaN ties with everything).
+  const int c = lhs.Compare(rhs);
   switch (op) {
     case CmpOp::kEq:
       return c == 0;

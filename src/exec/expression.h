@@ -10,8 +10,9 @@
 namespace aqv {
 
 /// SQL comparison of two runtime values. NULL on either side yields false
-/// (the WHERE/HAVING dialect here has no IS NULL). Numerics compare by
-/// numeric value across INT64/DOUBLE; strings lexicographically;
+/// (the WHERE/HAVING dialect here has no IS NULL). INT64 against INT64
+/// compares exactly, numerics involving a DOUBLE as doubles (Value::Compare);
+/// strings lexicographically;
 /// cross-family comparisons are false except `<>`, which is true.
 bool EvalCmp(const Value& lhs, CmpOp op, const Value& rhs);
 

@@ -62,10 +62,19 @@ bool Aggregator::Overflowed() const {
          !NarrowSum(sum_int_, &unused);
 }
 
-Value NumericProduct(const Value& a, const Value& b) {
+Status ProductOutOfRange() {
+  return Status::OutOfRange("INT64 product overflow: a scaled aggregate "
+                            "argument does not fit in a 64-bit integer");
+}
+
+Result<Value> NumericProduct(const Value& a, const Value& b) {
   if (!a.is_numeric() || !b.is_numeric()) return Value::Null();
   if (a.type() == ValueType::kInt64 && b.type() == ValueType::kInt64) {
-    return Value::Int64(a.int64() * b.int64());
+    int64_t product;
+    if (__builtin_mul_overflow(a.int64(), b.int64(), &product)) {
+      return ProductOutOfRange();
+    }
+    return Value::Int64(product);
   }
   return Value::Double(a.AsDouble() * b.AsDouble());
 }
@@ -221,8 +230,14 @@ std::vector<Row> GroupAggregate(const std::vector<Row>& rows,
     for (size_t i = 0; i < aggs.size(); ++i) {
       const AggSpec& spec = aggs[i];
       if (spec.multiplier >= 0) {
-        it->second.accumulators[i].Add(
-            NumericProduct(row[spec.column], row[spec.multiplier]));
+        Result<Value> product =
+            NumericProduct(row[spec.column], row[spec.multiplier]);
+        if (product.ok()) {
+          it->second.accumulators[i].Add(*product);
+        } else if (ctx != nullptr) {
+          ctx->Fail(product.status());
+          return {};
+        }
       } else {
         it->second.accumulators[i].Add(row[spec.column]);
       }

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "base/exec_context.h"
+#include "base/result.h"
 #include "base/status.h"
 #include "base/value.h"
 #include "exec/expression.h"
@@ -60,8 +61,13 @@ struct AggSpec {
 };
 
 /// Numeric product of two values; NULL if either is NULL or non-numeric.
-/// INT64 * INT64 stays INT64.
-Value NumericProduct(const Value& a, const Value& b);
+/// INT64 * INT64 stays INT64 and is checked: a product outside the INT64
+/// range is ProductOutOfRange(), never a wrapped value.
+Result<Value> NumericProduct(const Value& a, const Value& b);
+
+/// The error of an INT64 product (a scaled aggregate argument) that leaves
+/// the INT64 range.
+Status ProductOutOfRange();
 
 /// All operators accept an optional ExecContext. When given, they charge
 /// one row per input (or output, for generating operators like the cross
@@ -97,8 +103,9 @@ std::vector<Row> CartesianProduct(const std::vector<Row>& left,
 /// [group values..., aggregate values...] in spec order. With empty
 /// `group_cols` there is exactly one global group, emitted even on empty
 /// input (COUNT(...) over an empty table is 0). An INT64 SUM that leaves
-/// its range fails `ctx` with SumOutOfRange() (with no context, that sum
-/// finishes to NULL).
+/// its range fails `ctx` with SumOutOfRange(), and a scaled INT64 argument
+/// whose product leaves it with ProductOutOfRange() (with no context, that
+/// sum finishes to NULL and that product counts as NULL).
 std::vector<Row> GroupAggregate(const std::vector<Row>& rows,
                                 const std::vector<int>& group_cols,
                                 const std::vector<AggSpec>& aggs,

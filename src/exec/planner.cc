@@ -147,16 +147,15 @@ std::unique_ptr<PlanNode> Scan(const Query& query, int i,
   return node;
 }
 
-/// Compiles `scan`'s filter against every chunk of its table; on success
-/// the scan runs vectorized.
-bool CompileScan(PlanNode* scan, const Table& table) {
-  auto filter = std::make_shared<std::vector<CompiledFilter>>();
-  if (!CompileChunkFilters(scan->preds, scan->layout, table, filter.get())) {
-    return false;
+/// `scan`'s filter compiled against the chunks of `table` its zone maps
+/// keep (see CompileChunkFilters); null if some chunk refuses.
+std::shared_ptr<const ChunkFilters> ScanFilters(const PlanNode& scan,
+                                                const Table& table) {
+  auto filter = std::make_shared<ChunkFilters>();
+  if (!CompileChunkFilters(scan.preds, scan.layout, table, filter.get())) {
+    return nullptr;
   }
-  scan->filter = std::move(filter);
-  scan->engine = Engine::kVectorized;
-  return true;
+  return filter;
 }
 
 /// Joins `scan` onto `left`: a HashJoin on the equalities `keys`, or a
@@ -217,7 +216,8 @@ std::unique_ptr<PlanNode> JoinPhase(const Query& query,
                     cls.single_table[i]);
     if (options.vectorized && inputs[i].table != nullptr &&
         !scans[i]->preds.empty()) {
-      CompileScan(scans[i].get(), *inputs[i].table);
+      scans[i]->filter = ScanFilters(*scans[i], *inputs[i].table);
+      if (scans[i]->filter != nullptr) scans[i]->engine = Engine::kVectorized;
     }
     sizes[i] = static_cast<size_t>(std::max(1.0, scans[i]->est_rows));
   }
@@ -306,15 +306,26 @@ std::unique_ptr<PlanNode> PlanQuery(const Query& query,
     if (options.vectorized && options.use_hash_join) {
       agg->engine = Engine::kVectorized;
       // A single-table aggregation whose aggregation and filter both compile
-      // aggregates straight off the scan's selection vector.
+      // aggregates straight off the scan's selection vector, over the
+      // chunks the filter keeps.
       const Table* table = inputs[0].table;
       PlanNode* scan = agg->children[0].get();
-      auto columnar = std::make_shared<VectorizedAggregation>();
-      if (query.from.size() == 1 && table != nullptr &&
-          VectorizedAggregation::Compile(*table, agg->group_ordinals,
-                                         agg->specs, columnar.get()) &&
-          (scan->filter != nullptr || CompileScan(scan, *table))) {
-        agg->columnar_agg = std::move(columnar);
+      std::shared_ptr<const ChunkFilters> filter = scan->filter;
+      if (query.from.size() == 1 && table != nullptr && filter == nullptr) {
+        filter = ScanFilters(*scan, *table);
+      }
+      if (query.from.size() == 1 && filter != nullptr) {
+        std::vector<const ColumnarTable*> images;
+        for (size_t c = 0; c < filter->size(); ++c) {
+          if ((*filter)[c]) images.push_back(&table->chunks()[c]->columnar());
+        }
+        auto columnar = std::make_shared<VectorizedAggregation>();
+        if (VectorizedAggregation::Compile(images, agg->group_ordinals,
+                                           agg->specs, columnar.get())) {
+          agg->columnar_agg = std::move(columnar);
+          scan->filter = std::move(filter);
+          scan->engine = Engine::kVectorized;
+        }
       }
     }
     top = std::move(agg);

@@ -10,12 +10,10 @@
 #include "exec/expression.h"
 #include "exec/operators.h"
 #include "exec/table.h"
+#include "exec/vectorized.h"
 #include "ir/query.h"
 
 namespace aqv {
-
-class CompiledFilter;
-class VectorizedAggregation;
 
 /// WHERE conjuncts of a query sorted into the roles the join planner needs.
 struct PredicateClassification {
@@ -117,19 +115,24 @@ struct PlanNode {
 
   /// Kernels compiled at plan time against the columnar images of the
   /// bound input's chunks: a vectorized Scan's filter (one per chunk, in
-  /// chunk order), and an Aggregate that folds its Scan child's selection
+  /// chunk order; none for a chunk its zone maps rule out, which the scan
+  /// skips), and an Aggregate that folds its Scan child's selection
   /// vectors chunk by chunk (no row gather).
-  std::shared_ptr<const std::vector<CompiledFilter>> filter;
+  std::shared_ptr<const ChunkFilters> filter;
   std::shared_ptr<const VectorizedAggregation> columnar_agg;
 
   /// What the Evaluator observed running this node. `engine` differs from
   /// the planned one only where a kernel refused at run time (post-join
-  /// aggregation over too few or mixed-type rows).
+  /// aggregation over too few or mixed-type rows). A Scan also counts the
+  /// chunks of its table it read; a vectorized filtered Scan skips those
+  /// its zone maps rule out.
   struct Actual {
     Engine engine = Engine::kRow;
     size_t rows_in = 0;
     size_t rows_out = 0;
     uint64_t micros = 0;
+    size_t chunks_scanned = 0;
+    size_t chunks_total = 0;
   } actual;
 };
 

@@ -30,17 +30,15 @@ inline bool CmpPass(CmpOp op, int c) {
   return false;
 }
 
-/// Numeric column value as double — the representation EvalCmp compares in
-/// (AsDouble on both sides), so INT64/DOUBLE cross comparisons match the
-/// row engine bit-for-bit.
+/// Numeric column value as double — how EvalCmp compares a pair with a
+/// DOUBLE in it, so INT64/DOUBLE cross comparisons match the row engine
+/// bit-for-bit.
 inline double NumAt(const Column& c, size_t r) {
   return c.type == ColumnType::kInt64 ? static_cast<double>(c.i64[r])
                                       : c.f64[r];
 }
 
 inline int Sign(int c) { return c < 0 ? -1 : (c > 0 ? 1 : 0); }
-
-using Pred = CompiledFilter::Pred;
 
 /// An operand resolved the way EvalScalarPredicate resolves it: constants
 /// pass through, columns go through the layout, and anything unresolvable
@@ -61,124 +59,184 @@ Resolved Resolve(const Operand& o, const ColumnIndexMap& layout,
   return {false, Value(), it->second};
 }
 
-bool PredPass(const Pred& p, const ColumnarTable& t, size_t r) {
+/// The comparisons of EvalCmp written with `<` only, so a NaN operand
+/// (neither less nor greater) ties like its three-way compare does; on
+/// INT64 they are the plain exact comparisons.
+struct CmpEq {
+  template <typename T>
+  bool operator()(T a, T b) const { return !(a < b) & !(b < a); }
+};
+struct CmpNe {
+  template <typename T>
+  bool operator()(T a, T b) const { return (a < b) | (b < a); }
+};
+struct CmpLt {
+  template <typename T>
+  bool operator()(T a, T b) const { return a < b; }
+};
+struct CmpLe {
+  template <typename T>
+  bool operator()(T a, T b) const { return !(b < a); }
+};
+struct CmpGt {
+  template <typename T>
+  bool operator()(T a, T b) const { return b < a; }
+};
+struct CmpGe {
+  template <typename T>
+  bool operator()(T a, T b) const { return !(a < b); }
+};
+
+/// Calls `f` with the comparator of `op`, so loops are instantiated per
+/// operator instead of switching per row.
+template <typename F>
+size_t WithCmp(CmpOp op, F&& f) {
+  switch (op) {
+    case CmpOp::kEq:
+      return f(CmpEq{});
+    case CmpOp::kNe:
+      return f(CmpNe{});
+    case CmpOp::kLt:
+      return f(CmpLt{});
+    case CmpOp::kLe:
+      return f(CmpLe{});
+    case CmpOp::kGt:
+      return f(CmpGt{});
+    case CmpOp::kGe:
+      return f(CmpGe{});
+  }
+  return 0;
+}
+
+/// The row ids a kernel reads: a batch's range, or the selection an earlier
+/// conjunct left.
+struct RangeIds {
+  size_t base;
+  uint32_t operator[](size_t k) const {
+    return static_cast<uint32_t>(base + k);
+  }
+};
+struct ListIds {
+  const uint32_t* ids;
+  uint32_t operator[](size_t k) const { return ids[k]; }
+};
+
+/// Branch-free selection: every candidate id is written to `out` and the
+/// count advances by the verdict. `out` may be the ListIds being read: the
+/// write position never passes the read position.
+template <typename Ids, typename Pass>
+size_t SelectIf(Ids ids, size_t n, Pass pass, uint32_t* out) {
+  size_t w = 0;
+  for (size_t k = 0; k < n; ++k) {
+    const uint32_t r = ids[k];
+    out[w] = r;
+    w += static_cast<size_t>(pass(r));
+  }
+  return w;
+}
+
+/// SelectIf over rows of `c` that are not NULL; the validity bit joins the
+/// verdict arithmetically (payload slots at NULLs hold 0, so `pass` may
+/// read them).
+template <typename Ids, typename Pass>
+size_t SelectValid(const Column& c, Ids ids, size_t n, Pass pass,
+                   uint32_t* out) {
+  if (!c.has_nulls) return SelectIf(ids, n, pass, out);
+  const uint64_t* nulls = c.null_words.data();
+  return SelectIf(
+      ids, n,
+      [=](uint32_t r) {
+        return (((nulls[r >> 6] >> (r & 63)) & 1) == 0) & pass(r);
+      },
+      out);
+}
+
+using Pred = CompiledFilter::Pred;
+
+/// Writes the ids among `ids[0..n)` that pass `p` to `out`; returns how
+/// many. One typed loop per predicate kind, column type and operator.
+template <typename Ids>
+size_t ApplyPred(const Pred& p, const ColumnarTable& t, Ids ids, size_t n,
+                 uint32_t* out) {
   switch (p.kind) {
     case Pred::Kind::kAlwaysTrue:
-      return true;
+      return SelectIf(ids, n, [](uint32_t) { return true; }, out);
     case Pred::Kind::kAlwaysFalse:
-      return false;
+      return 0;
     case Pred::Kind::kNumConst: {
       const Column& c = t.col(p.lhs_col);
-      if (c.IsNull(r)) return false;
-      double d = NumAt(c, r);
-      return CmpPass(p.op, d < p.cval ? -1 : (d > p.cval ? 1 : 0));
+      return WithCmp(p.op, [&](auto cmp) {
+        if (c.type == ColumnType::kInt64 && p.int_const) {
+          const int64_t* v = c.i64.data();
+          const int64_t k = p.ival;
+          return SelectValid(
+              c, ids, n, [=](uint32_t r) { return cmp(v[r], k); }, out);
+        }
+        const double k = p.cval;
+        if (c.type == ColumnType::kInt64) {
+          const int64_t* v = c.i64.data();
+          return SelectValid(
+              c, ids, n,
+              [=](uint32_t r) { return cmp(static_cast<double>(v[r]), k); },
+              out);
+        }
+        const double* v = c.f64.data();
+        return SelectValid(
+            c, ids, n, [=](uint32_t r) { return cmp(v[r], k); }, out);
+      });
     }
     case Pred::Kind::kStrConst: {
-      const Column& c = t.col(p.lhs_col);
-      if (c.IsNull(r)) return false;
-      return p.dict_pass[static_cast<size_t>(c.codes[r])] != 0;
+      // Entry 0 is the verdict for NULL's code (-1): false, no bitmap probe.
+      const int32_t* codes = t.col(p.lhs_col).codes.data();
+      const uint8_t* pass = p.dict_pass.data();
+      return SelectIf(
+          ids, n, [=](uint32_t r) { return pass[codes[r] + 1] != 0; }, out);
     }
     case Pred::Kind::kNumNum: {
       const Column& lc = t.col(p.lhs_col);
       const Column& rc = t.col(p.rhs_col);
-      if (lc.IsNull(r) || rc.IsNull(r)) return false;
-      double a = NumAt(lc, r), b = NumAt(rc, r);
-      return CmpPass(p.op, a < b ? -1 : (a > b ? 1 : 0));
+      auto valid = [&](uint32_t r) { return !lc.IsNull(r) & !rc.IsNull(r); };
+      return WithCmp(p.op, [&](auto cmp) {
+        if (lc.type == ColumnType::kInt64 && rc.type == ColumnType::kInt64) {
+          const int64_t* a = lc.i64.data();
+          const int64_t* b = rc.i64.data();
+          return SelectIf(
+              ids, n, [&](uint32_t r) { return valid(r) & cmp(a[r], b[r]); },
+              out);
+        }
+        return SelectIf(
+            ids, n,
+            [&](uint32_t r) {
+              return valid(r) & cmp(NumAt(lc, r), NumAt(rc, r));
+            },
+            out);
+      });
     }
     case Pred::Kind::kStrStr: {
       const Column& lc = t.col(p.lhs_col);
       const Column& rc = t.col(p.rhs_col);
-      if (lc.IsNull(r) || rc.IsNull(r)) return false;
-      int cm = lc.dict[static_cast<size_t>(lc.codes[r])].compare(
-          rc.dict[static_cast<size_t>(rc.codes[r])]);
-      return CmpPass(p.op, Sign(cm));
+      return SelectIf(
+          ids, n,
+          [&](uint32_t r) {
+            return !lc.IsNull(r) && !rc.IsNull(r) &&
+                   CmpPass(p.op, Sign(lc.dict[static_cast<size_t>(lc.codes[r])]
+                                          .compare(rc.dict[static_cast<size_t>(
+                                              rc.codes[r])])));
+          },
+          out);
     }
     case Pred::Kind::kNotNullNe: {
-      if (t.col(p.lhs_col).IsNull(r)) return false;
-      if (p.rhs_col >= 0 && t.col(p.rhs_col).IsNull(r)) return false;
-      return true;
+      const Column& lc = t.col(p.lhs_col);
+      const Column* rc = p.rhs_col >= 0 ? &t.col(p.rhs_col) : nullptr;
+      return SelectIf(
+          ids, n,
+          [&](uint32_t r) {
+            return !lc.IsNull(r) & (rc == nullptr || !rc->IsNull(r));
+          },
+          out);
     }
   }
-  return false;
-}
-
-template <typename T, typename Cmp>
-inline void AppendCmp(const T* v, const Column& c, size_t base, size_t end,
-                      double cv, Cmp cmp, SelVector* sel) {
-  if (!c.has_nulls) {
-    for (size_t r = base; r < end; ++r) {
-      if (cmp(static_cast<double>(v[r]), cv)) {
-        sel->push_back(static_cast<uint32_t>(r));
-      }
-    }
-  } else {
-    for (size_t r = base; r < end; ++r) {
-      if (!c.IsNull(r) && cmp(static_cast<double>(v[r]), cv)) {
-        sel->push_back(static_cast<uint32_t>(r));
-      }
-    }
-  }
-}
-
-template <typename T>
-void AppendNumConst(const T* v, const Column& c, size_t base, size_t end,
-                    CmpOp op, double cv, SelVector* sel) {
-  switch (op) {
-    case CmpOp::kEq:
-      AppendCmp(v, c, base, end, cv, [](double a, double b) { return a == b; },
-                sel);
-      break;
-    case CmpOp::kNe:
-      AppendCmp(v, c, base, end, cv, [](double a, double b) { return a != b; },
-                sel);
-      break;
-    case CmpOp::kLt:
-      AppendCmp(v, c, base, end, cv, [](double a, double b) { return a < b; },
-                sel);
-      break;
-    case CmpOp::kLe:
-      AppendCmp(v, c, base, end, cv, [](double a, double b) { return a <= b; },
-                sel);
-      break;
-    case CmpOp::kGt:
-      AppendCmp(v, c, base, end, cv, [](double a, double b) { return a > b; },
-                sel);
-      break;
-    case CmpOp::kGe:
-      AppendCmp(v, c, base, end, cv, [](double a, double b) { return a >= b; },
-                sel);
-      break;
-  }
-}
-
-/// First conjunct over one batch: appends passing row ids to `sel`. The
-/// numeric-vs-constant shape (the dominant scan predicate) gets dedicated
-/// typed loops with the comparator hoisted out.
-void AppendPassing(const Pred& p, const ColumnarTable& t, size_t base,
-                   size_t end, SelVector* sel) {
-  if (p.kind == Pred::Kind::kNumConst) {
-    const Column& c = t.col(p.lhs_col);
-    if (c.type == ColumnType::kInt64) {
-      AppendNumConst(c.i64.data(), c, base, end, p.op, p.cval, sel);
-    } else {
-      AppendNumConst(c.f64.data(), c, base, end, p.op, p.cval, sel);
-    }
-    return;
-  }
-  for (size_t r = base; r < end; ++r) {
-    if (PredPass(p, t, r)) sel->push_back(static_cast<uint32_t>(r));
-  }
-}
-
-/// Later conjuncts: compacts the batch's slice of `sel` in place.
-void RefinePassing(const Pred& p, const ColumnarTable& t, SelVector* sel,
-                   size_t from) {
-  size_t w = from;
-  for (size_t i = from; i < sel->size(); ++i) {
-    uint32_t r = (*sel)[i];
-    if (PredPass(p, t, r)) (*sel)[w++] = r;
-  }
-  sel->resize(w);
+  return 0;
 }
 
 }  // namespace
@@ -214,9 +272,9 @@ bool CompiledFilter::Compile(const std::vector<Predicate>& preds,
         if (cv.type() == ValueType::kString) {
           // Hoist the comparison out of the scan: one verdict per dict code.
           c.kind = Pred::Kind::kStrConst;
-          c.dict_pass.resize(cc.dict.size());
+          c.dict_pass.assign(cc.dict.size() + 1, 0);
           for (size_t i = 0; i < cc.dict.size(); ++i) {
-            c.dict_pass[i] =
+            c.dict_pass[i + 1] =
                 CmpPass(op, Sign(cc.dict[i].compare(cv.str()))) ? 1 : 0;
           }
         } else {
@@ -227,6 +285,8 @@ bool CompiledFilter::Compile(const std::vector<Predicate>& preds,
         if (cv.is_numeric()) {
           c.kind = Pred::Kind::kNumConst;
           c.cval = cv.AsDouble();
+          c.int_const = cv.type() == ValueType::kInt64;
+          if (c.int_const) c.ival = cv.int64();
         } else {
           c.kind = op == CmpOp::kNe ? Pred::Kind::kNotNullNe
                                     : Pred::Kind::kAlwaysFalse;
@@ -254,27 +314,29 @@ bool CompiledFilter::Compile(const std::vector<Predicate>& preds,
 SelVector CompiledFilter::Run(const ColumnarTable& table,
                               ExecContext* ctx) const {
   const size_t n = table.num_rows();
-  SelVector sel;
+  SelVector sel(n);
   if (preds_.empty()) {
     // Identity selection; FilterRows charges nothing for an empty
     // conjunction, so neither do we.
-    sel.resize(n);
     for (size_t r = 0; r < n; ++r) sel[r] = static_cast<uint32_t>(r);
     return sel;
   }
-  sel.reserve(n);
+  size_t count = 0;
   for (size_t base = 0; base < n; base += kBatchRows) {
     const size_t end = std::min(n, base + kBatchRows);
     // Charge the whole batch up front; kBatchRows == kCheckStride, so this
     // also re-checks the deadline/cancel flag once per batch.
     if (ctx != nullptr && !ctx->TickRows(end - base)) break;
-    const size_t mark = sel.size();
-    AppendPassing(preds_[0], table, base, end, &sel);
-    for (size_t p = 1; p < preds_.size(); ++p) {
-      if (sel.size() == mark) break;
-      RefinePassing(preds_[p], table, &sel, mark);
+    // The first conjunct writes the batch's survivors after the earlier
+    // batches'; each later one compacts them in place.
+    uint32_t* out = sel.data() + count;
+    size_t kept = ApplyPred(preds_[0], table, RangeIds{base}, end - base, out);
+    for (size_t p = 1; p < preds_.size() && kept > 0; ++p) {
+      kept = ApplyPred(preds_[p], table, ListIds{out}, kept, out);
     }
+    count += kept;
   }
+  sel.resize(count);
   return sel;
 }
 
@@ -291,11 +353,13 @@ void GatherRows(const ColumnarTable& table, const SelVector& sel,
 
 bool CompileChunkFilters(const std::vector<Predicate>& preds,
                          const ColumnIndexMap& layout, const Table& table,
-                         std::vector<CompiledFilter>* out) {
-  out->assign(table.chunks().size(), CompiledFilter());
+                         ChunkFilters* out) {
+  out->assign(table.chunks().size(), std::nullopt);
   for (size_t c = 0; c < table.chunks().size(); ++c) {
-    if (!CompiledFilter::Compile(preds, layout, table.chunks()[c]->columnar(),
-                                 &(*out)[c])) {
+    const Chunk& chunk = *table.chunks()[c];
+    if (!ChunkMayMatch(preds, chunk, layout, table.num_columns())) continue;
+    if (!CompiledFilter::Compile(preds, layout, chunk.columnar(),
+                                 &(*out)[c].emplace())) {
       return false;
     }
   }
@@ -325,15 +389,21 @@ bool ZoneMayPass(const Predicate& p, const Chunk& chunk,
     double d = c.AsDouble();
     if (!z.has_num) return false;
     if (std::isnan(d)) return true;
+    // The bounds are doubles, but an INT64 constant meets INT64 values
+    // exactly: beyond 2^53, v > k can hold while both round to one double,
+    // so a strict test against such a constant is made non-strict.
+    constexpr int64_t kExact = int64_t{1} << 53;
+    const bool strict = c.type() == ValueType::kDouble ||
+                        (c.int64() > -kExact && c.int64() < kExact);
     switch (op) {
       case CmpOp::kEq:
         return z.num_min <= d && d <= z.num_max;
       case CmpOp::kLt:
-        return z.num_min < d;
+        return strict ? z.num_min < d : z.num_min <= d;
       case CmpOp::kLe:
         return z.num_min <= d;
       case CmpOp::kGt:
-        return z.num_max > d;
+        return strict ? z.num_max > d : z.num_max >= d;
       default:  // kGe
         return z.num_max >= d;
     }
@@ -356,6 +426,16 @@ bool ZoneMayPass(const Predicate& p, const Chunk& chunk,
 
 }  // namespace
 
+bool ChunkMayMatch(const std::vector<Predicate>& preds, const Chunk& chunk,
+                   const ColumnIndexMap& layout, int num_columns) {
+  for (const Predicate& p : preds) {
+    if (p.IsScalar() && !ZoneMayPass(p, chunk, layout, num_columns)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 std::vector<std::pair<size_t, SelVector>> SelectRows(
     const Table& table, const std::vector<Predicate>& preds,
     const ColumnIndexMap& layout, size_t* chunks_scanned) {
@@ -363,15 +443,7 @@ std::vector<std::pair<size_t, SelVector>> SelectRows(
   size_t scanned = 0;
   for (size_t c = 0; c < table.chunks().size(); ++c) {
     const Chunk& chunk = *table.chunks()[c];
-    bool may_match = true;
-    for (const Predicate& p : preds) {
-      if (p.IsScalar() &&
-          !ZoneMayPass(p, chunk, layout, table.num_columns())) {
-        may_match = false;
-        break;
-      }
-    }
-    if (!may_match) continue;
+    if (!ChunkMayMatch(preds, chunk, layout, table.num_columns())) continue;
     ++scanned;
     SelVector sel;
     CompiledFilter filter;
@@ -473,6 +545,28 @@ struct GlobalDict {
 /// operand is always NULL, hence kNullStream).
 enum class Stream : uint8_t { kInt, kDbl, kStr, kNullStream };
 
+/// Calls `f` with the row-id source of one batch: its selection slice, or
+/// the dense range from `base`.
+template <typename F>
+void WithIds(const uint32_t* selp, size_t base, F&& f) {
+  if (selp != nullptr) {
+    f(ListIds{selp});
+  } else {
+    f(RangeIds{base});
+  }
+}
+
+/// Folds row `ids[k]` into `states[gids[k] * stride]` for every k whose
+/// operands are valid, through `fold(state, row)`.
+template <typename Ids, typename Valid, typename Fold>
+void FoldBatch(Ids ids, size_t n, Valid valid, const uint32_t* gids,
+               AggState* states, size_t stride, Fold fold) {
+  for (size_t k = 0; k < n; ++k) {
+    const uint32_t r = ids[k];
+    if (valid(r)) fold(states[gids[k] * stride], r);
+  }
+}
+
 inline void EncodeKeyCol(const Column& c, size_t r, const int32_t* remap,
                          uint64_t* tag, uint64_t* bits) {
   if (c.IsNull(r)) {
@@ -519,6 +613,52 @@ bool HasValues(const Column& c, size_t rows) {
   return nulls < rows;
 }
 
+/// Direct-indexed group ids for one image (see PlanDenseSlots): a row's
+/// slot combines one coordinate per grouping column, 0 for NULL and
+/// 1 + (value - lo) for an INT64 value or 1 + code for a dictionary code.
+struct DenseSlots {
+  size_t slots = 0;  // 0: this image groups through the canonical-key map
+  std::array<uint64_t, VectorizedAggregation::kMaxGroupCols> lo{};
+  std::array<uint32_t, VectorizedAggregation::kMaxGroupCols> stride{};
+};
+
+/// The dense layout of `image`'s grouping columns for folding `rows` of
+/// its rows, when every one is INT64 or dictionary-coded and the product of
+/// their ranges (one extra slot for NULL each) fits kDenseGroupSlots and at
+/// most kDenseSlotsPerRow slots per folded row: clearing the slot array
+/// must not cost more than the hash probes it saves. Decided from the
+/// types, the bounds recorded at pivot time and the row count alone.
+DenseSlots PlanDenseSlots(const ColumnarTable& image,
+                          const std::vector<int>& group_cols, size_t rows) {
+  constexpr uint64_t kDenseSlotsPerRow = 4;
+  const uint64_t budget =
+      std::min<uint64_t>(VectorizedAggregation::kDenseGroupSlots,
+                         kDenseSlotsPerRow * static_cast<uint64_t>(rows));
+  DenseSlots d;
+  if (group_cols.empty()) return d;
+  uint64_t slots = 1;
+  for (size_t i = 0; i < group_cols.size(); ++i) {
+    const Column& c = image.col(group_cols[i]);
+    uint64_t range = 1;  // NULL's coordinate
+    if (c.type == ColumnType::kString) {
+      range += c.dict.size();
+    } else if (c.type != ColumnType::kInt64) {
+      return {};
+    } else if (c.i64_min <= c.i64_max) {
+      const uint64_t span = static_cast<uint64_t>(c.i64_max) -
+                            static_cast<uint64_t>(c.i64_min);
+      if (span >= budget) return {};
+      range += span + 1;
+      d.lo[i] = static_cast<uint64_t>(c.i64_min);
+    }
+    d.stride[i] = static_cast<uint32_t>(slots);
+    slots *= range;
+    if (slots > budget) return {};
+  }
+  d.slots = static_cast<size_t>(slots);
+  return d;
+}
+
 }  // namespace
 
 struct VectorizedAggregation::Groups::Impl {
@@ -526,6 +666,7 @@ struct VectorizedAggregation::Groups::Impl {
   std::vector<Row> keys;         // first-encountered group values
   std::vector<AggState> states;  // group-major, one per aggregate
   std::unordered_map<int, GlobalDict> dicts;  // by column ordinal
+  std::vector<uint32_t> slot_gid;  // one image's dense slots -> group id
   explicit Impl(size_t key_words) : index(16, GroupKeyHash{key_words}) {}
 };
 
@@ -535,7 +676,7 @@ VectorizedAggregation::Groups::Groups(Groups&&) noexcept = default;
 VectorizedAggregation::Groups& VectorizedAggregation::Groups::operator=(
     Groups&&) noexcept = default;
 
-bool VectorizedAggregation::CompileImages(
+bool VectorizedAggregation::Compile(
     const std::vector<const ColumnarTable*>& images,
     const std::vector<int>& group_cols, const std::vector<AggSpec>& aggs,
     VectorizedAggregation* out) {
@@ -588,19 +729,12 @@ bool VectorizedAggregation::Compile(const ColumnarTable& table,
                                     const std::vector<int>& group_cols,
                                     const std::vector<AggSpec>& aggs,
                                     VectorizedAggregation* out) {
-  return CompileImages({&table}, group_cols, aggs, out);
+  return Compile(std::vector<const ColumnarTable*>{&table}, group_cols, aggs,
+                 out);
 }
 
-bool VectorizedAggregation::Compile(const Table& table,
-                                    const std::vector<int>& group_cols,
-                                    const std::vector<AggSpec>& aggs,
-                                    VectorizedAggregation* out) {
-  std::vector<const ColumnarTable*> images;
-  images.reserve(table.chunks().size());
-  for (const ChunkPtr& chunk : table.chunks()) {
-    images.push_back(&chunk->columnar());
-  }
-  return CompileImages(images, group_cols, aggs, out);
+size_t VectorizedAggregation::DenseSlotCount(const ColumnarTable& image) const {
+  return PlanDenseSlots(image, group_cols_, image.num_rows()).slots;
 }
 
 void VectorizedAggregation::Accumulate(const ColumnarTable& table,
@@ -659,6 +793,38 @@ void VectorizedAggregation::Accumulate(const ColumnarTable& table,
     }
   }
 
+  // The group id of row `r` through the canonical-key map, creating the
+  // group on first sight. Every probe rewrites the same 2 * ng words of
+  // `key`; the rest stay zero.
+  GroupKey key{};
+  auto probe = [&](size_t r) {
+    for (size_t i = 0; i < ng; ++i) {
+      EncodeKeyCol(table.col(group_cols_[i]), r, key_remap[i], &key[2 * i],
+                   &key[2 * i + 1]);
+    }
+    auto [it, inserted] =
+        g.index.try_emplace(key, static_cast<uint32_t>(g.keys.size()));
+    if (inserted) {
+      Row values;
+      values.reserve(ng + nspecs);  // Finish appends the aggregates
+      for (int col : group_cols_) values.push_back(table.ValueAt(col, r));
+      g.keys.push_back(std::move(values));
+      g.states.resize(g.states.size() + nspecs);
+    }
+    return it->second;
+  };
+  // Out of line for the dense loop, which probes only once per slot.
+  auto first_seen = [&](size_t r) __attribute__((noinline)) {
+    return probe(r);
+  };
+  // Dense slots, valid for this image only: the map still decides each
+  // slot's group, once, so images of different layouts (or an integral
+  // DOUBLE chunk) meet in the same groups.
+  constexpr uint32_t kNoGroup = ~uint32_t{0};
+  const DenseSlots dense = PlanDenseSlots(table, group_cols_, total);
+  if (dense.slots > 0) g.slot_gid.assign(dense.slots, kNoGroup);
+
+  bool overflow = false;  // a scaled INT64 argument left the INT64 range
   std::vector<uint32_t> gids(kBatchRows);
   for (size_t base = 0; base < total; base += kBatchRows) {
     const size_t bn = std::min(kBatchRows, total - base);
@@ -668,121 +834,173 @@ void VectorizedAggregation::Accumulate(const ColumnarTable& table,
     // Stage 1: group-id per row.
     if (ng == 0) {
       std::fill_n(gids.begin(), bn, 0u);
-    } else {
-      GroupKey key{};
-      for (size_t k = 0; k < bn; ++k) {
-        size_t r = selp != nullptr ? selp[k] : base + k;
+    } else if (dense.slots > 0) {
+      uint32_t* slots = gids.data();  // a row's slot, then its group id
+      uint32_t* slot_gid = g.slot_gid.data();
+      WithIds(selp, base, [&](auto ids) {
+        std::fill_n(slots, bn, 0u);
         for (size_t i = 0; i < ng; ++i) {
-          EncodeKeyCol(table.col(group_cols_[i]), r, key_remap[i],
-                       &key[2 * i], &key[2 * i + 1]);
+          const Column& c = table.col(group_cols_[i]);
+          const uint32_t stride = dense.stride[i];
+          if (c.type == ColumnType::kString) {
+            const int32_t* codes = c.codes.data();  // -1 at NULL: slot 0
+            for (size_t k = 0; k < bn; ++k) {
+              slots[k] += static_cast<uint32_t>(codes[ids[k]] + 1) * stride;
+            }
+            continue;
+          }
+          const int64_t* v = c.i64.data();
+          const uint64_t origin = dense.lo[i] - 1;  // coordinate 1 is lo
+          auto coord = [=](uint32_t r) {
+            return static_cast<uint32_t>(static_cast<uint64_t>(v[r]) -
+                                         origin) *
+                   stride;
+          };
+          if (!c.has_nulls) {
+            for (size_t k = 0; k < bn; ++k) slots[k] += coord(ids[k]);
+          } else {
+            const uint64_t* nulls = c.null_words.data();
+            for (size_t k = 0; k < bn; ++k) {
+              const uint32_t r = ids[k];
+              const uint32_t valid = ((nulls[r >> 6] >> (r & 63)) & 1) ^ 1;
+              slots[k] += coord(r) * valid;
+            }
+          }
         }
-        auto [it, inserted] =
-            g.index.try_emplace(key, static_cast<uint32_t>(g.keys.size()));
-        if (inserted) {
-          Row values;
-          values.reserve(ng + nspecs);  // Finish appends the aggregates
-          for (int col : group_cols_) values.push_back(table.ValueAt(col, r));
-          g.keys.push_back(std::move(values));
-          g.states.resize(g.states.size() + nspecs);
+        for (size_t k = 0; k < bn; ++k) {
+          uint32_t gid = slot_gid[slots[k]];
+          if (gid == kNoGroup) gid = slot_gid[slots[k]] = first_seen(ids[k]);
+          slots[k] = gid;
         }
-        gids[k] = it->second;
-      }
+      });
+    } else {
+      WithIds(selp, base, [&](auto ids) {
+        for (size_t k = 0; k < bn; ++k) gids[k] = probe(ids[k]);
+      });
     }
 
-    // Stage 2: per-aggregate typed accumulation over the batch.
+    // Stage 2: per-aggregate typed accumulation over the batch, one loop
+    // per row-id source, operand validity and value type.
     for (size_t s = 0; s < nspecs; ++s) {
       const Agg& a = aggs_[s];
       const Stream stream = streams[s];
       if (stream == Stream::kNullStream) continue;
-      auto state = [&](size_t k) -> AggState& {
-        return g.states[gids[k] * nspecs + s];
-      };
-      auto row_of = [&](size_t k) {
-        return selp != nullptr ? static_cast<size_t>(selp[k]) : base + k;
-      };
       const Column& c = table.col(a.col);
       const Column* m = a.mult >= 0 ? &table.col(a.mult) : nullptr;
+      AggState* states = g.states.data() + s;
+      auto run = [&](auto fold) {
+        WithIds(selp, base, [&](auto ids) {
+          if (c.has_nulls || (m != nullptr && m->has_nulls)) {
+            auto valid = [&](uint32_t r) {
+              return !c.IsNull(r) && (m == nullptr || !m->IsNull(r));
+            };
+            FoldBatch(ids, bn, valid, gids.data(), states, nspecs, fold);
+          } else {
+            FoldBatch(ids, bn, [](uint32_t) { return true; }, gids.data(),
+                      states, nspecs, fold);
+          }
+        });
+      };
+      // Folds each row's (scaled) INT64 argument through add(state, v); a
+      // product outside INT64 skips its row and flags the batch.
+      auto fold_int = [&](auto add) {
+        const int64_t* v = c.i64.data();
+        if (m == nullptr) {
+          run([&](AggState& st, uint32_t r) { add(st, v[r]); });
+          return;
+        }
+        const int64_t* w = m->i64.data();
+        run([&](AggState& st, uint32_t r) {
+          int64_t product;
+          if (__builtin_mul_overflow(v[r], w[r], &product)) {
+            overflow = true;
+          } else {
+            add(st, product);
+          }
+        });
+      };
+      auto fold_dbl = [&](auto add) {
+        if (m == nullptr) {
+          const double* v = c.f64.data();
+          run([&](AggState& st, uint32_t r) { add(st, v[r]); });
+        } else {
+          run([&](AggState& st, uint32_t r) {
+            add(st, NumAt(c, r) * NumAt(*m, r));
+          });
+        }
+      };
 
       switch (a.fn) {
         case AggFn::kSum:
         case AggFn::kAvg:
           if (stream == Stream::kInt) {
-            for (size_t k = 0; k < bn; ++k) {
-              size_t r = row_of(k);
-              if (c.IsNull(r) || (m != nullptr && m->IsNull(r))) continue;
-              int64_t v = m != nullptr ? c.i64[r] * m->i64[r] : c.i64[r];
-              AggState& st = state(k);
+            fold_int([](AggState& st, int64_t v) {
               st.sum_i += v;
               st.sum_d += static_cast<double>(v);
               ++st.cnt;
               st.any = true;
-            }
+            });
           } else {
-            for (size_t k = 0; k < bn; ++k) {
-              size_t r = row_of(k);
-              if (c.IsNull(r) || (m != nullptr && m->IsNull(r))) continue;
-              double v = m != nullptr ? NumAt(c, r) * NumAt(*m, r) : NumAt(c, r);
-              AggState& st = state(k);
+            fold_dbl([](AggState& st, double v) {
               st.sum_d += v;
               ++st.cnt;
               st.any = true;
               st.all_int = false;
-            }
+            });
           }
           break;
-        case AggFn::kCount:
-          for (size_t k = 0; k < bn; ++k) {
-            size_t r = row_of(k);
-            if (c.IsNull(r) || (m != nullptr && m->IsNull(r))) continue;
-            AggState& st = state(k);
+        case AggFn::kCount: {
+          auto count = [](AggState& st, auto) {
             ++st.cnt;
             st.any = true;
+          };
+          // COUNT reads no value, except that a scaled INT64 argument still
+          // forms its product: one that overflows fails the statement, as
+          // in the row engine.
+          if (stream == Stream::kInt && m != nullptr) {
+            fold_int(count);
+          } else {
+            run([&](AggState& st, uint32_t) { count(st, 0); });
           }
           break;
+        }
         case AggFn::kMin:
         case AggFn::kMax: {
-          // Strict double comparison like EvalCmp: the first value wins
-          // ties, including INT64/DOUBLE pairs that collapse as doubles.
+          // EvalCmp's order: INT64 against an INT64 extremum exactly,
+          // anything else as doubles. Strict, so the first value wins ties,
+          // including INT64/DOUBLE pairs that tie as doubles.
           const bool is_min = a.fn == AggFn::kMin;
-          auto beats = [is_min](double v, const AggState& st) {
-            double e = st.ext == AggState::kInt
-                           ? static_cast<double>(st.ext_i)
-                           : st.ext_d;
-            return st.ext == AggState::kNone || (is_min ? v < e : v > e);
+          auto beats = [is_min](auto v, auto e) {
+            return is_min ? v < e : e < v;
           };
           if (stream == Stream::kInt) {
-            for (size_t k = 0; k < bn; ++k) {
-              size_t r = row_of(k);
-              if (c.IsNull(r) || (m != nullptr && m->IsNull(r))) continue;
-              int64_t v = m != nullptr ? c.i64[r] * m->i64[r] : c.i64[r];
-              AggState& st = state(k);
-              if (beats(static_cast<double>(v), st)) {
+            fold_int([&](AggState& st, int64_t v) {
+              if (st.ext == AggState::kNone ||
+                  (st.ext == AggState::kInt
+                       ? beats(v, st.ext_i)
+                       : beats(static_cast<double>(v), st.ext_d))) {
                 st.ext = AggState::kInt;
                 st.ext_i = v;
               }
               st.any = true;
-            }
+            });
           } else if (stream == Stream::kDbl) {
-            for (size_t k = 0; k < bn; ++k) {
-              size_t r = row_of(k);
-              if (c.IsNull(r) || (m != nullptr && m->IsNull(r))) continue;
-              double v = m != nullptr ? NumAt(c, r) * NumAt(*m, r) : NumAt(c, r);
-              AggState& st = state(k);
-              if (beats(v, st)) {
+            fold_dbl([&](AggState& st, double v) {
+              if (st.ext == AggState::kNone ||
+                  beats(v, st.ext == AggState::kInt
+                               ? static_cast<double>(st.ext_i)
+                               : st.ext_d)) {
                 st.ext = AggState::kDbl;
                 st.ext_d = v;
               }
               st.any = true;
-            }
+            });
           } else {  // Stream::kStr (unscaled: a string mult is kNullStream)
             const int32_t* remap = agg_remap[s];
             const std::vector<std::string>& dict = g.dicts[a.col].strings();
-            for (size_t k = 0; k < bn; ++k) {
-              size_t r = row_of(k);
-              if (c.IsNull(r)) continue;
+            run([&](AggState& st, uint32_t r) {
               int32_t code = c.codes[r];
               if (remap != nullptr) code = remap[code];
-              AggState& st = state(k);
               if (st.ext == AggState::kNone) {
                 st.ext = AggState::kStr;
                 st.ext_code = code;
@@ -792,11 +1010,17 @@ void VectorizedAggregation::Accumulate(const ColumnarTable& table,
                 if (is_min ? cm < 0 : cm > 0) st.ext_code = code;
               }
               st.any = true;
-            }
+            });
           }
           break;
         }
       }
+    }
+    // Like GroupAggregate: the product fails the statement; with no
+    // context, the rows whose product overflowed count as NULL.
+    if (overflow && ctx != nullptr) {
+      ctx->Fail(ProductOutOfRange());
+      return;
     }
   }
 }

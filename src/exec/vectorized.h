@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -32,8 +33,10 @@ namespace aqv {
 
 /// A conjunction of scalar predicates compiled against one columnar layout.
 /// Mirrors FilterRows/EvalScalarPredicate exactly: NULL operands evaluate
-/// to false, numerics compare as doubles across INT64/DOUBLE, cross-family
-/// comparisons are false except `<>`, unresolvable columns yield NULL.
+/// to false, INT64 compares with INT64 exactly and as doubles with DOUBLE,
+/// cross-family comparisons are false except `<>`, unresolvable columns
+/// yield NULL. Every kernel selects without a data-dependent branch: it
+/// writes each candidate row id and advances the count by the verdict.
 class CompiledFilter {
  public:
   /// Compiles `preds` (each must be scalar) against `layout`/`table`.
@@ -63,20 +66,34 @@ class CompiledFilter {
     CmpOp op = CmpOp::kEq;
     int lhs_col = -1;
     int rhs_col = -1;
-    double cval = 0.0;               // kNumConst
-    std::vector<uint8_t> dict_pass;  // kStrConst: pass/fail per dict code
+    double cval = 0.0;       // kNumConst, as a double
+    bool int_const = false;  // kNumConst: the constant is INT64 ...
+    int64_t ival = 0;        // ... with this exact value
+    /// kStrConst: pass/fail per dictionary code + 1 (entry 0: NULL, fails).
+    std::vector<uint8_t> dict_pass;
   };
 
  private:
   std::vector<Pred> preds_;
 };
 
-/// Compiles `preds` against the columnar image of every chunk of `table`,
-/// one CompiledFilter per chunk in chunk order. False if some chunk refuses
-/// (a kMixed column); the scan then runs on the row engine.
+/// One entry per chunk of a table, in chunk order: the chunk's compiled
+/// filter, or none when its zone maps rule out every row.
+using ChunkFilters = std::vector<std::optional<CompiledFilter>>;
+
+/// Compiles `preds` against the columnar image of every chunk of `table`
+/// that ChunkMayMatch keeps; a chunk it rules out gets no filter, and its
+/// image is not built. False if some kept chunk refuses (a kMixed column);
+/// the scan then runs on the row engine.
 bool CompileChunkFilters(const std::vector<Predicate>& preds,
                          const ColumnIndexMap& layout, const Table& table,
-                         std::vector<CompiledFilter>* out);
+                         ChunkFilters* out);
+
+/// False only if no row of `chunk` can satisfy the conjunction `preds`
+/// (resolved against `layout`, like FilterRows), judged from the chunk's
+/// zone maps; true whenever in doubt. Non-scalar conjuncts are ignored.
+bool ChunkMayMatch(const std::vector<Predicate>& preds, const Chunk& chunk,
+                   const ColumnIndexMap& layout, int num_columns);
 
 /// The rows of `table` satisfying the scalar conjunction `preds` (resolved
 /// against `layout`, like FilterRows), as (chunk ordinal, ascending row
@@ -100,6 +117,13 @@ std::vector<std::pair<size_t, SelVector>> SelectRows(
 /// double sum is accumulated in input-row order and INT64 sums exactly in
 /// 128 bits — so results are bit-identical to the row engine, not merely
 /// close.
+///
+/// Group ids of an image whose grouping columns are all INT64 or
+/// dictionary-coded, with a range product (one extra slot per column for
+/// NULL) of at most kDenseGroupSlots and at most four slots per row folded,
+/// come from a direct-indexed slot array built from the image's exact
+/// column bounds; the canonical-key map is consulted once per slot first
+/// seen in the image. Every other image probes the map per row.
 class VectorizedAggregation {
  public:
   /// Compiles grouping by `group_cols` with aggregates `aggs` against one
@@ -112,9 +136,11 @@ class VectorizedAggregation {
                       const std::vector<AggSpec>& aggs,
                       VectorizedAggregation* out);
 
-  /// The same against every chunk of `table`; also false if a MIN/MAX
-  /// argument holds strings in one chunk and numbers in another.
-  static bool Compile(const Table& table, const std::vector<int>& group_cols,
+  /// The same against every image to be folded, such as the chunks of a
+  /// table; also false if a MIN/MAX argument holds strings in one image and
+  /// numbers in another.
+  static bool Compile(const std::vector<const ColumnarTable*>& images,
+                      const std::vector<int>& group_cols,
                       const std::vector<AggSpec>& aggs,
                       VectorizedAggregation* out);
 
@@ -135,7 +161,9 @@ class VectorizedAggregation {
   /// Folds the selected rows of `image` (all rows when `sel` is null) into
   /// `groups`. Charges one row per input row in kBatchRows chunks. `image`
   /// must outlive Finish: string extrema may still point into its
-  /// dictionary.
+  /// dictionary. A scaled INT64 argument whose product leaves the INT64
+  /// range fails `ctx` with ProductOutOfRange() (with no context, it counts
+  /// as NULL).
   void Accumulate(const ColumnarTable& image, const SelVector* sel,
                   ExecContext* ctx, Groups* groups) const;
 
@@ -151,6 +179,11 @@ class VectorizedAggregation {
                        ExecContext* ctx) const;
 
   static constexpr size_t kMaxGroupCols = 4;
+  static constexpr size_t kDenseGroupSlots = size_t{1} << 16;
+
+  /// The dense slots `image` would group through when all its rows are
+  /// folded; 0 when it takes the hash path.
+  size_t DenseSlotCount(const ColumnarTable& image) const;
 
  private:
   struct Agg {
@@ -158,12 +191,6 @@ class VectorizedAggregation {
     int col = -1;
     int mult = -1;  // >= 0: scaled argument (Section 4 multiplicity)
   };
-
-  /// Shared checks of both Compile overloads over the images to be folded.
-  static bool CompileImages(const std::vector<const ColumnarTable*>& images,
-                            const std::vector<int>& group_cols,
-                            const std::vector<AggSpec>& aggs,
-                            VectorizedAggregation* out);
 
   std::vector<int> group_cols_;
   std::vector<Agg> aggs_;

@@ -74,8 +74,11 @@ Result<IncrementalMaintainer> IncrementalMaintainer::Create(
 
 namespace {
 
-// Scalar value of an aggregate argument against a core row.
-Value ArgValue(const AggArg& arg, const Row& row, const ColumnIndexMap& layout) {
+// Scalar value of an aggregate argument against a core row. A scaled
+// INT64 argument whose product overflows is kUnsupported, so the write
+// falls back to a recompute, which fails it with kOutOfRange.
+Result<Value> ArgValue(const AggArg& arg, const Row& row,
+                       const ColumnIndexMap& layout) {
   auto get = [&](const std::string& col) -> Value {
     auto it = layout.find(col);
     if (it == layout.end()) return Value::Null();
@@ -83,7 +86,12 @@ Value ArgValue(const AggArg& arg, const Row& row, const ColumnIndexMap& layout) 
   };
   Value v = get(arg.column);
   if (!arg.scaled()) return v;
-  return NumericProduct(v, get(arg.multiplier));
+  Result<Value> product = NumericProduct(v, get(arg.multiplier));
+  if (!product.ok()) {
+    return Status::Unsupported("INT64 product overflow in maintenance; "
+                               "recompute");
+  }
+  return product;
 }
 
 // Numeric a + sign * b for SUM maintenance (NULLs propagate like SQL SUM
@@ -316,7 +324,7 @@ Status IncrementalMaintainer::Apply(const Delta& delta, const Database& before,
     for (size_t p = 0; p < width; ++p) {
       const SelectItem& s = q.select[p];
       if (s.kind != SelectItem::Kind::kAggregate) continue;
-      Value v = ArgValue(s.arg, core.row, layout);
+      AQV_ASSIGN_OR_RETURN(Value v, ArgValue(s.arg, core.row, layout));
       switch (s.agg) {
         case AggFn::kSum: {
           AQV_ASSIGN_OR_RETURN(u.sum_delta[p],

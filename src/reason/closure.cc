@@ -70,7 +70,7 @@ void ConstantRelation(const Value& a, const Value& b, bool* eq, bool* lt,
       a.type() == ValueType::kString && b.type() == ValueType::kString;
   *comparable = numeric || strings;
   if (*comparable && !*eq) {
-    *lt = numeric ? (a.AsDouble() < b.AsDouble()) : (a.str() < b.str());
+    *lt = a.Compare(b) < 0;
   } else {
     *lt = false;
   }

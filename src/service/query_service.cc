@@ -1834,7 +1834,9 @@ Status ValidateDeleteContainment(const Delta& delta, const Database& db) {
 
 /// One UPDATE SET expression applied to one row. Arithmetic on NULL yields
 /// NULL (SQL semantics); on a string it is an execution-time error;
-/// INT64 op INT64 stays INT64, anything involving a DOUBLE promotes.
+/// INT64 op INT64 stays INT64 and is checked (a result outside INT64 is
+/// kOutOfRange, never a wrapped value); anything involving a DOUBLE
+/// promotes.
 Result<Value> EvalSetExpr(const SetExpr& expr, const Row& row,
                           const ColumnIndexMap& layout) {
   if (expr.kind == SetExpr::Kind::kLiteral) return expr.literal;
@@ -1855,14 +1857,24 @@ Result<Value> EvalSetExpr(const SetExpr& expr, const Row& row,
       expr.literal.type() == ValueType::kInt64) {
     int64_t a = v.int64();
     int64_t b = expr.literal.int64();
+    int64_t result;
+    bool overflow;
     switch (expr.op) {
       case '+':
-        return Value::Int64(a + b);
+        overflow = __builtin_add_overflow(a, b, &result);
+        break;
       case '-':
-        return Value::Int64(a - b);
+        overflow = __builtin_sub_overflow(a, b, &result);
+        break;
       default:
-        return Value::Int64(a * b);
+        overflow = __builtin_mul_overflow(a, b, &result);
+        break;
     }
+    if (overflow) {
+      return Status::OutOfRange("INT64 overflow in UPDATE arithmetic on "
+                                "column '" + expr.column + "'");
+    }
+    return Value::Int64(result);
   }
   double a = v.AsDouble();
   double b = expr.literal.AsDouble();

@@ -80,6 +80,17 @@ TEST(ValueTest, NumericComparisonCrossesTypes) {
   EXPECT_TRUE(Value::Int64(3).SqlEquals(Value::Double(3.0)));
 }
 
+// 2^53 and 2^53 + 1 round to one double; as INT64 they must stay apart.
+TEST(ValueTest, Int64ComparisonIsExactBeyondTwoToThe53) {
+  const Value a = Value::Int64(9007199254740992);
+  const Value b = Value::Int64(9007199254740993);
+  EXPECT_LT(a.Compare(b), 0);
+  EXPECT_FALSE(a.SqlEquals(b));
+  EXPECT_TRUE(b.SqlEquals(Value::Int64(9007199254740993)));
+  // Against a DOUBLE the comparison stays a double one.
+  EXPECT_TRUE(b.SqlEquals(Value::Double(9007199254740992.0)));
+}
+
 TEST(ValueTest, SqlEqualsRejectsNullAndCrossFamily) {
   EXPECT_FALSE(Value::Null().SqlEquals(Value::Null()));
   EXPECT_FALSE(Value::Int64(1).SqlEquals(Value::String("1")));

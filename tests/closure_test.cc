@@ -30,6 +30,20 @@ TEST(ClosureTest, EmptyConjunctionEntailsOnlyTautologies) {
   EXPECT_TRUE(c.Implies(P(Int(1), CmpOp::kNe, Int(2))));
 }
 
+// Constants beyond 2^53 that share a double are still distinct: A = 2^53
+// and A = 2^53 + 1 together are unsatisfiable.
+TEST(ClosureTest, Int64ConstantsAreComparedExactly) {
+  ASSERT_OK_AND_ASSIGN(
+      ConstraintClosure c,
+      ConstraintClosure::Build({P(Col("A"), CmpOp::kEq, Int(9007199254740992)),
+                                P(Col("A"), CmpOp::kEq,
+                                  Int(9007199254740993))}));
+  EXPECT_FALSE(c.satisfiable());
+  ASSERT_OK_AND_ASSIGN(ConstraintClosure d, ConstraintClosure::Build({}));
+  EXPECT_TRUE(
+      d.Implies(P(Int(9007199254740992), CmpOp::kLt, Int(9007199254740993))));
+}
+
 TEST(ClosureTest, EqualityIsTransitive) {
   ASSERT_OK_AND_ASSIGN(
       ConstraintClosure c,

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -52,6 +53,95 @@ void ExpectSameRows(const std::vector<Row>& got, const std::vector<Row>& want,
 // 1024-row processing batch: exact multiples and their neighbours.
 const size_t kBoundarySizes[] = {0,    1,    63,   64,   65,   1023,
                                  1024, 1025, 2047, 2048, 2049};
+
+// ---------------------------------------------------------------------------
+// Exact INT64 bounds recorded while pivoting, and the dense group-id
+// decision they drive.
+
+TEST(ColumnBatchTest, PivotRecordsExactInt64Bounds) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  const int64_t two53 = int64_t{1} << 53;
+  // Columns: INT64 with NULLs and values that share a double; INT64 at the
+  // type's extremes; all NULL; DOUBLE; strings.
+  std::vector<Row> rows = {
+      {Value::Null(), Value::Int64(kMax), Value::Null(), Value::Double(1.5),
+       Value::String("b")},
+      {Value::Int64(two53 + 1), Value::Int64(kMin), Value::Null(),
+       Value::Double(-2.0), Value::String("a")},
+      {Value::Int64(two53), Value::Int64(0), Value::Null(), Value::Double(7.0),
+       Value::Null()},
+      {Value::Null(), Value::Int64(-1), Value::Null(), Value::Null(),
+       Value::String("b")},
+  };
+  ColumnarTable t = ColumnarTable::FromRows(rows, 5);
+  EXPECT_EQ(t.col(0).i64_min, two53);  // NULL slots (payload 0) don't count
+  EXPECT_EQ(t.col(0).i64_max, two53 + 1);
+  EXPECT_EQ(t.col(1).i64_min, kMin);
+  EXPECT_EQ(t.col(1).i64_max, kMax);
+  EXPECT_GT(t.col(2).i64_min, t.col(2).i64_max);  // no values: empty range
+  // Bounds are an INT64 fact; other storage classes leave them empty.
+  EXPECT_EQ(t.col(3).type, ColumnType::kDouble);
+  EXPECT_GT(t.col(3).i64_min, t.col(3).i64_max);
+  EXPECT_GT(t.col(4).i64_min, t.col(4).i64_max);
+  ColumnarTable empty = ColumnarTable::FromRows({}, 5);
+  EXPECT_GT(empty.col(0).i64_min, empty.col(0).i64_max);
+
+  // Dense slots: (range + 1 NULL slot) per grouping column.
+  auto dense = [&](std::vector<int> groups) {
+    VectorizedAggregation agg;
+    EXPECT_TRUE(VectorizedAggregation::Compile(t, groups, {}, &agg));
+    return agg.DenseSlotCount(t);
+  };
+  EXPECT_EQ(dense({0}), 3u);        // NULL, 2^53, 2^53 + 1
+  EXPECT_EQ(dense({2}), 1u);        // NULL only
+  EXPECT_EQ(dense({4}), 3u);        // NULL, two dictionary codes
+  EXPECT_EQ(dense({0, 4, 2}), 9u);  // the product
+  EXPECT_EQ(dense({1}), 0u);        // a span of 2^64 - 1: hash path
+  EXPECT_EQ(dense({3}), 0u);        // DOUBLE keys: hash path
+  EXPECT_EQ(dense({}), 0u);         // a global aggregate has no key
+}
+
+TEST(ColumnBatchTest, DenseBudgetEdgeAndResults) {
+  // One column spanning kDenseGroupSlots - 1 values fits with its NULL
+  // slot; one more value does not. The slots may also number at most four
+  // per folded row. Both paths agree with the row engine.
+  const int64_t budget =
+      static_cast<int64_t>(VectorizedAggregation::kDenseGroupSlots);
+  const struct {
+    int64_t n;
+    int64_t span;
+    bool dense;
+  } cases[] = {
+      {budget / 4, budget - 1, true},  // 2^16 slots, 4 per row
+      {budget / 4, budget, false},     // over the fixed budget
+      {3000, 11999, true},             // 12000 slots, 4 per row
+      {3000, 12000, false},            // one slot over 4 per row
+  };
+  for (const auto& [n, span, dense] : cases) {
+    SCOPED_TRACE(testing::Message() << n << " rows, span " << span);
+    std::vector<Row> rows;
+    for (int64_t i = 0; i < n; ++i) {
+      // Rows 1 and 2 pin the bounds; every 17th row (row 0 too) is NULL.
+      const int64_t key =
+          i == 1 ? -7 : (i == 2 ? -7 + span - 1 : -7 + (i * 37) % span);
+      rows.push_back({i % 17 == 0 ? Value::Null() : Value::Int64(key),
+                      Value::Int64(i)});
+    }
+    ColumnarTable t = ColumnarTable::FromRows(rows, 2);
+    EXPECT_EQ(t.col(0).i64_min, -7);
+    EXPECT_EQ(t.col(0).i64_max, -7 + span - 1);
+    std::vector<AggSpec> aggs = {{AggFn::kCount, 1, -1},
+                                 {AggFn::kSum, 1, -1},
+                                 {AggFn::kMax, 1, -1}};
+    VectorizedAggregation agg;
+    ASSERT_TRUE(VectorizedAggregation::Compile(t, {0}, aggs, &agg));
+    EXPECT_EQ(agg.DenseSlotCount(t), dense ? static_cast<size_t>(span + 1)
+                                           : 0u);
+    ExpectSameRows(agg.Run(t, nullptr, nullptr),
+                   GroupAggregate(rows, {0}, aggs), 4);
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Round-trip at bitmap/batch boundaries.

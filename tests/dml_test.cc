@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -602,6 +603,137 @@ TEST(SumOverflowTest, MaintainedViewRefusesAWriteThatWouldWrapItsSum) {
   ASSERT_EQ(dv->num_rows(), 1u);
   EXPECT_EQ(dv->rows()[0][1], Value::Int64((int64_t{1} << 62) - 5));
   EXPECT_GE(service.Stats().views_maintained, 1u);
+}
+
+// A scaled argument's INT64 product is checked like the sum: out of range
+// fails the statement with kOutOfRange on both engines, never a wrapped row.
+TEST(SumOverflowTest, ReadsRefuseAnInt64ProductThatLeavesItsRange) {
+  for (bool vectorized : {true, false}) {
+    SCOPED_TRACE(vectorized ? "vectorized" : "row engine");
+    ServiceOptions options;
+    options.vectorized = vectorized;
+    QueryService service(options);
+    ASSERT_OK(service.Execute("CREATE TABLE D(G, X, N)").status());
+    // Enough rows that the vectorized aggregation engages.
+    std::string rows = "INSERT INTO D VALUES (1, 3, 5)";
+    for (int i = 0; i < 3000; ++i) rows += ", (1, 3, 5)";
+    ASSERT_OK(service.Execute(rows).status());
+    ASSERT_OK(service
+                  .Execute("INSERT INTO D VALUES (2, 4611686018427387904, 2)")
+                  .status());
+    for (const char* sql :
+         {"SELECT G_1, SUM(X_1 * N_1) FROM D GROUPBY G_1",
+          "SELECT MAX(X_1 * N_1) FROM D",
+          "SELECT G_1, COUNT(X_1 * N_1) FROM D GROUPBY G_1"}) {
+      Result<Table> r = service.Select(sql);
+      EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange) << sql;
+    }
+    // The product of 2^62 and -2 is INT64's minimum: in range, exact.
+    ASSERT_OK(service.Execute("DELETE FROM D WHERE G = 2").status());
+    ASSERT_OK(service
+                  .Execute("INSERT INTO D VALUES (2, 4611686018427387904, -2)")
+                  .status());
+    ASSERT_OK_AND_ASSIGN(
+        Table t, service.Select("SELECT MIN(X_1 * N_1) FROM D WHERE G_1 = 2"));
+    ASSERT_EQ(t.num_rows(), 1u);
+    EXPECT_EQ(t.rows()[0][0],
+              Value::Int64(std::numeric_limits<int64_t>::min()));
+  }
+}
+
+// A view folding a scaled SUM refuses a write whose product overflows:
+// the maintainer hands it to the recompute, which fails with kOutOfRange
+// before anything is published.
+TEST(SumOverflowTest, MaintainedViewRefusesAWriteWhoseProductOverflows) {
+  QueryService service;
+  ASSERT_OK(service.Execute("CREATE TABLE D(G, X, N)").status());
+  ASSERT_OK(service.Execute("INSERT INTO D VALUES (1, 3, 5)").status());
+  ASSERT_OK(service
+                .Execute("CREATE MATERIALIZED VIEW DV AS SELECT G_1, "
+                         "SUM(X_1 * N_1) AS S, COUNT(X_1) AS C FROM D "
+                         "GROUPBY G_1")
+                .status());
+  Result<StatementResult> wrapped =
+      service.Execute("INSERT INTO D VALUES (1, 4611686018427387904, 4)");
+  EXPECT_EQ(wrapped.status().code(), StatusCode::kOutOfRange);
+  ASSERT_OK_AND_ASSIGN(Table base, service.Select("SELECT COUNT(X_1) FROM D"));
+  EXPECT_EQ(base.rows()[0][0], Value::Int64(1));
+  ASSERT_OK(service.Execute("INSERT INTO D VALUES (1, 2, 7)").status());
+  ServiceSnapshotPtr snap = service.PinSnapshot();
+  ASSERT_OK_AND_ASSIGN(const Table* dv, snap->db.Get("DV"));
+  ASSERT_EQ(dv->num_rows(), 1u);
+  EXPECT_EQ(dv->rows()[0][1], Value::Int64(15 + 14));
+}
+
+// UPDATE's INT64 SET arithmetic is checked: a result outside INT64 refuses
+// the statement and leaves the table as it was.
+TEST(SumOverflowTest, UpdateArithmeticRefusesToWrap) {
+  for (bool vectorized : {true, false}) {
+    SCOPED_TRACE(vectorized ? "vectorized" : "row engine");
+    ServiceOptions options;
+    options.vectorized = vectorized;
+    QueryService service(options);
+    ASSERT_OK(service.Execute("CREATE TABLE D(G, X)").status());
+    ASSERT_OK(service
+                  .Execute("INSERT INTO D VALUES (1, 9223372036854775807), "
+                           "(2, -9223372036854775807), "
+                           "(3, 4611686018427387904)")
+                  .status());
+    for (const char* sql : {"UPDATE D SET X = X + 1 WHERE G = 1",
+                            "UPDATE D SET X = X - 2 WHERE G = 2",
+                            "UPDATE D SET X = X * 2 WHERE G = 3"}) {
+      Result<StatementResult> r = service.Execute(sql);
+      EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange) << sql;
+    }
+    ASSERT_OK_AND_ASSIGN(
+        Table t, service.Select("SELECT G_1, X_1 FROM D WHERE G_1 = 1"));
+    ASSERT_EQ(t.num_rows(), 1u);
+    EXPECT_EQ(t.rows()[0][1],
+              Value::Int64(std::numeric_limits<int64_t>::max()));
+    // In range stays exact: 2^62 * -2 is INT64's minimum.
+    ASSERT_OK(service.Execute("UPDATE D SET X = X * -2 WHERE G = 3").status());
+    ASSERT_OK_AND_ASSIGN(Table u,
+                         service.Select("SELECT X_1 FROM D WHERE G_1 = 3"));
+    ASSERT_EQ(u.num_rows(), 1u);
+    EXPECT_EQ(u.rows()[0][0],
+              Value::Int64(std::numeric_limits<int64_t>::min()));
+  }
+}
+
+// INT64 values beyond 2^53 share a double; WHERE, DELETE and MIN/MAX must
+// still tell them apart (both engines).
+TEST(Int64ExactTest, ComparisonsBeyondTwoToThe53AreExact) {
+  for (bool vectorized : {true, false}) {
+    SCOPED_TRACE(vectorized ? "vectorized" : "row engine");
+    ServiceOptions options;
+    options.vectorized = vectorized;
+    QueryService service(options);
+    ASSERT_OK(service.Execute("CREATE TABLE T (Id, V)").status());
+    ASSERT_OK(service
+                  .Execute("INSERT INTO T VALUES (9007199254740992, 1), "
+                           "(9007199254740993, 2)")
+                  .status());
+    ASSERT_OK_AND_ASSIGN(
+        Table eq, service.Select("SELECT Id_1, V_1 FROM T "
+                                 "WHERE Id_1 = 9007199254740993"));
+    ASSERT_EQ(eq.num_rows(), 1u);
+    EXPECT_EQ(eq.rows()[0][1], Value::Int64(2));
+    ASSERT_OK_AND_ASSIGN(
+        Table gt,
+        service.Select("SELECT V_1 FROM T WHERE Id_1 > 9007199254740992"));
+    ASSERT_EQ(gt.num_rows(), 1u);
+    EXPECT_EQ(gt.rows()[0][0], Value::Int64(2));
+    ASSERT_OK_AND_ASSIGN(Table mx,
+                         service.Select("SELECT MAX(Id_1), MIN(Id_1) FROM T"));
+    ASSERT_EQ(mx.num_rows(), 1u);
+    EXPECT_EQ(mx.rows()[0][0], Value::Int64(9007199254740993));
+    EXPECT_EQ(mx.rows()[0][1], Value::Int64(9007199254740992));
+    ASSERT_OK(
+        service.Execute("DELETE FROM T WHERE Id = 9007199254740993").status());
+    ASSERT_OK_AND_ASSIGN(Table left, service.Select("SELECT Id_1, V_1 FROM T"));
+    ASSERT_EQ(left.num_rows(), 1u);
+    EXPECT_EQ(left.rows()[0][0], Value::Int64(9007199254740992));
+  }
 }
 
 }  // namespace

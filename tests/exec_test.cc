@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -84,6 +85,20 @@ TEST(DatabaseTest, PutAllPublishesEveryEntryAtOneEpoch) {
   // Empty batch: no epoch bump.
   db.PutAll({});
   EXPECT_EQ(db.epoch(), before + 1);
+}
+
+TEST(ExpressionTest, EvalCmpIsExactForInt64Pairs) {
+  const Value a = Value::Int64(9007199254740992);
+  const Value b = Value::Int64(9007199254740993);
+  EXPECT_FALSE(EvalCmp(a, CmpOp::kEq, b));
+  EXPECT_TRUE(EvalCmp(a, CmpOp::kNe, b));
+  EXPECT_TRUE(EvalCmp(a, CmpOp::kLt, b));
+  EXPECT_TRUE(EvalCmp(b, CmpOp::kGt, a));
+  EXPECT_FALSE(EvalCmp(Value::Int64(std::numeric_limits<int64_t>::max()),
+                       CmpOp::kEq,
+                       Value::Int64(std::numeric_limits<int64_t>::max() - 1)));
+  // A DOUBLE operand compares as doubles: 2^53 + 1 rounds to 2^53.
+  EXPECT_TRUE(EvalCmp(b, CmpOp::kEq, Value::Double(9007199254740992.0)));
 }
 
 TEST(ExpressionTest, EvalCmpSemantics) {
@@ -205,11 +220,21 @@ TEST(OperatorsTest, SumOverflowFailsTheStatementOnBothEngines) {
 }
 
 TEST(OperatorsTest, NumericProduct) {
-  EXPECT_EQ(NumericProduct(Value::Int64(3), Value::Int64(4)), Value::Int64(12));
-  EXPECT_EQ(NumericProduct(Value::Int64(2), Value::Double(0.5)),
+  EXPECT_EQ(*NumericProduct(Value::Int64(3), Value::Int64(4)),
+            Value::Int64(12));
+  EXPECT_EQ(*NumericProduct(Value::Int64(2), Value::Double(0.5)),
             Value::Double(1.0));
-  EXPECT_TRUE(NumericProduct(Value::Null(), Value::Int64(1)).is_null());
-  EXPECT_TRUE(NumericProduct(Value::String("x"), Value::Int64(1)).is_null());
+  EXPECT_TRUE(NumericProduct(Value::Null(), Value::Int64(1))->is_null());
+  EXPECT_TRUE(NumericProduct(Value::String("x"), Value::Int64(1))->is_null());
+  // INT64 * INT64 is checked: out of range is an error, not a wrapped value.
+  const int64_t big = int64_t{1} << 62;
+  EXPECT_EQ(NumericProduct(Value::Int64(big), Value::Int64(2)).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(*NumericProduct(Value::Int64(-big), Value::Int64(2)),
+            Value::Int64(std::numeric_limits<int64_t>::min()));
+  // A DOUBLE operand makes it a double product, which has no INT64 range.
+  EXPECT_EQ(*NumericProduct(Value::Int64(big), Value::Double(4.0)),
+            Value::Double(4.0 * static_cast<double>(big)));
 }
 
 TEST(OperatorsTest, FilterRows) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "exec/evaluator.h"
 #include "exec/explain_plan.h"
 #include "ir/builder.h"
 #include "tests/test_util.h"
@@ -97,6 +98,64 @@ TEST(ExplainPlanTest, GlobalAggregateAndDistinct) {
                 .BuildOrDie();
   ASSERT_OK_AND_ASSIGN(std::string plan2, ExplainPlan(d, db));
   EXPECT_NE(plan2.find("ProjectDistinct("), std::string::npos) << plan2;
+}
+
+// EXPLAIN ANALYZE shows how many of a Scan's chunks were read: a filter
+// whose zone maps rule out a chunk skips it.
+TEST(ExplainPlanTest, AnalyzedScanCountsChunksReadAndSkipped) {
+  Table big({"k", "v"});
+  std::vector<Row> rows;
+  for (size_t i = 0; i < kChunkRows + 100; ++i) {
+    rows.push_back({Value::Int64(static_cast<int64_t>(i)), Value::Int64(1)});
+  }
+  ASSERT_OK(big.AddRows(std::move(rows)));
+  ASSERT_EQ(big.chunks().size(), 2u);
+  Database db;
+  db.Put("B", std::move(big));
+  const int64_t last = static_cast<int64_t>(kChunkRows);
+  struct Case {
+    Query query;
+    const char* chunks;
+  };
+  const Case cases[] = {
+      {QueryBuilder()
+           .From("B", {"K1", "V1"})
+           .Select("K1")
+           .WhereConst("K1", CmpOp::kGe, Value::Int64(last))
+           .BuildOrDie(),
+       "chunks=1/2"},
+      {QueryBuilder()
+           .From("B", {"K1", "V1"})
+           .SelectAgg(AggFn::kSum, "V1", "s")
+           .WhereConst("K1", CmpOp::kLt, Value::Int64(0))
+           .BuildOrDie(),
+       "chunks=0/2"},
+      {QueryBuilder()
+           .From("B", {"K1", "V1"})
+           .SelectAgg(AggFn::kSum, "V1", "s")
+           .WhereConst("V1", CmpOp::kEq, Value::Int64(1))
+           .BuildOrDie(),
+       "chunks=2/2"},
+      {QueryBuilder()
+           .From("B", {"K1", "V1"})
+           .Select("K1")
+           .BuildOrDie(),
+       "chunks=2/2"},
+  };
+  for (const Case& c : cases) {
+    Evaluator eval(&db);
+    ASSERT_OK(eval.Execute(c.query).status());
+    ASSERT_NE(eval.executed_plan(), nullptr);
+    std::string plan = RenderPlan(*eval.executed_plan(), true);
+    EXPECT_NE(plan.find("Scan B [" + std::to_string(kChunkRows + 100) +
+                        " rows]"),
+              std::string::npos)
+        << plan;
+    EXPECT_NE(plan.find(c.chunks), std::string::npos) << plan;
+    // The unanalyzed plan has no actuals to show.
+    EXPECT_EQ(RenderPlan(*eval.executed_plan(), false).find("chunks="),
+              std::string::npos);
+  }
 }
 
 TEST(ExplainPlanTest, UnknownTableFails) {

@@ -12,21 +12,31 @@
 //       service path with ServiceOptions::vectorized on vs off;
 //   (d) tables spanning several chunks whose columnar images disagree: a
 //       column INT64 in one chunk and DOUBLE in another, an all-NULL
-//       chunk, a different string dictionary per chunk.
+//       chunk, a different string dictionary per chunk; COUNT over string
+//       columns;
+//   (e) the dense group-id path and zone-map chunk skipping: keys INT64 in
+//       one chunk and integral DOUBLE in another, NULL keys, two-column
+//       keys whose range product sits at and just over the dense budget,
+//       keys near +-2^53 and INT64's extremes, 0% and 100% selectivity,
+//       and predicates whose zone maps skip all, some or no chunks (a
+//       skipped chunk still charges the row budget, as on the row engine).
 //
 // Engagement is asserted — the oracle is vacuous if the columnar path
 // silently falls back everywhere — and every failure prints the seed
 // (replay with AQV_TEST_SEED=<n>) and the exact SQL.
 
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "base/exec_context.h"
 #include "catalog/catalog.h"
 #include "exec/column_batch.h"
 #include "exec/evaluator.h"
+#include "exec/vectorized.h"
 #include "ir/printer.h"
 #include "parser/parser.h"
 #include "rewrite/optimizer.h"
@@ -378,6 +388,216 @@ TEST(VectorizedDifferentialTest, ChunkBoundariesMatchRowEngine) {
       Query q, ParseQuery("SELECT G_1, MIN(M_1), MAX(M_1) FROM M GROUPBY G_1",
                           &catalog));
   ExpectEnginesAgree(q, db, nullptr);
+}
+
+TEST(VectorizedDifferentialTest, CountOverStringColumnsMatchesRowEngine) {
+  // COUNT reads no value: over a dictionary-coded column (no DOUBLE or
+  // INT64 payload at all) it counts the non-NULL rows, on the dense and
+  // the hash group path, with and without NULLs, across two chunks.
+  uint64_t seed = TestSeed(25000);
+  SCOPED_TRACE(SeedTrace(seed));
+  std::mt19937_64 rng(seed);
+  Table t({"G", "W", "S", "N"});
+  std::vector<Row> data;
+  for (size_t i = 0; i < kChunkRows + 700; ++i) {
+    const uint64_t s = rng() % 9;
+    data.push_back(Row{Value::Int64(static_cast<int64_t>(rng() % 5)),
+                       Value::Double(static_cast<double>(rng() % 5) + 0.5),
+                       Value::String("s" + std::to_string(s)),
+                       s < 3 ? Value::Null()
+                             : Value::String("n" + std::to_string(s))});
+  }
+  ASSERT_OK(t.AddRows(std::move(data)));
+  ASSERT_EQ(t.chunks().size(), 2u);
+  EXPECT_FALSE(t.chunks()[0]->columnar().col(2).has_nulls);
+  EXPECT_TRUE(t.chunks()[0]->columnar().col(3).has_nulls);
+  Catalog catalog;
+  ASSERT_OK(catalog.AddTable(TableDef("T", t.columns())));
+  Database db;
+  db.Put("T", std::move(t));
+  for (const char* sql : {
+           "SELECT G_1, COUNT(S_1), COUNT(N_1) FROM T GROUPBY G_1",
+           "SELECT W_1, COUNT(S_1), COUNT(N_1) FROM T GROUPBY W_1",
+           "SELECT S_1, COUNT(N_1) FROM T GROUPBY S_1",
+           "SELECT COUNT(S_1), COUNT(N_1) FROM T",
+           "SELECT G_1, COUNT(N_1) FROM T WHERE S_1 >= 's4' GROUPBY G_1",
+       }) {
+    SCOPED_TRACE(sql);
+    ASSERT_OK_AND_ASSIGN(Query q, ParseQuery(sql, &catalog));
+    EXPECT_EQ(ExpectEnginesAgree(q, db, nullptr), 2u);
+  }
+}
+
+// (e) Columns of DenseKeyTable (3 chunks plus a partial fourth):
+//   K  row number: clustered, so range predicates let zone maps skip chunks;
+//   A  0..9, INT64 except chunk 1 (integral DOUBLE); ~4% NULL;
+//   B  0..253 and C 0..255, every value in every chunk: with a NULL slot
+//      per column, B, C has 255 * 257 = 2^16 - 1 slots, one under
+//      VectorizedAggregation::kDenseGroupSlots;
+//   D  0..256, so B, D has 255 * 258 slots, just over;
+//   E  values straddling +-2^53 plus INT64's extremes (hash path);
+//   F  2^53 .. 2^53 + 2, G near INT64's maximum, H near its minimum: dense
+//      ranges whose bounds sit at the edges of the INT64 space.
+Table DenseKeyTable(uint64_t seed) {
+  constexpr int64_t kTwo53 = int64_t{1} << 53;
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  const int64_t wide[] = {kTwo53 - 1, kTwo53,     kTwo53 + 1, -kTwo53 - 1,
+                          -kTwo53,    -kTwo53 + 1, kMin,      kMax,
+                          kMax - 1,   kMin + 1};
+  std::mt19937_64 rng(seed);
+  const size_t rows = 3 * kChunkRows + 1234;
+  std::vector<Row> data;
+  data.reserve(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    const int64_t a = static_cast<int64_t>(rng() % 10);
+    Value av = i / kChunkRows == 1 ? Value::Double(static_cast<double>(a))
+                                   : Value::Int64(a);
+    if (rng() % 25 == 0) av = Value::Null();
+    const int64_t n = static_cast<int64_t>(i);
+    data.push_back(Row{Value::Int64(n), std::move(av), Value::Int64(n % 254),
+                       Value::Int64((n * 7) % 256), Value::Int64((n * 7) % 257),
+                       Value::Int64(wide[rng() % 10]),
+                       Value::Int64(kTwo53 + static_cast<int64_t>(rng() % 3)),
+                       Value::Int64(kMax - static_cast<int64_t>(rng() % 3)),
+                       Value::Int64(kMin + static_cast<int64_t>(rng() % 3))});
+  }
+  Table t({"K", "A", "B", "C", "D", "E", "F", "G", "H"});
+  EXPECT_OK(t.AddRows(std::move(data)));
+  return t;
+}
+
+/// Chunks the vectorized engine's filtered Scan read for `q` (the deepest
+/// node on the plan's left spine).
+size_t ChunksScanned(const Query& q, const Database& db) {
+  Evaluator eval(&db);
+  EXPECT_OK(eval.Execute(q).status());
+  const PlanNode* node = eval.executed_plan();
+  if (node == nullptr) return 0;
+  while (!node->children.empty()) node = node->children[0].get();
+  return node->actual.chunks_scanned;
+}
+
+TEST(VectorizedDifferentialTest, DenseKeysAndZoneSkipsMatchRowEngine) {
+  uint64_t seed = TestSeed(24000);
+  SCOPED_TRACE(SeedTrace(seed));
+  Table t = DenseKeyTable(seed);
+  ASSERT_EQ(t.chunks().size(), 4u);
+  // The premise: (B, C) takes the dense path in every full chunk and the
+  // hash path in the partial one (too few rows for 2^16 - 1 slots), (B, D)
+  // and E the hash path everywhere, and A is DOUBLE in chunk 1 only.
+  for (const ChunkPtr& chunk : t.chunks()) {
+    const ColumnarTable& image = chunk->columnar();
+    VectorizedAggregation bc, bd, e, fgh;
+    ASSERT_TRUE(VectorizedAggregation::Compile(image, {2, 3}, {}, &bc));
+    ASSERT_TRUE(VectorizedAggregation::Compile(image, {2, 4}, {}, &bd));
+    ASSERT_TRUE(VectorizedAggregation::Compile(image, {5}, {}, &e));
+    ASSERT_TRUE(VectorizedAggregation::Compile(image, {6, 7, 8}, {}, &fgh));
+    EXPECT_EQ(bc.DenseSlotCount(image),
+              image.num_rows() == kChunkRows ? 255u * 257u : 0u);
+    EXPECT_EQ(bd.DenseSlotCount(image), 0u);
+    EXPECT_EQ(e.DenseSlotCount(image), 0u);
+    EXPECT_GT(fgh.DenseSlotCount(image), 0u);
+  }
+  EXPECT_EQ(t.chunks()[1]->columnar().col(1).type, ColumnType::kDouble);
+  EXPECT_EQ(t.chunks()[2]->columnar().col(1).type, ColumnType::kInt64);
+  Catalog catalog;
+  ASSERT_OK(catalog.AddTable(TableDef("T", t.columns())));
+  Database db;
+  db.Put("T", std::move(t));
+
+  // Each query, the vectorized operators it must engage and, for a filtered
+  // single-table query, the chunks its zone maps leave to scan (-1: not
+  // checked).
+  const struct {
+    const char* sql;
+    size_t ops;
+    int chunks;
+  } queries[] = {
+      // INT64 and integral-DOUBLE chunks meet in one group; NULL keys.
+      {"SELECT A_1, COUNT(K_1), SUM(K_1), MIN(K_1), MAX(K_1) FROM T "
+       "GROUPBY A_1", 2, -1},
+      {"SELECT A_1, B_1, SUM(C_1) FROM T GROUPBY A_1, B_1", 2, -1},
+      // At, and just over, the dense budget.
+      {"SELECT B_1, C_1, COUNT(K_1), MAX(A_1) FROM T GROUPBY B_1, C_1", 2, -1},
+      {"SELECT B_1, D_1, COUNT(K_1), MIN(A_1) FROM T GROUPBY B_1, D_1", 2, -1},
+      // Keys and extrema near +-2^53 and INT64's extremes.
+      {"SELECT E_1, COUNT(K_1), MIN(E_1), MAX(E_1) FROM T GROUPBY E_1", 2, -1},
+      {"SELECT F_1, G_1, H_1, SUM(A_1), MIN(G_1), MAX(H_1) FROM T "
+       "GROUPBY F_1, G_1, H_1", 2, -1},
+      {"SELECT MIN(E_1), MAX(E_1), MIN(F_1), MAX(F_1) FROM T", 2, -1},
+      {"SELECT K_1, E_1 FROM T WHERE E_1 = 9007199254740993", 1, 4},
+      {"SELECT F_1, COUNT(K_1) FROM T WHERE F_1 > 9007199254740992 "
+       "GROUPBY F_1", 2, 4},
+      {"SELECT K_1, G_1 FROM T WHERE G_1 >= 9223372036854775806 AND "
+       "K_1 < 100", 1, 1},
+      // 0% selectivity: zone maps skip every chunk, or none.
+      {"SELECT A_1, COUNT(K_1) FROM T WHERE K_1 < 0 GROUPBY A_1", 2, 0},
+      {"SELECT COUNT(K_1), SUM(A_1), MAX(E_1) FROM T WHERE K_1 > 100000", 2,
+       0},
+      {"SELECT A_1, COUNT(K_1) FROM T WHERE B_1 > C_1 AND C_1 > B_1 "
+       "GROUPBY A_1", 2, 4},
+      // 100% selectivity.
+      {"SELECT A_1, COUNT(K_1), MAX(E_1) FROM T WHERE K_1 >= 0 GROUPBY A_1", 2,
+       4},
+      // Some chunks: [16384, 32768) lies in chunk 1 alone, and the strict
+      // bounds sit exactly on chunk edges.
+      {"SELECT B_1, C_1, COUNT(K_1) FROM T WHERE K_1 >= 16384 AND "
+       "K_1 < 32768 GROUPBY B_1, C_1", 2, 1},
+      {"SELECT K_1, A_1 FROM T WHERE K_1 > 16383 AND K_1 < 16390", 1, 1},
+      {"SELECT A_1, MAX(K_1) FROM T WHERE K_1 > 40000 GROUPBY A_1", 2, 2},
+  };
+  for (const auto& [sql, ops, chunks] : queries) {
+    SCOPED_TRACE(sql);
+    ASSERT_OK_AND_ASSIGN(Query q, ParseQuery(sql, &catalog));
+    EXPECT_EQ(ExpectEnginesAgree(q, db, nullptr), ops);
+    if (chunks >= 0) {
+      EXPECT_EQ(ChunksScanned(q, db), static_cast<size_t>(chunks));
+    }
+  }
+}
+
+TEST(VectorizedDifferentialTest, ZoneSkippedChunksChargeTheRowBudget) {
+  // A chunk the zone maps rule out is not read, but it is charged like the
+  // row engine's scan charges it: both engines charge the same rows and
+  // stop at the same row budget.
+  Table t = DenseKeyTable(TestSeed(24000));
+  const size_t total = t.num_rows();
+  Catalog catalog;
+  ASSERT_OK(catalog.AddTable(TableDef("T", t.columns())));
+  Database db;
+  db.Put("T", std::move(t));
+  for (const char* sql : {
+           "SELECT A_1, COUNT(K_1) FROM T WHERE K_1 > 40000 GROUPBY A_1",
+           "SELECT K_1, A_1 FROM T WHERE K_1 > 16383 AND K_1 < 16390",
+           "SELECT COUNT(K_1) FROM T WHERE K_1 < 0",
+       }) {
+    SCOPED_TRACE(sql);
+    ASSERT_OK_AND_ASSIGN(Query q, ParseQuery(sql, &catalog));
+    ASSERT_LT(ChunksScanned(q, db), 4u);  // the premise: chunks are skipped
+    for (size_t budget : {size_t{0}, total - 100}) {
+      SCOPED_TRACE(budget);
+      ExecContext vec_ctx;
+      ExecContext row_ctx;
+      vec_ctx.set_row_budget(budget);
+      row_ctx.set_row_budget(budget);
+      Evaluator vec_eval(&db);
+      Evaluator row_eval(&db, nullptr, RowOptions());
+      vec_eval.set_context(&vec_ctx);
+      row_eval.set_context(&row_ctx);
+      Result<Table> vec = vec_eval.Execute(q);
+      Result<Table> row = row_eval.Execute(q);
+      EXPECT_EQ(vec.status().code(), row.status().code())
+          << "vec: " << vec.status().ToString()
+          << "\nrow: " << row.status().ToString();
+      if (budget == 0) {
+        ASSERT_OK(vec.status());
+        EXPECT_EQ(vec_ctx.rows_charged(), row_ctx.rows_charged());
+      } else {
+        EXPECT_EQ(vec.status().code(), StatusCode::kResourceExhausted);
+      }
+    }
+  }
 }
 
 }  // namespace
