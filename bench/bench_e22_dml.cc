@@ -29,7 +29,7 @@
 //      A/B of series 1 runs again, gated by --min-largest-speedup.
 //
 //   4. churn_memory — an insert/select/delete churn loop with no pinned
-//      snapshot, sampling the MVCC ledger (Database::MvccStats) every
+//      snapshot, sampling the MVCC ledger (Stats().mvcc) every
 //      cycle. The always-on memory gate: retired versions (and their
 //      columnar images) must die with the write that replaced them — peak
 //      versions_alive stays small and final bytes_pinned is zero.
@@ -343,14 +343,14 @@ int main(int argc, char** argv) {
     aqv::CheckOrDie(
         churn_service->Execute("DELETE FROM T WHERE B = " + b).status(),
         "churn delete");
-    for (const aqv::Database::TableMvcc& m : churn_service->Stats().mvcc) {
+    for (const aqv::TableMvcc& m : churn_service->Stats().mvcc) {
       peak_versions = std::max(peak_versions, m.versions_alive);
       peak_pinned = std::max(peak_pinned, m.bytes_pinned);
     }
   }
   size_t final_pinned = 0;
   size_t final_versions = 0;
-  for (const aqv::Database::TableMvcc& m : churn_service->Stats().mvcc) {
+  for (const aqv::TableMvcc& m : churn_service->Stats().mvcc) {
     final_pinned += m.bytes_pinned;
     final_versions = std::max(final_versions, m.versions_alive);
   }

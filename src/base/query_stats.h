@@ -20,7 +20,7 @@ namespace aqv {
 struct QueryStats {
   // --- disjoint phase times, microseconds ---
   uint64_t parse_micros = 0;     // text -> IR
-  uint64_t latch_micros = 0;     // waiting on the table-stripe latches
+  uint64_t latch_micros = 0;     // a write waiting on its stripe latches
   uint64_t optimize_micros = 0;  // rewrite search + plan-cache probe/fill
   uint64_t exec_micros = 0;      // evaluator time over the chosen plan
   uint64_t maintain_micros = 0;  // incremental view maintenance (writes)

@@ -363,91 +363,74 @@ std::string Table::ToString(size_t max_rows) const {
   return os.str();
 }
 
-Database::Database(const Database& other) {
-  std::shared_lock<std::shared_mutex> lock(other.mu_);
-  tables_ = other.tables_;
-  epoch_ = other.epoch_;
-}
-
-Database::Database(Database&& other) noexcept {
-  std::unique_lock<std::shared_mutex> lock(other.mu_);
-  tables_ = std::move(other.tables_);
-  retired_ = std::move(other.retired_);
-  epoch_ = other.epoch_;
-}
-
-Database& Database::operator=(const Database& other) {
-  if (this == &other) return *this;
-  std::map<std::string, Versioned> copy;
-  uint64_t epoch;
-  {
-    std::shared_lock<std::shared_mutex> lock(other.mu_);
-    copy = other.tables_;
-    epoch = other.epoch_;
-  }
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  tables_ = std::move(copy);
-  epoch_ = epoch;
-  return *this;
-}
-
-Database& Database::operator=(Database&& other) noexcept {
-  if (this == &other) return *this;
-  std::map<std::string, Versioned> taken;
-  std::map<std::string, std::vector<Retired>> retired;
-  uint64_t epoch;
-  {
-    std::unique_lock<std::shared_mutex> lock(other.mu_);
-    taken = std::move(other.tables_);
-    retired = std::move(other.retired_);
-    epoch = other.epoch_;
-  }
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  tables_ = std::move(taken);
-  retired_ = std::move(retired);
-  epoch_ = epoch;
-  return *this;
-}
-
 void Database::Put(std::string name, Table table) {
   Put(std::move(name), std::make_shared<const Table>(std::move(table)));
 }
 
 void Database::Put(std::string name, TablePtr table) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  Versioned& slot = tables_[name];
-  RetireLocked(name, slot);
-  slot.table = std::move(table);
-  slot.version = ++epoch_;
+  tables_[std::move(name)] = Versioned{std::move(table), ++epoch_};
 }
 
 void Database::PutAll(std::vector<std::pair<std::string, TablePtr>> tables) {
   if (tables.empty()) return;
-  std::unique_lock<std::shared_mutex> lock(mu_);
   const uint64_t version = ++epoch_;
   for (auto& [name, table] : tables) {
-    Versioned& slot = tables_[name];
-    RetireLocked(name, slot);
-    slot.table = std::move(table);
-    slot.version = version;
+    tables_[std::move(name)] = Versioned{std::move(table), version};
   }
 }
 
-void Database::RetireLocked(const std::string& name, const Versioned& slot) {
-  std::vector<Retired>& ledger = retired_[name];
-  ledger.erase(std::remove_if(ledger.begin(), ledger.end(),
-                              [](const Retired& r) { return r.table.expired(); }),
-               ledger.end());
-  if (slot.table != nullptr) {
-    ledger.push_back(Retired{slot.table, slot.version});
+bool Database::Has(const std::string& name) const {
+  return tables_.count(name) > 0;
+}
+
+Result<const Table*> Database::Get(const std::string& name) const {
+  auto it = tables_.find(name);
+  if (it == tables_.end()) {
+    return Status::NotFound("table '" + name + "' not in database");
+  }
+  return it->second.table.get();
+}
+
+TablePtr Database::GetShared(const std::string& name) const {
+  auto it = tables_.find(name);
+  return it == tables_.end() ? nullptr : it->second.table;
+}
+
+std::vector<std::string> Database::TableNames() const {
+  std::vector<std::string> names;
+  names.reserve(tables_.size());
+  for (const auto& [name, versioned] : tables_) names.push_back(name);
+  return names;
+}
+
+uint64_t Database::VersionOf(const std::string& name) const {
+  auto it = tables_.find(name);
+  return it == tables_.end() ? 0 : it->second.version;
+}
+
+void VersionLedger::Retire(const Database& before, const Database& after) {
+  // Both maps are name-sorted: walk them in step.
+  auto next = after.tables_.begin();
+  for (const auto& [name, old] : before.tables_) {
+    while (next != after.tables_.end() && next->first < name) ++next;
+    if (next != after.tables_.end() && next->first == name &&
+        next->second.table == old.table) {
+      continue;
+    }
+    std::vector<Retired>& ledger = retired_[name];
+    ledger.erase(std::remove_if(ledger.begin(), ledger.end(),
+                                [](const Retired& r) {
+                                  return r.table.expired();
+                                }),
+                 ledger.end());
+    ledger.push_back(Retired{old.table, old.version});
   }
 }
 
-std::vector<Database::TableMvcc> Database::MvccStats() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
+std::vector<TableMvcc> VersionLedger::Stats(const Database& current) const {
   std::vector<TableMvcc> out;
-  out.reserve(tables_.size());
-  for (const auto& [name, versioned] : tables_) {
+  out.reserve(current.tables_.size());
+  for (const auto& [name, versioned] : current.tables_) {
     TableMvcc m;
     m.table = name;
     m.versions_alive = versioned.table != nullptr ? 1 : 0;
@@ -480,8 +463,7 @@ std::vector<Database::TableMvcc> Database::MvccStats() const {
   return out;
 }
 
-uint64_t Database::OldestPinnedEpoch() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
+uint64_t VersionLedger::OldestPinnedEpoch() const {
   uint64_t oldest = 0;
   for (const auto& [name, ledger] : retired_) {
     for (const Retired& r : ledger) {
@@ -490,45 +472,6 @@ uint64_t Database::OldestPinnedEpoch() const {
     }
   }
   return oldest;
-}
-
-bool Database::Has(const std::string& name) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return tables_.count(name) > 0;
-}
-
-Result<const Table*> Database::Get(const std::string& name) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  auto it = tables_.find(name);
-  if (it == tables_.end()) {
-    return Status::NotFound("table '" + name + "' not in database");
-  }
-  return it->second.table.get();
-}
-
-TablePtr Database::GetShared(const std::string& name) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  auto it = tables_.find(name);
-  return it == tables_.end() ? nullptr : it->second.table;
-}
-
-std::vector<std::string> Database::TableNames() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(tables_.size());
-  for (const auto& [name, versioned] : tables_) names.push_back(name);
-  return names;
-}
-
-uint64_t Database::epoch() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return epoch_;
-}
-
-uint64_t Database::VersionOf(const std::string& name) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  auto it = tables_.find(name);
-  return it == tables_.end() ? 0 : it->second.version;
 }
 
 namespace {

@@ -7,8 +7,7 @@
 #include <iterator>
 #include <map>
 #include <memory>
-#include <mutex>
-#include <shared_mutex>
+#include <mutex>  // std::once_flag
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -236,82 +235,86 @@ using TablePtr = std::shared_ptr<const Table>;
 /// contents may also be stored here under the view's name, in which case the
 /// evaluator uses the stored contents instead of recomputing the view.
 ///
-/// Storage is a *table-version vector*: each name maps to an immutable
+/// Storage is a *table-version map*: each name maps to an immutable
 /// TablePtr plus the database epoch at which it was last replaced. Every Put
-/// bumps the epoch, and Snapshot() pins the whole vector by copying the
-/// shared pointers — O(#tables), no row copies — giving multi-statement
-/// readers one consistent state while writers keep replacing versions.
+/// bumps the epoch.
 ///
-/// The name->version map itself is guarded by an internal shared_mutex, so
-/// a Put of table A is safe against a concurrent Get of table B without any
-/// external latch. What the internal lock does NOT provide is cross-call
-/// consistency: a raw pointer obtained from Get stays valid only while the
-/// stored version is not replaced (hold the owning service's table latch, or
-/// use GetShared / Snapshot to take shared ownership).
+/// Database is a plain value type with no internal lock. A copy shares all
+/// row storage with its source (shared_ptr copies only, O(#tables)), and
+/// later Puts on either leave the other untouched. Concurrent readers of one
+/// instance are safe; a writer needs its own copy. The query service
+/// publishes one immutable Database per state (see QueryService::Publish).
 class Database {
  public:
-  Database() = default;
-  Database(const Database& other);
-  Database(Database&& other) noexcept;
-  Database& operator=(const Database& other);
-  Database& operator=(Database&& other) noexcept;
-
   /// Stores `table` under `name` as a new immutable version, replacing any
   /// previous contents and bumping the epoch.
   void Put(std::string name, Table table);
   void Put(std::string name, TablePtr table);
 
-  /// Atomically stores every (name, table) pair as new immutable versions at
-  /// ONE shared epoch: the epoch is bumped once and all entries get that
-  /// version. Because Snapshot()/readers copy the version vector under the
-  /// same lock, they observe either none or all of the batch — never a state
-  /// where (say) a base table has advanced but a view maintained from the
-  /// same write has not.
+  /// Stores every (name, table) pair as new immutable versions at ONE
+  /// shared epoch: the epoch is bumped once and all entries get that
+  /// version, so a reader of the result never sees (say) a base table
+  /// advanced but a view maintained from the same write not.
   void PutAll(std::vector<std::pair<std::string, TablePtr>> tables);
 
   bool Has(const std::string& name) const;
   Result<const Table*> Get(const std::string& name) const;
 
-  /// Shared ownership of the current version of `name` (nullptr if absent):
-  /// the returned table stays alive and unchanged even if a writer replaces
-  /// the stored version afterwards.
+  /// Shared ownership of the stored version of `name` (nullptr if absent):
+  /// the returned table stays alive and unchanged even after this instance
+  /// stores a newer version.
   TablePtr GetShared(const std::string& name) const;
 
   std::vector<std::string> TableNames() const;
 
-  /// Monotonic write counter: bumped by every Put. Two Database states with
-  /// equal epochs obtained from the same instance are identical.
-  uint64_t epoch() const;
+  /// Monotonic write counter: bumped by every Put. Two copies of one
+  /// instance with equal epochs are identical.
+  uint64_t epoch() const { return epoch_; }
 
   /// Epoch at which `name` was last Put (0 if absent).
   uint64_t VersionOf(const std::string& name) const;
 
-  /// A pinned copy of the current table-version vector: shares all row
-  /// storage with this instance (shared_ptr copies only). Writers replacing
-  /// versions in the source leave the snapshot untouched.
-  Database Snapshot() const { return Database(*this); }
+ private:
+  friend class VersionLedger;
 
-  /// MVCC accounting for one table: how many versions are still reachable
-  /// (the current one plus retired versions kept alive by snapshots or
-  /// in-flight readers), how many bytes those retired versions pin that
-  /// the current version does not share, and the epoch of the oldest
-  /// still-pinned retired version (0 when only the current version is
-  /// alive).
-  struct TableMvcc {
-    std::string table;
-    size_t versions_alive = 0;  // current version + live retired versions
-    size_t bytes_pinned = 0;    // unshared chunk bytes of retired versions
-    uint64_t oldest_pinned_epoch = 0;
+  struct Versioned {
+    TablePtr table;
+    uint64_t version = 0;
   };
 
-  /// Per-table MVCC accounting, name-sorted. Retired versions are tracked
-  /// by weak_ptr, so a version that no snapshot holds any more drops out of
-  /// the numbers the moment the last shared_ptr dies — reclamation is the
-  /// shared_ptr itself; this is the ledger proving it happened. A pinned
-  /// version costs only its chunks the current version no longer
-  /// references (each counted once, with its columnar image): the chunks
-  /// it shares stay alive anyway. O(#chunks) of the live versions.
-  std::vector<TableMvcc> MvccStats() const;
+  std::map<std::string, Versioned> tables_;
+  uint64_t epoch_ = 0;
+};
+
+/// MVCC accounting for one table: how many versions are still reachable
+/// (the current one plus retired versions kept alive by snapshots or
+/// in-flight readers), how many bytes those retired versions pin that the
+/// current version does not share, and the epoch of the oldest
+/// still-pinned retired version (0 when only the current version is
+/// alive).
+struct TableMvcc {
+  std::string table;
+  size_t versions_alive = 0;  // current version + live retired versions
+  size_t bytes_pinned = 0;    // unshared chunk bytes of retired versions
+  uint64_t oldest_pinned_epoch = 0;
+};
+
+/// The retired-version ledger: table versions a new state replaced, held
+/// weakly, so a version that no reader holds any more drops out of the
+/// numbers the moment its last shared_ptr dies. Reclamation is the
+/// shared_ptr itself; this is the ledger proving it happened. Not
+/// thread-safe: its owner serializes Retire against the readers.
+class VersionLedger {
+ public:
+  /// Records every version `before` stores that `after` no longer does,
+  /// and prunes entries whose version has died.
+  void Retire(const Database& before, const Database& after);
+
+  /// Per-table accounting for the tables of `current`, name-sorted. A
+  /// pinned version costs only its chunks `current` no longer references
+  /// (each counted once, with its columnar image): the chunks it shares
+  /// stay alive anyway. O(#chunks) of the live versions.
+  std::vector<TableMvcc> Stats(const Database& current) const;
 
   /// The smallest epoch any live retired version was published at, across
   /// all tables — everything at or before it is potentially pinned by a
@@ -319,32 +322,14 @@ class Database {
   uint64_t OldestPinnedEpoch() const;
 
  private:
-  struct Versioned {
-    TablePtr table;
-    uint64_t version = 0;
-  };
-
-  /// A superseded table version: weakly held (the replacing Put does not
-  /// extend its life) plus the epoch it was published at. Entries whose
-  /// version died are pruned on the next Put of the same table.
+  /// A superseded table version and the epoch it was published at.
   struct Retired {
     std::weak_ptr<const Table> table;
     uint64_t version = 0;
   };
 
-  /// Records `slot`'s outgoing version in retired_ and prunes entries whose
-  /// weak_ptr has expired. Caller holds mu_ exclusive.
-  void RetireLocked(const std::string& name, const Versioned& slot);
-
-  /// Guards the name->version map and the epoch, not table contents (those
-  /// are immutable once stored).
-  mutable std::shared_mutex mu_;
-  std::map<std::string, Versioned> tables_;
-  /// Retired-version ledger, oldest first per table. Deliberately NOT
-  /// copied into snapshots (a snapshot is a read-only pin; only the live
-  /// instance owns garbage accounting).
+  /// Oldest first per table.
   std::map<std::string, std::vector<Retired>> retired_;
-  uint64_t epoch_ = 0;
 };
 
 /// True if `a` and `b` contain the same multiset of rows (column names are

@@ -24,12 +24,17 @@ class ViewRegistry {
 
   std::vector<std::string> ViewNames() const;
 
+  /// Views whose definition reads `name` directly (their FROM names it),
+  /// name-sorted: one step downstream of a table or view.
+  const std::vector<std::string>& ReadersOf(const std::string& name) const;
+
   /// Monotonic registry version, bumped by every successful Register. Plan
   /// caches (src/service) read it to detect view DDL cheaply.
   uint64_t version() const { return version_; }
 
  private:
   std::map<std::string, ViewDef> views_;
+  std::map<std::string, std::vector<std::string>> readers_;
   uint64_t version_ = 0;
 };
 

@@ -11,16 +11,16 @@
 namespace aqv {
 
 /// Two-level latching for the query service's writers and schema changes.
-/// Reads take no stripes: they run on a pinned snapshot and hold the ddl
-/// latch shared only while pinning (see QueryService).
+/// Reads take no latch at all: a pin copies the published head pointer (see
+/// QueryService).
 ///
-///   level 0 — one `ddl` shared_mutex. Held shared by a read while it pins
-///     the catalog, registry and table-version vector, and by a row write
-///     (INSERT, DELETE, UPDATE, REFRESH, LOAD into an existing table) for
-///     its whole run, so the catalog and registry stay fixed while it binds
-///     and maintains views. Held exclusive by statements that change the
-///     *schema* (CREATE TABLE/VIEW, LOAD of a new table, Bootstrap) and by
-///     checkpoints, which need a quiesced database.
+///   level 0 — one `ddl` shared_mutex, taken by writers only. Held shared
+///     by a row write (INSERT, DELETE, UPDATE, REFRESH, LOAD into an
+///     existing table) for its whole run, so the catalog and registry stay
+///     fixed while it maintains views and publishes. Held exclusive by
+///     statements that change the *schema* (CREATE TABLE/VIEW, LOAD of a
+///     new table, Bootstrap) and by checkpoints, which need a quiesced
+///     database; readers do not wait for them.
 ///
 ///   level 1 — `stripe_count` shared_mutexes, each covering the tables and
 ///     materialized views whose names hash onto it. A writer acquires the
@@ -68,8 +68,8 @@ class LatchManager {
     std::vector<std::pair<uint32_t, bool>> stripes_;
   };
 
-  /// Level 0 shared: a read's pin, or a write's bind phase — the writer
-  /// then adds stripes with AcquireWrite.
+  /// Level 0 shared: a row write's run — the writer then adds stripes
+  /// with AcquireWrite.
   Guard StatementShared();
 
   /// Level 0 exclusive: total exclusivity, for schema changes. No stripes

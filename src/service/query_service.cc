@@ -364,11 +364,11 @@ Status QueryService::AttachStorage() {
   AQV_ASSIGN_OR_RETURN(std::unique_ptr<StorageEngine> engine,
                        StorageEngine::Open(std::move(sopts), &metrics_));
   RecoveredState& rec = engine->recovered();
-
-  LatchManager::Guard guard = latches_.Ddl();
-  catalog_ = std::make_shared<const Catalog>(std::move(rec.catalog));
-  views_ = std::make_shared<const ViewRegistry>(std::move(rec.views));
-  db_ = std::move(rec.db);
+  ServiceSnapshot next{
+      std::make_shared<const Catalog>(std::move(rec.catalog)),
+      std::make_shared<const ViewRegistry>(std::move(rec.views)),
+      std::move(rec.db)};
+  const ViewRegistry& views = *next.views;
   storage_ = std::move(engine);
 
   // Self-heal first: a stored view whose own pages rotted but whose
@@ -380,11 +380,11 @@ Status QueryService::AttachStorage() {
   std::map<std::string, std::string> quarantined = rec.quarantined_tables;
   std::vector<std::string> healed_views;
   for (const auto& [name, reason] : rec.quarantined_tables) {
-    if (!views_->Has(name)) continue;
+    if (!views.Has(name)) continue;
     // Quarantined views in the closure do not block healing: they are
     // derivations too, and the upstream-first recompute refreshes them
     // before this one reads them.
-    if (QuarantinedBaseOf(name, *views_, quarantined).empty()) {
+    if (QuarantinedBaseOf(name, views, quarantined).empty()) {
       quarantined.erase(name);
       storage_->ClearQuarantinedTable(name);
       healed_views.push_back(name);
@@ -399,12 +399,9 @@ Status QueryService::AttachStorage() {
   {
     std::lock_guard<std::mutex> lock(quarantine_mutex_);
     table_quarantine_ = quarantined;
-  }
-  if (!quarantined.empty()) {
-    std::lock_guard<std::mutex> lock(quarantine_mutex_);
-    for (const std::string& view : views_->ViewNames()) {
-      if (!db_.Has(view)) continue;  // virtual: reads hit the base check
-      std::string base = QuarantinedBaseOf(view, *views_, quarantined);
+    for (const std::string& view : views.ViewNames()) {
+      if (!next.db.Has(view)) continue;  // virtual: reads hit the base check
+      std::string base = QuarantinedBaseOf(view, views, quarantined);
       if (!base.empty()) {
         table_quarantine_.emplace(
             view, "depends on quarantined table '" + base + "'");
@@ -433,13 +430,13 @@ Status QueryService::AttachStorage() {
           [&](const DependentView& v) { return v.name == view; });
       if (queued || table_quarantine_.count(view) > 0) continue;
       std::vector<std::string> closure;
-      CollectDependencies({view}, *views_, &closure);
+      CollectDependencies({view}, views, &closure);
       stale.push_back({std::move(view), std::move(closure)});
     }
   }
   AQV_ASSIGN_OR_RETURN(stale, UpstreamFirst(std::move(stale)));
   for (const DependentView& view : stale) {
-    AQV_RETURN_NOT_OK(RecomputeViewInto(view.name, &db_).status());
+    AQV_RETURN_NOT_OK(RecomputeViewInto(view.name, &next).status());
   }
   metrics_.GetGauge("storage.recovery_recompute_ms")
       .Set(static_cast<int64_t>(ElapsedMicros(recompute_start) / 1000));
@@ -450,9 +447,8 @@ Status QueryService::AttachStorage() {
   // cached plans can no longer be trusted and the cache starts cold.
   // Restored entries record the recovered state as the one they were
   // optimized on.
-  if (rec.plan_catalog_version == catalog_->version() &&
-      rec.plan_views_version == views_->version()) {
-    ServiceSnapshot head = Head();
+  if (rec.plan_catalog_version == next.catalog->version() &&
+      rec.plan_views_version == views.version()) {
     for (const PlanImage& image : rec.plans) {
       Result<Query> plan = ParseQuery(image.plan_sql);
       if (!plan.ok()) continue;  // drop just this image
@@ -463,7 +459,7 @@ Status QueryService::AttachStorage() {
       entry->cost_original = image.cost_original;
       entry->cost_chosen = image.cost_chosen;
       entry->dependencies = image.dependencies;
-      StampState(entry.get(), head);
+      StampState(entry.get(), next);
       plan_cache_.Insert(image.key, std::move(entry));
     }
   }
@@ -475,11 +471,8 @@ Status QueryService::AttachStorage() {
   // silently serves rows missing an acknowledged commit. (The window
   // between the in-recovery truncation and this checkpoint is the residual
   // exposure; it closes before the service accepts its first statement.)
-  if (rec.wal_mid_log_corruption) {
-    AQV_RETURN_NOT_OK(
-        storage_->Checkpoint(*catalog_, *views_, db_, CollectPlanImages()));
-  }
-
+  if (rec.wal_mid_log_corruption) AQV_RETURN_NOT_OK(CheckpointIfDurable(next));
+  Publish([&](ServiceSnapshot* head) { *head = std::move(next); });
   storage_pages_read_ = &metrics_.GetCounter("storage.pages_read");
   storage_pages_written_ = &metrics_.GetCounter("storage.pages_written");
   storage_wal_bytes_ = &metrics_.GetCounter("storage.wal_bytes");
@@ -507,13 +500,13 @@ Status QueryService::AttachStorage() {
   return Status::OK();
 }
 
-std::vector<PlanImage> QueryService::CollectPlanImages() const {
+Status QueryService::CheckpointIfDurable(const ServiceSnapshot& state) {
+  if (storage_ == nullptr) return Status::OK();
   std::vector<PlanImage> images;
-  ServiceSnapshot head = Head();
   for (auto& [key, entry] : plan_cache_.Snapshot()) {
     // Only plans of the state being checkpointed: recovery restores them
     // as optimized on exactly that state.
-    if (!OptimizedOn(*entry, head)) continue;
+    if (!OptimizedOn(*entry, state)) continue;
     PlanImage image;
     image.key = key;
     image.plan_sql = ToSql(entry->plan);
@@ -524,12 +517,32 @@ std::vector<PlanImage> QueryService::CollectPlanImages() const {
     image.dependencies = entry->dependencies;
     images.push_back(std::move(image));
   }
-  return images;
+  return storage_->Checkpoint(*state.catalog, *state.views, state.db, images);
 }
 
-Status QueryService::CheckpointIfDurable() {
-  if (storage_ == nullptr) return Status::OK();
-  return storage_->Checkpoint(*catalog_, *views_, db_, CollectPlanImages());
+uint64_t QueryService::Publish(
+    const std::function<void(ServiceSnapshot*)>& change) {
+  ServiceSnapshotPtr current;  // freed, if last, after the locks are released
+  std::lock_guard<std::mutex> lock(publish_mutex_);
+  current = Head();
+  auto next = std::make_shared<ServiceSnapshot>(*current);
+  change(next.get());
+  next->epoch = next->db.epoch();
+  ledger_.Retire(current->db, next->db);
+  std::lock_guard<std::mutex> store(head_mutex_);
+  head_ = next;
+  return next->epoch;
+}
+
+Status QueryService::PublishDdl(ServiceSnapshot next) {
+  // Published once its checkpoint committed, even when the WAL truncate
+  // after the commit point failed: the state is on disk by then, and the
+  // head must agree with what a restart would recover.
+  uint64_t generation = storage_ != nullptr ? storage_->generation() : 0;
+  Status durable = CheckpointIfDurable(next);
+  if (!durable.ok() && storage_->generation() == generation) return durable;
+  Publish([&](ServiceSnapshot* head) { *head = std::move(next); });
+  return durable;
 }
 
 namespace {
@@ -680,25 +693,14 @@ Result<Table> QueryService::Select(const std::string& sql) {
   return *std::move(result.table);
 }
 
-ServiceSnapshot QueryService::Head() const {
-  ServiceSnapshot head{catalog_, views_, db_.Snapshot()};
-  head.epoch = head.db.epoch();
-  return head;
-}
-
-ServiceSnapshotPtr QueryService::Pin() {
-  LatchManager::Guard guard = latches_.StatementShared();
-  return std::make_shared<const ServiceSnapshot>(Head());
-}
-
-ServiceSnapshotPtr QueryService::ReadState() {
+ServiceSnapshotPtr QueryService::ReadState() const {
   ServiceSnapshotPtr pinned = ThreadSnapshot();
-  return pinned != nullptr ? pinned : Pin();
+  return pinned != nullptr ? pinned : Head();
 }
 
 ServiceSnapshotPtr QueryService::PinSnapshot() {
   TraceSpan span("snapshot_pin");
-  ServiceSnapshotPtr snap = Pin();
+  ServiceSnapshotPtr snap = Head();
   snapshots_pinned_.Increment();
   if (span.active()) span.AddAttr("epoch", snap->epoch);
   return snap;
@@ -723,12 +725,13 @@ Result<Table> QueryService::Select(const std::string& sql,
 Status QueryService::Bootstrap(Catalog catalog, Database db,
                                ViewRegistry views) {
   LatchManager::Guard guard = latches_.Ddl();
-  catalog_ = std::make_shared<const Catalog>(std::move(catalog));
-  db_ = std::move(db);
-  views_ = std::make_shared<const ViewRegistry>(std::move(views));
-  // A bootstrap is wholesale DDL: checkpoint it so a crash right after
-  // recovers the installed workload, not the pre-bootstrap file.
-  return CheckpointIfDurable();
+  // A bootstrap is wholesale DDL: checkpointed before it is published, so
+  // a crash right after recovers the installed workload, not the
+  // pre-bootstrap file.
+  return PublishDdl(
+      ServiceSnapshot{std::make_shared<const Catalog>(std::move(catalog)),
+                      std::make_shared<const ViewRegistry>(std::move(views)),
+                      std::move(db)});
 }
 
 ServiceStats QueryService::Stats() const {
@@ -749,8 +752,11 @@ ServiceStats QueryService::Stats() const {
   s.rows_deleted = rows_deleted_.value();
   s.views_maintained = views_maintained_.value();
   s.views_recomputed = views_recomputed_.value();
-  s.mvcc = db_.MvccStats();
-  s.mvcc_oldest_pinned_epoch = db_.OldestPinnedEpoch();
+  {
+    std::lock_guard<std::mutex> lock(publish_mutex_);
+    s.mvcc = ledger_.Stats(Head()->db);
+    s.mvcc_oldest_pinned_epoch = ledger_.OldestPinnedEpoch();
+  }
   const std::string kErrorPrefix = "service.errors_total{code=\"";
   for (auto& [name, value] : metrics_.CounterValues(kErrorPrefix)) {
     // Strip the family prefix and the trailing '"}' to recover the token.
@@ -830,16 +836,17 @@ std::string QueryService::StatsPromText() {
       .Set(static_cast<int64_t>(telemetry_->windows_sampled()));
   metrics_.GetGauge("telemetry.windows_dropped")
       .Set(static_cast<int64_t>(telemetry_->windows_dropped()));
-  // MVCC garbage accounting, recomputed at scrape time: what the COW
-  // version vector still keeps alive beyond the current versions.
-  for (const Database::TableMvcc& m : db_.MvccStats()) {
+  // MVCC garbage accounting, recomputed at scrape time: what the retired
+  // versions still keep alive beyond the current ones.
+  ServiceStats stats = Stats();
+  for (const TableMvcc& m : stats.mvcc) {
     metrics_.GetGauge("mvcc.versions_alive{table=\"" + m.table + "\"}")
         .Set(static_cast<int64_t>(m.versions_alive));
     metrics_.GetGauge("mvcc.bytes_pinned{table=\"" + m.table + "\"}")
         .Set(static_cast<int64_t>(m.bytes_pinned));
   }
   metrics_.GetGauge("mvcc.oldest_pinned_epoch")
-      .Set(static_cast<int64_t>(db_.OldestPinnedEpoch()));
+      .Set(static_cast<int64_t>(stats.mvcc_oldest_pinned_epoch));
   return metrics_.PromText();
 }
 
@@ -1060,9 +1067,8 @@ Result<StatementResult> QueryService::Dispatch(const std::string& stmt,
   if (Leads(upper, "CREATE VIEW")) {
     return HandleCreateView(stmt, /*materialized=*/false);
   }
-  if (is_dml || Leads(upper, "LOAD")) return HandleWrite(stmt, upper);
-  if (Leads(upper, "REFRESH")) {
-    return HandleRefresh(TrimStatement(stmt.substr(7)));
+  if (is_dml || Leads(upper, "LOAD") || Leads(upper, "REFRESH")) {
+    return HandleWrite(stmt, upper);
   }
   if (Leads(upper, "EXPLAIN ANALYZE")) {
     return Read(TrimStatement(stmt.substr(15)), ReadKind::kExplainAnalyze,
@@ -1218,12 +1224,7 @@ Result<StatementResult> QueryService::Read(const std::string& stmt,
     pinned = owned.get();
   }
   const bool snapshot_read = pinned != nullptr;
-  if (!snapshot_read) {
-    // A live read pins the head; the pin is its only latch.
-    TraceSpan pin_span("pin");
-    owned = Pin();
-    qs.latch_micros = ElapsedMicros(stmt_start);
-  }
+  if (!snapshot_read) owned = Head();  // a live read pins the head
   const ServiceSnapshot& state = snapshot_read ? *pinned : *owned;
   TraceSpan span("read");
   if (span.active()) span.AddAttr("epoch", state.epoch);
@@ -1706,13 +1707,12 @@ Result<StatementResult> QueryService::HandleCreateTable(
                                    std::to_string(tokens[i].offset));
   }
   LatchManager::Guard guard = latches_.Ddl();
-  auto catalog = std::make_shared<Catalog>(*catalog_);
+  ServiceSnapshot next = *Head();
+  auto catalog = std::make_shared<Catalog>(*next.catalog);
   AQV_RETURN_NOT_OK(catalog->AddTable(def));
-  catalog_ = std::move(catalog);
-  db_.Put(name, Table(columns));
-  // The WAL logs row deltas, not DDL: durability of the new table comes
-  // from checkpointing at the DDL point, under the same exclusive latch.
-  AQV_RETURN_NOT_OK(CheckpointIfDurable());
+  next.catalog = std::move(catalog);
+  next.db.Put(name, Table(columns));
+  AQV_RETURN_NOT_OK(PublishDdl(std::move(next)));
   StatementResult out;
   out.message = "table " + name + " created\n";
   return out;
@@ -1721,21 +1721,21 @@ Result<StatementResult> QueryService::HandleCreateTable(
 Result<StatementResult> QueryService::HandleCreateView(const std::string& stmt,
                                                        bool materialized) {
   LatchManager::Guard guard = latches_.Ddl();
-  AQV_ASSIGN_OR_RETURN(ViewDef view, ParseView(stmt, catalog_.get()));
+  ServiceSnapshot next = *Head();
+  AQV_ASSIGN_OR_RETURN(ViewDef view, ParseView(stmt, next.catalog.get()));
   std::string name = view.name;
-  auto views = std::make_shared<ViewRegistry>(*views_);
+  auto views = std::make_shared<ViewRegistry>(*next.views);
   AQV_RETURN_NOT_OK(views->Register(std::move(view)));
-  views_ = std::move(views);
+  next.views = std::move(views);
   StatementResult out;
   if (materialized) {
-    AQV_ASSIGN_OR_RETURN(size_t rows, RecomputeViewInto(name, &db_));
+    AQV_ASSIGN_OR_RETURN(size_t rows, RecomputeViewInto(name, &next));
     out.message =
         "view " + name + " materialized: " + std::to_string(rows) + " rows\n";
   } else {
     out.message = "view " + name + " registered (virtual)\n";
   }
-  // View DDL is durable via checkpoint, like CREATE TABLE.
-  AQV_RETURN_NOT_OK(CheckpointIfDurable());
+  AQV_RETURN_NOT_OK(PublishDdl(std::move(next)));
   return out;
 }
 
@@ -1895,7 +1895,7 @@ Result<StatementResult> QueryService::HandleWrite(const std::string& stmt,
   using Kind = WriteRequest::Kind;
   Clock::time_point stmt_start = Clock::now();
   QueryStats qs;
-  ServiceSnapshotPtr state = Pin();
+  ServiceSnapshotPtr state = Head();
   AQV_ASSIGN_OR_RETURN(WriteRequest request, BindWrite(stmt, upper, *state));
   qs.parse_micros = ElapsedMicros(stmt_start);
   const std::string table = request.table;
@@ -1907,26 +1907,27 @@ Result<StatementResult> QueryService::HandleWrite(const std::string& stmt,
       AQV_RETURN_NOT_OK(CheckRowSizes(request.replacement->rows()));
     }
     LatchManager::Guard guard = latches_.Ddl();
-    if (catalog_->HasTable(table)) {
+    ServiceSnapshot next = *Head();
+    if (next.catalog->HasTable(table)) {
       // Created by another thread since the pin: bind again, as a
       // replacement.
       guard.Release();
       return HandleWrite(stmt, upper);
     }
-    auto catalog = std::make_shared<Catalog>(*catalog_);
+    auto catalog = std::make_shared<Catalog>(*next.catalog);
     AQV_RETURN_NOT_OK(
         catalog->AddTable(TableDef(table, request.replacement->columns())));
-    catalog_ = std::move(catalog);
+    next.catalog = std::move(catalog);
     out.message = "table " + table + " created from the CSV header\n" +
                   std::to_string(request.replacement->num_rows()) +
                   " row(s) loaded into " + table + "\n";
-    db_.Put(table, *std::move(request.replacement));
-    // New table + its contents: DDL, so durability comes from a checkpoint.
-    AQV_RETURN_NOT_OK(CheckpointIfDurable());
+    next.db.Put(table, *std::move(request.replacement));
+    AQV_RETURN_NOT_OK(PublishDdl(std::move(next)));
     return out;
   }
-  const WriteVerb* verb =
-      kind == Kind::kCommit ? nullptr : &kWriteVerbs[static_cast<size_t>(kind)];
+  const WriteVerb* verb = kind == Kind::kCommit || kind == Kind::kRefresh
+                              ? nullptr
+                              : &kWriteVerbs[static_cast<size_t>(kind)];
   if (verb != nullptr && ThreadHasWriteBatch()) {
     // Buffer into the open batch: the delta is materialized against the
     // pinned committed state (the visibility rule of SELECT inside BEGIN
@@ -1947,15 +1948,18 @@ Result<StatementResult> QueryService::HandleWrite(const std::string& stmt,
   // The write's "exec" phase is apply minus the attributed sub-phases so
   // the phases stay disjoint and their sum tracks the wall clock.
   uint64_t apply_micros = ElapsedMicros(apply_start);
-  uint64_t attributed = qs.maintain_micros + qs.wal_commit_micros;
+  uint64_t attributed =
+      qs.latch_micros + qs.maintain_micros + qs.wal_commit_micros;
   qs.exec_micros = apply_micros > attributed ? apply_micros - attributed : 0;
   qs.rows_processed += applied.rows_inserted + applied.rows_deleted;
-  qs.epoch = db_.epoch();
+  qs.epoch = applied.epoch;
   std::string views = std::to_string(applied.views_maintained) +
                       " view(s) maintained, " +
                       std::to_string(applied.views_recomputed) +
                       " recomputed\n";
-  if (verb == nullptr) {
+  if (kind == Kind::kRefresh) {
+    out.message = "view " + table + " refreshed; " + views;
+  } else if (verb == nullptr) {
     out.message = std::to_string(applied.rows_inserted) +
                   " row(s) inserted / " +
                   std::to_string(applied.rows_deleted) + " deleted across " +
@@ -1974,7 +1978,7 @@ Result<StatementResult> QueryService::HandleWrite(const std::string& stmt,
     // live contents and persists the cleared quarantine map. Quiesce first
     // — the repair held only the table's own stripes.
     LatchManager::Guard guard = latches_.Ddl();
-    AQV_RETURN_NOT_OK(CheckpointIfDurable());
+    AQV_RETURN_NOT_OK(CheckpointIfDurable(*Head()));
     out.message += "quarantine repaired; checkpoint rewrote the damaged pages\n";
   }
   qs.total_micros = ElapsedMicros(stmt_start);
@@ -1998,6 +2002,14 @@ Result<QueryService::WriteRequest> QueryService::BindWrite(
     // published), rather than leaving it open to fail every retry.
     request.delta = std::move(it->second);
     write_batches_.erase(it);
+    return request;
+  }
+  if (Leads(upper, "REFRESH")) {
+    request.kind = Kind::kRefresh;
+    request.table = TrimStatement(stmt.substr(7));
+    if (!state.views->Has(request.table)) {
+      return Status::NotFound("no view named '" + request.table + "'");
+    }
     return request;
   }
   request.kind = Leads(upper, "INSERT INTO") ? Kind::kInsert
@@ -2079,7 +2091,8 @@ Result<QueryService::WriteRequest> QueryService::BindWrite(
 Result<Delta> QueryService::MaterializeWrite(WriteRequest* request,
                                              const Database& db) const {
   using Kind = WriteRequest::Kind;
-  if (request->kind == Kind::kInsert || request->kind == Kind::kCommit) {
+  if (request->kind == Kind::kInsert || request->kind == Kind::kCommit ||
+      request->kind == Kind::kRefresh) {
     return std::move(request->delta);
   }
   Delta out;
@@ -2151,19 +2164,27 @@ Status QueryService::BufferWrite(Delta delta) {
 }
 
 Result<std::vector<QueryService::DependentView>>
-QueryService::DependentViewsOf(const std::vector<std::string>& tables) const {
+QueryService::DependentViewsOf(const ServiceSnapshot& state,
+                               const std::vector<std::string>& tables) {
+  // Walk the registry downstream from `tables`: the views reading them,
+  // the views reading those, and so on.
+  std::vector<std::string> pending = tables;
+  std::set<std::string> reached;
   std::vector<DependentView> dependents;
-  for (const std::string& view : views_->ViewNames()) {
+  while (!pending.empty()) {
+    std::string name = std::move(pending.back());
+    pending.pop_back();
+    if (!reached.insert(name).second) continue;
+    const std::vector<std::string>& readers = state.views->ReadersOf(name);
+    pending.insert(pending.end(), readers.begin(), readers.end());
     // Only stored (materialized) views need write-path maintenance; virtual
-    // views are recomputed on every read anyway.
-    if (!db_.Has(view)) continue;
+    // views are recomputed on every read anyway. A view `tables` names is
+    // the target of a REFRESH, which materializes a virtual one.
+    bool named = std::find(tables.begin(), tables.end(), name) != tables.end();
+    if (!state.views->Has(name) || (!state.db.Has(name) && !named)) continue;
     std::vector<std::string> closure;
-    CollectDependencies({view}, *views_, &closure);
-    bool touched = std::any_of(
-        tables.begin(), tables.end(), [&](const std::string& t) {
-          return std::find(closure.begin(), closure.end(), t) != closure.end();
-        });
-    if (touched) dependents.push_back({view, std::move(closure)});
+    CollectDependencies({name}, *state.views, &closure);
+    dependents.push_back({std::move(name), std::move(closure)});
   }
   return UpstreamFirst(std::move(dependents));
 }
@@ -2200,13 +2221,13 @@ Result<std::vector<QueryService::DependentView>> QueryService::UpstreamFirst(
 }
 
 Result<size_t> QueryService::RecomputeViewInto(const std::string& name,
-                                               Database* db) {
+                                               ServiceSnapshot* state) const {
   AQV_FAILPOINT("service.refresh");
-  AQV_ASSIGN_OR_RETURN(const ViewDef* def, views_->Get(name));
-  Evaluator fresh(db, views_.get(), eval_options_);
+  AQV_ASSIGN_OR_RETURN(const ViewDef* def, state->views->Get(name));
+  Evaluator fresh(&state->db, state->views.get(), eval_options_);
   AQV_ASSIGN_OR_RETURN(Table contents, fresh.Execute(def->query));
   size_t rows = contents.num_rows();
-  db->Put(name, std::move(contents));
+  state->db.Put(name, std::move(contents));
   return rows;
 }
 
@@ -2214,30 +2235,51 @@ Result<QueryService::WriteApplied> QueryService::ApplyWrite(
     WriteRequest request, QueryStats* stats) {
   using Kind = WriteRequest::Kind;
   const bool load = request.kind == Kind::kLoad;
-  // The base tables written: a COMMIT's are every table its batch names.
-  std::vector<std::string> written{request.table};
+  const bool refresh = request.kind == Kind::kRefresh;
+  // The base tables written: a COMMIT's are every table its batch names, a
+  // REFRESH's none.
+  std::vector<std::string> written;
   if (request.kind == Kind::kCommit) {
     std::set<std::string> names;
     for (const auto& [name, rows] : request.delta.inserts) names.insert(name);
     for (const auto& [name, rows] : request.delta.deletes) names.insert(name);
     written.assign(names.begin(), names.end());
+  } else if (!refresh) {
+    written.push_back(request.table);
   }
   WriteApplied applied;
   applied.tables = written.size();
-  if (written.empty()) return applied;  // an empty batch changes nothing
+  if (written.empty() && !refresh) return applied;  // an empty batch
   TraceSpan span("write_apply");
   // Backpressure gate BEFORE any latch: a writer stalled here holds
   // nothing, so the auto-checkpointer's exclusive ddl acquisition (which
-  // shrinks the WAL and releases the stall) can always proceed.
-  AQV_RETURN_NOT_OK(WaitOutBackpressure());
+  // shrinks the WAL and releases the stall) can always proceed. A REFRESH
+  // logs nothing, so it has nothing to wait out.
+  if (!refresh) AQV_RETURN_NOT_OK(WaitOutBackpressure());
+  // The shared ddl latch fixes the catalog and registry until Publish, so
+  // every head loaded below carries the ones the request was bound on.
   LatchManager::Guard guard = latches_.StatementShared();
+  ServiceSnapshotPtr base = Head();
+  // A REFRESH recomputes its view and every stored view over it.
+  AQV_ASSIGN_OR_RETURN(
+      std::vector<DependentView> dependents,
+      DependentViewsOf(*base, refresh ? std::vector<std::string>{request.table}
+                                      : written));
   // Writing into a quarantined table would mingle new rows with salvaged
   // (possibly empty) contents; refuse until a LOAD replaces it wholesale.
-  // LOAD is that repair, so its own target is exempt.
-  if (!load) AQV_RETURN_NOT_OK(CheckTableQuarantine(written));
-
-  AQV_ASSIGN_OR_RETURN(std::vector<DependentView> dependents,
-                       DependentViewsOf(written));
+  // LOAD is that repair, so its own target is exempt. A REFRESH would
+  // publish a recompute from salvaged contents as fresh, so the named
+  // view's closure must be clean; it comes first, since every other
+  // dependent reads it. A stored view over it that reads a quarantined
+  // table elsewhere is left out: its reads fail until that repair.
+  if (refresh) {
+    AQV_RETURN_NOT_OK(CheckTableQuarantine(dependents.front().closure));
+    std::erase_if(dependents, [&](const DependentView& d) {
+      return !CheckTableQuarantine(d.closure).ok();
+    });
+  } else if (!load) {
+    AQV_RETURN_NOT_OK(CheckTableQuarantine(written));
+  }
 
   // Latch footprint: written tables and every dependent view exclusive,
   // the dependents' closures (the tables a recompute reads) shared.
@@ -2251,24 +2293,29 @@ Result<QueryService::WriteApplied> QueryService::ApplyWrite(
   writes.erase(std::unique(writes.begin(), writes.end()), writes.end());
   std::sort(reads.begin(), reads.end());
   reads.erase(std::unique(reads.begin(), reads.end()), reads.end());
+  Clock::time_point latch_start = Clock::now();
   latches_.AcquireWrite(&guard, writes, reads);
+  if (stats != nullptr) stats->latch_micros += ElapsedMicros(latch_start);
   if (span.active()) {
     span.AddAttr("tables", static_cast<uint64_t>(written.size()));
     span.AddAttr("dependents", static_cast<uint64_t>(dependents.size()));
   }
 
-  // Materialize now, under the acquired write latches: a DELETE/UPDATE
-  // predicate runs against the exact table version the delta will be
-  // applied to, so the matched multiset cannot race a concurrent writer,
-  // and a LOAD deletes exactly the rows it replaces.
-  AQV_ASSIGN_OR_RETURN(Delta delta, MaterializeWrite(&request, db_));
+  // Materialize now, under the acquired write latches, against the head
+  // loaded after them: a DELETE/UPDATE predicate runs against the exact
+  // table version the delta will be applied to, so the matched multiset
+  // cannot race a concurrent writer, and a LOAD deletes exactly the rows
+  // it replaces.
+  base = Head();
+  applied.epoch = base->epoch;
+  AQV_ASSIGN_OR_RETURN(Delta delta, MaterializeWrite(&request, base->db));
   applied.rows_inserted = CountRows(delta.inserts);
   applied.rows_deleted = CountRows(delta.deletes);
 
   // A delete the base (plus this batch's inserts) cannot cover is rejected
   // before anything is staged, logged or published. A LOAD's deletes are
   // the current rows by construction.
-  if (!load) AQV_RETURN_NOT_OK(ValidateDeleteContainment(delta, db_));
+  if (!load) AQV_RETURN_NOT_OK(ValidateDeleteContainment(delta, base->db));
   // Oversized rows are refused HERE, when they arrive, not deferred to the
   // next CHECKPOINT. Checked on the materialized delta so UPDATE-transformed
   // rows are covered too.
@@ -2278,44 +2325,45 @@ Result<QueryService::WriteApplied> QueryService::ApplyWrite(
     }
   }
   // A predicate that matched nothing changes nothing: skip the COW copy,
-  // the maintenance sweep, the WAL record and the epoch bump entirely.
-  if (delta.empty()) return applied;
+  // the maintenance sweep, the WAL record and the publication entirely.
+  if (delta.empty() && !refresh) return applied;
 
   // One copy-on-write version per written table, sharing every chunk the
-  // batch does not touch; a fault injected here must leave the published
-  // state untouched.
+  // batch does not touch; a fault injected here must leave the head
+  // untouched.
   AQV_FAILPOINT("table.cow_copy");
-  Database staging = db_.Snapshot();
+  ServiceSnapshot staging = *base;
   if (load) {
-    staging.Put(request.table, *std::move(request.replacement));
+    staging.db.Put(request.table, *std::move(request.replacement));
   } else {
-    AQV_RETURN_NOT_OK(ApplyDeltaToBase(delta, &staging));
+    AQV_RETURN_NOT_OK(ApplyDeltaToBase(delta, &staging.db));
   }
 
   // Bring every dependent view up to date in the staging state: fold the
   // delta in where the maintainer supports the view's shape, recompute from
-  // the staged bases otherwise. db_ still holds the pre-delta state the
-  // maintainer differences against. A LOAD replaces its table wholesale,
-  // so its dependents are recomputed, never folded.
+  // the staged bases otherwise. `base` still holds the pre-delta state the
+  // maintainer differences against. A LOAD replaces its table wholesale
+  // and a REFRESH is a recompute by definition, so neither folds.
   Clock::time_point maintain_start = Clock::now();
   std::vector<std::string> recomputed;
   for (const DependentView& d : dependents) {
-    AQV_ASSIGN_OR_RETURN(const ViewDef* def, views_->Get(d.name));
+    AQV_ASSIGN_OR_RETURN(const ViewDef* def, base->views->Get(d.name));
     bool maintained = false;
     // The delta names base tables only, so the maintainer's telescoped
     // differencing sees no change for a view reading another view — those
     // must be recomputed, not silently no-opped.
     bool base_only = std::none_of(
         def->query.from.begin(), def->query.from.end(),
-        [&](const TableRef& ref) { return views_->Has(ref.table); });
-    if (!load && base_only) {
+        [&](const TableRef& ref) { return base->views->Has(ref.table); });
+    if (!load && !refresh && base_only) {
       Result<IncrementalMaintainer> maintainer =
           IncrementalMaintainer::Create(*def, eval_options_);
       if (maintainer.ok()) {
-        AQV_ASSIGN_OR_RETURN(const Table* current, db_.Get(d.name));
-        Result<Table> fresh = maintainer->ApplyToCopy(delta, db_, *current);
+        AQV_ASSIGN_OR_RETURN(const Table* current, base->db.Get(d.name));
+        Result<Table> fresh =
+            maintainer->ApplyToCopy(delta, base->db, *current);
         if (fresh.ok()) {
-          staging.Put(d.name, *std::move(fresh));
+          staging.db.Put(d.name, *std::move(fresh));
           maintained = true;
         } else if (fresh.status().code() != StatusCode::kUnsupported) {
           return fresh.status();
@@ -2343,19 +2391,21 @@ Result<QueryService::WriteApplied> QueryService::ApplyWrite(
   // survives a crash. A commit that fails here publishes nothing — and if
   // the record still reached disk intact (a crash after the write, before
   // the ack), recovery replays it atomically; the client simply never
-  // learned its fate, which is the usual commit-ack contract.
-  if (storage_ != nullptr) {
+  // learned its fate, which is the usual commit-ack contract. A REFRESH
+  // changes no base row, so it logs nothing.
+  if (storage_ != nullptr && !delta.empty()) {
     AQV_RETURN_NOT_OK(storage_->LogCommit(delta, stats));
   }
 
-  // Publish base tables and views as ONE version swap at a single epoch:
-  // snapshot readers see either the whole write or none of it.
+  // Publish base tables and views at a single epoch: snapshot readers see
+  // either the whole write or none of it.
   std::vector<std::pair<std::string, TablePtr>> publish;
   publish.reserve(writes.size());
   for (const std::string& name : writes) {
-    publish.emplace_back(name, staging.GetShared(name));
+    publish.emplace_back(name, staging.db.GetShared(name));
   }
-  db_.PutAll(std::move(publish));
+  applied.epoch = Publish(
+      [&](ServiceSnapshot* next) { next->db.PutAll(std::move(publish)); });
   // A recomputed view's contents are as fresh as a REFRESH would make them,
   // so it gets the same clean quarantine slate.
   for (const std::string& name : recomputed) ClearViewFailures(name);
@@ -2365,7 +2415,9 @@ Result<QueryService::WriteApplied> QueryService::ApplyWrite(
   views_recomputed_.Increment(applied.views_recomputed);
   // A full replacement is the quarantine repair path: the table's contents
   // no longer owe anything to the corrupt durable state.
-  if (load) applied.repaired = ClearTableQuarantine(request.table);
+  if (load) {
+    applied.repaired = ClearTableQuarantine(request.table, *base->views);
+  }
   return applied;
 }
 
@@ -2379,11 +2431,11 @@ Result<StatementResult> QueryService::HandleCheckpoint() {
   // match the captured data, so no commit may land between them. The
   // exclusive ddl latch waits out every in-flight statement.
   LatchManager::Guard guard = latches_.Ddl();
-  AQV_RETURN_NOT_OK(CheckpointIfDurable());
+  AQV_RETURN_NOT_OK(CheckpointIfDurable(*Head()));
   StatementResult out;
   out.message = "checkpoint complete at commit seq " +
                 std::to_string(storage_->checkpoint_seq()) + " (" +
-                std::to_string(db_.TableNames().size()) +
+                std::to_string(Head()->db.TableNames().size()) +
                 " stored table(s), wal truncated)\n";
   return out;
 }
@@ -2453,7 +2505,7 @@ void QueryService::AutoCheckpointLoop() {
       // process at the exact moment auto-checkpoint decides to run.
       AQV_FAILPOINT("checkpoint.auto");
       LatchManager::Guard guard = latches_.Ddl();
-      return CheckpointIfDurable();
+      return CheckpointIfDurable(*Head());
     }();
     if (taken.ok()) {
       storage_auto_checkpoints_->Increment();
@@ -2502,7 +2554,8 @@ Status QueryService::CheckTableQuarantine(
   return Status::OK();
 }
 
-bool QueryService::ClearTableQuarantine(const std::string& name) {
+bool QueryService::ClearTableQuarantine(const std::string& name,
+                                        const ViewRegistry& views) {
   std::lock_guard<std::mutex> lock(quarantine_mutex_);
   if (table_quarantine_.erase(name) == 0) return false;
   // Mirror every lift into the engine's persisted map, or the next
@@ -2512,8 +2565,8 @@ bool QueryService::ClearTableQuarantine(const std::string& name) {
   // Dependent views re-enter service once no quarantined base table remains
   // in their closure — the LOAD that lifted `name` just recomputed them.
   for (auto it = table_quarantine_.begin(); it != table_quarantine_.end();) {
-    if (!views_->Has(it->first) ||
-        !QuarantinedBaseOf(it->first, *views_, table_quarantine_).empty()) {
+    if (!views.Has(it->first) ||
+        !QuarantinedBaseOf(it->first, views, table_quarantine_).empty()) {
       ++it;
     } else {
       if (storage_ != nullptr) storage_->ClearQuarantinedTable(it->first);
@@ -2528,28 +2581,6 @@ QueryService::QuarantinedTables() const {
   std::lock_guard<std::mutex> lock(quarantine_mutex_);
   return std::vector<std::pair<std::string, std::string>>(
       table_quarantine_.begin(), table_quarantine_.end());
-}
-
-Result<StatementResult> QueryService::HandleRefresh(const std::string& name) {
-  LatchManager::Guard guard = latches_.StatementShared();
-  if (!views_->Has(name)) {
-    return Status::NotFound("no view named '" + name + "'");
-  }
-  // The view itself is written; everything its definition reads (its
-  // transitive closure) is read. A quarantined closure refuses: recomputing
-  // from a salvaged-empty base would publish wrong rows as "fresh".
-  std::vector<std::string> reads;
-  CollectDependencies({name}, *views_, &reads);
-  AQV_RETURN_NOT_OK(CheckTableQuarantine(reads));
-  latches_.AcquireWrite(&guard, {name}, reads);
-  AQV_ASSIGN_OR_RETURN(size_t rows, RecomputeViewInto(name, &db_));
-  // A freshly materialized view gets a clean slate: REFRESH is the
-  // operator's way out of quarantine.
-  ClearViewFailures(name);
-  StatementResult out;
-  out.message =
-      "view " + name + " materialized: " + std::to_string(rows) + " rows\n";
-  return out;
 }
 
 }  // namespace aqv

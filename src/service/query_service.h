@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -160,17 +161,18 @@ struct StatementResult {
   bool degraded = false;
 };
 
-/// A transactionally consistent, immutable view of the service's state: the
-/// catalog and view registry the service had published (DDL replaces them
-/// copy-on-write, so these pointers never see a later change), and the
-/// database as a pinned table-version vector — copying a Database shares
-/// the per-table row storage (shared_ptr<const Table>), so the pin is cheap
-/// and later writes (which replace whole version pointers) never touch it.
-/// `epoch` is the database's version counter at pin time; two snapshots
-/// with equal epochs saw identical contents. Every SELECT runs on one.
+/// One published state of the service, immutable once published: the
+/// catalog, the view registry and the database (table versions of base
+/// tables and stored views). The service's head is a pointer to one; a pin
+/// is a copy of that pointer, so pinning is O(1), and a later
+/// change publishes a new state instead of touching this one. `epoch` is
+/// the database's version counter; two states with equal epochs hold
+/// identical contents. Every SELECT runs on one. A default-constructed one
+/// is the empty state.
 struct ServiceSnapshot {
-  std::shared_ptr<const Catalog> catalog;
-  std::shared_ptr<const ViewRegistry> views;
+  std::shared_ptr<const Catalog> catalog = std::make_shared<const Catalog>();
+  std::shared_ptr<const ViewRegistry> views =
+      std::make_shared<const ViewRegistry>();
   Database db;
   uint64_t epoch = 0;
 };
@@ -202,8 +204,8 @@ struct ServiceStats {
   uint64_t views_recomputed = 0;   // write-path full recomputes (fallback)
   /// Per-table MVCC accounting at snapshot time: live versions, bytes pinned
   /// by retired-but-referenced versions, oldest pinned epoch (see
-  /// Database::MvccStats).
-  std::vector<Database::TableMvcc> mvcc;
+  /// VersionLedger).
+  std::vector<TableMvcc> mvcc;
   uint64_t mvcc_oldest_pinned_epoch = 0;  // min across tables, 0 = none pinned
   /// Failed statements by status-code token ("invalid_argument",
   /// "deadline_exceeded", ...), sorted by token.
@@ -287,17 +289,18 @@ struct SlowQueryRecord {
 /// LRU keyed by the canonical IR fingerprint (ir/fingerprint.h).
 ///
 /// Concurrency contract (see also README "Concurrency contract"):
-///   - Every read runs on a pinned ServiceSnapshot. A pin holds the ddl
-///     latch shared only while it copies the catalog and registry pointers
-///     and the table-version vector; the read then parses, plans and
-///     executes latch-free. A live SELECT is a snapshot read at the head
-///     epoch; inside BEGIN SNAPSHOT it reads the thread's pin.
-///   - Every row write binds against a pin, then runs ApplyWrite, which
-///     takes the ddl latch shared plus the latch stripes of what it writes
-///     (exclusive) and what a recompute reads (shared), in ascending stripe
-///     order, and publishes with one Database::PutAll. DDL
-///     takes the ddl latch exclusive and replaces the catalog or registry
-///     copy-on-write. Reads take no stripes, so they never wait for writers.
+///   - The service's state is one immutable ServiceSnapshot, the head.
+///     Publish is the only code that replaces it. A pin copies the head
+///     pointer and takes no latch, so a read never waits for a writer, DDL
+///     or CHECKPOINT. A live SELECT reads a fresh pin; inside BEGIN
+///     SNAPSHOT it reads the thread's pin.
+///   - Every row write and REFRESH binds against a pin, then runs
+///     ApplyWrite, which takes the ddl latch shared plus the latch stripes
+///     of what it writes (exclusive) and what a recompute reads (shared),
+///     in ascending stripe order, builds its tables and views off the
+///     head, and publishes them at one epoch. DDL takes the ddl latch
+///     exclusive, builds its whole next state, checkpoints it when storage
+///     is attached, and publishes it only once that succeeded.
 ///   - Plan-cache coherence comes from versions, not hooks: an entry records
 ///     the catalog, registry and dependency versions it was optimized on,
 ///     and a lookup from a different state is a miss whose re-optimized
@@ -333,11 +336,10 @@ class QueryService {
   /// Typed convenience wrapper: Execute on a SELECT, returning the rows.
   Result<Table> Select(const std::string& sql);
 
-  /// Pins the current state into an immutable snapshot (see
-  /// ServiceSnapshot). Never waits for in-flight writers: they publish with
-  /// one atomic version swap, so the pin sees each write whole or not at
-  /// all. Thread-safe; the snapshot is independent of the BEGIN SNAPSHOT
-  /// statement dialect and may be shared across threads.
+  /// Pins the head state (see ServiceSnapshot): an O(1) pointer copy that
+  /// never waits for a writer, DDL or CHECKPOINT, and sees each change
+  /// whole or not at all. Thread-safe; the snapshot is independent of the
+  /// BEGIN SNAPSHOT statement dialect and may be shared across threads.
   ServiceSnapshotPtr PinSnapshot();
 
   /// Executes a SELECT against a pinned snapshot, through the same read
@@ -347,8 +349,8 @@ class QueryService {
   Result<Table> Select(const std::string& sql, const ServiceSnapshot& snapshot);
 
   /// Replaces the service's catalog, database and view registry wholesale
-  /// (e.g. with a pre-built workload). Cached plans of the old state stop
-  /// matching and are re-optimized on first use.
+  /// (e.g. with a pre-built workload), published like any DDL. Cached plans
+  /// of the old state stop matching and are re-optimized on first use.
   Status Bootstrap(Catalog catalog, Database db, ViewRegistry views);
 
   ServiceStats Stats() const;
@@ -416,15 +418,16 @@ class QueryService {
   Result<StatementResult> HandleListTables();
   Result<StatementResult> HandleListViews();
 
-  /// One row-changing statement as the write path receives it. INSERT
+  /// One state-changing statement as the write path receives it. INSERT
   /// rows and a committed BEGIN WRITE batch arrive as `delta`; a DELETE or
   /// UPDATE arrives as its predicate, materialized against the table version
   /// it applies to; a LOAD into an existing table arrives as the table's
   /// new contents and becomes delete-all-old-rows plus insert-all-new-rows.
+  /// A REFRESH names its view and carries nothing.
   struct WriteRequest {
-    enum class Kind { kInsert, kDelete, kUpdate, kLoad, kCommit };
+    enum class Kind { kInsert, kDelete, kUpdate, kLoad, kRefresh, kCommit };
     Kind kind = Kind::kInsert;
-    std::string table;             // the target (every kind but kCommit)
+    std::string table;             // the target (a view for kRefresh)
     Delta delta;                   // kInsert / kCommit
     std::vector<Predicate> where;  // kDelete / kUpdate; empty = all rows
     std::vector<Assignment> sets;  // kUpdate
@@ -432,21 +435,21 @@ class QueryService {
   };
 
   /// The one statement shell of every row-changing statement: INSERT,
-  /// DELETE, UPDATE, LOAD and the COMMIT of a BEGIN WRITE batch. It binds
-  /// the statement against a pin (BindWrite), then either buffers the
+  /// DELETE, UPDATE, LOAD, REFRESH and the COMMIT of a BEGIN WRITE batch. It
+  /// binds the statement against a pin (BindWrite), then either buffers the
   /// request's delta, materialized against that pin, into the thread's open
   /// batch, or runs it through ApplyWrite; phase accounting, the slow-log
   /// record and the ack happen here once. A LOAD whose table does not
-  /// exist yet is DDL instead: it creates the table under the exclusive
-  /// ddl latch.
+  /// exist yet is DDL instead: it creates the table through PublishDdl.
   Result<StatementResult> HandleWrite(const std::string& stmt,
                                       const std::string& upper);
 
   /// Parses `stmt` into a WriteRequest and checks it against `state`: a
   /// target that is a view is refused with the statement's verb, a missing
-  /// table with kNotFound (except LOAD, which then creates it), and incoming
-  /// rows of the wrong arity with kInvalidArgument. COMMIT takes the thread's
-  /// batch, whose statements were checked as they were buffered.
+  /// table with kNotFound (except LOAD, which then creates it), a REFRESH
+  /// of no view with kNotFound, and incoming rows of the wrong arity with
+  /// kInvalidArgument. COMMIT takes the thread's batch, whose statements
+  /// were checked as they were buffered.
   Result<WriteRequest> BindWrite(const std::string& stmt,
                                  const std::string& upper,
                                  const ServiceSnapshot& state);
@@ -460,8 +463,6 @@ class QueryService {
   /// Appends `delta` to the calling thread's open BEGIN WRITE batch; the
   /// only code that grows a batch.
   Status BufferWrite(Delta delta);
-
-  Result<StatementResult> HandleRefresh(const std::string& name);
 
   /// CHECKPOINT: flushes a full shadow-paged checkpoint and truncates the
   /// WAL, under the exclusive ddl latch (the engine requires a quiesced
@@ -492,33 +493,46 @@ class QueryService {
   Status CheckTableQuarantine(const std::vector<std::string>& names) const;
 
   /// Repair hook: a LOAD that fully replaced `name` lifts its quarantine,
-  /// and any dependent view whose closure no longer touches a quarantined
-  /// base table re-enters service (its contents were just recomputed).
-  /// Every lift is mirrored into the engine's persisted quarantine map.
-  /// Returns true when `name` itself was quarantined — the caller must then
-  /// checkpoint, or the repair dies with the process (recovery re-derives
-  /// the quarantine from the still-corrupt pages and discards the repair
-  /// delta as suspect). Caller holds the ddl latch (any mode) — views_ is
-  /// read.
-  bool ClearTableQuarantine(const std::string& name);
+  /// and any dependent view of `views` whose closure no longer touches a
+  /// quarantined base table re-enters service (its contents were just
+  /// recomputed). Every lift is mirrored into the engine's persisted
+  /// quarantine map. Returns true when `name` itself was quarantined — the
+  /// caller must then checkpoint, or the repair dies with the process
+  /// (recovery re-derives the quarantine from the still-corrupt pages and
+  /// discards the repair delta as suspect).
+  bool ClearTableQuarantine(const std::string& name, const ViewRegistry& views);
 
   /// Current table quarantine, name-sorted, for STATS/SCRUB.
   std::vector<std::pair<std::string, std::string>> QuarantinedTables() const;
 
-  /// Opens ServiceOptions::storage_path and installs the recovered state:
+  /// Opens ServiceOptions::storage_path and publishes the recovered state:
   /// catalog, views, base tables, surviving view contents (stale ones
   /// recomputed upstream-first), and the persisted plan cache when the
   /// schema versions still match. Called from the constructor only.
   Status AttachStorage();
 
-  /// Auto-checkpoint after a schema change (storage attached only): the WAL
-  /// logs row deltas, not DDL, so durability of CREATE TABLE / CREATE VIEW /
-  /// LOAD-new-table / Bootstrap comes from checkpointing at the DDL point.
-  /// Caller must hold the exclusive ddl latch.
-  Status CheckpointIfDurable();
+  /// Checkpoints `state`, with the plan cache entries optimized on it, when
+  /// storage is attached. The engine needs a quiesced database, so the
+  /// caller holds the ddl latch exclusive and `state` is the head or the
+  /// next state it is about to publish.
+  Status CheckpointIfDurable(const ServiceSnapshot& state);
 
-  /// The plan cache as storage images (LRU first; see PlanCache::Snapshot).
-  std::vector<PlanImage> CollectPlanImages() const;
+  /// The only code that replaces the head. Under publish_mutex_ it copies
+  /// the then-current head, lets `change` edit the copy (so two writers on
+  /// disjoint stripes never drop each other's tables), records the table
+  /// versions the copy replaced in the MVCC ledger, and stores it. Returns
+  /// the published epoch.
+  uint64_t Publish(const std::function<void(ServiceSnapshot*)>& change);
+
+  /// Commits a schema change (CREATE TABLE, CREATE [MATERIALIZED] VIEW, a
+  /// table-creating LOAD, Bootstrap): checkpoints `next` when storage is
+  /// attached — the WAL logs row deltas, not DDL — and publishes it only
+  /// once that checkpoint committed, so a DDL is visible once it is durable
+  /// and one that failed before the commit point changes nothing. A
+  /// checkpoint that committed but could not truncate the WAL publishes and
+  /// still returns the truncate error. Caller holds the ddl latch exclusive
+  /// and built `next` from the head.
+  Status PublishDdl(ServiceSnapshot next);
 
   /// What one ApplyWrite call changed, for acks and metrics. Inserted and
   /// deleted rows are counted separately (an UPDATE of n rows is n deletes
@@ -530,21 +544,26 @@ class QueryService {
     size_t views_maintained = 0;  // dependents folded incrementally
     size_t views_recomputed = 0;  // dependents fully recomputed
     bool repaired = false;        // a LOAD lifted its table's quarantine
+    /// The epoch Publish gave the write; when nothing changed, the epoch
+    /// of the state it ran against.
+    uint64_t epoch = 0;
   };
 
   /// The only code that runs the write sequence: the backpressure gate
   /// (before any latch), the latch footprint (ddl shared; written tables
   /// and every dependent materialized view exclusive, the dependents'
-  /// closures shared), the request materialized under those latches,
-  /// delete-containment and row-size checks, one COW copy per written
-  /// table, every dependent view brought up to date upstream-first —
-  /// folded by IncrementalMaintainer where its shape allows, recomputed
-  /// otherwise — the WAL record, and base tables plus views published as
-  /// ONE version swap at a single epoch (Database::PutAll), so snapshot
-  /// readers never see a table/view mismatch. Any failure before the swap
-  /// leaves the published state untouched. A LOAD recomputes its
-  /// dependents instead of folding, and is accepted on a quarantined table:
-  /// it replaces the salvaged contents wholesale and lifts the quarantine.
+  /// closures shared), the request materialized under those latches
+  /// against the head, delete-containment and row-size checks, one COW
+  /// copy per written table, every dependent view brought up to date
+  /// upstream-first — folded by IncrementalMaintainer where its shape
+  /// allows, recomputed otherwise — the WAL record, and base tables plus
+  /// views published by Publish at a single epoch, so snapshot readers
+  /// never see a table/view mismatch. Any failure before Publish leaves
+  /// the head untouched. A LOAD recomputes its dependents instead of
+  /// folding, and is accepted on a quarantined table: it replaces the
+  /// salvaged contents wholesale and lifts the quarantine. A REFRESH
+  /// writes no base table: it recomputes its view and every stored view
+  /// over it, upstream-first.
   Result<WriteApplied> ApplyWrite(WriteRequest request, QueryStats* stats);
 
   /// A materialized view whose stored contents must follow writes to any
@@ -554,10 +573,13 @@ class QueryService {
     std::vector<std::string> closure;  // the view's transitive FROM closure
   };
 
-  /// Materialized (stored) views whose definition closure touches any of
-  /// `tables`, ordered upstream-first. Caller holds the ddl latch.
-  Result<std::vector<DependentView>> DependentViewsOf(
-      const std::vector<std::string>& tables) const;
+  /// Materialized (stored) views of `state` whose definition closure
+  /// touches any of `tables`, plus any view `tables` names itself, ordered
+  /// upstream-first. Found by walking the registry downstream from
+  /// `tables` (ViewRegistry::ReadersOf), so the cost follows the
+  /// dependents, not the registry size.
+  static Result<std::vector<DependentView>> DependentViewsOf(
+      const ServiceSnapshot& state, const std::vector<std::string>& tables);
 
   /// `views` reordered upstream-first: a view whose closure names another
   /// entry comes after it, so it recomputes from refreshed inputs.
@@ -566,14 +588,14 @@ class QueryService {
 
   /// The one view-recompute primitive (write path, REFRESH, CREATE
   /// MATERIALIZED VIEW, recovery): evaluates `name`'s definition against
-  /// `db` — a write's staging state holding the post-write base tables and
-  /// any already-refreshed upstream views, or db_ itself — and stores the
-  /// result there. Returns its row count. Caller holds latches covering
-  /// the recompute.
-  Result<size_t> RecomputeViewInto(const std::string& name, Database* db);
+  /// `state` — a next state being built, holding the post-write base tables
+  /// and any already-refreshed upstream views — and stores the result
+  /// there. Returns its row count.
+  Result<size_t> RecomputeViewInto(const std::string& name,
+                                   ServiceSnapshot* state) const;
 
-  // Schema-change statements: ddl exclusive (LOAD only when the table is
-  // new; see HandleWrite).
+  // Schema-change statements: ddl exclusive, published through PublishDdl
+  // (LOAD only when the table is new; see HandleWrite).
   Result<StatementResult> HandleCreateTable(const std::string& stmt);
   Result<StatementResult> HandleCreateView(const std::string& stmt,
                                            bool materialized);
@@ -590,13 +612,14 @@ class QueryService {
   /// True if the calling thread has an open BEGIN WRITE batch.
   bool ThreadHasWriteBatch() const;
 
-  /// The head state. Caller holds the ddl latch (any mode).
-  ServiceSnapshot Head() const;
-  /// Pins the head state: the ddl latch is held shared only while Head()
-  /// copies it. Counts nothing (PinSnapshot counts explicit pins).
-  ServiceSnapshotPtr Pin();
-  /// The state a read statement runs on: the thread's pin, else Pin().
-  ServiceSnapshotPtr ReadState();
+  /// The head state: one pointer copy under head_mutex_, no latch. Counts
+  /// nothing (PinSnapshot counts explicit pins).
+  ServiceSnapshotPtr Head() const {
+    std::lock_guard<std::mutex> lock(head_mutex_);
+    return head_;
+  }
+  /// The state a read statement runs on: the thread's pin, else Head().
+  ServiceSnapshotPtr ReadState() const;
 
   /// Optimizes `query` on `state` through the plan cache: a cached entry
   /// optimized on the same state is a hit; otherwise the query is
@@ -645,15 +668,22 @@ class QueryService {
   /// Evaluator options derived from options_ (the engine setting).
   EvalOptions eval_options_;
 
-  /// The ddl latch and writers' stripes (see the class comment). The plan
-  /// cache and metrics have their own internal synchronization; Database
-  /// guards its own version vector, so readers need only a pin.
+  /// The ddl latch and writers' stripes (see the class comment). Readers
+  /// take neither: they need only a pin. The plan cache and metrics have
+  /// their own internal synchronization.
   mutable LatchManager latches_;
-  /// Replaced (never mutated) under the exclusive ddl latch.
-  std::shared_ptr<const Catalog> catalog_ = std::make_shared<Catalog>();
-  std::shared_ptr<const ViewRegistry> views_ =
-      std::make_shared<ViewRegistry>();
-  Database db_;
+  /// The published state. Stored only by Publish; copied by every pin.
+  /// head_mutex_ is held only to copy or swap the pointer, never while a
+  /// state is built, so a pin waits for no writer, DDL or CHECKPOINT.
+  /// (libstdc++ 12's std::atomic<std::shared_ptr> would do the same with
+  /// a lock bit, but its load unlocks relaxed, which TSan reports as a
+  /// race with the next store.)
+  mutable std::mutex head_mutex_;
+  ServiceSnapshotPtr head_ = std::make_shared<const ServiceSnapshot>();
+  /// Serializes Publish, and guards ledger_.
+  mutable std::mutex publish_mutex_;
+  /// The versions Publish retired, held weakly (Stats().mvcc).
+  VersionLedger ledger_;
 
   PlanCache plan_cache_;
 

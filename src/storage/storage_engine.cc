@@ -1038,6 +1038,11 @@ uint64_t StorageEngine::checkpoint_seq() const {
   return checkpoint_seq_;
 }
 
+uint64_t StorageEngine::generation() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return generation_;
+}
+
 uint64_t StorageEngine::wal_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   return wal_ == nullptr ? 0 : wal_->size_bytes();

@@ -239,6 +239,11 @@ class StorageEngine {
   uint64_t last_commit_seq() const;
   /// Sequence captured by the last successful checkpoint.
   uint64_t checkpoint_seq() const;
+  /// Generation of the live checkpoint. It advances exactly when a
+  /// Checkpoint passes its commit point (the meta flip), so a caller can
+  /// tell a checkpoint that committed but failed to truncate the WAL from
+  /// one that left the previous checkpoint live.
+  uint64_t generation() const;
   /// Current WAL size in bytes.
   uint64_t wal_bytes() const;
   /// True once a WAL failure has fail-stopped the engine.

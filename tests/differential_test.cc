@@ -159,11 +159,11 @@ TEST_P(DifferentialTest, CachedPlanMatchesFreshOptimize) {
     }
 
     QueryService cached_service;
-    ASSERT_OK(cached_service.Bootstrap(gen.catalog(), db.Snapshot(), views));
+    ASSERT_OK(cached_service.Bootstrap(gen.catalog(), db, views));
     ServiceOptions fresh_options;
     fresh_options.plan_cache_capacity = 0;
     QueryService fresh_service(fresh_options);
-    ASSERT_OK(fresh_service.Bootstrap(gen.catalog(), db.Snapshot(), views));
+    ASSERT_OK(fresh_service.Bootstrap(gen.catalog(), db, views));
 
     for (const QueryViewPair& pair : pairs) {
       std::string sql = ToSql(pair.query);
@@ -316,9 +316,9 @@ TEST_P(DifferentialTest, WritesStayFreshWithoutRefresh) {
   }
 
   QueryService service;
-  ASSERT_OK(service.Bootstrap(gen.catalog(), db.Snapshot(), views));
+  ASSERT_OK(service.Bootstrap(gen.catalog(), db, views));
   // The witness: committed rows applied by hand, no views consulted.
-  Database mirror = db.Snapshot();
+  Database mirror = db;
 
   const struct {
     const char* table;

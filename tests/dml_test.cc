@@ -454,14 +454,14 @@ TEST(MvccAccountingTest, ChurnWithNoPinnedSnapshotStaysBounded) {
                               "FROM Sales GROUPBY Shop_1")
                   .status());
     EXPECT_OK(service->Execute("DELETE FROM Sales WHERE Shop = 9").status());
-    for (const Database::TableMvcc& m : service->Stats().mvcc) {
+    for (const TableMvcc& m : service->Stats().mvcc) {
       max_versions = std::max(max_versions, m.versions_alive);
     }
   }
   // No snapshot pins anything: retired versions die with the write that
   // replaced them, so the ledger never accumulates.
   ServiceStats stats = service->Stats();
-  for (const Database::TableMvcc& m : stats.mvcc) {
+  for (const TableMvcc& m : stats.mvcc) {
     EXPECT_LE(m.versions_alive, 2u) << m.table;
     EXPECT_EQ(m.bytes_pinned, 0u) << m.table;
   }
@@ -481,7 +481,7 @@ TEST(MvccAccountingTest, PinnedSnapshotShowsUpInTheLedgerAndDrains) {
   }
   ServiceStats held = service->Stats();
   bool sales_pinned = false;
-  for (const Database::TableMvcc& m : held.mvcc) {
+  for (const TableMvcc& m : held.mvcc) {
     if (m.table != "Sales") continue;
     sales_pinned = true;
     EXPECT_GE(m.versions_alive, 2u);
@@ -502,7 +502,7 @@ TEST(MvccAccountingTest, PinnedSnapshotShowsUpInTheLedgerAndDrains) {
   // Releasing the pin is the reclamation: the weak ledger drains to zero.
   pinned.reset();
   ServiceStats released = service->Stats();
-  for (const Database::TableMvcc& m : released.mvcc) {
+  for (const TableMvcc& m : released.mvcc) {
     EXPECT_EQ(m.bytes_pinned, 0u) << m.table;
     EXPECT_LE(m.versions_alive, 1u) << m.table;
   }
@@ -539,7 +539,7 @@ TEST(MvccAccountingTest, PinnedSnapshotOfAChunkedTableCountsUnsharedBytes) {
     largest_chunk = std::max(largest_chunk, chunk->ApproxBytes());
   }
   bool seen = false;
-  for (const Database::TableMvcc& m : service.Stats().mvcc) {
+  for (const TableMvcc& m : service.Stats().mvcc) {
     if (m.table != "Big") continue;
     seen = true;
     EXPECT_EQ(m.versions_alive, 2u);

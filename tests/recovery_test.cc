@@ -465,6 +465,70 @@ TEST(RecoveryTest, CheckpointRestartRecoversWithZeroReplay) {
   ASSERT_NO_FATAL_FAILURE(CheckRecovered(service.get(), &oracle));
 }
 
+// A DDL statement whose checkpoint fails before its commit point is not
+// published: the table or view it would create is absent, a write naming it
+// is refused instead of reaching the WAL, and the file reopens. One whose
+// checkpoint committed but whose WAL truncate failed is on disk, so it is
+// published too: visible before and after the reopen. Every kind of DDL is
+// an input.
+TEST(RecoveryTest, FailedDdlCheckpointPublishesNothing) {
+  Table header({"A", "B"});
+  header.AddRowOrDie({Value::Int64(7), Value::Int64(8)});
+  std::string csv = ::testing::TempDir() + "/aqv_failed_ddl.csv";
+  ASSERT_OK(WriteCsvFile(header, csv));
+  const std::string ddls[] = {
+      "CREATE TABLE U(A, B)",
+      "CREATE VIEW U AS SELECT A_1, B_1 FROM T",
+      "CREATE MATERIALIZED VIEW U AS SELECT A_1, SUM(B_1) AS S FROM T "
+      "GROUPBY A_1",
+      "LOAD U FROM '" + csv + "'",
+  };
+  const struct {
+    const char* failpoint;
+    bool committed;  // fires after the checkpoint's meta flip?
+  } kFaults[] = {{"page.flush", false}, {"wal.truncate", true}};
+  // True when TABLES or VIEWS lists U.
+  auto lists_u = [](QueryService* service) {
+    Result<StatementResult> tables = service->Execute("TABLES");
+    Result<StatementResult> views = service->Execute("VIEWS");
+    EXPECT_TRUE(tables.ok() && views.ok());
+    return tables->message.find("U(") != std::string::npos ||
+           views->message.find("U ") != std::string::npos;
+  };
+  for (const auto& fault : kFaults) {
+    for (const std::string& ddl : ddls) {
+      SCOPED_TRACE(std::string(fault.failpoint) + ": " + ddl);
+      std::string path = FreshPath("failed_ddl");
+      {
+        auto service = MakeService(path);
+        ASSERT_OK(service->storage_status());
+        ASSERT_OK(service->Execute("CREATE TABLE T(A, B)").status());
+        ASSERT_OK(service->Execute("INSERT INTO T VALUES (1, 2)").status());
+        ASSERT_OK(FailpointRegistry::Global().Set(fault.failpoint, "error"));
+        Result<StatementResult> failed = service->Execute(ddl);
+        ASSERT_OK(FailpointRegistry::Global().Set(fault.failpoint, "off"));
+        ASSERT_FALSE(failed.ok());
+        EXPECT_EQ(lists_u(service.get()), fault.committed);
+        if (!fault.committed) {
+          Result<StatementResult> write =
+              service->Execute("INSERT INTO U VALUES (1, 2)");
+          EXPECT_EQ(write.status().code(), StatusCode::kNotFound);
+        }
+        ASSERT_OK(service->Execute("INSERT INTO T VALUES (3, 4)").status());
+      }
+      auto reopened = MakeService(path);
+      ASSERT_OK(reopened->storage_status());
+      ASSERT_OK_AND_ASSIGN(Table t,
+                           reopened->Select("SELECT A_1, B_1 FROM T"));
+      EXPECT_EQ(t.num_rows(), 2u);
+      EXPECT_EQ(lists_u(reopened.get()), fault.committed);
+      // Nothing half-created is in the way of the same statement.
+      if (!fault.committed) ASSERT_OK(reopened->Execute(ddl).status());
+    }
+  }
+  std::remove(csv.c_str());
+}
+
 TEST(RecoveryTest, PlanCacheSurvivesRestart) {
   std::string path = FreshPath("plan_cache_restart.db");
   Oracle oracle;
@@ -631,6 +695,52 @@ TEST(CorruptionRecoveryTest, QuarantineExtendsToDependentViews) {
   ASSERT_OK(service->Execute("REFRESH VT").status());
   ASSERT_NO_FATAL_FAILURE(CheckViewConsistent(service.get(), "VT"));
   std::remove(csv.c_str());
+}
+
+// REFRESH of a clean view is not blocked by a stored view over it that
+// also reads a quarantined table: that dependent is left out of the
+// recompute (its reads fail until the repair) and the refresh succeeds.
+TEST(CorruptionRecoveryTest, RefreshSkipsQuarantinedDependents) {
+  std::string path = FreshPath("corrupt_refresh_dependent.db");
+  const std::string marker = "REFRESH-DEPENDENT-ROT-MARKER";
+  {
+    auto service = MakeService(path);
+    ASSERT_OK(service->Execute("CREATE TABLE Q(A, B)").status());
+    ASSERT_OK(service->Execute("CREATE TABLE U(C, D)").status());
+    ASSERT_OK(service
+                  ->Execute("CREATE MATERIALIZED VIEW V AS "
+                            "SELECT D_1, SUM(C_1) AS S FROM U GROUPBY D_1")
+                  .status());
+    // W projects only Q's A values, so the marker rots Q's page alone.
+    ASSERT_OK(service
+                  ->Execute("CREATE MATERIALIZED VIEW W AS SELECT D_1, "
+                            "SUM(A_2) AS N FROM V(D_1, S_1), Q "
+                            "WHERE D_1 = A_2 GROUPBY D_1")
+                  .status());
+    ASSERT_OK(service
+                  ->Execute("INSERT INTO Q VALUES (30, '" + marker + "')")
+                  .status());
+    ASSERT_OK(service->Execute("INSERT INTO U VALUES (3, 30)").status());
+    ASSERT_OK(service->Execute("CHECKPOINT").status());
+  }
+  ASSERT_GE(FlipMarkerBytes(path, marker), 1u);
+
+  auto service = MakeService(path);
+  ASSERT_TRUE(service->storage_attached());
+  ServiceStats stats = service->Stats();
+  std::map<std::string, std::string> quarantined(
+      stats.quarantined_tables.begin(), stats.quarantined_tables.end());
+  ASSERT_EQ(quarantined.count("Q"), 1u);
+  ASSERT_EQ(quarantined.count("W"), 1u);
+  ASSERT_EQ(quarantined.count("V"), 0u);
+
+  ServiceSnapshotPtr before = service->PinSnapshot();
+  ASSERT_NO_FATAL_FAILURE(CheckViewConsistent(service.get(), "V"));
+  ServiceSnapshotPtr after = service->PinSnapshot();
+  EXPECT_EQ(after->db.VersionOf("W"), before->db.VersionOf("W"));
+  Result<StatementResult> read = service->Execute("SELECT G_1, N_1 FROM W(G_1, N_1)");
+  ASSERT_FALSE(read.ok());
+  EXPECT_NE(read.status().message().find("quarantined"), std::string::npos);
 }
 
 // Rot in the MIDDLE of the WAL (intact records beyond the tear): every
@@ -970,6 +1080,10 @@ TEST(RecoveryTest, BackpressureRefusesWhenCheckpointerCannotCatchUp) {
 
   auto service = std::make_unique<QueryService>(options);
   ASSERT_OK(service->Execute("CREATE TABLE R(A, B)").status());
+  ASSERT_OK(service
+                ->Execute("CREATE MATERIALIZED VIEW VR AS "
+                          "SELECT A_1, SUM(B_1) AS S FROM R GROUPBY A_1")
+                .status());
   ASSERT_OK(service->Execute("INSERT INTO R VALUES (1, 10)").status());
 
   Result<StatementResult> busy = service->Execute("INSERT INTO R VALUES (2, 20)");
@@ -996,6 +1110,8 @@ TEST(RecoveryTest, BackpressureRefusesWhenCheckpointerCannotCatchUp) {
   Table original({"A", "B"});
   original.AddRowOrDie({Value::Int64(1), Value::Int64(10)});
   EXPECT_TRUE(MultisetEqual(*kept.table, original));
+  // REFRESH logs nothing, so the gate does not hold it back.
+  ASSERT_OK(service->Execute("REFRESH VR").status());
 
   // A manual CHECKPOINT truncates the WAL and lets writers through again.
   ASSERT_OK(service->Execute("CHECKPOINT").status());

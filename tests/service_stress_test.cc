@@ -21,7 +21,9 @@
 // as the row engine.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
@@ -685,6 +687,69 @@ TEST(ServiceReadPathTest, ReadsNeverWaitForWriters) {
   EXPECT_EQ(during->num_rows(), 2u);
   ASSERT_OK_AND_ASSIGN(Table after, service.Select("SELECT A_1, B_1 FROM T"));
   EXPECT_EQ(after.num_rows(), 3u);
+}
+
+
+// Reads never wait for a CHECKPOINT or for DDL: while a durable CHECKPOINT,
+// and then a durable CREATE TABLE, is parked on a page flush (holding the
+// ddl latch exclusive), a SELECT, a PinSnapshot() and TABLES all answer
+// from the head, well inside the injected delay. The parked CREATE TABLE
+// is not visible to them: DDL is published only once it is durable.
+TEST(ServiceReadPathTest, ReadsNeverWaitForCheckpoint) {
+  const std::string path = ::testing::TempDir() + "/aqv_reads_never_wait";
+  std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());
+  ServiceOptions options;
+  options.storage_path = path;
+  QueryService service(options);
+  ASSERT_OK(service.storage_status());
+  ASSERT_OK(service.Execute("CREATE TABLE T(A, B)").status());
+  ASSERT_OK(service.Execute("INSERT INTO T VALUES (1, 10), (2, 20)").status());
+  FailpointRegistry& failpoints = FailpointRegistry::Global();
+  auto fires = [&]() -> uint64_t {
+    for (const FailpointRegistry::Info& info : failpoints.List()) {
+      if (info.name == "page.flush") return info.fires;
+    }
+    return 0;
+  };
+  constexpr int64_t kDelayMicros = 1000000;
+  for (const std::string parked : {"CHECKPOINT", "CREATE TABLE U(A)"}) {
+    SCOPED_TRACE(parked);
+    ASSERT_OK(failpoints.Set(
+        "page.flush", "delay(" + std::to_string(kDelayMicros) + ",100,1)"));
+    std::atomic<bool> parked_done{false};
+    std::thread ddl([&] {
+      Result<StatementResult> r = service.Execute(parked);
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+      parked_done.store(true);
+    });
+    while (fires() < 1) std::this_thread::yield();  // the flush is parked
+
+    auto start = std::chrono::steady_clock::now();
+    Result<Table> rows = service.Select("SELECT A_1, B_1 FROM T");
+    ServiceSnapshotPtr pin = service.PinSnapshot();
+    Result<StatementResult> tables = service.Execute("TABLES");
+    const int64_t read_micros =
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count();
+    const bool still_parked = !parked_done.load();
+    ddl.join();
+    ASSERT_OK(failpoints.Set("page.flush", "off"));
+
+    EXPECT_TRUE(still_parked) << "a read waited for " << parked;
+    EXPECT_LT(read_micros, kDelayMicros / 2);
+    ASSERT_OK(rows.status());
+    EXPECT_EQ(rows->num_rows(), 2u);
+    ASSERT_NE(pin, nullptr);
+    EXPECT_FALSE(pin->db.Has("U"));
+    ASSERT_OK(tables.status());
+    EXPECT_EQ(tables->message.find("U("), std::string::npos);
+  }
+  ASSERT_OK_AND_ASSIGN(StatementResult tables, service.Execute("TABLES"));
+  EXPECT_NE(tables.message.find("U("), std::string::npos);
+  std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "base/failpoint.h"
 #include "base/trace.h"
 #include "exec/csv.h"
 #include "exec/table.h"
@@ -852,6 +853,77 @@ TEST(ServiceWritePathTest, InsertHardeningRejectsDegenerates) {
   int64_t total = 0;
   for (const Row& row : sales.rows()) total += row[1].int64();
   EXPECT_EQ(total, 4);  // 3 seed rows + the one negative insert
+}
+
+
+// A CREATE MATERIALIZED VIEW whose first materialization fails publishes
+// nothing: no virtual view is left behind for a retry to collide with.
+TEST(ServiceDdlTest, RefusedMaterializedViewLeavesNoView) {
+  QueryService service;
+  ASSERT_OK(service.Execute("CREATE TABLE T(A, B)").status());
+  ASSERT_OK(service
+                .Execute("INSERT INTO T VALUES (1, 4611686018427387904), "
+                         "(1, 4611686018427387904)")
+                .status());
+  const std::string create =
+      "CREATE MATERIALIZED VIEW V AS SELECT A_1, SUM(B_1) AS S FROM T "
+      "GROUPBY A_1";
+  auto listed = [&]() -> std::string {
+    Result<StatementResult> views = service.Execute("VIEWS");
+    EXPECT_TRUE(views.ok()) << views.status().ToString();
+    return views.ok() ? views->message : "";
+  };
+  Result<StatementResult> overflow = service.Execute(create);
+  ASSERT_FALSE(overflow.ok());
+  EXPECT_EQ(overflow.status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(listed(), "");
+
+  // An injected recompute fault leaves no view either.
+  ASSERT_OK(service.Execute("DELETE FROM T WHERE A = 1").status());
+  ASSERT_OK(FailpointRegistry::Global().Set("service.refresh", "error"));
+  Result<StatementResult> injected = service.Execute(create);
+  ASSERT_OK(FailpointRegistry::Global().Set("service.refresh", "off"));
+  ASSERT_FALSE(injected.ok());
+  EXPECT_EQ(listed(), "");
+
+  ASSERT_OK(service.Execute(create).status());
+  EXPECT_NE(listed().find("V [materialized]"), std::string::npos);
+}
+
+// REFRESH of a view recomputes every stored view over it at the same
+// epoch, so a view over a drifted view follows the repair.
+TEST(ServiceWritePathTest, RefreshRecomputesStoredViewsOverTheView) {
+  QueryService service;
+  ASSERT_OK(service.Execute("CREATE TABLE D(G, X)").status());
+  std::string rows = "INSERT INTO D VALUES (5, 0.1)";
+  for (int i = 0; i < 100; ++i) rows += ", (6, 1.0)";
+  ASSERT_OK(service.Execute(rows).status());
+  ASSERT_OK(service
+                .Execute("CREATE MATERIALIZED VIEW DV AS SELECT G_1, "
+                         "SUM(X_1) AS S, COUNT(X_1) AS C FROM D GROUPBY G_1")
+                .status());
+  ASSERT_OK(service
+                .Execute("CREATE MATERIALIZED VIEW W AS SELECT G_2, S_2 FROM "
+                         "DV(G_2, S_2, C_2) WHERE G_2 = 5")
+                .status());
+  // Folding +1e20 then -1e20 into 0.1 in double arithmetic drifts DV's sum.
+  ASSERT_OK(service.Execute("INSERT INTO D VALUES (5, 1e20)").status());
+  ASSERT_OK(service.Execute("DELETE FROM D WHERE X = 1e20").status());
+  auto sum_of_5 = [](const ServiceSnapshot& state, const std::string& view) {
+    TablePtr t = state.db.GetShared(view);
+    for (const Row& row : t->rows()) {
+      if (row[0].AsDouble() == 5) return row[1].AsDouble();
+    }
+    return -1.0;
+  };
+  ServiceSnapshotPtr drifted = service.PinSnapshot();
+  ASSERT_NE(sum_of_5(*drifted, "DV"), 0.1);
+
+  ASSERT_OK(service.Execute("REFRESH DV").status());
+  ServiceSnapshotPtr refreshed = service.PinSnapshot();
+  EXPECT_EQ(sum_of_5(*refreshed, "DV"), 0.1);
+  EXPECT_EQ(sum_of_5(*refreshed, "W"), 0.1);
+  EXPECT_EQ(refreshed->db.VersionOf("W"), refreshed->db.VersionOf("DV"));
 }
 
 }  // namespace

@@ -275,9 +275,13 @@ TEST(TableChunkTest, PinnedVersionCostsOnlyItsUnsharedChunks) {
   for (const ChunkPtr& chunk : pinned->chunks()) chunk->columnar();
   Table next = *pinned;
   ASSERT_OK(next.AddRow(KeyRow(-1)));
-  db.Put("T", std::move(next));
+  Database after = db;
+  after.Put("T", std::move(next));
+  VersionLedger ledger;
+  ledger.Retire(db, after);
+  db = std::move(after);
 
-  std::vector<Database::TableMvcc> stats = db.MvccStats();
+  std::vector<TableMvcc> stats = ledger.Stats(db);
   ASSERT_EQ(stats.size(), 1u);
   EXPECT_EQ(stats[0].versions_alive, 2u);
   // Only the retired tail chunk is unshared.
@@ -285,7 +289,7 @@ TEST(TableChunkTest, PinnedVersionCostsOnlyItsUnsharedChunks) {
   EXPECT_LE(stats[0].bytes_pinned, pinned->chunks()[0]->ApproxBytes());
   EXPECT_LT(stats[0].bytes_pinned, pinned->ApproxBytes() / 10);
   pinned.reset();
-  EXPECT_EQ(db.MvccStats()[0].bytes_pinned, 0u);
+  EXPECT_EQ(ledger.Stats(db)[0].bytes_pinned, 0u);
 }
 
 }  // namespace

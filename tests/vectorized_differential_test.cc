@@ -251,11 +251,11 @@ TEST(VectorizedDifferentialTest, TelephonyWorkloadMatchesRowEngine) {
   ServiceOptions vec_options;
   ASSERT_TRUE(vec_options.vectorized);
   QueryService vec_service(vec_options);
-  ASSERT_OK(vec_service.Bootstrap(w.catalog, w.db.Snapshot(), w.views));
+  ASSERT_OK(vec_service.Bootstrap(w.catalog, w.db, w.views));
   ServiceOptions row_options;
   row_options.vectorized = false;
   QueryService row_service(row_options);
-  ASSERT_OK(row_service.Bootstrap(w.catalog, w.db.Snapshot(), w.views));
+  ASSERT_OK(row_service.Bootstrap(w.catalog, w.db, w.views));
   std::string sql = ToSql(w.query);
   SCOPED_TRACE("service SQL: " + sql);
   ASSERT_OK_AND_ASSIGN(Table vec_table, vec_service.Select(sql));
