@@ -141,6 +141,25 @@ LatencyHistogram& MetricsRegistry::GetHistogram(const std::string& name) {
   return *slot;
 }
 
+uint64_t MetricsRegistry::CounterValue(const std::string& name) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = counters_.find(name);
+  return it == counters_.end() ? 0 : it->second->value();
+}
+
+int64_t MetricsRegistry::GaugeValue(const std::string& name) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = gauges_.find(name);
+  return it == gauges_.end() ? 0 : it->second->value();
+}
+
+const LatencyHistogram* MetricsRegistry::FindHistogram(
+    const std::string& name) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = histograms_.find(name);
+  return it == histograms_.end() ? nullptr : it->second.get();
+}
+
 void MetricsRegistry::SetHelp(const std::string& family,
                               const std::string& help) {
   std::lock_guard<std::mutex> lock(mu_);

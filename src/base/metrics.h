@@ -120,6 +120,12 @@ class MetricsRegistry {
   Gauge& GetGauge(const std::string& name);
   LatencyHistogram& GetHistogram(const std::string& name);
 
+  /// Reads a metric by name: 0, or null, when none is registered. Unlike
+  /// Get*, never registers one, so a const registry can be read.
+  uint64_t CounterValue(const std::string& name) const;
+  int64_t GaugeValue(const std::string& name) const;
+  const LatencyHistogram* FindHistogram(const std::string& name) const;
+
   /// Attach Prometheus `# HELP` text to a metric family (the name before
   /// any label block). Families without registered help export their own
   /// dotted name as help text.

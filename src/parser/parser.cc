@@ -619,7 +619,9 @@ Result<UpdateStatement> Parser::ParseUpdateStatement() {
 }
 
 Result<ViewDef> Parser::ParseViewStatement() {
-  if (!ConsumeKeyword("CREATE") || !ConsumeKeyword("VIEW")) {
+  bool create = ConsumeKeyword("CREATE");
+  ConsumeKeyword("MATERIALIZED");  // storing the view is the caller's call
+  if (!create || !ConsumeKeyword("VIEW")) {
     return Status::InvalidArgument("expected CREATE VIEW");
   }
   if (Peek().kind != TokenKind::kIdentifier) {

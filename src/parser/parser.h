@@ -28,7 +28,8 @@ namespace aqv {
 /// ToSql() of a parsed query re-parses to an equal query.
 Result<Query> ParseQuery(std::string_view sql, const Catalog* catalog = nullptr);
 
-/// Parses `CREATE VIEW name AS <query>`.
+/// Parses `CREATE [MATERIALIZED] VIEW name AS <query>`; whether the view
+/// is stored is the caller's decision.
 Result<ViewDef> ParseView(std::string_view sql, const Catalog* catalog = nullptr);
 
 /// A parsed multi-row `INSERT INTO table VALUES (lit, ...), (lit, ...)`.

@@ -18,11 +18,10 @@ void CollectDependencies(const std::vector<std::string>& seeds,
     pending.pop_back();
     if (std::find(out->begin(), out->end(), name) != out->end()) continue;
     out->push_back(name);
-    Result<const ViewDef*> view = views.Get(name);
-    if (view.ok()) {
-      for (const TableRef& ref : (*view)->query.from) {
-        pending.push_back(ref.table);
-      }
+    // Has() first: Get() on a base table builds a NotFound status.
+    if (!views.Has(name)) continue;
+    for (const TableRef& ref : (*views.Get(name))->query.from) {
+      pending.push_back(ref.table);
     }
   }
 }

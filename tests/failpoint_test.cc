@@ -448,6 +448,43 @@ TEST_F(FailpointTest, AdmissionControlRejectsOverLimitStatements) {
   EXPECT_OK(service->Select(SalesQuery(2)).status());
 }
 
+// A COMMIT that applies a BEGIN WRITE batch is a write: it waits for a
+// slot like one, and a refused COMMIT leaves the batch open and unapplied.
+TEST_F(FailpointTest, BatchCommitIsAdmittedLikeAnyWrite) {
+  ServiceOptions options;
+  options.max_concurrent_statements = 1;
+  options.admission_wait_micros = 1000;
+  std::unique_ptr<QueryService> service = MakeSalesService(options);
+  ASSERT_OK(service->Execute("CREATE TABLE R(A, B)").status());
+  ASSERT_OK(service->Execute("BEGIN WRITE").status());
+  ASSERT_OK(service->Execute("INSERT INTO R VALUES (5, 6)").status());
+
+  FailpointScope scope("exec.operator", "delay(400000,100,1)");
+  std::atomic<bool> entered{false};
+  std::thread parked([&] {
+    entered.store(true);
+    EXPECT_OK(service->Execute(SalesQuery()).status());
+  });
+  while (!entered.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  Result<StatementResult> busy = service->Execute("COMMIT");
+  parked.join();
+  ASSERT_FALSE(busy.ok()) << busy->message;
+  EXPECT_EQ(busy.status().code(), StatusCode::kUnavailable);
+
+  // Still open, still unapplied: reads on this thread see committed state.
+  Result<Table> before = service->Select("SELECT A_1 FROM R");
+  ASSERT_OK(before.status());
+  EXPECT_EQ(before->num_rows(), 0u);
+  Result<StatementResult> retry = service->Execute("COMMIT");
+  ASSERT_OK(retry.status());
+  EXPECT_NE(retry->message.find("1 row(s) inserted"), std::string::npos)
+      << retry->message;
+  Result<Table> after = service->Select("SELECT A_1 FROM R");
+  ASSERT_OK(after.status());
+  EXPECT_EQ(after->num_rows(), 1u);
+}
+
 TEST_F(FailpointTest, DeadlineAndRowBudgetReturnResourceErrors) {
   {
     ServiceOptions options;

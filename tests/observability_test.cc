@@ -9,12 +9,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "base/failpoint.h"
 #include "base/trace.h"
 #include "service/query_service.h"
 
@@ -225,6 +227,42 @@ TEST(AttributionTest, SlowLogCarriesEpochCacheFlagAndWriteBreakdown) {
   EXPECT_NE(text.find("epoch="), std::string::npos) << text;
   EXPECT_NE(text.find("wal_commit="), std::string::npos);
   EXPECT_NE(text.find("[cache hit]"), std::string::npos);
+}
+
+// A write's slow-log record is its whole QueryStats: the stripe wait a
+// contended writer pays (latch_micros) reaches both the record and its
+// SLOWLOG line.
+TEST(AttributionTest, SlowLogCarriesAWritersLatchWait) {
+  ServiceOptions options;
+  options.slow_query_micros = 1;  // everything is slow
+  QueryService service(options);
+  ExecuteOrDie(service, "CREATE TABLE R(A, B)");
+  // The first writer sleeps inside its latches (after the footprint is
+  // taken, before the COW copy); the second queues on R's stripe.
+  FailpointScope scope("table.cow_copy", "delay(300000,100,1)");
+  std::thread holder(
+      [&] { ExecuteOrDie(service, "INSERT INTO R VALUES (1, 1)"); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ExecuteOrDie(service, "INSERT INTO R VALUES (2, 2)");
+  holder.join();
+
+  const SlowQueryRecord* waiter = nullptr;
+  std::vector<SlowQueryRecord> log = service.SlowQueries();
+  for (const SlowQueryRecord& r : log) {
+    if (r.statement.find("(2, 2)") != std::string::npos) waiter = &r;
+  }
+  ASSERT_NE(waiter, nullptr);
+  EXPECT_GE(waiter->latch_micros, 20000u) << "waited out the holder";
+  EXPECT_GE(waiter->total_micros, waiter->PhaseSumMicros());
+
+  std::istringstream lines(ExecuteOrDie(service, "SLOWLOG").message);
+  std::string line;
+  while (std::getline(lines, line) &&
+         line.find("(2, 2)") == std::string::npos) {
+  }
+  EXPECT_NE(line.find("latch=" + std::to_string(waiter->latch_micros) + "us"),
+            std::string::npos)
+      << line;
 }
 
 TEST(TraceDropTest, DroppedSpansSurfaceInStatsAndProm) {

@@ -7,6 +7,7 @@
 //   cmake --build build-tsan -j && ctest --test-dir build-tsan -R Service
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -121,6 +122,55 @@ TEST(ServiceStatementTest, MalformedStatementsAreRefusedAndChangeNothing) {
   EXPECT_OK(service.Execute("CREATE TABLE S(A, B) KEY(A)").status());
   std::remove(csv.c_str());
   std::remove(saved.c_str());
+}
+
+// Select(sql, snapshot) enters the same router as Execute: the size cap,
+// admission control and the error counter all apply to it.
+TEST(ServiceStatementTest, SnapshotSelectIsCappedAdmittedAndCounted) {
+  ServiceOptions options;
+  options.max_statement_bytes = 64;
+  options.max_concurrent_statements = 1;
+  options.admission_wait_micros = 1000;
+  QueryService service(options);
+  ExecuteOrDie(service, "CREATE TABLE R(A, B)");
+  ExecuteOrDie(service, "INSERT INTO R VALUES (1, 2), (3, 4)");
+  ServiceSnapshotPtr snap = service.PinSnapshot();
+  auto errors = [&](const std::string& code) {
+    for (const auto& [c, n] : service.Stats().errors_by_code) {
+      if (c == code) return n;
+    }
+    return uint64_t{0};
+  };
+
+  const std::string oversized =
+      "SELECT A_1 FROM R WHERE B_1 = 2 AND A_1 = 1 AND B_1 = 2 AND A_1 = 1";
+  ASSERT_GT(oversized.size(), options.max_statement_bytes);
+  Result<Table> capped = service.Select(oversized, *snap);
+  ASSERT_FALSE(capped.ok());
+  EXPECT_NE(capped.status().ToString().find("byte limit"), std::string::npos)
+      << capped.status().ToString();
+  EXPECT_EQ(errors("invalid_argument"), 1u);
+  Result<Table> refused = service.Select("STATS", *snap);
+  EXPECT_FALSE(refused.ok()) << "only the SELECT form reads a snapshot";
+  EXPECT_EQ(errors("invalid_argument"), 2u);
+
+  // Park one statement inside execution, then read the snapshot.
+  FailpointScope scope("exec.operator", "delay(400000,100,1)");
+  std::atomic<bool> entered{false};
+  std::thread parked([&] {
+    entered.store(true);
+    EXPECT_TRUE(service.Execute("SELECT A_1 FROM R").ok());
+  });
+  while (!entered.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  Result<Table> busy = service.Select("SELECT A_1 FROM R", *snap);
+  parked.join();
+  ASSERT_FALSE(busy.ok());
+  EXPECT_EQ(busy.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(errors("unavailable"), 1u);
+  Result<Table> rows = service.Select("SELECT A_1 FROM R", *snap);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->num_rows(), 2u);
 }
 
 TEST(ServicePlanCacheTest, HitReturnsSameRowsAsColdPlan) {
