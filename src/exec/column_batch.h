@@ -46,35 +46,97 @@ struct Column {
   std::vector<std::string> dict;   // kString: code -> string
   std::vector<Value> mixed;        // kMixed: full tagged values
 
-  /// kInt64: exact bounds of the non-NULL values, recorded while pivoting
-  /// (i64_min > i64_max when there are none).
+  /// kInt64: exact bounds of the non-NULL values, kept current by every
+  /// append and gather (i64_min > i64_max when there are none).
   int64_t i64_min = std::numeric_limits<int64_t>::max();
   int64_t i64_max = std::numeric_limits<int64_t>::min();
+
+  /// Some non-NULL value has fixed `type`. An all-NULL column stays an
+  /// untyped kInt64 (every slot is covered by the bitmap, so the payload
+  /// type is arbitrary).
+  bool typed = false;
 
   bool IsNull(size_t row) const {
     return has_nulls && ((null_words[row >> 6] >> (row & 63)) & 1) != 0;
   }
 
   /// The row's value as a tagged Value (works for every ColumnType).
-  Value ValueAt(size_t row) const;
+  /// Inline: it builds every value the row engine reads from a table.
+  Value ValueAt(size_t row) const {
+    if (IsNull(row)) return Value::Null();
+    switch (type) {
+      case ColumnType::kInt64:
+        return Value::Int64(i64[row]);
+      case ColumnType::kDouble:
+        return Value::Double(f64[row]);
+      case ColumnType::kString:
+        return Value::String(dict[static_cast<size_t>(codes[row])]);
+      case ColumnType::kMixed:
+        return mixed[row];
+    }
+    return Value::Null();
+  }
+
+  /// True if the row's value equals `v` under Value::Compare, the equality
+  /// RowEq uses: NULL equals NULL, INT64 meets INT64 exactly (2^53 and
+  /// 2^53 + 1 stay apart) and any other numeric pair compares as doubles
+  /// (INT64 1 equals DOUBLE 1.0).
+  bool Equals(size_t row, const Value& v) const;
 };
 
-/// A columnar image of rows: per-column typed arrays sharing one row count.
-/// Built once per table chunk (see Chunk::columnar() for the cached path)
-/// and immutable afterwards, so concurrent readers of the table versions
-/// that share the chunk can share it freely.
+/// String -> code lookup over the dictionaries of a ColumnarTable that is
+/// being appended to. A column's first lookup scans its dictionary (one
+/// appended row pays less than building an index would); the second builds
+/// the index, so a batch of n rows costs O(n), not O(n * dictionary).
+class DictIndex {
+ public:
+  /// The code of `s` in `col`'s dictionary (column ordinal `c`), appending
+  /// it if absent.
+  int32_t CodeOf(size_t c, const std::string& s, Column* col);
+
+  /// Forgets column `c` (its dictionary was dropped).
+  void Reset(size_t c);
+
+ private:
+  struct PerColumn {
+    size_t lookups = 0;
+    std::unordered_map<std::string, int32_t> codes;
+  };
+  std::vector<PerColumn> cols_;
+};
+
+/// Rows as per-column typed arrays sharing one row count. A table chunk
+/// stores its rows this way and nowhere else (see Chunk); operator output
+/// is pivoted into one with FromRows.
 ///
 /// Column types are inferred per column: the first non-null value fixes the
 /// type; a later conflicting type degrades that column to kMixed (exact
 /// tagged values, row-engine fallback). String columns are dictionary
 /// encoded with first-occurrence code assignment, so equal strings share one
 /// code and constant comparisons reduce to a per-code precomputed mask.
+/// Appending rows one at a time (AppendRow) and gathering a subset of rows
+/// (Without) both yield exactly the image FromRows builds from the same
+/// rows.
 class ColumnarTable {
  public:
   ColumnarTable() = default;
+  /// No rows; every column untyped.
+  explicit ColumnarTable(int num_columns);
 
   /// Builds the columnar image of `rows`, each of arity `num_columns`.
   static ColumnarTable FromRows(const std::vector<Row>& rows, int num_columns);
+
+  /// Makes room for `rows` more rows, in each column's payload too once
+  /// its type is known.
+  void Reserve(size_t rows);
+
+  /// Appends `row` (arity num_columns(), not checked) in place. `index`
+  /// serves the string columns and must be used with this table only.
+  void AppendRow(const Row& row, DictIndex* index);
+
+  /// The rows whose ordinals are not in `drop` (ascending, distinct), in
+  /// row order.
+  ColumnarTable Without(const std::vector<uint32_t>& drop) const;
 
   size_t num_rows() const { return num_rows_; }
   int num_columns() const { return static_cast<int>(cols_.size()); }
@@ -90,6 +152,11 @@ class ColumnarTable {
 
   /// Reconstructs full row `row` (all columns, schema order) into `*out`.
   void AppendRowTo(size_t row, Row* out) const;
+  /// Row `row` as a Row.
+  Row RowAt(size_t row) const;
+
+  /// Approximate heap bytes of the column payloads.
+  size_t ApproxBytes() const;
 
  private:
   size_t num_rows_ = 0;

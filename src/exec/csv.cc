@@ -167,6 +167,7 @@ Result<Table> FromCsv(std::string_view text) {
   }
   Table table(fields);
 
+  std::vector<Row> rows;
   int line = 1;
   while (NextRecord(text, &pos, &fields, &quoted, &error)) {
     ++line;
@@ -181,9 +182,10 @@ Result<Table> FromCsv(std::string_view text) {
     for (size_t i = 0; i < fields.size(); ++i) {
       row.push_back(ParseField(fields[i], quoted[i]));
     }
-    AQV_RETURN_NOT_OK(table.AddRow(std::move(row)));
+    rows.push_back(std::move(row));
   }
   if (!error.ok()) return error;
+  AQV_RETURN_NOT_OK(table.AddRows(rows));
   return table;
 }
 

@@ -141,7 +141,7 @@ Result<std::vector<Row>> Evaluator::Run(PlanNode& node) {
   ExecContext unlimited;
   ExecContext* agg_ctx = ctx_ != nullptr ? ctx_ : &unlimited;
   if (node.columnar_agg != nullptr) {
-    // Scan + aggregate entirely over the chunks' columnar images: each
+    // Scan + aggregate entirely over the chunks' typed columns: each
     // chunk's selection vector feeds the aggregation with no row gather.
     PlanNode& scan = *node.children[0];
     const Table& table = *scan.source;
@@ -210,12 +210,12 @@ Result<std::vector<Row>> Evaluator::Run(PlanNode& node) {
             GatherRows(chunk.columnar(), filter->Run(chunk.columnar(), ctx_),
                        &out);
           } else if (node.preds.empty()) {
-            out.insert(out.end(), chunk.rows().begin(), chunk.rows().end());
+            const ColumnarTable& cols = chunk.columnar();
+            for (size_t r = 0; r < cols.num_rows(); ++r) {
+              out.push_back(cols.RowAt(r));
+            }
           } else {
-            std::vector<Row> kept =
-                FilterRows(chunk.rows(), node.preds, node.layout, ctx_);
-            out.insert(out.end(), std::make_move_iterator(kept.begin()),
-                       std::make_move_iterator(kept.end()));
+            FilterRows(chunk.columnar(), node.preds, node.layout, ctx_, &out);
           }
           ++actual.chunks_scanned;
         }

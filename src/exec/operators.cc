@@ -79,6 +79,18 @@ Result<Value> NumericProduct(const Value& a, const Value& b) {
   return Value::Double(a.AsDouble() * b.AsDouble());
 }
 
+namespace {
+
+bool PassesAll(const std::vector<Predicate>& preds, const Row& row,
+               const ColumnIndexMap& layout) {
+  for (const Predicate& p : preds) {
+    if (!EvalScalarPredicate(p, row, layout)) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 std::vector<Row> FilterRows(const std::vector<Row>& rows,
                             const std::vector<Predicate>& preds,
                             const ColumnIndexMap& layout, ExecContext* ctx) {
@@ -87,16 +99,22 @@ std::vector<Row> FilterRows(const std::vector<Row>& rows,
   out.reserve(rows.size());
   for (const Row& row : rows) {
     if (ctx != nullptr && !ctx->TickRows()) break;
-    bool keep = true;
-    for (const Predicate& p : preds) {
-      if (!EvalScalarPredicate(p, row, layout)) {
-        keep = false;
-        break;
-      }
-    }
-    if (keep) out.push_back(row);
+    if (PassesAll(preds, row, layout)) out.push_back(row);
   }
   return out;
+}
+
+void FilterRows(const ColumnarTable& table,
+                const std::vector<Predicate>& preds,
+                const ColumnIndexMap& layout, ExecContext* ctx,
+                std::vector<Row>* out) {
+  Row row;
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    if (ctx != nullptr && !ctx->TickRows()) break;
+    row.clear();
+    table.AppendRowTo(r, &row);
+    if (PassesAll(preds, row, layout)) out->push_back(std::move(row));
+  }
 }
 
 namespace {

@@ -9,6 +9,7 @@
 #include "base/result.h"
 #include "base/status.h"
 #include "base/value.h"
+#include "exec/column_batch.h"
 #include "exec/expression.h"
 #include "ir/query.h"
 
@@ -81,6 +82,13 @@ std::vector<Row> FilterRows(const std::vector<Row>& rows,
                             const std::vector<Predicate>& preds,
                             const ColumnIndexMap& layout,
                             ExecContext* ctx = nullptr);
+
+/// FilterRows over the rows of `table`: each row is built to be tested,
+/// and the rows that pass are appended to `*out`.
+void FilterRows(const ColumnarTable& table,
+                const std::vector<Predicate>& preds,
+                const ColumnIndexMap& layout, ExecContext* ctx,
+                std::vector<Row>* out);
 
 /// Hash equi-join of `left` and `right` on the given (left ordinal, right
 /// ordinal) key pairs. Output rows are left ++ right. Rows with a NULL key

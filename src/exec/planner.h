@@ -54,8 +54,8 @@ std::vector<int> GreedyJoinOrder(
 struct EvalOptions {
   bool use_hash_join = true;
   /// Batch-at-a-time columnar execution (exec/vectorized.h) for scans,
-  /// filters and hash-group aggregation, over the cached columnar images of
-  /// the table's chunks. The planner sets each Scan's and Aggregate's
+  /// filters and hash-group aggregation, over the typed columns of the
+  /// table's chunks. The planner sets each Scan's and Aggregate's
   /// engine; every other node, and anything touching a mixed-type column,
   /// runs on the row engine. Results are identical either way (enforced by
   /// tests/vectorized_differential_test.cc). Only effective with
@@ -113,8 +113,8 @@ struct PlanNode {
   bool distinct = false;
   std::vector<std::pair<int, int>> project_ordinals;
 
-  /// Kernels compiled at plan time against the columnar images of the
-  /// bound input's chunks: a vectorized Scan's filter (one per chunk, in
+  /// Kernels compiled at plan time against the columns of the bound
+  /// input's chunks: a vectorized Scan's filter (one per chunk, in
   /// chunk order; none for a chunk its zone maps rule out, which the scan
   /// skips), and an Aggregate that folds its Scan child's selection
   /// vectors chunk by chunk (no row gather).

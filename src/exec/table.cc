@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
-#include <mutex>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -16,30 +15,6 @@
 namespace aqv {
 
 namespace {
-
-size_t RowPayloadBytes(const Row& row) {
-  size_t bytes = row.capacity() * sizeof(Value);
-  for (const Value& v : row) {
-    if (v.type() == ValueType::kString) bytes += v.str().capacity();
-  }
-  return bytes;
-}
-
-size_t ColumnarBytes(const ColumnarTable& img) {
-  size_t bytes = 0;
-  for (int i = 0; i < img.num_columns(); ++i) {
-    const Column& col = img.col(i);
-    bytes += col.null_words.capacity() * sizeof(uint64_t);
-    bytes += col.i64.capacity() * sizeof(int64_t);
-    bytes += col.f64.capacity() * sizeof(double);
-    bytes += col.codes.capacity() * sizeof(int32_t);
-    for (const std::string& s : col.dict) {
-      bytes += sizeof(std::string) + s.capacity();
-    }
-    bytes += col.mixed.capacity() * sizeof(Value);
-  }
-  return bytes;
-}
 
 std::string ArityError(size_t got, int want) {
   return "row arity " + std::to_string(got) + " != table arity " +
@@ -99,60 +74,72 @@ bool ZoneMap::MayContain(const Value& v) const {
   return true;
 }
 
-Chunk::Chunk(std::vector<Row> rows, int num_columns)
-    : rows_(std::move(rows)),
-      zones_(static_cast<size_t>(num_columns)),
-      columnar_(std::make_unique<ColumnarSlot>()) {
-  for (const Row& row : rows_) {
-    for (size_t c = 0; c < zones_.size(); ++c) zones_[c].Add(row[c]);
-    payload_bytes_ += RowPayloadBytes(row);
+ZoneMap ZoneMap::Of(const Column& col, size_t rows) {
+  ZoneMap z;
+  if (col.has_nulls) {
+    for (size_t w = 0; w < (rows + 63) / 64; ++w) {
+      z.null_count +=
+          static_cast<size_t>(__builtin_popcountll(col.null_words[w]));
+    }
+  }
+  if (z.null_count == rows) return z;
+  switch (col.type) {
+    case ColumnType::kInt64:
+      // Converting to double is monotone, so the exact bounds give the
+      // double ones.
+      z.has_num = true;
+      z.num_min = static_cast<double>(col.i64_min);
+      z.num_max = static_cast<double>(col.i64_max);
+      break;
+    case ColumnType::kDouble:
+      for (size_t r = 0; r < rows; ++r) {
+        if (!col.IsNull(r)) z.Add(Value::Double(col.f64[r]));
+      }
+      break;
+    case ColumnType::kString: {
+      // Every dictionary string is some row's value.
+      const std::vector<std::string>& dict = col.dict;
+      z.has_str = true;
+      z.str_min = *std::min_element(dict.begin(), dict.end());
+      z.str_max = *std::max_element(dict.begin(), dict.end());
+      break;
+    }
+    case ColumnType::kMixed:
+      for (size_t r = 0; r < rows; ++r) {
+        if (!col.IsNull(r)) z.Add(col.mixed[r]);
+      }
+      break;
+  }
+  return z;
+}
+
+Chunk::Chunk(ColumnarTable columns) : columns_(std::move(columns)) {
+  zones_.reserve(static_cast<size_t>(columns_.num_columns()));
+  for (int c = 0; c < columns_.num_columns(); ++c) {
+    zones_.push_back(ZoneMap::Of(columns_.col(c), columns_.num_rows()));
   }
 }
 
 Chunk::Chunk(const Chunk& other)
-    : rows_(other.rows_),
-      zones_(other.zones_),
-      payload_bytes_(other.payload_bytes_),
-      columnar_(std::make_unique<ColumnarSlot>()) {}
+    : columns_(other.columns_), zones_(other.zones_) {}
 
-void Chunk::Append(Row row) {
+void Chunk::Append(const Row& row) {
   for (size_t c = 0; c < zones_.size(); ++c) zones_[c].Add(row[c]);
-  payload_bytes_ += RowPayloadBytes(row);
-  rows_.push_back(std::move(row));
-  // The sole owner mutates, so replacing the slot races no reader.
-  if (columnar_->built.load(std::memory_order_acquire)) {
-    columnar_ = std::make_unique<ColumnarSlot>();
-  }
-}
-
-const ColumnarTable& Chunk::columnar() const {
-  ColumnarSlot* slot = columnar_.get();
-  std::call_once(slot->once, [&] {
-    slot->image = std::make_unique<const ColumnarTable>(
-        ColumnarTable::FromRows(rows_, static_cast<int>(zones_.size())));
-    slot->built.store(true, std::memory_order_release);
-  });
-  return *slot->image;
+  columns_.AppendRow(row, &dict_index_);
 }
 
 size_t Chunk::ApproxBytes() const {
-  size_t bytes = sizeof(Chunk) + rows_.capacity() * sizeof(Row) +
-                 payload_bytes_ + zones_.capacity() * sizeof(ZoneMap);
+  size_t bytes = sizeof(Chunk) + columns_.ApproxBytes() +
+                 zones_.capacity() * sizeof(ZoneMap);
   for (const ZoneMap& z : zones_) {
     bytes += z.str_min.capacity() + z.str_max.capacity();
-  }
-  // The columnar image belongs to this chunk and dies with it; a ledger
-  // that ignored it would undercount exactly the garbage it exists to
-  // bound.
-  if (columnar_->built.load(std::memory_order_acquire)) {
-    bytes += ColumnarBytes(*columnar_->image);
   }
   return bytes;
 }
 
-const Row& Table::RowRange::operator[](size_t i) const {
+Row Table::RowRange::operator[](size_t i) const {
   for (const ChunkPtr& chunk : *chunks_) {
-    if (i < chunk->num_rows()) return chunk->rows()[i];
+    if (i < chunk->num_rows()) return chunk->RowAt(i);
     i -= chunk->num_rows();
   }
   std::fprintf(stderr, "Table::rows()[]: index out of range\n");
@@ -163,7 +150,9 @@ Table::RowRange::operator std::vector<Row>() const {
   std::vector<Row> out;
   out.reserve(size_);
   for (const ChunkPtr& chunk : *chunks_) {
-    out.insert(out.end(), chunk->rows().begin(), chunk->rows().end());
+    for (size_t r = 0; r < chunk->num_rows(); ++r) {
+      out.push_back(chunk->RowAt(r));
+    }
   }
   return out;
 }
@@ -172,7 +161,7 @@ Table::Table(std::vector<std::string> columns) : columns_(std::move(columns)) {}
 
 Table::Table(std::vector<std::string> columns, std::vector<Row> rows)
     : columns_(std::move(columns)) {
-  AppendRows(std::move(rows));
+  AppendRows(rows.data(), rows.size());
 }
 
 int Table::ColumnIndex(const std::string& column) const {
@@ -182,59 +171,45 @@ int Table::ColumnIndex(const std::string& column) const {
   return -1;
 }
 
-Status Table::AddRow(Row row) {
+Status Table::AddRow(const Row& row) {
   if (static_cast<int>(row.size()) != num_columns()) {
     return Status::InvalidArgument(ArityError(row.size(), num_columns()));
   }
-  AppendRow(std::move(row));
+  AppendRows(&row, 1);
   return Status::OK();
 }
 
-Status Table::AddRows(std::vector<Row> rows) {
+Status Table::AddRows(const std::vector<Row>& rows) {
   for (const Row& row : rows) {
     if (static_cast<int>(row.size()) != num_columns()) {
       return Status::InvalidArgument(ArityError(row.size(), num_columns()));
     }
   }
-  AppendRows(std::move(rows));
+  AppendRows(rows.data(), rows.size());
   return Status::OK();
 }
 
-void Table::AppendRows(std::vector<Row> rows) {
-  // Top up the tail chunk, then cut the rest into whole chunks.
-  auto it = rows.begin();
-  while (it != rows.end() && !chunks_.empty() &&
-         chunks_.back()->num_rows() < kChunkRows) {
-    AppendRow(std::move(*it++));
-  }
-  while (it != rows.end()) {
-    const size_t n = std::min<size_t>(kChunkRows, rows.end() - it);
-    chunks_.push_back(std::make_shared<Chunk>(
-        std::vector<Row>(std::make_move_iterator(it),
-                         std::make_move_iterator(it + n)),
-        num_columns()));
-    it += n;
+void Table::AppendRows(const Row* rows, size_t count) {
+  for (size_t i = 0; i < count;) {
+    if (chunks_.empty() || chunks_.back()->num_rows() >= kChunkRows) {
+      chunks_.push_back(std::make_shared<Chunk>(ColumnarTable(num_columns())));
+    } else if (chunks_.back().use_count() > 1) {
+      // Another version shares the tail: this one gets its own copy.
+      chunks_.back() = ChunkPtr(new Chunk(*chunks_.back()));
+    }
+    // The tail is now this table's alone, and every chunk is allocated as a
+    // non-const Chunk (ChunkPtr only restricts access), so appending in
+    // place is safe.
+    Chunk* tail = const_cast<Chunk*>(chunks_.back().get());
+    const size_t n = std::min(count - i, kChunkRows - tail->num_rows());
+    if (tail->num_rows() == 0) tail->columns_.Reserve(n);
+    for (size_t end = i + n; i < end; ++i) tail->Append(rows[i]);
     num_rows_ += n;
   }
 }
 
-void Table::AppendRow(Row row) {
-  if (chunks_.empty() || chunks_.back()->num_rows() >= kChunkRows) {
-    chunks_.push_back(
-        std::make_shared<Chunk>(std::vector<Row>{}, num_columns()));
-  } else if (chunks_.back().use_count() > 1) {
-    // Another version shares the tail: this one gets its own copy.
-    chunks_.back() = ChunkPtr(new Chunk(*chunks_.back()));
-  }
-  // The tail is now this table's alone, and every chunk is allocated as a
-  // non-const Chunk (ChunkPtr only restricts access), so appending in place
-  // is safe.
-  const_cast<Chunk*>(chunks_.back().get())->Append(std::move(row));
-  ++num_rows_;
-}
-
-void Table::AddRowOrDie(Row row) {
-  Status s = AddRow(std::move(row));
+void Table::AddRowOrDie(const Row& row) {
+  Status s = AddRow(row);
   if (!s.ok()) {
     std::fprintf(stderr, "Table::AddRowOrDie: %s\n", s.ToString().c_str());
     std::abort();
@@ -272,20 +247,32 @@ std::vector<std::pair<size_t, std::vector<uint32_t>>> Table::LocateRows(
     }
     ++scanned;
     std::vector<uint32_t> hits;
-    const std::vector<Row>& rows = chunk.rows();
-    for (size_t r = 0; r < rows.size() && remaining > 0; ++r) {
-      // A few wanted rows: compare directly, which usually stops at the
-      // first column, instead of hashing every row.
+    const ColumnarTable& cols = chunk.columnar();
+    Row row;  // scratch for the hashed probe
+    for (size_t r = 0; r < cols.num_rows() && remaining > 0; ++r) {
+      // A few wanted rows: compare against the columns directly, which
+      // usually stops at the first column, instead of building and hashing
+      // every row.
       auto it = needed->end();
       if (needed->size() <= 4) {
         for (auto w = needed->begin(); w != needed->end(); ++w) {
-          if (w->second > 0 && RowEq()(w->first, rows[r])) {
+          if (w->second <= 0 ||
+              static_cast<int>(w->first.size()) != num_columns()) {
+            continue;
+          }
+          bool equal = true;
+          for (int c = 0; c < num_columns() && equal; ++c) {
+            equal = cols.col(c).Equals(r, w->first[static_cast<size_t>(c)]);
+          }
+          if (equal) {
             it = w;
             break;
           }
         }
       } else {
-        it = needed->find(rows[r]);
+        row.clear();
+        cols.AppendRowTo(r, &row);
+        it = needed->find(row);
       }
       if (it == needed->end() || it->second <= 0) continue;
       --it->second;
@@ -316,20 +303,9 @@ Status Table::RemoveRows(const std::vector<Row>& rows, size_t* chunks_scanned) {
       continue;
     }
     const std::vector<uint32_t>& hits = found[next++].second;
-    const std::vector<Row>& old = chunks_[c]->rows();
-    if (hits.size() == old.size()) continue;  // the chunk empties: drop it
-    std::vector<Row> survivors;
-    survivors.reserve(old.size() - hits.size());
-    size_t h = 0;
-    for (size_t r = 0; r < old.size(); ++r) {
-      if (h < hits.size() && hits[h] == r) {
-        ++h;
-        continue;
-      }
-      survivors.push_back(old[r]);
-    }
-    kept.push_back(
-        std::make_shared<Chunk>(std::move(survivors), num_columns()));
+    const ColumnarTable& old = chunks_[c]->columnar();
+    if (hits.size() == old.num_rows()) continue;  // the chunk empties
+    kept.push_back(std::make_shared<Chunk>(old.Without(hits)));
   }
   chunks_ = std::move(kept);
   num_rows_ -= rows.size();
@@ -610,6 +586,34 @@ Result<Value> DecodeValue(ByteReader* reader) {
 void EncodeRow(const Row& row, std::string* out) {
   PutVarint64(out, row.size());
   for (const Value& value : row) EncodeValue(value, out);
+}
+
+void EncodeRowAt(const ColumnarTable& columns, size_t row, std::string* out) {
+  PutVarint64(out, static_cast<uint64_t>(columns.num_columns()));
+  for (int c = 0; c < columns.num_columns(); ++c) {
+    const Column& col = columns.col(c);
+    if (col.IsNull(row)) {
+      out->push_back(static_cast<char>(ValueType::kNull));
+      continue;
+    }
+    switch (col.type) {
+      case ColumnType::kInt64:
+        out->push_back(static_cast<char>(ValueType::kInt64));
+        PutVarint64(out, ZigzagEncode(col.i64[row]));
+        break;
+      case ColumnType::kDouble:
+        out->push_back(static_cast<char>(ValueType::kDouble));
+        PutDoubleBits(out, col.f64[row]);
+        break;
+      case ColumnType::kString:
+        out->push_back(static_cast<char>(ValueType::kString));
+        PutLengthPrefixed(out, col.dict[static_cast<size_t>(col.codes[row])]);
+        break;
+      case ColumnType::kMixed:
+        EncodeValue(col.mixed[row], out);
+        break;
+    }
+  }
 }
 
 Result<Row> DecodeRow(ByteReader* reader) {

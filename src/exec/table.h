@@ -1,13 +1,11 @@
 #ifndef AQV_EXEC_TABLE_H_
 #define AQV_EXEC_TABLE_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
 #include <map>
 #include <memory>
-#include <mutex>  // std::once_flag
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -16,13 +14,12 @@
 #include "base/result.h"
 #include "base/serde.h"
 #include "base/value.h"
+#include "exec/column_batch.h"
 
 namespace aqv {
 
-class ColumnarTable;
-
 /// Rows per chunk of a Table version. A write rewrites only the chunks it
-/// touches, so this bounds what one single-row write copies and re-pivots.
+/// touches, so this bounds what one single-row write copies.
 inline constexpr size_t kChunkRows = 16384;
 
 /// Per-column facts about one chunk, grouped by the comparison families of
@@ -40,53 +37,53 @@ struct ZoneMap {
 
   void Add(const Value& v);
 
+  /// The zone of `col`'s first `rows` values: what Add over them in row
+  /// order builds.
+  static ZoneMap Of(const Column& col, size_t rows);
+
   /// False only if no value of the column equals `v` under Value::Compare
   /// (the equality RowEq and a delete use).
   bool MayContain(const Value& v) const;
 };
 
 /// Up to kChunkRows rows of one Table version, immutable once shared by
-/// two versions. Carries its zone maps (kept current on every append) and
-/// a lazily built columnar image, so a new version re-pivots only the
-/// chunks its write rewrote.
+/// two versions. The rows are stored once, as typed columns (see
+/// ColumnarTable in exec/column_batch.h); a Row is built only where the
+/// row engine asks for one. The zone maps and the exact INT64 bounds of the
+/// columns are kept exact by every append and every gather.
 class Chunk {
  public:
-  Chunk(std::vector<Row> rows, int num_columns);
+  /// A chunk of the rows of `columns`; builds their zone maps.
+  explicit Chunk(ColumnarTable columns);
 
-  const std::vector<Row>& rows() const { return rows_; }
-  size_t num_rows() const { return rows_.size(); }
+  size_t num_rows() const { return columns_.num_rows(); }
   const ZoneMap& zone(int column) const {
     return zones_[static_cast<size_t>(column)];
   }
 
-  /// Columnar image of this chunk (exec/column_batch.h). Built once under a
-  /// once-flag; concurrent readers of a shared chunk share it.
-  const ColumnarTable& columnar() const;
+  /// The chunk's rows, column by column.
+  const ColumnarTable& columnar() const { return columns_; }
 
-  /// Approximate heap bytes: rows, zone maps, and the columnar image once
-  /// built.
+  /// Row `row`, built from the columns.
+  Row RowAt(size_t row) const { return columns_.RowAt(row); }
+
+  /// Approximate heap bytes: the columns and the zone maps.
   size_t ApproxBytes() const;
 
  private:
   friend class Table;
 
-  struct ColumnarSlot {
-    std::once_flag once;
-    std::atomic<bool> built{false};
-    std::unique_ptr<const ColumnarTable> image;
-  };
-
-  /// A private copy (rows and zone maps; no columnar image yet), for the
-  /// copy-on-write of a shared tail chunk.
+  /// A private copy (columns and zone maps), for the copy-on-write of a
+  /// shared tail chunk.
   Chunk(const Chunk& other);
 
   /// Appends in place; only the Table that solely owns this chunk calls it.
-  void Append(Row row);
+  void Append(const Row& row);
 
-  std::vector<Row> rows_;
+  ColumnarTable columns_;
   std::vector<ZoneMap> zones_;
-  size_t payload_bytes_ = 0;  // per-row vectors and string bytes
-  std::unique_ptr<ColumnarSlot> columnar_;
+  // Serves this chunk's appends; not part of a copy.
+  DictIndex dict_index_;
 };
 
 /// Shared read-only handle to a chunk. Chunks are allocated non-const, so
@@ -103,26 +100,27 @@ using RowCounts = std::unordered_map<Row, int64_t, RowHash, RowEq>;
 /// Rows are stored in chunks of at most kChunkRows, in row order. Copying a
 /// Table copies chunk pointers, not rows; a write then replaces only the
 /// chunks it changes (copy-on-write per chunk), so a new version shares
-/// every untouched chunk, with its zone maps and columnar image, with the
-/// version it came from. Appends go to the tail chunk; no chunk is empty.
+/// every untouched chunk, with its zone maps, with the version it came
+/// from. Appends go to the tail chunk; no chunk is empty.
 class Table {
  public:
-  /// Forward range over all rows, chunk by chunk.
+  /// Range over all rows, chunk by chunk. Each row is built from its
+  /// chunk's columns when the iterator is dereferenced, and yielded by
+  /// value.
   class RowRange {
    public:
     class iterator {
      public:
-      using iterator_category = std::forward_iterator_tag;
+      using iterator_category = std::input_iterator_tag;
       using value_type = Row;
       using difference_type = std::ptrdiff_t;
-      using pointer = const Row*;
-      using reference = const Row&;
+      using pointer = void;
+      using reference = Row;
 
       iterator() = default;
       iterator(const std::vector<ChunkPtr>* chunks, size_t chunk)
           : chunks_(chunks), chunk_(chunk) {}
-      const Row& operator*() const { return (*chunks_)[chunk_]->rows()[row_]; }
-      const Row* operator->() const { return &**this; }
+      Row operator*() const { return (*chunks_)[chunk_]->RowAt(row_); }
       iterator& operator++() {
         if (++row_ == (*chunks_)[chunk_]->num_rows()) {
           ++chunk_;
@@ -153,7 +151,7 @@ class Table {
     size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
     /// The i-th row; walks the chunk list, so O(#chunks).
-    const Row& operator[](size_t i) const;
+    Row operator[](size_t i) const;
     /// A copy of every row, in order.
     operator std::vector<Row>() const;
 
@@ -176,14 +174,14 @@ class Table {
   int ColumnIndex(const std::string& column) const;
 
   /// Appends `row`; its arity must match the schema.
-  Status AddRow(Row row);
+  Status AddRow(const Row& row);
 
   /// Appends a batch of rows (all-or-nothing on arity mismatch). Only the
   /// tail chunk is rewritten, plus the new chunks the batch fills.
-  Status AddRows(std::vector<Row> rows);
+  Status AddRows(const std::vector<Row>& rows);
 
   /// AddRow that aborts on arity mismatch; for literal test data.
-  void AddRowOrDie(Row row);
+  void AddRowOrDie(const Row& row);
 
   /// Removes one occurrence of each row of `rows` (a multiset; the first
   /// occurrences in row order), rewriting only the chunks that held one.
@@ -211,13 +209,10 @@ class Table {
   size_t ApproxBytes() const;
 
  private:
-  /// Appends `row` (arity already checked) to the tail chunk, starting a
-  /// new chunk when it is full and copying it first when another version
-  /// shares it.
-  void AppendRow(Row row);
-  /// AppendRow for a batch: rows past the tail chunk go into whole new
-  /// chunks at once.
-  void AppendRows(std::vector<Row> rows);
+  /// Appends `rows` (arity already checked) to the tail chunk, starting a
+  /// new chunk whenever it is full and copying it first when another
+  /// version shares it.
+  void AppendRows(const Row* rows, size_t count);
 
   std::vector<std::string> columns_;
   std::vector<ChunkPtr> chunks_;
@@ -312,8 +307,8 @@ class VersionLedger {
 
   /// Per-table accounting for the tables of `current`, name-sorted. A
   /// pinned version costs only its chunks `current` no longer references
-  /// (each counted once, with its columnar image): the chunks it shares
-  /// stay alive anyway. O(#chunks) of the live versions.
+  /// (each counted once): the chunks it shares stay alive anyway.
+  /// O(#chunks) of the live versions.
   std::vector<TableMvcc> Stats(const Database& current) const;
 
   /// The smallest epoch any live retired version was published at, across
@@ -352,6 +347,9 @@ Result<Value> DecodeValue(ByteReader* reader);
 
 /// Appends the wire encoding of `row`: varint arity, then each value.
 void EncodeRow(const Row& row, std::string* out);
+
+/// EncodeRow of row `row` of `columns`, read straight from the columns.
+void EncodeRowAt(const ColumnarTable& columns, size_t row, std::string* out);
 
 /// Decodes one row previously written by EncodeRow.
 Result<Row> DecodeRow(ByteReader* reader);

@@ -450,11 +450,14 @@ std::vector<std::pair<size_t, SelVector>> SelectRows(
     if (CompiledFilter::Compile(preds, layout, chunk.columnar(), &filter)) {
       sel = filter.Run(chunk.columnar(), nullptr);
     } else {
-      const std::vector<Row>& rows = chunk.rows();
-      for (size_t r = 0; r < rows.size(); ++r) {
+      const ColumnarTable& cols = chunk.columnar();
+      Row row;
+      for (size_t r = 0; r < cols.num_rows(); ++r) {
+        row.clear();
+        cols.AppendRowTo(r, &row);
         bool keep = true;
         for (const Predicate& p : preds) {
-          if (!EvalScalarPredicate(p, rows[r], layout)) {
+          if (!EvalScalarPredicate(p, row, layout)) {
             keep = false;
             break;
           }

@@ -81,10 +81,10 @@ class CompiledFilter {
 /// filter, or none when its zone maps rule out every row.
 using ChunkFilters = std::vector<std::optional<CompiledFilter>>;
 
-/// Compiles `preds` against the columnar image of every chunk of `table`
-/// that ChunkMayMatch keeps; a chunk it rules out gets no filter, and its
-/// image is not built. False if some kept chunk refuses (a kMixed column);
-/// the scan then runs on the row engine.
+/// Compiles `preds` against the columns of every chunk of `table` that
+/// ChunkMayMatch keeps; a chunk it rules out gets no filter. False if some
+/// kept chunk refuses (a kMixed column); the scan then runs on the row
+/// engine.
 bool CompileChunkFilters(const std::vector<Predicate>& preds,
                          const ColumnIndexMap& layout, const Table& table,
                          ChunkFilters* out);

@@ -252,15 +252,14 @@ Status IncrementalMaintainer::Apply(const Delta& delta, const Database& before,
             "delta removes a view row absent from the materialization");
       }
     }
-    Table result(materialized->columns());
+    std::vector<Row> kept;
+    kept.reserve(new_rows.size() + appended.size());
     for (size_t r = 0; r < new_rows.size(); ++r) {
-      if (!removed[r]) {
-        AQV_RETURN_NOT_OK(result.AddRow(std::move(new_rows[r])));
-      }
+      if (!removed[r]) kept.push_back(std::move(new_rows[r]));
     }
-    for (Row& row : appended) {
-      AQV_RETURN_NOT_OK(result.AddRow(std::move(row)));
-    }
+    for (Row& row : appended) kept.push_back(std::move(row));
+    Table result(materialized->columns());
+    AQV_RETURN_NOT_OK(result.AddRows(kept));
     *materialized = std::move(result);
     return Status::OK();
   }
@@ -479,15 +478,14 @@ Status IncrementalMaintainer::Apply(const Delta& delta, const Database& before,
     }
   }
 
-  Table result(materialized->columns());
+  std::vector<Row> kept;
+  kept.reserve(rows.size() + added.size());
   for (size_t r = 0; r < rows.size(); ++r) {
-    if (!dead[r]) {
-      AQV_RETURN_NOT_OK(result.AddRow(std::move(rows[r])));
-    }
+    if (!dead[r]) kept.push_back(std::move(rows[r]));
   }
-  for (Row& row : added) {
-    AQV_RETURN_NOT_OK(result.AddRow(std::move(row)));
-  }
+  for (Row& row : added) kept.push_back(std::move(row));
+  Table result(materialized->columns());
+  AQV_RETURN_NOT_OK(result.AddRows(kept));
   *materialized = std::move(result);
   return Status::OK();
 }

@@ -15,24 +15,31 @@
 
 namespace aqv {
 
-/// The plan the optimizer settled on.
-struct OptimizeResult {
-  Query chosen;
+/// What the optimizer decided about one query besides the plan itself.
+/// A cached plan (PlanCache::Entry) and its durable image (PlanImage)
+/// carry the same record, so each is built from the other by one
+/// assignment.
+struct PlanRecord {
+  bool used_materialized_view = false;
+  int rewritings_considered = 0;
   double cost_original = 0;
   double cost_chosen = 0;
-  int rewritings_considered = 0;
-  int views_flattened = 0;  // Section 7 pre-pass merges
-  bool used_materialized_view = false;
-  /// Views skipped during enumeration because their rewriting attempt
-  /// failed with a real error (graceful degradation; the plan is still
-  /// correct, just potentially not the cheapest). The service charges these
-  /// toward quarantine.
-  std::vector<std::string> failed_views;
   /// Every base table and materialized view the flattened original or the
   /// chosen plan reads, sorted and deduplicated. A cached plan is only valid
   /// while none of these change, so this is exactly the invalidation set the
   /// service's rewrite-plan cache keys its hooks on.
   std::vector<std::string> dependencies;
+};
+
+/// The plan the optimizer settled on, with its record.
+struct OptimizeResult : PlanRecord {
+  Query chosen;
+  int views_flattened = 0;  // Section 7 pre-pass merges
+  /// Views skipped during enumeration because their rewriting attempt
+  /// failed with a real error (graceful degradation; the plan is still
+  /// correct, just potentially not the cheapest). The service charges these
+  /// toward quarantine.
+  std::vector<std::string> failed_views;
 };
 
 /// Appends `seeds` and every name transitively reachable from them through

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "ir/query.h"
+#include "rewrite/optimizer.h"
 
 namespace aqv {
 
@@ -35,14 +36,8 @@ namespace aqv {
 /// reader drops it.
 class PlanCache {
  public:
-  struct Entry {
+  struct Entry : PlanRecord {
     Query plan;
-    bool used_materialized_view = false;
-    int rewritings_considered = 0;
-    double cost_original = 0;
-    double cost_chosen = 0;
-    /// Tables/views the plan's choice and rows depend on (sorted).
-    std::vector<std::string> dependencies;
     /// The state this entry was optimized on: the catalog and view
     /// registry (weakly held, so an entry never keeps a replaced schema
     /// object alive, yet its identity stays unambiguous) and, parallel to

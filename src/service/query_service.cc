@@ -202,7 +202,7 @@ QueryService::QueryService(ServiceOptions options)
   metrics_.SetHelp("mvcc.bytes_pinned",
                    "Approximate bytes of retired-but-referenced table "
                    "versions that the current version does not share: "
-                   "their unshared chunks, with columnar images");
+                   "their unshared chunks");
   metrics_.SetHelp("mvcc.oldest_pinned_epoch",
                    "Epoch of the oldest retired table version still alive "
                    "(0 = nothing but current versions)");
@@ -366,11 +366,7 @@ Status QueryService::AttachStorage() {
       if (!plan.ok()) continue;  // drop just this image
       auto entry = std::make_shared<PlanCache::Entry>();
       entry->plan = *std::move(plan);
-      entry->used_materialized_view = image.used_materialized_view;
-      entry->rewritings_considered = image.rewritings_considered;
-      entry->cost_original = image.cost_original;
-      entry->cost_chosen = image.cost_chosen;
-      entry->dependencies = image.dependencies;
+      static_cast<PlanRecord&>(*entry) = image;
       StampState(entry.get(), next);
       plan_cache_.Insert(image.key, std::move(entry));
     }
@@ -399,13 +395,9 @@ Status QueryService::CheckpointIfDurable(const ServiceSnapshot& state) {
     // as optimized on exactly that state.
     if (!OptimizedOn(*entry, state)) continue;
     PlanImage image;
+    static_cast<PlanRecord&>(image) = *entry;
     image.key = key;
     image.plan_sql = ToSql(entry->plan);
-    image.used_materialized_view = entry->used_materialized_view;
-    image.rewritings_considered = entry->rewritings_considered;
-    image.cost_original = entry->cost_original;
-    image.cost_chosen = entry->cost_chosen;
-    image.dependencies = entry->dependencies;
     images.push_back(std::move(image));
   }
   return storage_->Checkpoint(*state.catalog, *state.views, state.db, images);

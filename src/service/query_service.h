@@ -659,6 +659,13 @@ class QueryService {
   // Schema-change statements: ddl exclusive, published through PublishDdl
   // (LOAD only when the table is new; see HandleWrite).
   Result<StatementResult> HandleCreateTable(const Statement& s);
+  /// Adds table `def`, holding `contents`, to the catalog and publishes
+  /// the new state: the schema change CREATE TABLE and a LOAD that creates
+  /// its table share. With `created_elsewhere` given, a table another
+  /// statement created first is reported there (nothing is published)
+  /// instead of failing as a duplicate.
+  Status PublishNewTable(TableDef def, Table contents,
+                         bool* created_elsewhere);
   template <bool kMaterialized>
   Result<StatementResult> HandleCreateView(const Statement& s) {
     return CreateView(s, kMaterialized);

@@ -173,11 +173,7 @@ Result<PlanCache::EntryPtr> QueryService::PlanThroughCache(
   // Views skipped for per-view rewrite failures count toward quarantine.
   for (const std::string& view : plan.failed_views) ChargeViewFailure(view);
   entry->plan = std::move(plan.chosen);
-  entry->used_materialized_view = plan.used_materialized_view;
-  entry->rewritings_considered = plan.rewritings_considered;
-  entry->cost_original = plan.cost_original;
-  entry->cost_chosen = plan.cost_chosen;
-  entry->dependencies = std::move(plan.dependencies);
+  static_cast<PlanRecord&>(*entry) = std::move(plan);
   StampState(entry.get(), state);
   if (plan_cache_.capacity() > 0) plan_cache_.Insert(key, entry);
   return PlanCache::EntryPtr(std::move(entry));

@@ -90,14 +90,25 @@ Result<StatementResult> QueryService::HandleCreateTable(const Statement& s) {
     return Status::InvalidArgument("unexpected trailing input at offset " +
                                    std::to_string(tokens[i].offset));
   }
+  AQV_RETURN_NOT_OK(
+      PublishNewTable(std::move(def), Table(std::move(columns)), nullptr));
+  return StatementResult{"table " + name + " created\n"};
+}
+
+Status QueryService::PublishNewTable(TableDef def, Table contents,
+                                     bool* created_elsewhere) {
   LatchManager::Guard guard = latches_.Ddl();
   ServiceSnapshot next = *Head();
+  if (created_elsewhere != nullptr) {
+    *created_elsewhere = next.catalog->HasTable(def.name());
+    if (*created_elsewhere) return Status::OK();
+  }
+  std::string name = def.name();
   auto catalog = std::make_shared<Catalog>(*next.catalog);
-  AQV_RETURN_NOT_OK(catalog->AddTable(def));
+  AQV_RETURN_NOT_OK(catalog->AddTable(std::move(def)));
   next.catalog = std::move(catalog);
-  next.db.Put(name, Table(columns));
-  AQV_RETURN_NOT_OK(PublishDdl(std::move(next)));
-  return StatementResult{"table " + name + " created\n"};
+  next.db.Put(std::move(name), std::move(contents));
+  return PublishDdl(std::move(next));
 }
 
 Result<StatementResult> QueryService::CreateView(const Statement& s,
@@ -284,23 +295,16 @@ Result<StatementResult> QueryService::HandleWrite(const Statement& s) {
     if (storage_attached()) {
       AQV_RETURN_NOT_OK(CheckRowSizes(request.replacement->rows()));
     }
-    LatchManager::Guard guard = latches_.Ddl();
-    ServiceSnapshot next = *Head();
-    if (next.catalog->HasTable(table)) {
-      // Created by another thread since the pin: bind again, as a
-      // replacement.
-      guard.Release();
-      return HandleWrite(s);
-    }
-    auto catalog = std::make_shared<Catalog>(*next.catalog);
-    AQV_RETURN_NOT_OK(
-        catalog->AddTable(TableDef(table, request.replacement->columns())));
-    next.catalog = std::move(catalog);
     out.message = "table " + table + " created from the CSV header\n" +
                   std::to_string(request.replacement->num_rows()) +
                   " row(s) loaded into " + table + "\n";
-    next.db.Put(table, *std::move(request.replacement));
-    AQV_RETURN_NOT_OK(PublishDdl(std::move(next)));
+    TableDef def(table, request.replacement->columns());
+    bool created_elsewhere = false;
+    AQV_RETURN_NOT_OK(PublishNewTable(
+        std::move(def), *std::move(request.replacement), &created_elsewhere));
+    // Created by another thread since the pin: bind again, as a
+    // replacement.
+    if (created_elsewhere) return HandleWrite(s);
     return out;
   }
   const WriteVerb* verb = kind == Kind::kCommit || kind == Kind::kRefresh
@@ -483,8 +487,7 @@ Result<Delta> QueryService::MaterializeWrite(WriteRequest* request,
   for (const auto& [chunk, sel] :
        SelectRows(*table, request->where, layout)) {
     for (uint32_t r : sel) {
-      const Row& row = table->chunks()[chunk]->rows()[r];
-      deleted.push_back(row);
+      Row row = table->chunks()[chunk]->RowAt(r);
       if (request->kind == Kind::kUpdate) {
         Row updated = row;
         for (const Assignment& a : request->sets) {
@@ -500,6 +503,7 @@ Result<Delta> QueryService::MaterializeWrite(WriteRequest* request,
         }
         inserted.push_back(std::move(updated));
       }
+      deleted.push_back(std::move(row));
     }
   }
   if (!deleted.empty()) {

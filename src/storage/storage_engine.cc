@@ -379,11 +379,7 @@ Status StorageEngine::LoadCheckpoint(const std::string& blob) {
     Table table(entry.columns);
     Result<std::vector<Row>> rows = ReadRows(entry.pages, entry.row_count);
     if (rows.ok()) {
-      Status added = Status::OK();
-      for (Row& row : *rows) {
-        added = table.AddRow(std::move(row));
-        if (!added.ok()) break;
-      }
+      Status added = table.AddRows(*rows);
       if (!added.ok()) rows = added;
     }
     if (!rows.ok()) {
@@ -624,42 +620,44 @@ Status StorageEngine::CheckRowSize(const Row& row) {
   return Status::OK();
 }
 
-Status StorageEngine::WriteRows(Table::RowRange rows,
+Status StorageEngine::WriteRows(const Table& table,
                                 std::vector<uint32_t>* pages) {
   Page* current = nullptr;
   uint32_t current_id = 0;
   std::string encoded;
   std::string chunk;
-  for (const Row& row : rows) {
-    encoded.clear();
-    EncodeRow(row, &encoded);
-    if (encoded.size() > kMaxRowBytes) {
-      if (current != nullptr) pool_->Unpin(current_id, true);
-      return Status::InvalidArgument(
-          "row of " + std::to_string(encoded.size()) +
-          " encoded bytes exceeds the storage row limit of " +
-          std::to_string(kMaxRowBytes) + " bytes");
-    }
-    // Rows wider than one page record chain across overflow records: each
-    // record is a continuation flag byte plus up to kMaxChunkSize row
-    // bytes, reassembled in stream order by ReadRows.
-    size_t off = 0;
-    bool more = true;
-    while (more) {
-      size_t len = std::min(kMaxChunkSize, encoded.size() - off);
-      more = off + len < encoded.size();
-      chunk.clear();
-      chunk.push_back(more ? kRecordContinues : kRecordFinal);
-      chunk.append(encoded, off, len);
-      off += len;
-      if (current == nullptr || !current->InsertRecord(chunk).has_value()) {
+  for (const ChunkPtr& stored : table.chunks()) {
+    for (size_t r = 0; r < stored->num_rows(); ++r) {
+      encoded.clear();
+      EncodeRowAt(stored->columnar(), r, &encoded);
+      if (encoded.size() > kMaxRowBytes) {
         if (current != nullptr) pool_->Unpin(current_id, true);
-        current_id = AllocatePage();
-        AQV_ASSIGN_OR_RETURN(current, pool_->NewPage(current_id));
-        pages->push_back(current_id);
-        if (!current->InsertRecord(chunk).has_value()) {
-          pool_->Unpin(current_id, true);
-          return Status::Internal("fresh page rejected a record that fits");
+        return Status::InvalidArgument(
+            "row of " + std::to_string(encoded.size()) +
+            " encoded bytes exceeds the storage row limit of " +
+            std::to_string(kMaxRowBytes) + " bytes");
+      }
+      // Rows wider than one page record chain across overflow records: each
+      // record is a continuation flag byte plus up to kMaxChunkSize row
+      // bytes, reassembled in stream order by ReadRows.
+      size_t off = 0;
+      bool more = true;
+      while (more) {
+        size_t len = std::min(kMaxChunkSize, encoded.size() - off);
+        more = off + len < encoded.size();
+        chunk.clear();
+        chunk.push_back(more ? kRecordContinues : kRecordFinal);
+        chunk.append(encoded, off, len);
+        off += len;
+        if (current == nullptr || !current->InsertRecord(chunk).has_value()) {
+          if (current != nullptr) pool_->Unpin(current_id, true);
+          current_id = AllocatePage();
+          AQV_ASSIGN_OR_RETURN(current, pool_->NewPage(current_id));
+          pages->push_back(current_id);
+          if (!current->InsertRecord(chunk).has_value()) {
+            pool_->Unpin(current_id, true);
+            return Status::Internal("fresh page rejected a record that fits");
+          }
         }
       }
     }
@@ -698,7 +696,7 @@ Status StorageEngine::Checkpoint(const Catalog& catalog,
     entry.name = name;
     entry.columns = table->columns();
     entry.row_count = table->num_rows();
-    AQV_RETURN_NOT_OK(WriteRows(table->rows(), &entry.pages));
+    AQV_RETURN_NOT_OK(WriteRows(*table, &entry.pages));
     entries.push_back(std::move(entry));
   }
 
@@ -928,11 +926,17 @@ Status StorageEngine::SyncWalGroup(uint64_t my_end) {
     // but never fsynced, so every rider's commit must fail un-acked (each
     // may still survive recovery — the oracle accepts either).
     AQV_FAILPOINT("wal.group_leader");
-    std::lock_guard<std::mutex> lock(mu_);
-    if (wal_ == nullptr) {
+    LogWriter* wal = nullptr;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      wal = wal_.get();
+    }
+    if (wal == nullptr) {
       return Status::Unavailable("storage engine has no wal attached");
     }
-    return wal_->Sync();
+    // Outside the engine mutex: writers keep appending while this fsync
+    // is in flight, and the next leader's fsync covers them all.
+    return wal->Sync();
   }();
 
   group_lock.lock();

@@ -18,6 +18,7 @@
 #include "exec/table.h"
 #include "ir/views.h"
 #include "maintain/incremental.h"
+#include "rewrite/optimizer.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "storage/wal.h"
@@ -27,14 +28,9 @@ namespace aqv {
 /// Durable image of one plan-cache entry. The plan itself travels as SQL
 /// text (ToSql/ParseQuery round-trip exactly), so the on-disk format never
 /// chases the Query struct.
-struct PlanImage {
+struct PlanImage : PlanRecord {
   std::string key;
   std::string plan_sql;
-  bool used_materialized_view = false;
-  int rewritings_considered = 0;
-  double cost_original = 0;
-  double cost_chosen = 0;
-  std::vector<std::string> dependencies;
 };
 
 /// Everything recovery reconstructs from the db file and WAL: the state the
@@ -281,8 +277,9 @@ class StorageEngine {
   /// before extending the file).
   uint32_t AllocatePage();
 
-  /// Packs `rows` into freshly allocated pages; appends their ids.
-  Status WriteRows(Table::RowRange rows, std::vector<uint32_t>* pages);
+  /// Packs the rows of `table` into freshly allocated pages, encoding them
+  /// straight from its chunks' columns; appends the page ids.
+  Status WriteRows(const Table& table, std::vector<uint32_t>* pages);
   Result<std::vector<Row>> ReadRows(const std::vector<uint32_t>& pages,
                                     size_t expected_rows);
 

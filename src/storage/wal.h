@@ -1,6 +1,7 @@
 #ifndef AQV_STORAGE_WAL_H_
 #define AQV_STORAGE_WAL_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -60,11 +61,12 @@ class LogWriter {
 
   /// The two halves of AppendCommit, split so the engine's group commit can
   /// coalesce many appended records under ONE Sync(): Append writes the
-  /// framed record (and evaluates `wal.append`), Sync makes everything
-  /// appended so far durable (and evaluates `wal.fsync`). Both fail-stop
-  /// the writer on error exactly like AppendCommit. The engine serializes
-  /// Append calls; Sync may run from a group-commit leader while no append
-  /// is in flight (the engine's offset protocol guarantees that).
+  /// framed record (and evaluates `wal.append`), Sync makes every record
+  /// whose Append returned before it started durable (and evaluates
+  /// `wal.fsync`). Both fail-stop the writer on error exactly like
+  /// AppendCommit. The engine serializes Append calls; a group-commit
+  /// leader's Sync runs concurrently with them (the engine's offset
+  /// protocol claims only what was appended before the Sync began).
   Status Append(std::string_view payload);
   Status Sync();
 
@@ -76,7 +78,7 @@ class LogWriter {
   /// Bytes currently in the log file.
   uint64_t size_bytes() const { return offset_; }
 
-  bool failed() const { return failed_; }
+  bool failed() const { return failed_.load(); }
 
   /// Attaches counters for appended bytes and fsyncs, plus a latency
   /// histogram fed the duration of every commit fsync (each may be null).
@@ -106,7 +108,7 @@ class LogWriter {
   int fd_ = -1;
   uint64_t offset_ = 0;
   bool fsync_on_commit_ = true;
-  bool failed_ = false;
+  std::atomic<bool> failed_{false};
   uint64_t last_record_bytes_ = 0;
   Counter* wal_bytes_ = nullptr;
   Counter* wal_fsyncs_ = nullptr;

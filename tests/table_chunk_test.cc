@@ -4,10 +4,17 @@
 // pruning (a key-equality delete scans one chunk), multiset delete
 // semantics across chunk boundaries, and MVCC accounting that charges a
 // pinned version only for the chunks the current version no longer shares.
+// The last test is a randomized oracle: writes against a plain vector<Row>
+// model, with every chunk's columns, zone maps and INT64 bounds checked
+// exact after each step.
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -260,7 +267,7 @@ TEST(TableChunkTest, SelectRowsMatchesTheRowEngineAtChunkBoundaries) {
                      c.ToString());
         std::vector<Row> got;
         for (const auto& [chunk, sel] : SelectRows(t, where, layout)) {
-          for (uint32_t r : sel) got.push_back(t.chunks()[chunk]->rows()[r]);
+          for (uint32_t r : sel) got.push_back(t.chunks()[chunk]->RowAt(r));
         }
         EXPECT_EQ(got, FilterRows(all, where, layout));
       }
@@ -290,6 +297,371 @@ TEST(TableChunkTest, PinnedVersionCostsOnlyItsUnsharedChunks) {
   EXPECT_LT(stats[0].bytes_pinned, pinned->ApproxBytes() / 10);
   pinned.reset();
   EXPECT_EQ(ledger.Stats(db)[0].bytes_pinned, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Randomized oracle: a chunked table against a plain vector<Row> model.
+
+/// Same type and same bits: INT64 1 is not DOUBLE 1.0, -0.0 is not 0.0.
+bool Identical(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return false;
+  switch (a.type()) {
+    case ValueType::kNull:
+      return true;
+    case ValueType::kInt64:
+      return a.int64() == b.int64();
+    case ValueType::kDouble:
+      return std::bit_cast<uint64_t>(a.dbl()) ==
+             std::bit_cast<uint64_t>(b.dbl());
+    case ValueType::kString:
+      return a.str() == b.str();
+  }
+  return false;
+}
+
+std::string Show(const Row& row) {
+  std::string out;
+  for (const Value& v : row) {
+    out += (v.is_null() ? std::string("NULL")
+                        : std::string(ValueTypeToString(v.type())) + ":" +
+                              v.ToString()) +
+           " ";
+  }
+  return out;
+}
+
+/// Column `got` is exactly the column FromRows built (`want`).
+void ExpectSameColumn(const Column& got, const Column& want) {
+  EXPECT_EQ(got.type, want.type);
+  EXPECT_EQ(got.typed, want.typed);
+  EXPECT_EQ(got.has_nulls, want.has_nulls);
+  EXPECT_EQ(got.null_words, want.null_words);
+  EXPECT_EQ(got.i64, want.i64);
+  ASSERT_EQ(got.f64.size(), want.f64.size());
+  for (size_t i = 0; i < got.f64.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.f64[i]),
+              std::bit_cast<uint64_t>(want.f64[i]));
+  }
+  EXPECT_EQ(got.codes, want.codes);
+  EXPECT_EQ(got.dict, want.dict);
+  ASSERT_EQ(got.mixed.size(), want.mixed.size());
+  for (size_t i = 0; i < got.mixed.size(); ++i) {
+    EXPECT_TRUE(Identical(got.mixed[i], want.mixed[i]));
+  }
+  EXPECT_EQ(got.i64_min, want.i64_min);
+  EXPECT_EQ(got.i64_max, want.i64_max);
+}
+
+/// A chunk ExpectHolds has checked, where it sat and how many rows it
+/// held then. Holding the pointer keeps its address from being reused.
+struct CheckedChunk {
+  ChunkPtr chunk;
+  size_t offset = 0;
+  size_t rows = 0;
+};
+
+/// `t` holds exactly `model`, in order; every chunk is non-empty and at
+/// most kChunkRows, its columns are the image FromRows builds from its
+/// rows, and its zone maps and INT64 bounds are exact. With `checked`
+/// given, a chunk found there at the same offset and size is not checked
+/// again (a shared chunk never changes; an owned tail only grows), and
+/// `checked` is left holding the chunks of `t`.
+void ExpectHolds(const Table& t, const std::vector<Row>& model,
+                 std::vector<CheckedChunk>* checked = nullptr) {
+  ASSERT_EQ(t.num_rows(), model.size());
+  std::vector<CheckedChunk> now;
+  size_t at = 0;
+  for (size_t c = 0; c < t.chunks().size(); ++c) {
+    SCOPED_TRACE("chunk " + std::to_string(c));
+    const ChunkPtr& ptr = t.chunks()[c];
+    const Chunk& chunk = *ptr;
+    ASSERT_GT(chunk.num_rows(), 0u);
+    ASSERT_LE(chunk.num_rows(), kChunkRows);
+    ASSERT_LE(at + chunk.num_rows(), model.size());
+    now.push_back(CheckedChunk{ptr, at, chunk.num_rows()});
+    if (checked != nullptr &&
+        std::any_of(checked->begin(), checked->end(),
+                    [&](const CheckedChunk& seen) {
+                      return seen.chunk == ptr && seen.offset == at &&
+                             seen.rows == chunk.num_rows();
+                    })) {
+      at += chunk.num_rows();
+      continue;
+    }
+    std::vector<Row> slice(model.begin() + at,
+                           model.begin() + at + chunk.num_rows());
+    for (size_t r = 0; r < slice.size(); ++r) {
+      Row got = chunk.RowAt(r);
+      bool same = got.size() == slice[r].size();
+      for (size_t i = 0; same && i < got.size(); ++i) {
+        same = Identical(got[i], slice[r][i]);
+      }
+      ASSERT_TRUE(same) << "row " << at + r << ": got " << Show(got)
+                        << "want " << Show(slice[r]);
+    }
+    ColumnarTable want = ColumnarTable::FromRows(slice, t.num_columns());
+    for (int col = 0; col < t.num_columns(); ++col) {
+      SCOPED_TRACE("column " + std::to_string(col));
+      ExpectSameColumn(chunk.columnar().col(col), want.col(col));
+      // Zone maps: the NULL count is the real one, the bounds are tight.
+      ZoneMap exact;
+      int64_t lo = std::numeric_limits<int64_t>::max();
+      int64_t hi = std::numeric_limits<int64_t>::min();
+      for (const Row& row : slice) {
+        const Value& v = row[static_cast<size_t>(col)];
+        exact.Add(v);
+        if (v.type() == ValueType::kInt64) {
+          lo = std::min(lo, v.int64());
+          hi = std::max(hi, v.int64());
+        }
+      }
+      const ZoneMap& zone = chunk.zone(col);
+      EXPECT_EQ(zone.null_count, exact.null_count);
+      EXPECT_EQ(zone.has_num, exact.has_num);
+      if (exact.has_num) {
+        EXPECT_EQ(zone.num_min, exact.num_min);
+        EXPECT_EQ(zone.num_max, exact.num_max);
+      }
+      EXPECT_EQ(zone.has_str, exact.has_str);
+      if (exact.has_str) {
+        EXPECT_EQ(zone.str_min, exact.str_min);
+        EXPECT_EQ(zone.str_max, exact.str_max);
+      }
+      if (chunk.columnar().col(col).type == ColumnType::kInt64) {
+        EXPECT_EQ(chunk.columnar().col(col).i64_min, lo);
+        EXPECT_EQ(chunk.columnar().col(col).i64_max, hi);
+      }
+    }
+    at += chunk.num_rows();
+  }
+  EXPECT_EQ(at, model.size());
+  if (checked != nullptr) *checked = std::move(now);
+}
+
+/// The model's delete: one occurrence per deleted row, the first in row
+/// order, matched with RowEq as Table::LocateRows matches (directly for up
+/// to four distinct wanted rows, by hash beyond). False, leaving `model`
+/// unchanged, if some row is not present.
+bool ModelRemove(const std::vector<Row>& rows, std::vector<Row>* model) {
+  RowCounts needed;
+  for (const Row& row : rows) ++needed[row];
+  std::vector<bool> gone(model->size(), false);
+  int64_t remaining = static_cast<int64_t>(rows.size());
+  for (size_t i = 0; i < model->size() && remaining > 0; ++i) {
+    auto it = needed.end();
+    if (needed.size() <= 4) {
+      for (auto w = needed.begin(); w != needed.end(); ++w) {
+        if (w->second > 0 && RowEq()(w->first, (*model)[i])) {
+          it = w;
+          break;
+        }
+      }
+    } else {
+      it = needed.find((*model)[i]);
+    }
+    if (it == needed.end() || it->second <= 0) continue;
+    --it->second;
+    --remaining;
+    gone[i] = true;
+  }
+  if (remaining > 0) return false;
+  std::vector<Row> kept;
+  kept.reserve(model->size() - rows.size());
+  for (size_t i = 0; i < model->size(); ++i) {
+    if (!gone[i]) kept.push_back(std::move((*model)[i]));
+  }
+  *model = std::move(kept);
+  return true;
+}
+
+TEST(TableChunkOracleTest, RandomWritesMatchARowVectorModel) {
+  const uint64_t seed = TestSeed(31000);
+  SCOPED_TRACE(SeedTrace(seed));
+  std::mt19937_64 rng(seed);
+  auto pick = [&](size_t n) { return static_cast<size_t>(rng() % n); };
+  const int64_t two53 = int64_t{1} << 53;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  int64_t unique = 0;
+  // The phase decides how mixed the columns are, so chunks go typed,
+  // degrade to kMixed, and (once a delete drops the odd values) come back.
+  int phase = 0;
+  auto random_row = [&]() {
+    Value k;
+    switch (pick(phase == 0 ? 8 : 12)) {
+      case 0:
+        k = Value::Int64(two53);
+        break;
+      case 1:
+        k = Value::Int64(two53 + 1);
+        break;
+      case 2:
+        k = Value::Int64(std::numeric_limits<int64_t>::min());
+        break;
+      case 8:
+      case 9:
+        k = phase == 1 ? Value::Double(static_cast<double>(pick(40)))
+                       : Value::Null();
+        break;
+      default:
+        k = Value::Int64(static_cast<int64_t>(pick(40)));
+    }
+    static const double kDoubles[] = {1.0, -0.0, 0.0, 2.5, 9007199254740992.0};
+    Value n;
+    switch (pick(phase == 0 ? 6 : 10)) {
+      case 0:
+        n = Value::Double(nan);
+        break;
+      case 6:
+        n = Value::Int64(1);
+        break;
+      case 7:
+        n = Value::Int64(two53 + 1);
+        break;
+      case 8:
+        n = Value::Null();
+        break;
+      case 9:
+        n = Value::String("n");
+        break;
+      default:
+        n = Value::Double(kDoubles[pick(5)]);
+    }
+    static const char* kStrings[] = {"a", "b", "c", ""};
+    Value s = pick(10) == 0   ? Value::Null()
+              : pick(3) == 0  ? Value::String("u" + std::to_string(unique++))
+                              : Value::String(kStrings[pick(4)]);
+    Value z = pick(20) == 0 ? Value::Int64(static_cast<int64_t>(pick(3)))
+                            : Value::Null();
+    return Row{std::move(k), std::move(n), std::move(s), std::move(z)};
+  };
+  auto random_rows = [&](size_t count) {
+    std::vector<Row> rows;
+    for (size_t i = 0; i < count; ++i) rows.push_back(random_row());
+    return rows;
+  };
+  // Up to `count` distinct rows of `model`, some with a numeric value
+  // swapped for an equal one of the other type (DOUBLE 1.0 for INT64 1).
+  auto sample = [&](const std::vector<Row>& model, size_t count) {
+    std::set<size_t> at;
+    while (at.size() < std::min(count, model.size())) {
+      at.insert(pick(model.size()));
+    }
+    std::vector<Row> rows;
+    for (size_t i : at) {
+      Row row = model[i];
+      Value& k = row[0];
+      if (pick(4) == 0 && k.type() == ValueType::kInt64 &&
+          k.int64() > -1000 && k.int64() < 1000) {
+        k = Value::Double(static_cast<double>(k.int64()));
+      }
+      rows.push_back(std::move(row));
+    }
+    return rows;
+  };
+
+  Table t({"K", "N", "S", "Z"});
+  std::vector<Row> model = random_rows(kChunkRows - 40);  // near a boundary
+  ASSERT_OK(t.AddRows(model));
+  ExpectHolds(t, model);
+
+  // Removes `rows` from the table and from the model; they must agree on
+  // whether every row was present, and a refused delete changes nothing.
+  size_t removals = 0;
+  auto remove = [&](const std::vector<Row>& rows) {
+    std::vector<ChunkPtr> before = t.chunks();
+    const bool removed = ModelRemove(rows, &model);
+    Status st = t.RemoveRows(rows);
+    EXPECT_EQ(st.ok(), removed) << st.ToString();
+    if (removed) {
+      ++removals;
+    } else {
+      EXPECT_EQ(t.chunks(), before);
+    }
+  };
+
+  struct Pin {
+    TablePtr table;
+    std::vector<Row> rows;
+    std::vector<CheckedChunk> checked;
+  };
+  std::vector<CheckedChunk> checked;
+  std::vector<Pin> pins;
+  const int kSteps = 120;
+  for (int step = 0; step < kSteps; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    phase = (step / 20) % 3;
+    // Bias toward deletes once the table spans a few chunks.
+    const bool big = t.num_rows() > 3 * kChunkRows;
+    switch (pick(7)) {
+      case 0: {  // one row, in place when this version owns its tail
+        Row row = random_row();
+        ASSERT_OK(t.AddRow(row));
+        model.push_back(std::move(row));
+        break;
+      }
+      case 1: {  // an INSERT batch, now and then one spanning chunks
+        if (big) break;
+        std::vector<Row> rows =
+            random_rows(pick(8) == 0 ? 1 + pick(kChunkRows) : 1 + pick(60));
+        ASSERT_OK(t.AddRows(rows));
+        model.insert(model.end(), rows.begin(), rows.end());
+        break;
+      }
+      case 2:
+      case 3: {  // a DELETE: a few rows, or many, or a whole chunk
+        std::vector<Row> rows;
+        const size_t kind = pick(6);
+        if (kind == 0 && !t.chunks().empty()) {
+          const size_t c = pick(t.chunks().size());
+          size_t start = 0;
+          for (size_t i = 0; i < c; ++i) start += t.chunks()[i]->num_rows();
+          rows.assign(model.begin() + start,
+                      model.begin() + start + t.chunks()[c]->num_rows());
+        } else {
+          rows = sample(model, kind == 1 ? 5 + pick(500) : 1 + pick(4));
+        }
+        if (big && kind == 2) rows = sample(model, kChunkRows / 2);
+        if (pick(8) == 0) {
+          rows.push_back(Row{Value::Int64(-7), Value::Null(),
+                             Value::String("absent"), Value::Null()});
+        }
+        remove(rows);
+        break;
+      }
+      case 4: {  // an UPDATE: the new rows in, then the old rows out
+        std::vector<Row> old = sample(model, 1 + pick(pick(3) == 0 ? 300 : 4));
+        std::vector<Row> updated = old;
+        for (Row& row : updated) {
+          row[1] = pick(3) == 0 ? Value::Null() : Value::Double(1.25);
+          if (pick(2) == 0) row[2] = Value::String("upd");
+        }
+        ASSERT_OK(t.AddRows(updated));
+        model.insert(model.end(), updated.begin(), updated.end());
+        remove(old);
+        break;
+      }
+      default: {  // pin this version (its tail is shared from now on), or
+                  // let an older pin go
+        if (pins.size() < 3 && pick(2) == 0) {
+          pins.push_back(Pin{std::make_shared<const Table>(t), model, {}});
+        } else if (!pins.empty()) {
+          pins.erase(pins.begin() + static_cast<std::ptrdiff_t>(
+                                         pick(pins.size())));
+        }
+      }
+    }
+    ExpectHolds(t, model, &checked);
+    for (Pin& pin : pins) {
+      SCOPED_TRACE("pinned version");
+      ExpectHolds(*pin.table, pin.rows, &pin.checked);
+    }
+    if (HasFailure()) return;
+  }
+  ExpectHolds(t, model);
+  for (const Pin& pin : pins) ExpectHolds(*pin.table, pin.rows);
+  // Most deletes found their rows (a NaN, equal to every number, can make
+  // one wanted row take another's match).
+  EXPECT_GT(removals, static_cast<size_t>(kSteps / 8));
 }
 
 }  // namespace
