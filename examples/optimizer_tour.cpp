@@ -20,6 +20,7 @@
 #include "reason/having_normalize.h"
 #include "reason/residual.h"
 #include "rewrite/cost.h"
+#include "rewrite/optimizer.h"
 #include "rewrite/rewriter.h"
 #include "rewrite/set_rewriter.h"
 #include "workload/random_db.h"
@@ -153,10 +154,11 @@ int main() {
   for (const Query& q : all) {
     std::printf("  cost %10.0f  %s\n", model.Estimate(q, db), ToSql(q).c_str());
   }
-  int chosen = -1;
-  Query best = ChooseCheapest(big_q, all, db, model, &chosen);
+  PlanCandidates candidates{big_q, all};
+  PlanChoice choice = ChoosePlan(candidates, db);
+  const Query& best = ChosenQuery(candidates, choice);
   std::printf("chosen (%s): %s\n",
-              chosen < 0 ? "original" : "rewriting", ToSql(best).c_str());
+              choice.index < 0 ? "original" : "rewriting", ToSql(best).c_str());
 
   // Sanity: the chosen plan computes the same answer.
   Evaluator check(&db, &lib);

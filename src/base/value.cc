@@ -91,9 +91,10 @@ size_t Value::Hash() const {
       return std::hash<int64_t>{}(int64());
     case ValueType::kDouble: {
       // Hash doubles holding integral values like the equal int64 would, so
-      // grouping keys that compare equal hash equal.
+      // grouping keys that compare equal hash equal: every integral double
+      // in [-2^63, 2^63) converts to an int64 exactly.
       double d = dbl();
-      if (std::nearbyint(d) == d && std::abs(d) < 9.0e18) {
+      if (std::nearbyint(d) == d && d >= -0x1p63 && d < 0x1p63) {
         return std::hash<int64_t>{}(static_cast<int64_t>(d));
       }
       return std::hash<double>{}(d);

@@ -1,6 +1,8 @@
 #include "parser/lexer.h"
 
 #include <cctype>
+#include <charconv>
+#include <system_error>
 
 #include "base/strings.h"
 
@@ -9,6 +11,26 @@ namespace aqv {
 bool Token::IsKeyword(std::string_view keyword) const {
   return kind == TokenKind::kIdentifier && EqualsIgnoreCase(text, keyword);
 }
+
+namespace {
+
+/// True when the last token ends an operand, so that a '-' after it is the
+/// binary operator (`A_1-1`), not a sign.
+bool FollowsOperand(const std::vector<Token>& tokens) {
+  if (tokens.empty()) return false;
+  switch (tokens.back().kind) {
+    case TokenKind::kIdentifier:
+    case TokenKind::kInteger:
+    case TokenKind::kFloat:
+    case TokenKind::kString:
+    case TokenKind::kRParen:
+      return true;
+    default:
+      return false;
+  }
+}
+
+}  // namespace
 
 Result<std::vector<Token>> Tokenize(std::string_view sql) {
   std::vector<Token> tokens;
@@ -34,24 +56,42 @@ Result<std::vector<Token>> Tokenize(std::string_view sql) {
       }
       t.kind = TokenKind::kIdentifier;
       t.text = std::string(sql.substr(start, i - start));
-    } else if (std::isdigit(static_cast<unsigned char>(c))) {
+    } else if (std::isdigit(static_cast<unsigned char>(c)) ||
+               (c == '-' && std::isdigit(static_cast<unsigned char>(peek(1))) &&
+                !FollowsOperand(tokens))) {
+      // A minus directly before a digit, where no operand precedes it, is
+      // a sign and folds into the literal, so INT64 min is writable.
       size_t start = i;
+      if (c == '-') ++i;
+      size_t digits = i;
       bool is_float = false;
       while (i < sql.size() &&
              (std::isdigit(static_cast<unsigned char>(sql[i])) ||
               sql[i] == '.' || sql[i] == 'e' || sql[i] == 'E' ||
-              ((sql[i] == '+' || sql[i] == '-') && i > start &&
+              ((sql[i] == '+' || sql[i] == '-') && i > digits &&
                (sql[i - 1] == 'e' || sql[i - 1] == 'E')))) {
         if (sql[i] == '.' || sql[i] == 'e' || sql[i] == 'E') is_float = true;
         ++i;
       }
-      std::string text(sql.substr(start, i - start));
+      const char* first = sql.data() + start;
+      const char* last = sql.data() + i;
+      std::from_chars_result parsed;
       if (is_float) {
         t.kind = TokenKind::kFloat;
-        t.float_value = std::stod(text);
+        parsed = std::from_chars(first, last, t.float_value);
       } else {
         t.kind = TokenKind::kInteger;
-        t.int_value = std::stoll(text);
+        parsed = std::from_chars(first, last, t.int_value);
+      }
+      if (parsed.ec == std::errc::result_out_of_range) {
+        return Status::InvalidArgument(
+            "numeric literal " + std::string(first, last) +
+            " is out of range at offset " + std::to_string(start));
+      }
+      if (parsed.ec != std::errc() || parsed.ptr != last) {
+        return Status::InvalidArgument(
+            "malformed numeric literal " + std::string(first, last) +
+            " at offset " + std::to_string(start));
       }
     } else if (c == '\'') {
       ++i;

@@ -13,7 +13,7 @@ namespace aqv {
 /// Token kinds of the single-block SQL dialect.
 enum class TokenKind {
   kIdentifier,  // plan_name, R1, Calls
-  kInteger,     // 1995
+  kInteger,     // 1995, -7 (a sign where no operand precedes folds in)
   kFloat,       // 3.5
   kString,      // 'abc'
   kLParen,

@@ -1,5 +1,6 @@
 #include "parser/parser.h"
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -13,6 +14,18 @@
 namespace aqv {
 
 namespace {
+
+/// An integer literal token, negated when a sign token preceded it. INT64
+/// min arrives already folded (the lexer takes `-9223372036854775808` as
+/// one literal), so only its negation is out of range.
+Result<int64_t> SignedInteger(bool negate, const Token& t) {
+  if (!negate) return t.int_value;
+  if (t.int_value == INT64_MIN) {
+    return Status::InvalidArgument("negated literal is out of range at offset " +
+                                   std::to_string(t.offset));
+  }
+  return -t.int_value;
+}
 
 std::optional<AggFn> AggFnFromName(const std::string& name) {
   if (EqualsIgnoreCase(name, "MIN")) return AggFn::kMin;
@@ -307,8 +320,8 @@ Result<Operand> Parser::ParseOperand(const BindingScope& scope) {
     bool negate = Next().kind == TokenKind::kMinus;
     const Token& num = Peek();
     if (num.kind == TokenKind::kInteger) {
-      int64_t v = Next().int_value;
-      return Operand::Constant(Value::Int64(negate ? -v : v));
+      AQV_ASSIGN_OR_RETURN(int64_t v, SignedInteger(negate, Next()));
+      return Operand::Constant(Value::Int64(v));
     }
     if (num.kind == TokenKind::kFloat) {
       double v = Next().float_value;
@@ -543,8 +556,8 @@ Result<SetExpr> Parser::ParseSetExpr(const BindingScope& scope) {
   const Token& lit = Peek();
   switch (lit.kind) {
     case TokenKind::kInteger: {
-      int64_t v = Next().int_value;
-      expr.literal = Value::Int64(negate ? -v : v);
+      AQV_ASSIGN_OR_RETURN(int64_t v, SignedInteger(negate, Next()));
+      expr.literal = Value::Int64(v);
       break;
     }
     case TokenKind::kFloat: {
@@ -700,8 +713,8 @@ Result<InsertStatement> ParseInsert(std::string_view sql) {
     const Token& t = peek();
     switch (t.kind) {
       case TokenKind::kInteger: {
-        int64_t v = next().int_value;
-        return Value::Int64(negate ? -v : v);
+        AQV_ASSIGN_OR_RETURN(int64_t v, SignedInteger(negate, next()));
+        return Value::Int64(v);
       }
       case TokenKind::kFloat: {
         double v = next().float_value;

@@ -36,22 +36,4 @@ double CostModel::Estimate(const Query& query, const Database& db,
   return cost + card;  // final pass (grouping/projection)
 }
 
-Query ChooseCheapest(const Query& query, const std::vector<Query>& candidates,
-                     const Database& db, const CostModel& model,
-                     int* chosen_index) {
-  const Query* best = &query;
-  int best_index = -1;
-  double best_cost = model.Estimate(query, db);
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    double cost = model.Estimate(candidates[i], db);
-    if (cost < best_cost) {
-      best = &candidates[i];
-      best_index = static_cast<int>(i);
-      best_cost = cost;
-    }
-  }
-  if (chosen_index != nullptr) *chosen_index = best_index;
-  return *best;
-}
-
 }  // namespace aqv

@@ -27,14 +27,6 @@ struct CostModel {
                   double unknown_input_rows = kUnknownInputRows) const;
 };
 
-/// Ranks `query` and `candidates` by estimated cost and returns a copy of
-/// the cheapest (which may be the original query). Ties keep the earlier
-/// entry. `chosen_index` (optional) receives -1 for the original query or
-/// the winning candidate's index.
-Query ChooseCheapest(const Query& query, const std::vector<Query>& candidates,
-                     const Database& db, const CostModel& model = CostModel{},
-                     int* chosen_index = nullptr);
-
 }  // namespace aqv
 
 #endif  // AQV_REWRITE_COST_H_

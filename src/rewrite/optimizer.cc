@@ -34,6 +34,27 @@ void CollectQueryDependencies(const Query& query, const ViewRegistry& views,
   CollectDependencies(seeds, views, out);
 }
 
+PlanChoice ChoosePlan(const PlanCandidates& candidates, const Database& db) {
+  CostModel model;
+  PlanChoice choice;
+  choice.cost_original = model.Estimate(candidates.flat, db);
+  choice.cost_chosen = choice.cost_original;
+  for (size_t i = 0; i < candidates.rewritings.size(); ++i) {
+    double cost = model.Estimate(candidates.rewritings[i], db);
+    if (cost < choice.cost_chosen) {
+      choice.index = static_cast<int>(i);
+      choice.cost_chosen = cost;
+    }
+  }
+  return choice;
+}
+
+size_t CountStoredViews(const ViewRegistry& views, const Database& db) {
+  size_t n = 0;
+  for (const std::string& name : views.ViewNames()) n += db.Has(name);
+  return n;
+}
+
 Result<OptimizeResult> Optimizer::Optimize(const Query& query,
                                            ExecContext* ctx) const {
   AQV_FAILPOINT("optimizer.optimize");
@@ -54,15 +75,14 @@ Result<OptimizeResult> Optimizer::Optimize(const Query& query,
   }
   flatten_span.End();
 
-  CostModel model;
-  out.cost_original = model.Estimate(flat, *db_);
-
   // Candidate rewritings over the materialized views, minus quarantined
   // ones (repeated failures; the service clears quarantine on REFRESH).
   const std::vector<std::string>& quarantined = options_.quarantined_views;
   std::vector<std::string> materialized;
+  size_t stored_views = 0;
   for (const std::string& name : views_->ViewNames()) {
     if (!db_->Has(name)) continue;
+    ++stored_views;
     if (std::find(quarantined.begin(), quarantined.end(), name) !=
         quarantined.end()) {
       continue;
@@ -70,6 +90,7 @@ Result<OptimizeResult> Optimizer::Optimize(const Query& query,
     materialized.push_back(name);
   }
   std::vector<Query> candidates;
+  bool truncated = false;
   {
     TraceSpan enumerate_span("enumerate_rewritings");
     if (!materialized.empty()) {
@@ -79,6 +100,8 @@ Result<OptimizeResult> Optimizer::Optimize(const Query& query,
           rewriter.EnumerateAllRewritings(flat, materialized,
                                           /*max_results=*/64, ctx,
                                           &out.failed_views));
+      // The enumeration stops at the deadline without an error.
+      truncated = ctx != nullptr && !ctx->status().ok();
     }
     if (enumerate_span.active()) {
       enumerate_span.AddAttr("materialized_views",
@@ -92,12 +115,28 @@ Result<OptimizeResult> Optimizer::Optimize(const Query& query,
   }
   out.rewritings_considered = static_cast<int>(candidates.size());
 
+  CollectQueryDependencies(flat, *views_, &out.dependencies);
+  for (const Query& candidate : candidates) {
+    CollectQueryDependencies(candidate, *views_, &out.dependencies);
+  }
+  std::sort(out.dependencies.begin(), out.dependencies.end());
+  out.dependencies.erase(
+      std::unique(out.dependencies.begin(), out.dependencies.end()),
+      out.dependencies.end());
+
+  auto set = std::make_shared<PlanCandidates>();
+  set->flat = std::move(flat);
+  set->rewritings = std::move(candidates);
+  set->stored_views = stored_views;
   TraceSpan cost_span("cost");
-  int chosen_index = -1;
-  out.chosen = ChooseCheapest(flat, candidates, *db_, model, &chosen_index);
-  out.used_materialized_view = chosen_index >= 0;
-  out.cost_chosen = model.Estimate(out.chosen, *db_);
+  PlanChoice choice = ChoosePlan(*set, *db_);
   cost_span.End();
+  out.chosen = ChosenQuery(*set, choice);
+  out.chosen_index = choice.index;
+  out.used_materialized_view = choice.index >= 0;
+  out.cost_original = choice.cost_original;
+  out.cost_chosen = choice.cost_chosen;
+  if (!truncated && out.failed_views.empty()) out.candidates = std::move(set);
 
   if (optimize_span.active()) {
     char buf[48];
@@ -109,13 +148,6 @@ Result<OptimizeResult> Optimizer::Optimize(const Query& query,
     std::snprintf(buf, sizeof(buf), "%.0f", out.cost_chosen);
     optimize_span.AddAttr("cost_chosen", buf);
   }
-
-  CollectQueryDependencies(flat, *views_, &out.dependencies);
-  CollectQueryDependencies(out.chosen, *views_, &out.dependencies);
-  std::sort(out.dependencies.begin(), out.dependencies.end());
-  out.dependencies.erase(
-      std::unique(out.dependencies.begin(), out.dependencies.end()),
-      out.dependencies.end());
   return out;
 }
 

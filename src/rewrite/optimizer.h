@@ -1,6 +1,7 @@
 #ifndef AQV_REWRITE_OPTIMIZER_H_
 #define AQV_REWRITE_OPTIMIZER_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -24,16 +25,61 @@ struct PlanRecord {
   int rewritings_considered = 0;
   double cost_original = 0;
   double cost_chosen = 0;
-  /// Every base table and materialized view the flattened original or the
-  /// chosen plan reads, sorted and deduplicated. A cached plan is only valid
-  /// while none of these change, so this is exactly the invalidation set the
-  /// service's rewrite-plan cache keys its hooks on.
+  /// Every base table and materialized view the flattened original or any
+  /// candidate rewriting reads, sorted and deduplicated. Every cost the
+  /// choice compared is a function of these tables' sizes, so while none of
+  /// them changes the cached choice stands as it was made.
   std::vector<std::string> dependencies;
 };
+
+/// What the C1-C4 search found for one query: the flattened original and
+/// every rewriting the usability conditions admitted. Both depend only on
+/// the query, the view definitions, the declared keys and which views are
+/// stored, never on the rows, so one candidate set serves every data
+/// version of its schema; only the choice among them is re-priced.
+struct PlanCandidates {
+  Query flat;
+  std::vector<Query> rewritings;
+  /// Registered views stored in the database when the search ran. Storing
+  /// one more (a REFRESH of a virtual view) adds candidates the set lacks.
+  size_t stored_views = 0;
+};
+using PlanCandidatesPtr = std::shared_ptr<const PlanCandidates>;
+
+/// The cheapest of a candidate set on one database, and what it was
+/// priced at.
+struct PlanChoice {
+  int index = -1;  // into PlanCandidates::rewritings; -1 = the original
+  double cost_original = 0;
+  double cost_chosen = 0;
+};
+
+/// Prices the flattened original and every rewriting of `candidates`
+/// against `db` and keeps the cheapest (ties keep the earlier one), the
+/// cost step of Optimize. Re-pricing a cached set after a write is this
+/// call alone: no flattening and no rewrite search.
+PlanChoice ChoosePlan(const PlanCandidates& candidates, const Database& db);
+
+/// The query `choice` names in `candidates`.
+inline const Query& ChosenQuery(const PlanCandidates& candidates,
+                                const PlanChoice& choice) {
+  return choice.index < 0 ? candidates.flat
+                          : candidates.rewritings[choice.index];
+}
+
+/// Registered views of `views` that `db` stores.
+size_t CountStoredViews(const ViewRegistry& views, const Database& db);
 
 /// The plan the optimizer settled on, with its record.
 struct OptimizeResult : PlanRecord {
   Query chosen;
+  /// The complete candidate set `chosen` was picked from, shared so that
+  /// a cache can keep and re-price it without copying a Query; null when
+  /// the set is not complete: the deadline cut the search short or a
+  /// view's rewriting failed (`failed_views`), so another run could find
+  /// more.
+  PlanCandidatesPtr candidates;
+  int chosen_index = -1;  // PlanChoice::index of `chosen`
   int views_flattened = 0;  // Section 7 pre-pass merges
   /// Views skipped during enumeration because their rewriting attempt
   /// failed with a real error (graceful degradation; the plan is still

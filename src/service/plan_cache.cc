@@ -1,5 +1,7 @@
 #include "service/plan_cache.h"
 
+#include <cstdio>
+
 #include "base/failpoint.h"
 
 namespace aqv {
@@ -20,52 +22,22 @@ bool FailpointFires(const char* name) {
 
 PlanCache::EntryPtr PlanCache::Lookup(const std::string& key) {
   if (FailpointFires("plan_cache.lookup")) return nullptr;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it == index_.end()) return nullptr;
-  lru_.splice(lru_.begin(), lru_, it->second);  // promote to MRU
-  return it->second->second;
+  return entries_.Lookup(key);
 }
 
 void PlanCache::Insert(const std::string& key, EntryPtr entry) {
-  if (capacity_ == 0) return;
+  if (capacity() == 0) return;
   if (FailpointFires("plan_cache.insert")) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    it->second->second = std::move(entry);
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  lru_.emplace_front(key, std::move(entry));
-  index_[key] = lru_.begin();
-  if (lru_.size() > capacity_) {
-    index_.erase(lru_.back().first);
-    lru_.pop_back();
-  }
+  entries_.Insert(key, std::move(entry));
 }
 
-size_t PlanCache::Erase(const std::string& key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it == index_.end()) return 0;
-  lru_.erase(it->second);
-  index_.erase(it);
-  return 1;
-}
-
-size_t PlanCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return lru_.size();
-}
-
-std::vector<std::pair<std::string, PlanCache::EntryPtr>> PlanCache::Snapshot()
-    const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<std::string, EntryPtr>> out;
-  out.reserve(lru_.size());
-  for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) out.push_back(*it);
-  return out;
+std::string PlanCache::StatementKey(std::string_view text, const void* catalog,
+                                    const void* views) {
+  char schema[48];
+  int n = std::snprintf(schema, sizeof(schema), "%p %p\n", catalog, views);
+  std::string key(schema, static_cast<size_t>(n));
+  key.append(text);
+  return key;
 }
 
 }  // namespace aqv

@@ -19,7 +19,8 @@ std::string ServiceStats::ToString() const {
       "statements          %llu\n"
       "queries served      %llu\n"
       "plan cache          %llu hit / %llu miss (%.1f%% hit rate, "
-      "%zu/%zu entries, %llu invalidated)\n"
+      "%zu/%zu entries, %llu re-costed, %llu invalidated)\n"
+      "statement texts     %llu reused unparsed\n"
       "rewrites            %llu applied / %llu skipped\n"
       "snapshots           %llu pinned / %llu reads\n"
       "latch stripes       %zu\n"
@@ -31,7 +32,9 @@ std::string ServiceStats::ToString() const {
       static_cast<unsigned long long>(plan_cache_hits),
       static_cast<unsigned long long>(plan_cache_misses),
       plan_cache_hit_rate * 100.0, plan_cache_size, plan_cache_capacity,
+      static_cast<unsigned long long>(plan_cache_recosts),
       static_cast<unsigned long long>(plan_cache_invalidated),
+      static_cast<unsigned long long>(statement_cache_hits),
       static_cast<unsigned long long>(rewrites_applied),
       static_cast<unsigned long long>(rewrites_skipped),
       static_cast<unsigned long long>(snapshots_pinned),
@@ -160,6 +163,9 @@ QueryService::QueryService(ServiceOptions options)
       cache_hits_(metrics_.GetCounter("service.plan_cache.hits")),
       cache_misses_(metrics_.GetCounter("service.plan_cache.misses")),
       cache_invalidated_(metrics_.GetCounter("service.plan_cache.invalidated")),
+      cache_recosts_(metrics_.GetCounter("service.plan_cache.recosts")),
+      statement_cache_hits_(
+          metrics_.GetCounter("service.statement_cache.hits")),
       rewrites_applied_(metrics_.GetCounter("service.rewrites.applied")),
       rewrites_skipped_(metrics_.GetCounter("service.rewrites.skipped")),
       slow_queries_(metrics_.GetCounter("service.slow_queries")),
@@ -190,6 +196,11 @@ QueryService::QueryService(ServiceOptions options)
   metrics_.SetHelp("service.optimize_latency",
                    "Rewrite-search wall time per planned statement, "
                    "microseconds");
+  metrics_.SetHelp("service.plan_cache.recosts",
+                   "Plan-cache hits whose candidates were re-priced for "
+                   "newer data");
+  metrics_.SetHelp("service.statement_cache.hits",
+                   "SELECT texts served without parsing");
   metrics_.SetHelp("service.maintain_latency",
                    "Write-path view maintenance wall time, microseconds");
   metrics_.SetHelp("service.rows_inserted_total",
@@ -358,15 +369,17 @@ Status QueryService::AttachStorage() {
   // any drift (a view that failed to re-parse, a format change) means the
   // cached plans can no longer be trusted and the cache starts cold.
   // Restored entries record the recovered state as the one they were
-  // optimized on.
+  // optimized on. An image keeps no candidate set, so a restored entry is
+  // re-optimized after the first write to one of its dependencies.
   if (rec.plan_catalog_version == next.catalog->version() &&
       rec.plan_views_version == views.version()) {
     for (const PlanImage& image : rec.plans) {
       Result<Query> plan = ParseQuery(image.plan_sql);
       if (!plan.ok()) continue;  // drop just this image
       auto entry = std::make_shared<PlanCache::Entry>();
-      entry->plan = *std::move(plan);
+      entry->plan = std::make_shared<const Query>(*std::move(plan));
       static_cast<PlanRecord&>(*entry) = image;
+      entry->quarantine_generation = quarantine_generation_.load();
       StampState(entry.get(), next);
       plan_cache_.Insert(image.key, std::move(entry));
     }
@@ -397,7 +410,7 @@ Status QueryService::CheckpointIfDurable(const ServiceSnapshot& state) {
     PlanImage image;
     static_cast<PlanRecord&>(image) = *entry;
     image.key = key;
-    image.plan_sql = ToSql(entry->plan);
+    image.plan_sql = ToSql(*entry->plan);
     images.push_back(std::move(image));
   }
   return storage_->Checkpoint(*state.catalog, *state.views, state.db, images);
@@ -636,7 +649,9 @@ ServiceStats QueryService::Stats() const {
   s.queries_served = queries_served_.value();
   s.plan_cache_hits = cache_hits_.value();
   s.plan_cache_misses = cache_misses_.value();
+  s.plan_cache_recosts = cache_recosts_.value();
   s.plan_cache_invalidated = cache_invalidated_.value();
+  s.statement_cache_hits = statement_cache_hits_.value();
   s.rewrites_applied = rewrites_applied_.value();
   s.rewrites_skipped = rewrites_skipped_.value();
   s.slow_queries = slow_queries_.value();

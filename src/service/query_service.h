@@ -1,6 +1,7 @@
 #ifndef AQV_SERVICE_QUERY_SERVICE_H_
 #define AQV_SERVICE_QUERY_SERVICE_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -163,6 +164,9 @@ struct StatementResult {
   std::string message;
   std::optional<Table> table;
   bool cache_hit = false;
+  /// The cached plan was costed on other data versions, so its candidates
+  /// were re-priced against this statement's state (a hit all the same).
+  bool recosted = false;
   bool used_materialized_view = false;
   /// The statement succeeded on a degraded path: its rewritten/cached plan
   /// (or the optimizer) failed and the unrewritten query was retried.
@@ -193,10 +197,16 @@ struct ServiceStats {
   uint64_t queries_served = 0;     // SELECTs executed to completion
   uint64_t plan_cache_hits = 0;
   uint64_t plan_cache_misses = 0;
-  /// Cached plans found at lookup to be optimized on a different state than
-  /// the reader's (catalog, registry or a dependency's version differs),
-  /// plus entries erased after failing mid-execution.
+  /// Hits whose entry was costed on other data versions and was re-priced
+  /// for the reader's state (each also counts as a hit).
+  uint64_t plan_cache_recosts = 0;
+  /// Cached plans found at lookup to be unusable for the reader's state
+  /// (schema or quarantine set changed, or an entry that cannot be
+  /// re-costed saw a write), re-costs whose cheapest candidate changed,
+  /// and entries erased after failing mid-execution.
   uint64_t plan_cache_invalidated = 0;
+  /// SELECT texts served from the statement-text map, not parsed.
+  uint64_t statement_cache_hits = 0;
   uint64_t rewrites_applied = 0;   // chosen plan uses a materialized view
   uint64_t rewrites_skipped = 0;   // original plan kept
   uint64_t slow_queries = 0;       // SELECTs over ServiceOptions::slow_query_micros
@@ -693,17 +703,25 @@ class QueryService {
   /// The state a read statement runs on: the thread's pin, else Head().
   ServiceSnapshotPtr ReadState() const;
 
-  /// Optimizes `query` on `state` through the plan cache: a cached entry
-  /// optimized on the same state is a hit; otherwise the query is
-  /// optimized and the entry inserted, replacing any stale one. `ctx`
-  /// bounds candidate enumeration by the statement deadline. When the
-  /// optimizer itself fails and degradation is enabled, returns an
-  /// uncached entry holding the unrewritten query and sets `*degraded`.
-  Result<PlanCache::EntryPtr> PlanThroughCache(const Query& query,
-                                               const ServiceSnapshot& state,
-                                               bool* cache_hit,
-                                               ExecContext* ctx,
-                                               bool* degraded);
+  /// Parses and binds SELECT `text` on `state`'s schema through the
+  /// statement-text map: a repeated text on the same schema is neither
+  /// parsed nor re-keyed. Parse errors are not stored.
+  Result<PlanCache::StatementPtr> ParseThroughCache(
+      std::string_view text, const ServiceSnapshot& state);
+
+  /// Optimizes `stmt` on `state` through the plan cache (see PlanCache for
+  /// when an entry is current, re-costed or stale). A stale entry or a
+  /// miss runs the optimizer and inserts the entry, replacing the old one;
+  /// a re-costed entry replaces the old one only when `at_head` (a reader
+  /// on an older pinned snapshot re-costs for itself, and the head's next
+  /// reader would only re-cost it back). `ctx` bounds candidate
+  /// enumeration by the statement deadline. When the optimizer itself
+  /// fails and degradation is enabled, returns an uncached entry holding
+  /// the unrewritten query and sets `out->degraded`. Sets
+  /// `out->cache_hit` and `out->recosted`.
+  Result<PlanCache::EntryPtr> PlanThroughCache(
+      const PlanCache::Statement& stmt, const ServiceSnapshot& state,
+      bool at_head, ExecContext* ctx, StatementResult* out);
 
   /// True when a failed plan or optimization should be retried on the
   /// unrewritten query: degradation is on and `s` is not a governance
@@ -720,9 +738,15 @@ class QueryService {
 
   /// Quarantine bookkeeping: failure charging, candidacy exclusion list
   /// (names over the threshold, sorted), and the REFRESH-time reset.
+  /// QuarantinedViews' `generation`, when given, receives the quarantine
+  /// generation the returned set belongs to.
   void ChargeViewFailure(const std::string& view);
-  std::vector<std::string> QuarantinedViews() const;
+  std::vector<std::string> QuarantinedViews(
+      uint64_t* generation = nullptr) const;
   void ClearViewFailures(const std::string& view);
+  /// The current quarantine generation, after a cooldown sweep if one is
+  /// due: what a cached plan's stamp is compared with.
+  uint64_t QuarantineGeneration() const;
 
   /// Folds one statement's QueryStats into its fingerprint aggregate
   /// (thread-safe; bounded by ServiceOptions::attribution_capacity).
@@ -795,6 +819,14 @@ class QueryService {
   };
   mutable std::mutex quarantine_mutex_;
   mutable std::unordered_map<std::string, ViewFailureRecord> view_failures_;
+  /// Bumped (under quarantine_mutex_) whenever the set QuarantinedViews()
+  /// returns changes: a view crosses the threshold, a cooldown sweep frees
+  /// one, or a quarantined view's record is cleared. Cached plans record
+  /// it, so a plan chosen around another set is re-optimized.
+  mutable std::atomic<uint64_t> quarantine_generation_{0};
+  /// The statement count at which the earliest cooldown ends (max when
+  /// none is pending), so that the plan-cache probe knows when to sweep.
+  mutable std::atomic<uint64_t> quarantine_sweep_due_{UINT64_MAX};
   /// Tables (and dependent materialized views) whose durable state failed
   /// recovery's checksum/WAL validation, mapped to the reason. Reads and
   /// writes of these names error cleanly; LOAD replacement clears. Shares
@@ -823,6 +855,8 @@ class QueryService {
   Counter& cache_hits_;
   Counter& cache_misses_;
   Counter& cache_invalidated_;
+  Counter& cache_recosts_;
+  Counter& statement_cache_hits_;
   Counter& rewrites_applied_;
   Counter& rewrites_skipped_;
   Counter& slow_queries_;

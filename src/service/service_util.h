@@ -28,18 +28,21 @@ inline std::string TrimStatement(std::string_view s) {
   return std::string(s.substr(b, e - b + 1));
 }
 
-/// True when `entry` was optimized on `state`'s catalog and view registry
-/// and on the same version of every dependency. The entry's weak_ptrs keep
-/// their control blocks alive, so a replaced object's address can never be
-/// mistaken for a newer one.
-inline bool OptimizedOn(const PlanCache::Entry& entry,
-                        const ServiceSnapshot& state) {
+/// True when `stamp` was taken on `state`'s catalog and view registry. The
+/// stamp's weak_ptrs keep their control blocks alive, so a replaced
+/// object's address can never be mistaken for a newer one.
+inline bool SameSchema(const SchemaStamp& stamp, const ServiceSnapshot& state) {
   auto same = [](const auto& recorded, const auto& current) {
     return !recorded.owner_before(current) && !current.owner_before(recorded);
   };
-  if (!same(entry.catalog, state.catalog) || !same(entry.views, state.views)) {
-    return false;
-  }
+  return same(stamp.catalog, state.catalog) && same(stamp.views, state.views);
+}
+
+/// True when `entry` was costed on `state`: its schema and the same
+/// version of every dependency.
+inline bool OptimizedOn(const PlanCache::Entry& entry,
+                        const ServiceSnapshot& state) {
+  if (!SameSchema(entry, state)) return false;
   for (size_t i = 0; i < entry.dependencies.size(); ++i) {
     if (state.db.VersionOf(entry.dependencies[i]) != entry.versions[i]) {
       return false;
@@ -48,7 +51,25 @@ inline bool OptimizedOn(const PlanCache::Entry& entry,
   return true;
 }
 
-/// Records `state` as the one `entry` was optimized on.
+/// How a cached entry may serve a reader (see PlanCache).
+enum class EntryFit { kCurrent, kRecost, kStale };
+
+inline EntryFit FitOf(const PlanCache::Entry& entry,
+                      const ServiceSnapshot& state,
+                      uint64_t quarantine_generation) {
+  if (entry.quarantine_generation != quarantine_generation) {
+    return EntryFit::kStale;
+  }
+  if (OptimizedOn(entry, state)) return EntryFit::kCurrent;
+  if (entry.candidates == nullptr || !SameSchema(entry, state) ||
+      CountStoredViews(*state.views, state.db) !=
+          entry.candidates->stored_views) {
+    return EntryFit::kStale;
+  }
+  return EntryFit::kRecost;
+}
+
+/// Records `state` as the one `entry` was costed on.
 inline void StampState(PlanCache::Entry* entry, const ServiceSnapshot& state) {
   entry->catalog = state.catalog;
   entry->views = state.views;

@@ -7,6 +7,7 @@
 #include "ir/builder.h"
 #include "ir/printer.h"
 #include "rewrite/cost.h"
+#include "rewrite/optimizer.h"
 #include "rewrite/rewriter.h"
 #include "tests/test_util.h"
 #include "workload/telephony.h"
@@ -70,10 +71,11 @@ TEST(CostTest, ChoosesSummaryViewForTelephonyQuery) {
   Rewriter rewriter(&w.views);
   ASSERT_OK_AND_ASSIGN(Query rewritten, rewriter.RewriteUsingView(w.query, "V1"));
 
-  int chosen = -2;
-  Query best = ChooseCheapest(w.query, {rewritten}, w.db, CostModel{}, &chosen);
-  EXPECT_EQ(chosen, 0);
-  EXPECT_TRUE(best == rewritten);
+  PlanCandidates candidates{w.query, {rewritten}};
+  PlanChoice choice = ChoosePlan(candidates, w.db);
+  EXPECT_EQ(choice.index, 0);
+  EXPECT_TRUE(ChosenQuery(candidates, choice) == rewritten);
+  EXPECT_LT(choice.cost_chosen, choice.cost_original);
 
   CostModel model;
   EXPECT_LT(model.Estimate(rewritten, w.db),

@@ -6,7 +6,8 @@
 //       original query, over R random databases x Q random query/view pairs;
 //   (b) service cached-plan vs. fresh-optimize — the same SELECT through a
 //       plan-caching QueryService (second execution is a cache hit) and
-//       through a cache-disabled service;
+//       through a cache-disabled service, also with random writes between
+//       the lookups (cached entries are then re-costed, not evicted);
 //   (c) chaos (PR 4) — the same sweep with probabilistic failpoints armed
 //       across every wired site: each statement must either return exactly
 //       the reference rows or fail with a clean Status, never crash or
@@ -183,6 +184,94 @@ TEST_P(DifferentialTest, CachedPlanMatchesFreshOptimize) {
     EXPECT_GT(cached_service.Stats().plan_cache_hits, 0u);
     EXPECT_EQ(fresh_service.Stats().plan_cache_hits, 0u);
   }
+}
+
+// (b) with writes between lookups: random INSERT/DELETE/UPDATE statements
+// interleave with repeated SELECTs on a plan-caching service and on a
+// cache-less witness fed the same statements. Cached entries outlive the
+// writes and are re-costed (possibly flipping to another candidate), so
+// every read must still equal the witness's exactly.
+TEST_P(DifferentialTest, CachedPlanSurvivesWrites) {
+  uint64_t seed = TestSeed(25000 + GetParam());
+  SCOPED_TRACE(SeedTrace(seed));
+  RandomWorkloadGen gen(seed);
+  RandomPairConfig config = ConfigForParam(GetParam());
+
+  ViewRegistry views;
+  std::vector<QueryViewPair> pairs;
+  for (int q = 0; q < 8; ++q) {
+    QueryViewPair pair = gen.NextPair(config);
+    ASSERT_OK(views.Register(pair.view));
+    pairs.push_back(std::move(pair));
+  }
+  Database db = gen.NextDatabase(12, 3);
+  for (const QueryViewPair& pair : pairs) {
+    MaterializeInto(&db, views, pair.view.name);
+  }
+  QueryService cached;
+  ASSERT_OK(cached.Bootstrap(gen.catalog(), db, views));
+  ServiceOptions no_cache;
+  no_cache.plan_cache_capacity = 0;
+  QueryService witness(no_cache);
+  ASSERT_OK(witness.Bootstrap(gen.catalog(), db, views));
+
+  const struct {
+    const char* table;
+    int arity;
+    const char* col0;  // WHERE column
+    const char* col1;  // SET target
+  } kTables[] = {{"R1", 4, "A", "B"}, {"R2", 2, "E", "F"},
+                 {"R3", 2, "G", "H"}};
+  std::mt19937_64 rng(seed * 0x9e3779b97f4a7c15ull + 25);
+  auto random_write = [&]() {
+    const auto& t = kTables[rng() % 3];
+    const std::string v = std::to_string(rng() % 3);
+    switch (rng() % 3) {
+      case 0: {
+        std::string sql = "INSERT INTO " + std::string(t.table) + " VALUES ";
+        int rows = 1 + static_cast<int>(rng() % 4);
+        for (int r = 0; r < rows; ++r) {
+          sql += r > 0 ? ", (" : "(";
+          for (int c = 0; c < t.arity; ++c) {
+            sql += (c > 0 ? ", " : "") + std::to_string(rng() % 3);
+          }
+          sql += ")";
+        }
+        return sql;
+      }
+      case 1:
+        return "DELETE FROM " + std::string(t.table) + " WHERE " + t.col0 +
+               " = " + v;
+      default:
+        return "UPDATE " + std::string(t.table) + " SET " + t.col1 + " = " +
+               t.col1 + " + 1 WHERE " + t.col0 + " = " + v;
+    }
+  };
+
+  for (int round = 0; round < 12; ++round) {
+    std::string write = random_write();
+    SCOPED_TRACE("round " + std::to_string(round) + " after: " + write);
+    ASSERT_OK(cached.Execute(write).status());
+    ASSERT_OK(witness.Execute(write).status());
+    for (const QueryViewPair& pair : pairs) {
+      std::string sql = ToSql(pair.query);
+      SCOPED_TRACE("repro:\n  Q: " + sql + "\n  V: CREATE MATERIALIZED VIEW " +
+                   pair.view.name + " AS " + ToSql(pair.view.query));
+      ASSERT_OK_AND_ASSIGN(Table want, witness.Select(sql));
+      for (int repeat = 0; repeat < 2; ++repeat) {
+        ASSERT_OK_AND_ASSIGN(Table got, cached.Select(sql));
+        EXPECT_TRUE(MultisetEqual(got, want))
+            << "cached plan diverged from the cache-less witness:\n  "
+            << DescribeMultisetDifference(got, want);
+      }
+    }
+  }
+  // The sweep must exercise the re-cost path, not only misses and plain
+  // hits.
+  ServiceStats stats = cached.Stats();
+  EXPECT_GT(stats.plan_cache_recosts, 0u);
+  EXPECT_GT(stats.statement_cache_hits, 0u);
+  EXPECT_EQ(witness.Stats().plan_cache_hits, 0u);
 }
 
 // (a) + snapshots: a SELECT on a pinned snapshot equals the same SELECT on

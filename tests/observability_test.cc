@@ -265,6 +265,89 @@ TEST(AttributionTest, SlowLogCarriesAWritersLatchWait) {
       << line;
 }
 
+// The priced part of an EXPLAIN header: "cost:      <orig> -> <chosen> ".
+std::string Costs(const std::string& explain) {
+  size_t at = explain.find("cost:");
+  if (at == std::string::npos) return "";
+  return explain.substr(at, explain.find('(', at) - at);
+}
+
+// A re-costed lookup is a hit and a recost in ServiceStats, STATS and the
+// PROM exposition; a re-cost whose choice flips counts as an invalidation;
+// and EXPLAIN names the re-cost and prints the costs of the reader's state.
+TEST(PlanCacheObservabilityTest, RecostsAndFlipsAreCountedAndExplained) {
+  QueryService service;
+  ServiceOptions no_cache;
+  no_cache.plan_cache_capacity = 0;
+  QueryService witness(no_cache);
+  // Per A: B takes one value and C ten, so VB is the smaller view until
+  // the second INSERT gives B forty more values.
+  std::string rows, more;
+  for (int a = 0; a < 4; ++a) {
+    for (int c = 0; c < 10; ++c) {
+      rows += std::string(rows.empty() ? "" : ", ") + "(" + std::to_string(a) +
+              ", 0, " + std::to_string(c) + ", 1)";
+    }
+    for (int b = 1; b <= 40; ++b) {
+      more += std::string(more.empty() ? "" : ", ") + "(" + std::to_string(a) +
+              ", " + std::to_string(b) + ", 0, 1)";
+    }
+  }
+  for (QueryService* s : {&service, &witness}) {
+    ExecuteOrDie(*s, "CREATE TABLE R(A, B, C, D)");
+    ExecuteOrDie(*s, "INSERT INTO R VALUES " + rows);
+    ExecuteOrDie(*s, "CREATE MATERIALIZED VIEW VB AS SELECT A_1, B_1, "
+                     "SUM(D_1) AS S FROM R GROUPBY A_1, B_1");
+    ExecuteOrDie(*s, "CREATE MATERIALIZED VIEW VC AS SELECT A_1, C_1, "
+                     "SUM(D_1) AS S FROM R GROUPBY A_1, C_1");
+  }
+  const std::string q = "SELECT A_1, SUM(D_1) AS T FROM R GROUPBY A_1";
+  std::string cold = ExecuteOrDie(service, "EXPLAIN " + q).message;
+  EXPECT_NE(cold.find("FROM VB"), std::string::npos) << cold;
+  EXPECT_EQ(cold.find("plan cache hit"), std::string::npos) << cold;
+
+  // A write that keeps the choice: a re-costed hit, not an invalidation.
+  for (QueryService* s : {&service, &witness}) {
+    ExecuteOrDie(*s, "INSERT INTO R VALUES (0, 0, 0, 1)");
+  }
+  std::string kept = ExecuteOrDie(service, "EXPLAIN " + q).message;
+  EXPECT_NE(kept.find("plan cache hit, re-costed"), std::string::npos) << kept;
+  EXPECT_EQ(Costs(kept), Costs(ExecuteOrDie(witness, "EXPLAIN " + q).message));
+  EXPECT_NE(Costs(kept), Costs(cold));
+  ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.plan_cache_recosts, 1u);
+  EXPECT_EQ(stats.plan_cache_hits, 1u);
+  EXPECT_EQ(stats.plan_cache_misses, 1u);
+  EXPECT_EQ(stats.plan_cache_invalidated, 0u);
+  // Served again on the same state: a plain hit.
+  std::string plain = ExecuteOrDie(service, "EXPLAIN " + q).message;
+  EXPECT_NE(plain.find("plan cache hit)"), std::string::npos) << plain;
+
+  // A write that reverses the views' sizes: the re-cost flips to VC.
+  for (QueryService* s : {&service, &witness}) {
+    ExecuteOrDie(*s, "INSERT INTO R VALUES " + more);
+  }
+  std::string flipped = ExecuteOrDie(service, "EXPLAIN " + q).message;
+  EXPECT_NE(flipped.find("FROM VC"), std::string::npos) << flipped;
+  EXPECT_NE(flipped.find("plan cache hit, re-costed"), std::string::npos);
+  std::string expected = ExecuteOrDie(witness, "EXPLAIN " + q).message;
+  EXPECT_EQ(Costs(flipped), Costs(expected)) << flipped << expected;
+  stats = service.Stats();
+  EXPECT_EQ(stats.plan_cache_recosts, 2u);
+  EXPECT_EQ(stats.plan_cache_hits, 3u);
+  EXPECT_EQ(stats.plan_cache_invalidated, 1u);
+
+  std::string text = ExecuteOrDie(service, "STATS").message;
+  EXPECT_NE(text.find("2 re-costed, 1 invalidated"), std::string::npos) << text;
+  std::string prom = service.StatsPromText();
+  EXPECT_NE(prom.find("aqv_service_plan_cache_recosts 2\n"), std::string::npos)
+      << prom;
+  EXPECT_NE(prom.find("aqv_service_plan_cache_invalidated 1\n"),
+            std::string::npos);
+  EXPECT_NE(prom.find("aqv_service_statement_cache_hits 3\n"),
+            std::string::npos);
+}
+
 TEST(TraceDropTest, DroppedSpansSurfaceInStatsAndProm) {
   Tracer& tracer = Tracer::Global();
   tracer.Clear();

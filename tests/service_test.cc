@@ -224,7 +224,10 @@ TEST(ServicePlanCacheTest, FingerprintDistinguishesDifferentQueries) {
   EXPECT_EQ(QueryFingerprint(a), QueryFingerprint(a_mirrored));
 }
 
-TEST(ServicePlanCacheTest, InsertInvalidatesOnlyAffectedEntries) {
+// A data write does not evict a cached plan: the written table's entry is
+// re-costed for the new version, and an entry that does not read it is
+// served untouched.
+TEST(ServicePlanCacheTest, InsertRecostsOnlyAffectedEntries) {
   QueryService service;
   EXPECT_OK(service.Execute("CREATE TABLE R(A, B)").status());
   EXPECT_OK(service.Execute("CREATE TABLE S(C, D)").status());
@@ -240,18 +243,24 @@ TEST(ServicePlanCacheTest, InsertInvalidatesOnlyAffectedEntries) {
 
   EXPECT_OK(service.Execute("INSERT INTO R VALUES (1, 30)").status());
 
-  // R's entry was dropped and the fresh execution sees the new row ...
+  // R's entry was re-costed, not re-optimized, and the execution sees the
+  // new row ...
   StatementResult after = ExecuteOrDie(service, qr);
-  EXPECT_FALSE(after.cache_hit);
+  EXPECT_TRUE(after.cache_hit);
+  EXPECT_TRUE(after.recosted);
   ASSERT_TRUE(after.table.has_value());
   ASSERT_EQ(after.table->num_rows(), 1u);
   EXPECT_EQ(after.table->rows()[0][1], Value::Int64(60));
-  // ... while S's entry survived the unrelated INSERT.
-  EXPECT_TRUE(ExecuteOrDie(service, qs).cache_hit);
-  EXPECT_GE(service.Stats().plan_cache_invalidated, 1u);
+  // ... while S's entry survived the unrelated INSERT as it was.
+  StatementResult unrelated = ExecuteOrDie(service, qs);
+  EXPECT_TRUE(unrelated.cache_hit);
+  EXPECT_FALSE(unrelated.recosted);
+  EXPECT_EQ(service.Stats().plan_cache_recosts, 1u);
+  EXPECT_EQ(service.Stats().plan_cache_invalidated, 0u);
+  EXPECT_EQ(service.Stats().plan_cache_misses, 2u);
 }
 
-TEST(ServicePlanCacheTest, RefreshInvalidatesViewDependents) {
+TEST(ServicePlanCacheTest, WritesRecostViewDependents) {
   std::unique_ptr<QueryService> service = MakeTelephonyService();
   std::string q = TelephonyQuery(1995, 1e9);
 
@@ -259,23 +268,28 @@ TEST(ServicePlanCacheTest, RefreshInvalidatesViewDependents) {
   EXPECT_TRUE(cold.used_materialized_view);
   EXPECT_TRUE(ExecuteOrDie(*service, q).cache_hit);
 
-  // An INSERT into the base table drops the entry (its dependency set
-  // contains Calls via both the original and the view's definition).
+  // An INSERT into the base table changes a dependency (Calls, via both
+  // the original and the view's definition), so the entry is re-costed.
   EXPECT_OK(service
                 ->Execute("INSERT INTO Calls VALUES "
                           "(990001, 5, 3, 14, 6, 1995, 4.5)")
                 .status());
   StatementResult after_insert = ExecuteOrDie(*service, q);
-  EXPECT_FALSE(after_insert.cache_hit);
+  EXPECT_TRUE(after_insert.cache_hit);
+  EXPECT_TRUE(after_insert.recosted);
 
-  // Re-prime, then REFRESH V1: the view's stored contents changed, so the
-  // dependent entry is dropped again and the served rows pick up the new
-  // call through the refreshed summary.
-  EXPECT_TRUE(ExecuteOrDie(*service, q).cache_hit);
+  // The re-costed entry serves as is, then REFRESH V1: the view's stored
+  // contents changed, so the dependent entry is re-costed again and the
+  // served rows pick up the new call through the refreshed summary.
+  StatementResult primed = ExecuteOrDie(*service, q);
+  EXPECT_TRUE(primed.cache_hit);
+  EXPECT_FALSE(primed.recosted);
   EXPECT_OK(service->Execute("REFRESH V1").status());
   StatementResult after_refresh = ExecuteOrDie(*service, q);
-  EXPECT_FALSE(after_refresh.cache_hit);
+  EXPECT_TRUE(after_refresh.cache_hit);
+  EXPECT_TRUE(after_refresh.recosted);
   EXPECT_TRUE(after_refresh.used_materialized_view);
+  EXPECT_EQ(service->Stats().plan_cache_misses, 1u);
 
   // Ground truth: a cache-less service fed the same statements.
   ServiceOptions no_cache;
@@ -336,6 +350,8 @@ TEST(ServicePlanCacheTest, CreateMaterializedViewFlipsPlanToRewrite) {
 // snapshot pinned before an INSERT and a CREATE MATERIALIZED VIEW keeps
 // reading its own epoch and never runs a plan naming the new view; the head
 // picks up both. After each step both equal a cache-less witness exactly.
+// The INSERT re-costs the entry, for the head and for the pinned reader
+// alike; the DDL re-optimizes it.
 TEST(ServicePlanCacheTest, EntriesAreValidatedAgainstThePinnedState) {
   QueryService service;
   ServiceOptions no_cache;
@@ -353,18 +369,21 @@ TEST(ServicePlanCacheTest, EntriesAreValidatedAgainstThePinnedState) {
   EXPECT_FALSE(ExecuteOrDie(service, q).cache_hit);  // primed at the head
 
   uint64_t invalidated = service.Stats().plan_cache_invalidated;
+  uint64_t recosts = service.Stats().plan_cache_recosts;
   for (const std::string& step :
        {std::string("INSERT INTO Sales VALUES (1, 5), (3, 30)"),
         std::string("CREATE MATERIALIZED VIEW Totals AS SELECT Shop_1, "
                     "SUM(Amount_1) AS T FROM Sales GROUPBY Shop_1")}) {
     SCOPED_TRACE(step);
+    const bool ddl = step.rfind("CREATE", 0) == 0;
     EXPECT_OK(service.Execute(step).status());
     EXPECT_OK(witness.Execute(step).status());
 
     StatementResult head = ExecuteOrDie(service, q);
     StatementResult expected = ExecuteOrDie(witness, q);
     ASSERT_TRUE(head.table.has_value() && expected.table.has_value());
-    EXPECT_FALSE(head.cache_hit);
+    EXPECT_EQ(head.cache_hit, !ddl);
+    EXPECT_EQ(head.recosted, !ddl);
     EXPECT_TRUE(MultisetEqual(*expected.table, *head.table))
         << DescribeMultisetDifference(*expected.table, *head.table);
 
@@ -377,8 +396,14 @@ TEST(ServicePlanCacheTest, EntriesAreValidatedAgainstThePinnedState) {
     EXPECT_TRUE(MultisetEqual(old_expected, old_rows))
         << DescribeMultisetDifference(old_expected, old_rows);
 
-    EXPECT_GT(service.Stats().plan_cache_invalidated, invalidated);
+    if (ddl) {
+      EXPECT_GT(service.Stats().plan_cache_invalidated, invalidated);
+    } else {
+      EXPECT_EQ(service.Stats().plan_cache_invalidated, invalidated);
+      EXPECT_EQ(service.Stats().plan_cache_recosts, recosts + 2);
+    }
     invalidated = service.Stats().plan_cache_invalidated;
+    recosts = service.Stats().plan_cache_recosts;
   }
   EXPECT_TRUE(ExecuteOrDie(service, q).used_materialized_view);
 }
@@ -400,6 +425,312 @@ TEST(ServicePlanCacheTest, LruEvictsLeastRecentlyUsed) {
   EXPECT_EQ(service.Stats().plan_cache_size, 2u);
   EXPECT_TRUE(ExecuteOrDie(service, q1).cache_hit);
   EXPECT_FALSE(ExecuteOrDie(service, q2).cache_hit);
+}
+
+// A Sales table two summary views can answer the per-shop total from:
+// ByRegion (one row per shop and region) and ByDay (one per shop and day).
+// At first every sale is in region 1 across 20 days, so ByRegion is the
+// smaller view.
+void MakeTwoViewSales(QueryService* service) {
+  std::string rows;
+  for (int shop = 1; shop <= 3; ++shop) {
+    for (int day = 1; day <= 20; ++day) {
+      for (int k = 0; k < 2; ++k) {
+        if (!rows.empty()) rows += ", ";
+        rows += "(" + std::to_string(shop) + ", 1, " + std::to_string(day) +
+                ", " + std::to_string(shop * 100 + day + k) + ")";
+      }
+    }
+  }
+  EXPECT_OK(service->Execute("CREATE TABLE Sales(Shop, R, D, Amount)").status());
+  EXPECT_OK(service->Execute("INSERT INTO Sales VALUES " + rows).status());
+  EXPECT_OK(service
+                ->Execute("CREATE MATERIALIZED VIEW ByRegion AS SELECT "
+                          "Shop_1, R_1, SUM(Amount_1) AS T FROM Sales "
+                          "GROUPBY Shop_1, R_1")
+                .status());
+  EXPECT_OK(service
+                ->Execute("CREATE MATERIALIZED VIEW ByDay AS SELECT Shop_1, "
+                          "D_1, SUM(Amount_1) AS T FROM Sales "
+                          "GROUPBY Shop_1, D_1")
+                .status());
+}
+
+// 59 new regions per shop, all on day 1: ByRegion grows past ByDay.
+std::string ManyRegionsInsert() {
+  std::string rows;
+  for (int shop = 1; shop <= 3; ++shop) {
+    for (int region = 2; region <= 60; ++region) {
+      if (!rows.empty()) rows += ", ";
+      rows += "(" + std::to_string(shop) + ", " + std::to_string(region) +
+              ", 1, " + std::to_string(region) + ")";
+    }
+  }
+  return "INSERT INTO Sales VALUES " + rows;
+}
+
+constexpr char kShopTotals[] =
+    "SELECT Shop_1, SUM(Amount_1) AS T FROM Sales GROUPBY Shop_1";
+
+// A write that reverses the sizes of two usable views flips the cached
+// choice from one to the other without a rewrite search, and the flipped
+// plan answers like a cache-less witness.
+TEST(ServicePlanCacheTest, WriteThatReversesViewSizesFlipsTheCachedChoice) {
+  QueryService service;
+  ServiceOptions no_cache;
+  no_cache.plan_cache_capacity = 0;
+  QueryService witness(no_cache);
+  MakeTwoViewSales(&service);
+  MakeTwoViewSales(&witness);
+
+  StatementResult cold = ExecuteOrDie(service, kShopTotals);
+  EXPECT_FALSE(cold.cache_hit);
+  EXPECT_NE(cold.message.find("FROM ByRegion"), std::string::npos)
+      << cold.message;
+
+  EXPECT_OK(service.Execute(ManyRegionsInsert()).status());
+  EXPECT_OK(witness.Execute(ManyRegionsInsert()).status());
+  uint64_t invalidated = service.Stats().plan_cache_invalidated;
+  StatementResult flipped = ExecuteOrDie(service, kShopTotals);
+  EXPECT_TRUE(flipped.cache_hit);
+  EXPECT_TRUE(flipped.recosted);
+  EXPECT_NE(flipped.message.find("FROM ByDay"), std::string::npos)
+      << flipped.message;
+  EXPECT_EQ(service.Stats().plan_cache_invalidated, invalidated + 1);
+  EXPECT_EQ(service.Stats().plan_cache_misses, 1u);
+
+  StatementResult expected = ExecuteOrDie(witness, kShopTotals);
+  ASSERT_TRUE(flipped.table.has_value() && expected.table.has_value());
+  EXPECT_TRUE(MultisetEqual(*expected.table, *flipped.table))
+      << DescribeMultisetDifference(*expected.table, *flipped.table);
+  // The re-stamped entry names the new choice and serves as is.
+  StatementResult again = ExecuteOrDie(service, kShopTotals);
+  EXPECT_TRUE(again.cache_hit);
+  EXPECT_FALSE(again.recosted);
+  EXPECT_NE(again.message.find("FROM ByDay"), std::string::npos);
+}
+
+// A view quarantined after a plan naming it was cached is not served from
+// that plan, though no data changed: the quarantine set is part of what an
+// entry was chosen around.
+TEST(ServicePlanCacheTest, ViewQuarantinedAfterCachingIsNotServed) {
+  ServiceOptions options;
+  options.quarantine_cooldown_statements = 0;
+  QueryService service(options);
+  MakeTwoViewSales(&service);
+  StatementResult cached = ExecuteOrDie(service, kShopTotals);
+  ASSERT_TRUE(cached.used_materialized_view);
+
+  {
+    // Three other statements whose rewrite attempts fail charge every
+    // stored view up to the threshold.
+    FailpointScope scope("rewrite.enumerate", "error");
+    ASSERT_TRUE(scope.armed());
+    for (int shop = 1; shop <= 3; ++shop) {
+      ExecuteOrDie(service, "SELECT Shop_1, SUM(Amount_1) AS T FROM Sales "
+                            "WHERE Shop_1 = " +
+                                std::to_string(shop) + " GROUPBY Shop_1");
+    }
+  }
+  ASSERT_EQ(service.Stats().quarantined_views,
+            (std::vector<std::string>{"ByDay", "ByRegion"}));
+  StatementResult after = ExecuteOrDie(service, kShopTotals);
+  EXPECT_FALSE(after.cache_hit);
+  EXPECT_FALSE(after.used_materialized_view);
+  ASSERT_TRUE(cached.table.has_value() && after.table.has_value());
+  EXPECT_TRUE(MultisetEqual(*cached.table, *after.table));
+}
+
+// The reverse: a plan cached while its views were quarantined is
+// re-optimized once the cooldown frees them, with no write and no other
+// lookup of the quarantine set in between.
+TEST(ServicePlanCacheTest, QuarantineCooldownReachesCachedPlans) {
+  ServiceOptions options;
+  options.quarantine_cooldown_statements = 6;
+  QueryService service(options);
+  MakeTwoViewSales(&service);
+  {
+    FailpointScope scope("rewrite.enumerate", "error");
+    ASSERT_TRUE(scope.armed());
+    for (int shop = 1; shop <= 3; ++shop) {
+      ExecuteOrDie(service, "SELECT Shop_1, SUM(Amount_1) AS T FROM Sales "
+                            "WHERE Shop_1 = " +
+                                std::to_string(shop) + " GROUPBY Shop_1");
+    }
+  }
+  EXPECT_FALSE(ExecuteOrDie(service, kShopTotals).used_materialized_view);
+  EXPECT_TRUE(ExecuteOrDie(service, kShopTotals).cache_hit);
+  for (int i = 0; i < 6; ++i) ExecuteOrDie(service, "TABLES");
+  StatementResult freed = ExecuteOrDie(service, kShopTotals);
+  EXPECT_FALSE(freed.cache_hit);
+  EXPECT_TRUE(freed.used_materialized_view);
+}
+
+// A REFRESH that stores a virtual view adds candidates a cached set lacks:
+// the next re-cost finds more stored views than the search saw and
+// re-optimizes instead.
+TEST(ServicePlanCacheTest, ViewStoredByRefreshIsPickedUpAfterAWrite) {
+  QueryService service;
+  EXPECT_OK(service.Execute("CREATE TABLE Sales(Shop, Amount)").status());
+  EXPECT_OK(service
+                .Execute("INSERT INTO Sales VALUES (1, 10), (1, 11), (2, 20), "
+                         "(2, 21), (3, 30)")
+                .status());
+  EXPECT_OK(service
+                .Execute("CREATE VIEW Totals AS SELECT Shop_1, SUM(Amount_1) "
+                         "AS T FROM Sales GROUPBY Shop_1")
+                .status());
+  const std::string q =
+      "SELECT Shop_1, SUM(Amount_1) AS T FROM Sales GROUPBY Shop_1";
+  EXPECT_FALSE(ExecuteOrDie(service, q).used_materialized_view);
+  EXPECT_OK(service.Execute("REFRESH Totals").status());
+  EXPECT_OK(service.Execute("INSERT INTO Sales VALUES (3, 31)").status());
+  StatementResult after = ExecuteOrDie(service, q);
+  EXPECT_FALSE(after.cache_hit);
+  EXPECT_TRUE(after.used_materialized_view);
+}
+
+// Entries whose candidate set may be incomplete keep the old contract:
+// served only on the data versions they were stamped with, and fully
+// re-optimized after a write.
+TEST(ServicePlanCacheTest, IncompleteCandidateSetsReoptimizeAfterAWrite) {
+  {
+    SCOPED_TRACE("a view's rewriting failed");
+    QueryService service;
+    MakeTwoViewSales(&service);
+    {
+      FailpointScope scope("rewrite.enumerate", "error(100,1)");
+      ASSERT_TRUE(scope.armed());
+      ExecuteOrDie(service, kShopTotals);
+    }
+    EXPECT_TRUE(ExecuteOrDie(service, kShopTotals).cache_hit);
+    EXPECT_OK(service.Execute("INSERT INTO Sales VALUES (1, 1, 1, 5)").status());
+    StatementResult after = ExecuteOrDie(service, kShopTotals);
+    EXPECT_FALSE(after.cache_hit);
+    EXPECT_EQ(service.Stats().plan_cache_recosts, 0u);
+    EXPECT_EQ(service.Stats().plan_cache_misses, 2u);
+  }
+  {
+    SCOPED_TRACE("the deadline cut the search short");
+    ServiceOptions options;
+    options.statement_deadline_micros = 20000;
+    QueryService service(options);
+    MakeTwoViewSales(&service);
+    {
+      // One rewrite attempt sleeps past the deadline; EXPLAIN plans
+      // without executing, so the statement still succeeds.
+      FailpointScope scope("rewrite.enumerate", "delay(40000,100,1)");
+      ASSERT_TRUE(scope.armed());
+      ExecuteOrDie(service, std::string("EXPLAIN ") + kShopTotals);
+    }
+    EXPECT_TRUE(ExecuteOrDie(service, kShopTotals).cache_hit);
+    EXPECT_OK(service.Execute("INSERT INTO Sales VALUES (1, 1, 1, 5)").status());
+    StatementResult after = ExecuteOrDie(service, kShopTotals);
+    EXPECT_FALSE(after.cache_hit);
+    EXPECT_EQ(service.Stats().plan_cache_recosts, 0u);
+    // The complete entry that replaced it is re-costed after the next
+    // write.
+    EXPECT_OK(service.Execute("INSERT INTO Sales VALUES (2, 1, 1, 5)").status());
+    EXPECT_TRUE(ExecuteOrDie(service, kShopTotals).recosted);
+  }
+}
+
+// A plan restored from a checkpoint keeps no candidate set: it serves until
+// the first write to a dependency, then is re-optimized.
+TEST(ServicePlanCacheTest, RestoredPlanReoptimizesAfterAWrite) {
+  std::string path = ::testing::TempDir() + "/aqv_restored_plan.db";
+  std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());
+  ServiceOptions options;
+  options.storage_path = path;
+  {
+    QueryService service(options);
+    MakeTwoViewSales(&service);
+    ExecuteOrDie(service, kShopTotals);
+    EXPECT_OK(service.Execute("CHECKPOINT").status());
+  }
+  QueryService service(options);
+  ASSERT_TRUE(service.storage_attached());
+  StatementResult restored = ExecuteOrDie(service, kShopTotals);
+  EXPECT_TRUE(restored.cache_hit);
+  EXPECT_OK(service.Execute("INSERT INTO Sales VALUES (1, 1, 1, 5)").status());
+  StatementResult after = ExecuteOrDie(service, kShopTotals);
+  EXPECT_FALSE(after.cache_hit);
+  EXPECT_EQ(service.Stats().plan_cache_recosts, 0u);
+  EXPECT_OK(service.Execute("INSERT INTO Sales VALUES (2, 1, 1, 5)").status());
+  EXPECT_TRUE(ExecuteOrDie(service, kShopTotals).recosted);
+  std::remove(path.c_str());
+  std::remove((path + ".wal").c_str());
+}
+
+// A reader on an older pinned snapshot re-costs for itself and leaves the
+// head's entry in place, so the next head read is served as is.
+TEST(ServicePlanCacheTest, PinnedRecostLeavesTheHeadEntry) {
+  QueryService service;
+  MakeTwoViewSales(&service);
+  ServiceSnapshotPtr pinned = service.PinSnapshot();
+  EXPECT_OK(service.Execute(ManyRegionsInsert()).status());
+  StatementResult head = ExecuteOrDie(service, kShopTotals);  // miss
+  EXPECT_NE(head.message.find("FROM ByDay"), std::string::npos);
+  ASSERT_OK_AND_ASSIGN(Table old_rows, service.Select(kShopTotals, *pinned));
+  EXPECT_EQ(service.Stats().plan_cache_recosts, 1u);
+  StatementResult again = ExecuteOrDie(service, kShopTotals);
+  EXPECT_TRUE(again.cache_hit);
+  EXPECT_FALSE(again.recosted);
+  EXPECT_EQ(service.Stats().plan_cache_invalidated, 1u);  // the pinned flip
+}
+
+// A repeated SELECT text is parsed once; later runs take the parsed
+// statement from the text map.
+TEST(ServicePlanCacheTest, RepeatedTextIsParsedOnce) {
+  ServiceOptions options;
+  options.slow_query_micros = 1;  // every statement reaches the slow log
+  QueryService service(options);
+  EXPECT_OK(service.Execute("CREATE TABLE R(A, B)").status());
+  EXPECT_OK(service.Execute("INSERT INTO R VALUES (1, 2), (3, 4)").status());
+  const std::string q = "SELECT A_1 FROM R WHERE B_1 > 1";
+  StatementResult first = ExecuteOrDie(service, q);
+  EXPECT_EQ(service.Stats().statement_cache_hits, 0u);
+  EXPECT_OK(service.Execute("INSERT INTO R VALUES (5, 6)").status());
+  StatementResult second = ExecuteOrDie(service, q);
+  EXPECT_EQ(service.Stats().statement_cache_hits, 1u);
+  EXPECT_TRUE(second.recosted);
+  ASSERT_TRUE(second.table.has_value());
+  EXPECT_EQ(second.table->num_rows(), 3u);
+  // A schema change re-parses: the text binds against the new catalog.
+  EXPECT_OK(service.Execute("CREATE TABLE Unrelated(X)").status());
+  ExecuteOrDie(service, q);
+  EXPECT_EQ(service.Stats().statement_cache_hits, 1u);
+  // A parse error is not stored.
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_FALSE(service.Execute("SELECT Nope_1 FROM R").ok());
+  }
+  EXPECT_EQ(service.Stats().statement_cache_hits, 1u);
+
+  ServiceOptions off;
+  off.plan_cache_capacity = 0;
+  QueryService uncached(off);
+  EXPECT_OK(uncached.Execute("CREATE TABLE R(A, B)").status());
+  ExecuteOrDie(uncached, q);
+  ExecuteOrDie(uncached, q);
+  EXPECT_EQ(uncached.Stats().statement_cache_hits, 0u);
+}
+
+// Texts that differ only in whitespace are two statement-map entries but
+// one plan entry: the plan key is the canonical query.
+TEST(ServicePlanCacheTest, WhitespaceVariantsShareOnePlanEntry) {
+  QueryService service;
+  EXPECT_OK(service.Execute("CREATE TABLE R(A, B)").status());
+  EXPECT_OK(service.Execute("INSERT INTO R VALUES (1, 2), (3, 4)").status());
+  StatementResult a = ExecuteOrDie(service, "SELECT A_1 FROM R WHERE B_1 > 1");
+  StatementResult b =
+      ExecuteOrDie(service, "SELECT  A_1\n  FROM R\tWHERE B_1 >  1");
+  EXPECT_FALSE(a.cache_hit);
+  EXPECT_TRUE(b.cache_hit);
+  EXPECT_EQ(service.Stats().plan_cache_size, 1u);
+  EXPECT_EQ(service.Stats().statement_cache_hits, 0u);
+  ASSERT_TRUE(a.table.has_value() && b.table.has_value());
+  EXPECT_TRUE(MultisetEqual(*a.table, *b.table));
 }
 
 // N threads x M mixed statements. Shared read-only telephony SELECTs are
