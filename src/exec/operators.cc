@@ -10,56 +10,70 @@ Status SumOutOfRange() {
                             "in a 64-bit integer");
 }
 
+Aggregator Aggregator::Seeded(AggFn fn, const Value& stored) {
+  Aggregator a(fn);
+  if (fn != AggFn::kCount) {
+    a.Add(stored);
+  } else if (!stored.is_null()) {
+    a.state_.count = stored.int64();
+  }
+  return a;
+}
+
 void Aggregator::Add(const Value& v) {
   if (v.is_null()) return;
+  const bool is_min = fn_ == AggFn::kMin;
   switch (fn_) {
     case AggFn::kMin:
-      if (!any_ || EvalCmp(v, CmpOp::kLt, extreme_)) extreme_ = v;
-      break;
     case AggFn::kMax:
-      if (!any_ || EvalCmp(v, CmpOp::kGt, extreme_)) extreme_ = v;
+      if (v.type() == ValueType::kInt64) {
+        state_.AddExtreme(is_min, v.int64());
+      } else if (v.type() == ValueType::kDouble) {
+        state_.AddExtreme(is_min, v.dbl());
+      } else if (state_.ext == AggState::kNone ||
+                 (state_.ext == AggState::kStr &&
+                  (is_min ? v.str() < text_.str() : text_.str() < v.str()))) {
+        state_.ext = AggState::kStr;
+        state_.any = true;
+        text_ = v;
+      }
       break;
     case AggFn::kSum:
     case AggFn::kAvg:
-      if (v.type() == ValueType::kInt64 && all_int_) {
-        sum_int_ += v.int64();
+      if (v.type() == ValueType::kInt64) {
+        state_.Add(v.int64());
       } else {
-        all_int_ = false;
+        state_.Add(v.AsDouble());
       }
-      sum_dbl_ += v.AsDouble();
-      ++count_;
       break;
     case AggFn::kCount:
-      ++count_;
+      state_.AddCount();
       break;
   }
-  any_ = true;
 }
 
-Value Aggregator::Finish() const {
-  switch (fn_) {
-    case AggFn::kMin:
-    case AggFn::kMax:
-      return any_ ? extreme_ : Value::Null();
-    case AggFn::kSum: {
-      if (!any_) return Value::Null();
-      if (!all_int_) return Value::Double(sum_dbl_);
-      int64_t sum;
-      return NarrowSum(sum_int_, &sum) ? Value::Int64(sum) : Value::Null();
-    }
-    case AggFn::kCount:
-      return Value::Int64(count_);
-    case AggFn::kAvg:
-      if (count_ == 0) return Value::Null();
-      return Value::Double(sum_dbl_ / static_cast<double>(count_));
+void Aggregator::Retract(const Value& v) {
+  if (v.is_null()) return;
+  if (fn_ == AggFn::kCount) {
+    state_.RetractCount();
+  } else if (v.type() == ValueType::kInt64) {
+    state_.Retract(v.int64());
+  } else {
+    state_.Retract(v.AsDouble());
   }
-  return Value::Null();
 }
 
-bool Aggregator::Overflowed() const {
-  int64_t unused;
-  return fn_ == AggFn::kSum && any_ && all_int_ &&
-         !NarrowSum(sum_int_, &unused);
+void Aggregator::Merge(const Aggregator& later) {
+  if (later.state_.ext == AggState::kStr) {
+    Add(later.text_);
+  } else {
+    state_.Merge(fn_, later.state_);
+  }
+}
+
+std::optional<Value> Aggregator::Finish() const {
+  if (state_.ext == AggState::kStr) return text_;
+  return state_.Finish(fn_);
 }
 
 Status ProductOutOfRange() {
@@ -223,12 +237,9 @@ std::vector<Row> GroupAggregate(const std::vector<Row>& rows,
   std::unordered_map<Row, GroupState, RowHash, RowEq> groups;
   groups.reserve(rows.size() / 4 + 1);
 
-  auto make_accumulators = [&aggs]() {
-    std::vector<Aggregator> acc;
-    acc.reserve(aggs.size());
-    for (const AggSpec& a : aggs) acc.emplace_back(a.fn);
-    return acc;
-  };
+  std::vector<Aggregator> fresh;
+  fresh.reserve(aggs.size());
+  for (const AggSpec& a : aggs) fresh.emplace_back(a.fn);
 
   Row key;
   for (const Row& row : rows) {
@@ -243,7 +254,7 @@ std::vector<Row> GroupAggregate(const std::vector<Row>& rows,
       original.reserve(group_cols.size());
       for (int o : group_cols) original.push_back(row[o]);
       it->second.key = std::move(original);
-      it->second.accumulators = make_accumulators();
+      it->second.accumulators = fresh;
     }
     for (size_t i = 0; i < aggs.size(); ++i) {
       const AggSpec& spec = aggs[i];
@@ -262,27 +273,26 @@ std::vector<Row> GroupAggregate(const std::vector<Row>& rows,
     }
   }
 
-  std::vector<Row> out;
   if (groups.empty() && group_cols.empty()) {
     // Global aggregate over an empty input still emits one row.
-    std::vector<Aggregator> acc = make_accumulators();
-    Row row;
-    row.reserve(aggs.size());
-    for (const Aggregator& a : acc) row.push_back(a.Finish());
-    out.push_back(std::move(row));
-    return out;
+    groups[Row{}].accumulators = fresh;
   }
 
+  std::vector<Row> out;
   out.reserve(groups.size());
   for (auto& [k, state] : groups) {
     Row row = std::move(state.key);
     row.reserve(row.size() + aggs.size());
     for (const Aggregator& a : state.accumulators) {
-      if (a.Overflowed() && ctx != nullptr) {
-        ctx->Fail(SumOutOfRange());
-        return out;
+      std::optional<Value> v = a.Finish();
+      if (!v.has_value()) {
+        if (ctx != nullptr) {
+          ctx->Fail(SumOutOfRange());
+          return out;
+        }
+        v = Value::Null();
       }
-      row.push_back(a.Finish());
+      row.push_back(*std::move(v));
     }
     out.push_back(std::move(row));
   }

@@ -2,6 +2,7 @@
 #define AQV_EXEC_OPERATORS_H_
 
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -9,6 +10,7 @@
 #include "base/result.h"
 #include "base/status.h"
 #include "base/value.h"
+#include "exec/agg_state.h"
 #include "exec/column_batch.h"
 #include "exec/expression.h"
 #include "ir/query.h"
@@ -20,36 +22,35 @@ namespace aqv {
 /// maintained) adds into 128 bits and fails with this rather than wrap.
 Status SumOutOfRange();
 
-/// Narrows an exact 128-bit INT64 sum; false if it does not fit.
-inline bool NarrowSum(__int128 sum, int64_t* out) {
-  if (sum < INT64_MIN || sum > INT64_MAX) return false;
-  *out = static_cast<int64_t>(sum);
-  return true;
-}
-
-/// Streaming accumulator for one SQL aggregate function. NULL inputs are
-/// ignored per SQL. An accumulator that saw no (non-null) input finishes to
-/// NULL, except COUNT which finishes to 0.
+/// The row engine's aggregate over Values: an AggState plus what only
+/// Values have, a string MIN/MAX extreme without a dictionary (the
+/// cross-family rule, that the first family wins, holds for it too). NULL
+/// inputs are ignored per SQL. An accumulator that saw no (non-null) input
+/// finishes to NULL, except COUNT, which finishes to 0. The view maintainer
+/// uses it too: a delta folded with Add/Retract, merged into the stored
+/// value (Seeded).
 class Aggregator {
  public:
   explicit Aggregator(AggFn fn) : fn_(fn) {}
 
-  void Add(const Value& v);
-  Value Finish() const;
+  /// An accumulator holding `stored`, a finished value of `fn`.
+  static Aggregator Seeded(AggFn fn, const Value& stored);
 
-  /// True if this is a SUM over INT64 values only whose exact total does
-  /// not fit INT64. Finish() then returns NULL; the caller must fail the
-  /// statement with SumOutOfRange().
-  bool Overflowed() const;
+  void Add(const Value& v);
+  /// Undoes an Add of `v`; SUM and COUNT only.
+  void Retract(const Value& v);
+  /// Folds in `later`, an accumulator of the same function over inputs that
+  /// come after this one's.
+  void Merge(const Aggregator& later);
+
+  /// The value, or nullopt when an INT64 SUM's exact total does not fit
+  /// INT64: the caller fails the statement with SumOutOfRange().
+  std::optional<Value> Finish() const;
 
  private:
   AggFn fn_;
-  bool any_ = false;
-  Value extreme_;          // MIN/MAX running extremum
-  int64_t count_ = 0;      // COUNT / AVG denominator
-  __int128 sum_int_ = 0;   // exact integer sum while all inputs are INT64
-  double sum_dbl_ = 0.0;   // numeric sum (always maintained)
-  bool all_int_ = true;
+  AggState state_;
+  Value text_;  // the extreme while state_.ext == AggState::kStr
 };
 
 /// One aggregate computation over an input row layout: AGG(column), or

@@ -4,8 +4,11 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <optional>
 #include <string>
 #include <unordered_map>
+
+#include "exec/agg_state.h"
 
 namespace aqv {
 
@@ -492,21 +495,6 @@ struct GroupKeyHash {
   }
 };
 
-/// Mirrors Aggregator's accumulator state; which fields are live is decided
-/// by the aggregate and by each image's stream, so the struct carries only
-/// the tags Aggregator's Value fields would.
-struct AggState {
-  __int128 sum_i = 0;  // exact, while every input is INT64
-  double sum_d = 0.0;
-  int64_t cnt = 0;
-  int64_t ext_i = 0;
-  double ext_d = 0.0;
-  int32_t ext_code = -1;
-  enum : uint8_t { kNone, kInt, kDbl, kStr } ext = kNone;  // MIN/MAX kind
-  bool any = false;
-  bool all_int = true;
-};
-
 /// One column's strings across every image of one aggregation. The first
 /// image's dictionary is used in place (identity remap); the first later
 /// image copies it into `merged`, and every later image maps its codes onto
@@ -670,7 +658,13 @@ struct VectorizedAggregation::Groups::Impl {
   std::vector<AggState> states;  // group-major, one per aggregate
   std::unordered_map<int, GlobalDict> dicts;  // by column ordinal
   std::vector<uint32_t> slot_gid;  // one image's dense slots -> group id
-  explicit Impl(size_t key_words) : index(16, GroupKeyHash{key_words}) {}
+  Impl(size_t ng, size_t nspecs) : index(16, GroupKeyHash{2 * ng}) {
+    // Global aggregate: exactly one group, present even on empty input.
+    if (ng == 0) {
+      keys.emplace_back();
+      states.resize(nspecs);
+    }
+  }
 };
 
 VectorizedAggregation::Groups::Groups() = default;
@@ -747,14 +741,9 @@ void VectorizedAggregation::Accumulate(const ColumnarTable& table,
   const size_t nspecs = aggs_.size();
   const size_t ng = group_cols_.size();
   if (groups->impl_ == nullptr) {
-    groups->impl_ = std::make_unique<Groups::Impl>(2 * ng);
+    groups->impl_ = std::make_unique<Groups::Impl>(ng, nspecs);
   }
   Groups::Impl& g = *groups->impl_;
-  if (ng == 0 && g.keys.empty()) {
-    // Global aggregate: exactly one group, present even on empty input.
-    g.keys.emplace_back();
-    g.states.resize(nspecs);
-  }
 
   // This image's string codes, mapped onto each column's dictionary.
   std::unordered_map<int, std::vector<int32_t>> remaps;
@@ -904,9 +893,21 @@ void VectorizedAggregation::Accumulate(const ColumnarTable& table,
           }
         });
       };
-      // Folds each row's (scaled) INT64 argument through add(state, v); a
-      // product outside INT64 skips its row and flags the batch.
-      auto fold_int = [&](auto add) {
+      // Folds each row's (scaled) argument of an INT64 or DOUBLE stream
+      // through add(state, v), typed by the stream; an INT64 product
+      // outside INT64 skips its row and flags the batch.
+      auto fold = [&](auto add) {
+        if (stream == Stream::kDbl) {
+          if (m == nullptr) {
+            const double* v = c.f64.data();
+            run([&](AggState& st, uint32_t r) { add(st, v[r]); });
+          } else {
+            run([&](AggState& st, uint32_t r) {
+              add(st, NumAt(c, r) * NumAt(*m, r));
+            });
+          }
+          return;
+        }
         const int64_t* v = c.i64.data();
         if (m == nullptr) {
           run([&](AggState& st, uint32_t r) { add(st, v[r]); });
@@ -922,99 +923,37 @@ void VectorizedAggregation::Accumulate(const ColumnarTable& table,
           }
         });
       };
-      auto fold_dbl = [&](auto add) {
-        if (m == nullptr) {
-          const double* v = c.f64.data();
-          run([&](AggState& st, uint32_t r) { add(st, v[r]); });
-        } else {
-          run([&](AggState& st, uint32_t r) {
-            add(st, NumAt(c, r) * NumAt(*m, r));
-          });
-        }
-      };
 
       switch (a.fn) {
         case AggFn::kSum:
         case AggFn::kAvg:
-          if (stream == Stream::kInt) {
-            fold_int([](AggState& st, int64_t v) {
-              st.sum_i += v;
-              st.sum_d += static_cast<double>(v);
-              ++st.cnt;
-              st.any = true;
-            });
-          } else {
-            fold_dbl([](AggState& st, double v) {
-              st.sum_d += v;
-              ++st.cnt;
-              st.any = true;
-              st.all_int = false;
-            });
-          }
+          fold([](AggState& st, auto v) { st.Add(v); });
           break;
-        case AggFn::kCount: {
-          auto count = [](AggState& st, auto) {
-            ++st.cnt;
-            st.any = true;
-          };
+        case AggFn::kCount:
           // COUNT reads no value, except that a scaled INT64 argument still
           // forms its product: one that overflows fails the statement, as
           // in the row engine.
           if (stream == Stream::kInt && m != nullptr) {
-            fold_int(count);
+            fold([](AggState& st, auto) { st.AddCount(); });
           } else {
-            run([&](AggState& st, uint32_t) { count(st, 0); });
+            run([](AggState& st, uint32_t) { st.AddCount(); });
           }
           break;
-        }
         case AggFn::kMin:
         case AggFn::kMax: {
-          // EvalCmp's order: INT64 against an INT64 extremum exactly,
-          // anything else as doubles. Strict, so the first value wins ties,
-          // including INT64/DOUBLE pairs that tie as doubles.
           const bool is_min = a.fn == AggFn::kMin;
-          auto beats = [is_min](auto v, auto e) {
-            return is_min ? v < e : e < v;
-          };
-          if (stream == Stream::kInt) {
-            fold_int([&](AggState& st, int64_t v) {
-              if (st.ext == AggState::kNone ||
-                  (st.ext == AggState::kInt
-                       ? beats(v, st.ext_i)
-                       : beats(static_cast<double>(v), st.ext_d))) {
-                st.ext = AggState::kInt;
-                st.ext_i = v;
-              }
-              st.any = true;
-            });
-          } else if (stream == Stream::kDbl) {
-            fold_dbl([&](AggState& st, double v) {
-              if (st.ext == AggState::kNone ||
-                  beats(v, st.ext == AggState::kInt
-                               ? static_cast<double>(st.ext_i)
-                               : st.ext_d)) {
-                st.ext = AggState::kDbl;
-                st.ext_d = v;
-              }
-              st.any = true;
-            });
-          } else {  // Stream::kStr (unscaled: a string mult is kNullStream)
-            const int32_t* remap = agg_remap[s];
-            const std::vector<std::string>& dict = g.dicts[a.col].strings();
-            run([&](AggState& st, uint32_t r) {
-              int32_t code = c.codes[r];
-              if (remap != nullptr) code = remap[code];
-              if (st.ext == AggState::kNone) {
-                st.ext = AggState::kStr;
-                st.ext_code = code;
-              } else if (code != st.ext_code) {
-                int cm = dict[static_cast<size_t>(code)].compare(
-                    dict[static_cast<size_t>(st.ext_code)]);
-                if (is_min ? cm < 0 : cm > 0) st.ext_code = code;
-              }
-              st.any = true;
-            });
+          if (stream != Stream::kStr) {
+            fold([is_min](AggState& st, auto v) { st.AddExtreme(is_min, v); });
+            break;
           }
+          // Unscaled: a string multiplier makes a kNullStream.
+          const int32_t* remap = agg_remap[s];
+          const std::vector<std::string>& dict = g.dicts[a.col].strings();
+          run([&](AggState& st, uint32_t r) {
+            int32_t code = c.codes[r];
+            if (remap != nullptr) code = remap[code];
+            st.AddExtreme(is_min, code, dict);
+          });
           break;
         }
       }
@@ -1032,13 +971,9 @@ std::vector<Row> VectorizedAggregation::Finish(Groups* groups,
                                                ExecContext* ctx) const {
   const size_t nspecs = aggs_.size();
   if (groups->impl_ == nullptr) {
-    groups->impl_ = std::make_unique<Groups::Impl>(2 * group_cols_.size());
+    groups->impl_ = std::make_unique<Groups::Impl>(group_cols_.size(), nspecs);
   }
   Groups::Impl& g = *groups->impl_;
-  if (group_cols_.empty() && g.keys.empty()) {
-    g.keys.emplace_back();
-    g.states.resize(nspecs);
-  }
   // Emit [group values..., aggregate finishes...].
   std::vector<Row> out;
   out.reserve(g.keys.size());
@@ -1048,51 +983,17 @@ std::vector<Row> VectorizedAggregation::Finish(Groups* groups,
     for (size_t s = 0; s < nspecs; ++s) {
       const Agg& a = aggs_[s];
       const AggState& st = g.states[gi * nspecs + s];
-      switch (a.fn) {
-        case AggFn::kMin:
-        case AggFn::kMax:
-          switch (st.ext) {
-            case AggState::kNone:
-              row.push_back(Value::Null());
-              break;
-            case AggState::kInt:
-              row.push_back(Value::Int64(st.ext_i));
-              break;
-            case AggState::kDbl:
-              row.push_back(Value::Double(st.ext_d));
-              break;
-            case AggState::kStr:
-              row.push_back(Value::String(
-                  g.dicts[a.col].strings()[static_cast<size_t>(st.ext_code)]));
-              break;
-          }
-          break;
-        case AggFn::kSum: {
-          int64_t sum = 0;
-          if (!st.any) {
-            row.push_back(Value::Null());
-          } else if (!st.all_int) {
-            row.push_back(Value::Double(st.sum_d));
-          } else if (NarrowSum(st.sum_i, &sum)) {
-            row.push_back(Value::Int64(sum));
-          } else if (ctx != nullptr) {
-            ctx->Fail(SumOutOfRange());
-            return out;
-          } else {
-            row.push_back(Value::Null());
-          }
-          break;
+      std::optional<Value> v = st.Finish(
+          a.fn,
+          st.ext == AggState::kStr ? &g.dicts[a.col].strings() : nullptr);
+      if (!v.has_value()) {
+        if (ctx != nullptr) {
+          ctx->Fail(SumOutOfRange());
+          return out;
         }
-        case AggFn::kCount:
-          row.push_back(Value::Int64(st.cnt));
-          break;
-        case AggFn::kAvg:
-          row.push_back(st.cnt == 0
-                            ? Value::Null()
-                            : Value::Double(st.sum_d /
-                                            static_cast<double>(st.cnt)));
-          break;
+        v = Value::Null();
       }
+      row.push_back(*std::move(v));
     }
     out.push_back(std::move(row));
   }

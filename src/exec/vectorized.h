@@ -113,10 +113,12 @@ std::vector<std::pair<size_t, SelVector>> SelectRows(
 /// storage class. One aggregation may fold several images — the chunks of
 /// a table, in row order — into one set of groups: string keys and string
 /// MIN/MAX go through a per-image remap of dictionary codes onto one
-/// dictionary per column. State mirrors Aggregator field-for-field — the
+/// dictionary per column. Each (group, aggregate) is one AggState
+/// (exec/agg_state.h), the state the row engine's Aggregator wraps, fed
+/// through the same inline operations and finished by the same Finish: the
 /// double sum is accumulated in input-row order and INT64 sums exactly in
-/// 128 bits — so results are bit-identical to the row engine, not merely
-/// close.
+/// 128 bits, so results are bit-identical to the row engine, not merely
+/// close. A string MIN/MAX stays a dictionary code until Finish.
 ///
 /// Group ids of an image whose grouping columns are all INT64 or
 /// dictionary-coded, with a range product (one extra slot per column for

@@ -1,6 +1,7 @@
 #include "maintain/incremental.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_map>
 
 #include "base/failpoint.h"
@@ -92,29 +93,6 @@ Result<Value> ArgValue(const AggArg& arg, const Row& row,
                                "recompute");
   }
   return product;
-}
-
-// Numeric a + sign * b for SUM maintenance (NULLs propagate like SQL SUM
-// over no rows: NULL + x = x). INT64 arithmetic is exact in 128 bits; a
-// result outside INT64 is kUnsupported, so the write falls back to a
-// recompute, whose exact sum either fits or fails with kOutOfRange.
-Result<Value> AddSigned(const Value& a, const Value& b, int sign) {
-  if (b.is_null()) return a;
-  if (a.is_null() && sign > 0) return b;
-  if (b.type() == ValueType::kInt64 &&
-      (a.is_null() || a.type() == ValueType::kInt64)) {
-    __int128 sum = a.is_null() ? 0 : a.int64();
-    sum += static_cast<__int128>(sign) * b.int64();
-    int64_t narrow;
-    if (!NarrowSum(sum, &narrow)) {
-      return Status::Unsupported(
-          "INT64 SUM overflow in maintenance; recompute");
-    }
-    return Value::Int64(narrow);
-  }
-  // Subtracting from nothing negates.
-  if (a.is_null()) return Value::Double(-b.AsDouble());
-  return Value::Double(a.AsDouble() + sign * b.AsDouble());
 }
 
 }  // namespace
@@ -292,16 +270,26 @@ Status IncrementalMaintainer::Apply(const Delta& delta, const Database& before,
         "deletes need a COUNT output to track group liveness");
   }
 
-  // Group key (canonical values of grouping columns) -> signed updates.
+  // Group key (grouping values as they appear in core rows) -> the delta's
+  // accumulators, one per select position: SUM and COUNT fold inserts in
+  // and retract deletes, MIN and MAX fold inserts only. `deleted` holds the
+  // extreme of the deleted values of each MIN/MAX position.
   struct GroupUpdate {
-    Row group_values;                       // as they appear in core rows
-    std::vector<Value> sum_delta;           // per select position (SUM)
-    std::vector<int64_t> count_delta;       // per select position (COUNT)
-    std::vector<std::vector<Value>> mins;   // inserted values per MIN pos
-    std::vector<std::vector<Value>> maxs;   // inserted values per MAX pos
-    std::vector<std::vector<Value>> deleted;  // deleted values per pos
+    std::vector<Aggregator> delta;
+    std::vector<Aggregator> deleted;
   };
   size_t width = q.select.size();
+  std::vector<Aggregator> fresh;
+  fresh.reserve(width);
+  for (const SelectItem& s : q.select) {
+    fresh.emplace_back(s.kind == SelectItem::Kind::kAggregate ? s.agg
+                                                             : AggFn::kCount);
+  }
+  auto is_extreme = [&](size_t p) {
+    const SelectItem& s = q.select[p];
+    return s.kind == SelectItem::Kind::kAggregate &&
+           (s.agg == AggFn::kMin || s.agg == AggFn::kMax);
+  };
   std::unordered_map<Row, GroupUpdate, RowHash, RowEq> updates;
 
   for (const SignedRow& core : cores) {
@@ -310,37 +298,22 @@ Status IncrementalMaintainer::Apply(const Delta& delta, const Database& before,
     for (const std::string& g : q.group_by) {
       key.push_back(core.row[layout.at(g)]);
     }
-    auto [it, inserted] = updates.try_emplace(key);
+    auto [it, inserted] = updates.try_emplace(std::move(key));
     GroupUpdate& u = it->second;
     if (inserted) {
-      u.group_values = key;
-      u.sum_delta.assign(width, Value::Null());
-      u.count_delta.assign(width, 0);
-      u.mins.resize(width);
-      u.maxs.resize(width);
-      u.deleted.resize(width);
+      u.delta = fresh;
+      u.deleted = fresh;
     }
     for (size_t p = 0; p < width; ++p) {
       const SelectItem& s = q.select[p];
       if (s.kind != SelectItem::Kind::kAggregate) continue;
       AQV_ASSIGN_OR_RETURN(Value v, ArgValue(s.arg, core.row, layout));
-      switch (s.agg) {
-        case AggFn::kSum: {
-          AQV_ASSIGN_OR_RETURN(u.sum_delta[p],
-                               AddSigned(u.sum_delta[p], v, core.weight));
-          break;
-        }
-        case AggFn::kCount:
-          if (!v.is_null()) u.count_delta[p] += core.weight;
-          break;
-        case AggFn::kMin:
-          (core.weight > 0 ? u.mins[p] : u.deleted[p]).push_back(v);
-          break;
-        case AggFn::kMax:
-          (core.weight > 0 ? u.maxs[p] : u.deleted[p]).push_back(v);
-          break;
-        case AggFn::kAvg:
-          break;  // rejected in Create()
+      if (core.weight > 0) {
+        u.delta[p].Add(v);
+      } else if (is_extreme(p)) {
+        u.deleted[p].Add(v);
+      } else {
+        u.delta[p].Retract(v);
       }
     }
   }
@@ -360,86 +333,42 @@ Status IncrementalMaintainer::Apply(const Delta& delta, const Database& before,
   std::vector<bool> dead(rows.size(), false);
   for (auto& [key, u] : updates) {
     auto it = index.find(key);
-    if (it == index.end()) {
-      // A group absent from the materialization can still see deletes when
-      // one batch inserts and deletes rows of a self-joined table: the
-      // telescoped cross terms land signed updates on a key that only the
-      // same batch created. Folding those needs the inserts and deletes
-      // cancelled value-by-value (MIN/MAX have no signed form); punt to the
-      // full-recompute fallback instead.
-      for (size_t p = 0; p < width; ++p) {
-        if (!u.deleted[p].empty()) {
-          return Status::Unsupported(
-              "a delete lands in a group absent from the materialization; "
-              "recompute");
-        }
-      }
-      Row row(width, Value::Null());
+    const bool stored = it != index.end();
+    // A group absent from the materialization folds into a row of NULLs.
+    Row absent;
+    if (!stored) {
+      absent.assign(width, Value::Null());
       for (size_t i = 0; i < group_positions.size(); ++i) {
-        row[group_positions[i]] = u.group_values[i];
+        absent[group_positions[i]] = key[i];
       }
-      for (size_t p = 0; p < width; ++p) {
-        const SelectItem& s = q.select[p];
-        if (s.kind != SelectItem::Kind::kAggregate) continue;
-        switch (s.agg) {
-          case AggFn::kSum:
-            row[p] = u.sum_delta[p];
-            break;
-          case AggFn::kCount:
-            row[p] = Value::Int64(u.count_delta[p]);
-            break;
-          case AggFn::kMin: {
-            Aggregator agg(AggFn::kMin);
-            for (const Value& v : u.mins[p]) agg.Add(v);
-            row[p] = agg.Finish();
-            break;
-          }
-          case AggFn::kMax: {
-            Aggregator agg(AggFn::kMax);
-            for (const Value& v : u.maxs[p]) agg.Add(v);
-            row[p] = agg.Finish();
-            break;
-          }
-          case AggFn::kAvg:
-            break;
-        }
-      }
-      if (count_position < 0 || row[count_position].int64() > 0) {
-        added.push_back(std::move(row));
-      }
-      continue;
     }
-
-    Row& row = rows[it->second];
-    // MIN/MAX first: a delete touching the extremum forces recomputation —
-    // unless the same batch inserts a covering value into the group (>= the
-    // extremum for MAX, <= for MIN). Every surviving old value is bounded by
-    // the old extremum, so the covering insert dominates and the ordinary
-    // merge below yields the correct new extremum.
+    Row& row = stored ? rows[it->second] : absent;
+    // MIN/MAX first: a delete that reaches the extremum (a deleted value >=
+    // the stored MAX, <= the stored MIN) forces recomputation, unless the
+    // same batch inserts a covering value into the group (>= the extremum
+    // for MAX, <= for MIN). Every surviving old value is bounded by the old
+    // extremum, so the covering insert dominates and the merge below yields
+    // the correct new extremum.
     for (size_t p = 0; p < width; ++p) {
-      const SelectItem& s = q.select[p];
-      if (s.kind != SelectItem::Kind::kAggregate) continue;
-      if (s.agg != AggFn::kMin && s.agg != AggFn::kMax) continue;
-      bool extremum_deleted = false;
-      for (const Value& v : u.deleted[p]) {
-        if (!v.is_null() && v.Compare(row[p]) == 0) {
-          extremum_deleted = true;
-          break;
-        }
+      if (!is_extreme(p) || u.deleted[p].Finish()->is_null()) continue;
+      // An absent group can still see deletes when one batch inserts and
+      // deletes rows of a self-joined table: the telescoped cross terms
+      // land signed updates on a key that only the same batch created.
+      // Folding those needs the inserts and deletes cancelled value-by-value
+      // (MIN/MAX have no signed form); punt to the recompute instead.
+      if (!stored) {
+        return Status::Unsupported(
+            "a delete lands in a group absent from the materialization; "
+            "recompute");
       }
-      if (!extremum_deleted) continue;
-      bool covered = false;
-      const std::vector<Value>& inserted =
-          s.agg == AggFn::kMax ? u.maxs[p] : u.mins[p];
-      for (const Value& v : inserted) {
-        if (v.is_null()) continue;
+      const bool is_max = q.select[p].agg == AggFn::kMax;
+      auto reaches = [&](const Aggregator& agg) {
+        Value v = *agg.Finish();
+        if (v.is_null()) return false;
         int cmp = v.Compare(row[p]);
-        if (s.agg == AggFn::kMax ? cmp >= 0 : cmp <= 0) {
-          covered = true;
-          break;
-        }
-      }
-      if (!covered) {
+        return is_max ? cmp >= 0 : cmp <= 0;
+      };
+      if (reaches(u.deleted[p]) && !reaches(u.delta[p])) {
         return Status::Unsupported(
             "a delete removes the current extremum of a group; recompute");
       }
@@ -447,35 +376,21 @@ Status IncrementalMaintainer::Apply(const Delta& delta, const Database& before,
     for (size_t p = 0; p < width; ++p) {
       const SelectItem& s = q.select[p];
       if (s.kind != SelectItem::Kind::kAggregate) continue;
-      switch (s.agg) {
-        case AggFn::kSum: {
-          AQV_ASSIGN_OR_RETURN(row[p], AddSigned(row[p], u.sum_delta[p], +1));
-          break;
-        }
-        case AggFn::kCount:
-          row[p] = Value::Int64(row[p].int64() + u.count_delta[p]);
-          break;
-        case AggFn::kMin: {
-          Aggregator agg(AggFn::kMin);
-          agg.Add(row[p]);
-          for (const Value& v : u.mins[p]) agg.Add(v);
-          row[p] = agg.Finish();
-          break;
-        }
-        case AggFn::kMax: {
-          Aggregator agg(AggFn::kMax);
-          agg.Add(row[p]);
-          for (const Value& v : u.maxs[p]) agg.Add(v);
-          row[p] = agg.Finish();
-          break;
-        }
-        case AggFn::kAvg:
-          break;
+      Aggregator merged = Aggregator::Seeded(s.agg, row[p]);
+      merged.Merge(u.delta[p]);
+      std::optional<Value> v = merged.Finish();
+      // A SUM whose exact INT64 total does not fit: the recompute fails the
+      // write with kOutOfRange.
+      if (!v.has_value()) {
+        return Status::Unsupported(
+            "INT64 SUM overflow in maintenance; recompute");
       }
+      row[p] = *std::move(v);
     }
-    if (count_position >= 0 && row[count_position].int64() <= 0) {
-      dead[it->second] = true;
-    }
+    const bool alive =
+        count_position < 0 || row[count_position].int64() > 0;
+    if (!stored && alive) added.push_back(std::move(row));
+    if (stored && !alive) dead[it->second] = true;
   }
 
   std::vector<Row> kept;

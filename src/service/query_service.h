@@ -615,6 +615,8 @@ class QueryService {
     size_t tables = 0;            // base tables written
     size_t views_maintained = 0;  // dependents folded incrementally
     size_t views_recomputed = 0;  // dependents fully recomputed
+    /// "VIEW: reason" per recomputed dependent, ", "-separated.
+    std::string recomputes;
     bool repaired = false;        // a LOAD lifted its table's quarantine
     /// The epoch Publish gave the write; when nothing changed, the epoch
     /// of the state it ran against.

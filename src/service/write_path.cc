@@ -337,7 +337,10 @@ Result<StatementResult> QueryService::HandleWrite(const Statement& s) {
   std::string views = std::to_string(applied.views_maintained) +
                       " view(s) maintained, " +
                       std::to_string(applied.views_recomputed) +
-                      " recomputed\n";
+                      " recomputed" +
+                      (applied.recomputes.empty()
+                           ? "\n"
+                           : " (" + applied.recomputes + ")\n");
   if (kind == Kind::kRefresh) {
     out.message = "view " + table + " refreshed; " + views;
   } else if (verb == nullptr) {
@@ -718,37 +721,43 @@ Result<QueryService::WriteApplied> QueryService::ApplyWrite(
   std::vector<std::string> recomputed;
   for (const DependentView& d : dependents) {
     AQV_ASSIGN_OR_RETURN(const ViewDef* def, base->views->Get(d.name));
-    bool maintained = false;
     // The delta names base tables only, so the maintainer's telescoped
     // differencing sees no change for a view reading another view — those
     // must be recomputed, not silently no-opped.
     bool base_only = std::none_of(
         def->query.from.begin(), def->query.from.end(),
         [&](const TableRef& ref) { return base->views->Has(ref.table); });
-    if (!load && !refresh && base_only) {
+    // Why the view is recomputed, when it is.
+    std::string reason = load         ? "LOAD replaces its input"
+                         : refresh    ? "REFRESH"
+                         : !base_only ? "reads another view"
+                                      : "";
+    if (reason.empty()) {
       Result<IncrementalMaintainer> maintainer =
           IncrementalMaintainer::Create(*def, eval_options_);
+      Status folded = maintainer.status();
       if (maintainer.ok()) {
         AQV_ASSIGN_OR_RETURN(const Table* current, base->db.Get(d.name));
         Result<Table> fresh =
             maintainer->ApplyToCopy(delta, base->db, *current);
-        if (fresh.ok()) {
-          staging.db.Put(d.name, *std::move(fresh));
-          maintained = true;
-        } else if (fresh.status().code() != StatusCode::kUnsupported) {
-          return fresh.status();
-        }
-      } else if (maintainer.status().code() != StatusCode::kUnsupported) {
-        return maintainer.status();
+        folded = fresh.status();
+        if (fresh.ok()) staging.db.Put(d.name, *std::move(fresh));
       }
+      if (folded.ok()) {
+        ++applied.views_maintained;
+        continue;
+      }
+      if (folded.code() != StatusCode::kUnsupported) return folded;
+      reason = folded.message();
     }
-    if (maintained) {
-      ++applied.views_maintained;
-    } else {
-      AQV_RETURN_NOT_OK(RecomputeViewInto(d.name, &staging).status());
-      ++applied.views_recomputed;
-      recomputed.push_back(d.name);
-    }
+    AQV_RETURN_NOT_OK(RecomputeViewInto(d.name, &staging).status());
+    ++applied.views_recomputed;
+    if (!applied.recomputes.empty()) applied.recomputes += ", ";
+    applied.recomputes += d.name + ": " + reason;
+    recomputed.push_back(d.name);
+  }
+  if (span.active() && !applied.recomputes.empty()) {
+    span.AddAttr("recompute", applied.recomputes);
   }
   uint64_t maintain_micros = ElapsedMicros(maintain_start);
   if (!dependents.empty()) {

@@ -15,8 +15,10 @@
 
 #include <gtest/gtest.h>
 
+#include "base/trace.h"
 #include "catalog/catalog.h"
 #include "exec/csv.h"
+#include "exec/evaluator.h"
 #include "exec/table.h"
 #include "parser/parser.h"
 #include "service/query_service.h"
@@ -289,6 +291,56 @@ TEST(DmlServiceTest, WritesAimedAtViewsNameTheRightVerb) {
   ServiceSnapshotPtr snap = service->PinSnapshot();
   ASSERT_OK_AND_ASSIGN(const Table* totals, snap->db.Get("Totals"));
   EXPECT_EQ(CellForShop(*totals, 2, 1), 80);  // 30 + 30 + the buffered 20
+}
+
+// A write names each view it recomputed and why, in its reply and in its
+// write_apply span; a view it folded is not named.
+TEST(DmlServiceTest, RecomputeReplyNamesTheViewAndItsReason) {
+  std::unique_ptr<QueryService> service = MakeSalesService();
+  ASSERT_OK(service
+                ->Execute("CREATE MATERIALIZED VIEW Peaks AS SELECT Shop_1, "
+                          "MAX(Amount_1) AS M, COUNT(Amount_1) AS N FROM "
+                          "Sales GROUPBY Shop_1")
+                .status());
+  // Below shop 1's maximum (20): both views fold.
+  ASSERT_OK_AND_ASSIGN(StatementResult folded,
+                       service->Execute("DELETE FROM Sales WHERE Amount = 10"));
+  EXPECT_EQ(folded.message,
+            "1 row(s) deleted from Sales; 2 view(s) maintained, 0 "
+            "recomputed\n");
+  ASSERT_OK(service->Execute("INSERT INTO Sales VALUES (1, 15)").status());
+
+  // Shop 1's maximum itself: Peaks is recomputed, and says so.
+  const std::string reason =
+      "Peaks: a delete removes the current extremum of a group; recompute";
+  Tracer& tracer = Tracer::Global();
+  tracer.Clear();
+  tracer.Enable();
+  Result<StatementResult> ack =
+      service->Execute("DELETE FROM Sales WHERE Amount = 20");
+  tracer.Disable();
+  ASSERT_OK(ack.status());
+  EXPECT_EQ(ack->message, "1 row(s) deleted from Sales; 1 view(s) "
+                          "maintained, 1 recomputed (" + reason + ")\n");
+  std::string recompute_attr;
+  for (const TraceEvent& e : tracer.Snapshot()) {
+    if (e.name != "write_apply") continue;
+    for (const auto& [key, value] : e.attributes) {
+      if (key == "recompute") recompute_attr = value;
+    }
+  }
+  tracer.Clear();
+  EXPECT_EQ(recompute_attr, reason);
+  ServiceSnapshotPtr snap = service->PinSnapshot();
+  ASSERT_OK_AND_ASSIGN(const Table* peaks, snap->db.Get("Peaks"));
+  EXPECT_EQ(CellForShop(*peaks, 1, 1), 15);
+
+  // REFRESH recomputes by definition and says that instead.
+  ASSERT_OK_AND_ASSIGN(StatementResult refreshed,
+                       service->Execute("REFRESH Peaks"));
+  EXPECT_NE(refreshed.message.find("1 recomputed (Peaks: REFRESH)"),
+            std::string::npos)
+      << refreshed.message;
 }
 
 // A LOAD that replaces a table is one more write request: Stats() counts
@@ -603,6 +655,38 @@ TEST(SumOverflowTest, MaintainedViewRefusesAWriteThatWouldWrapItsSum) {
   ASSERT_EQ(dv->num_rows(), 1u);
   EXPECT_EQ(dv->rows()[0][1], Value::Int64((int64_t{1} << 62) - 5));
   EXPECT_GE(service.Stats().views_maintained, 1u);
+}
+
+// A delta whose running INT64 SUM leaves the range part-way but whose total
+// fits is folded exactly in 128 bits: the view is maintained, not handed to
+// a recompute, and a read rewritten onto it equals the base read.
+TEST(SumOverflowTest, DeltaSumFoldsInOneHundredTwentyEightBits) {
+  QueryService service;
+  ASSERT_OK(service.Execute("CREATE TABLE D(G, X)").status());
+  ASSERT_OK(service.Execute("INSERT INTO D VALUES (1, 0), (2, 5)").status());
+  ASSERT_OK(service
+                .Execute("CREATE MATERIALIZED VIEW DV AS SELECT G_1, "
+                         "SUM(X_1) AS S, COUNT(X_1) AS C FROM D GROUPBY G_1")
+                .status());
+  ASSERT_OK_AND_ASSIGN(
+      StatementResult ack,
+      service.Execute("INSERT INTO D VALUES (1, 4611686018427387904), "
+                      "(1, 4611686018427387904), (1, -4611686018427387904)"));
+  EXPECT_NE(ack.message.find("1 view(s) maintained, 0 recomputed"),
+            std::string::npos)
+      << ack.message;
+
+  const std::string sql = "SELECT G_1, SUM(X_1) FROM D GROUPBY G_1";
+  ASSERT_OK_AND_ASSIGN(StatementResult read, service.Execute(sql));
+  EXPECT_TRUE(read.used_materialized_view);
+  ASSERT_TRUE(read.table.has_value());
+  ServiceSnapshotPtr snap = service.PinSnapshot();
+  ASSERT_OK_AND_ASSIGN(Query q, ParseQuery(sql, snap->catalog.get()));
+  Evaluator base(&snap->db, nullptr);
+  ASSERT_OK_AND_ASSIGN(Table want, base.Execute(q));
+  EXPECT_TRUE(MultisetEqual(*read.table, want))
+      << DescribeMultisetDifference(*read.table, want);
+  EXPECT_EQ(CellForShop(want, 1, 1), int64_t{1} << 62);
 }
 
 // A scaled argument's INT64 product is checked like the sum: out of range

@@ -1,8 +1,12 @@
 #include <algorithm>
+#include <bit>
 #include <limits>
+#include <optional>
+#include <random>
 
 #include <gtest/gtest.h>
 
+#include "exec/agg_state.h"
 #include "exec/column_batch.h"
 #include "exec/expression.h"
 #include "exec/operators.h"
@@ -152,9 +156,9 @@ TEST(AggregatorTest, AllFunctions) {
 }
 
 TEST(AggregatorTest, EmptyInputs) {
-  EXPECT_TRUE(Aggregator(AggFn::kMin).Finish().is_null());
-  EXPECT_TRUE(Aggregator(AggFn::kSum).Finish().is_null());
-  EXPECT_TRUE(Aggregator(AggFn::kAvg).Finish().is_null());
+  EXPECT_TRUE(Aggregator(AggFn::kMin).Finish()->is_null());
+  EXPECT_TRUE(Aggregator(AggFn::kSum).Finish()->is_null());
+  EXPECT_TRUE(Aggregator(AggFn::kAvg).Finish()->is_null());
   EXPECT_EQ(Aggregator(AggFn::kCount).Finish(), Value::Int64(0));
 }
 
@@ -170,20 +174,234 @@ TEST(AggregatorTest, Int64SumIsExactAndNeverWraps) {
   Aggregator agg(AggFn::kSum);
   agg.Add(Value::Int64(big));
   agg.Add(Value::Int64(big));
-  EXPECT_TRUE(agg.Overflowed());
-  EXPECT_TRUE(agg.Finish().is_null());  // never -9223372036854775808
+  EXPECT_FALSE(agg.Finish().has_value());  // never -9223372036854775808
   // The sum is exact, not saturated: coming back into range is fine.
   agg.Add(Value::Int64(-big));
-  EXPECT_FALSE(agg.Overflowed());
+  ASSERT_TRUE(agg.Finish().has_value());
   EXPECT_EQ(agg.Finish(), Value::Int64(big));
   // A DOUBLE input makes it a double sum, which has no INT64 range.
   Aggregator mixed(AggFn::kSum);
   mixed.Add(Value::Int64(big));
   mixed.Add(Value::Int64(big));
   mixed.Add(Value::Double(0.5));
-  EXPECT_FALSE(mixed.Overflowed());
+  ASSERT_TRUE(mixed.Finish().has_value());
   EXPECT_EQ(mixed.Finish(),
             Value::Double(2.0 * static_cast<double>(big) + 0.5));
+}
+
+// The value `agg` finishes to is `want`: same type, and for a DOUBLE the
+// same bits (so -0.0 and 0.0 differ).
+void ExpectFinishes(const std::optional<Value>& got, const Value& want) {
+  ASSERT_TRUE(got.has_value()) << "INT64 sum out of range, want " << want;
+  EXPECT_EQ(got->type(), want.type()) << *got << " vs " << want;
+  EXPECT_EQ(*got, want);
+  if (want.type() == ValueType::kDouble && got->type() == ValueType::kDouble) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(got->dbl()),
+              std::bit_cast<uint64_t>(want.dbl()))
+        << got->dbl() << " vs " << want.dbl();
+  }
+}
+
+// Folds `values` through the Value adapter.
+std::optional<Value> Aggregate(AggFn fn, const std::vector<Value>& values) {
+  Aggregator agg(fn);
+  for (const Value& v : values) agg.Add(v);
+  return agg.Finish();
+}
+
+TEST(AggStateTest, EdgeValuesThroughEveryFunction) {
+  const int64_t lo = std::numeric_limits<int64_t>::min();
+  const int64_t hi = std::numeric_limits<int64_t>::max();
+  const int64_t p53 = int64_t{1} << 53;
+  auto I = [](int64_t v) { return Value::Int64(v); };
+  auto D = [](double v) { return Value::Double(v); };
+  auto S = [](const char* v) { return Value::String(v); };
+
+  // INT64 min and max: exact extremes, exact in-range sums, and a sum that
+  // leaves the range in either direction has no value.
+  ExpectFinishes(Aggregate(AggFn::kMin, {I(hi), I(lo)}), I(lo));
+  ExpectFinishes(Aggregate(AggFn::kMax, {I(lo), I(hi)}), I(hi));
+  ExpectFinishes(Aggregate(AggFn::kSum, {I(hi), I(lo)}), I(-1));
+  ExpectFinishes(Aggregate(AggFn::kSum, {I(hi)}), I(hi));
+  ExpectFinishes(Aggregate(AggFn::kSum, {I(lo)}), I(lo));
+  EXPECT_FALSE(Aggregate(AggFn::kSum, {I(hi), I(1)}).has_value());
+  EXPECT_FALSE(Aggregate(AggFn::kSum, {I(lo), I(-1)}).has_value());
+  EXPECT_FALSE(Aggregate(AggFn::kSum, {I(lo), I(lo)}).has_value());
+  ExpectFinishes(Aggregate(AggFn::kCount, {I(lo), I(hi)}), I(2));
+  // AVG divides the double sum, which has no INT64 range.
+  ExpectFinishes(Aggregate(AggFn::kAvg, {I(hi), I(hi)}),
+                 D(static_cast<double>(hi)));
+
+  // +-2^53 +- 1: INT64 extremes and sums are exact; a DOUBLE operand makes
+  // the comparison a double one, where 2^53 + 1 ties 2^53 and the first
+  // value wins.
+  ExpectFinishes(Aggregate(AggFn::kMax, {I(p53), I(p53 + 1)}), I(p53 + 1));
+  ExpectFinishes(Aggregate(AggFn::kMin, {I(-p53), I(-p53 - 1)}), I(-p53 - 1));
+  ExpectFinishes(Aggregate(AggFn::kMax, {D(0x1p53), I(p53 + 1)}), D(0x1p53));
+  ExpectFinishes(Aggregate(AggFn::kMin, {I(-p53 - 1), D(-0x1p53)}),
+                 I(-p53 - 1));
+  ExpectFinishes(Aggregate(AggFn::kSum, {I(p53), I(1), I(p53 - 1)}),
+                 I(2 * p53));
+  ExpectFinishes(Aggregate(AggFn::kSum, {I(p53 + 1), I(-p53 - 1)}), I(0));
+  // The double sum rounds in input order.
+  ExpectFinishes(Aggregate(AggFn::kSum, {D(0x1p53), I(1), I(1)}), D(0x1p53));
+  ExpectFinishes(Aggregate(AggFn::kSum, {I(1), I(1), D(0x1p53)}),
+                 D(0x1p53 + 2));
+
+  // -0.0: a sum starts at +0.0, so it absorbs the sign; an extreme keeps
+  // the first of two zeros.
+  ExpectFinishes(Aggregate(AggFn::kSum, {D(-0.0)}), D(0.0));
+  ExpectFinishes(Aggregate(AggFn::kMin, {D(-0.0), D(0.0)}), D(-0.0));
+  ExpectFinishes(Aggregate(AggFn::kMax, {D(0.0), D(-0.0)}), D(0.0));
+  ExpectFinishes(Aggregate(AggFn::kMax, {D(-0.0), I(0)}), D(-0.0));
+  ExpectFinishes(Aggregate(AggFn::kAvg, {D(-0.0), D(-0.0)}), D(0.0));
+
+  // NULL is skipped; a function that saw only NULLs finishes like one that
+  // saw nothing.
+  for (AggFn fn : {AggFn::kMin, AggFn::kMax, AggFn::kSum, AggFn::kAvg}) {
+    ExpectFinishes(Aggregate(fn, {Value::Null(), Value::Null()}),
+                   Value::Null());
+  }
+  ExpectFinishes(Aggregate(AggFn::kCount, {Value::Null(), I(7)}), I(1));
+  ExpectFinishes(Aggregate(AggFn::kSum, {Value::Null(), I(lo)}), I(lo));
+
+  // Strings through the adapter: ordered as strings, counted, and the
+  // first family of a MIN/MAX wins over the other.
+  ExpectFinishes(Aggregate(AggFn::kMin, {S("b"), S("a"), S("c")}), S("a"));
+  ExpectFinishes(Aggregate(AggFn::kMax, {S("b"), S("c"), S("a")}), S("c"));
+  ExpectFinishes(Aggregate(AggFn::kCount, {S("b"), Value::Null(), S("a")}),
+                 I(2));
+  ExpectFinishes(Aggregate(AggFn::kMin, {S("b"), I(lo)}), S("b"));
+  ExpectFinishes(Aggregate(AggFn::kMax, {D(1.5), S("z")}), D(1.5));
+
+  // The state itself: dictionary-coded extremes resolve through the
+  // caller's dictionary.
+  const std::vector<std::string> dict = {"m", "a", "z"};
+  AggState min_code, max_code;
+  for (int32_t code : {0, 1, 2}) {
+    min_code.AddExtreme(true, code, dict);
+    max_code.AddExtreme(false, code, dict);
+  }
+  ExpectFinishes(min_code.Finish(AggFn::kMin, &dict), S("a"));
+  ExpectFinishes(max_code.Finish(AggFn::kMax, &dict), S("z"));
+}
+
+TEST(AggStateTest, RetractAfterAddReturnsToZero) {
+  const uint64_t seed = TestSeed(22);
+  SCOPED_TRACE(SeedTrace(seed));
+  std::mt19937_64 rng(seed);
+  const int64_t lo = std::numeric_limits<int64_t>::min();
+  const int64_t hi = std::numeric_limits<int64_t>::max();
+  for (int round = 0; round < 50; ++round) {
+    std::vector<int64_t> values = {lo, hi, int64_t{1} << 53};
+    const size_t n = rng() % 64;
+    for (size_t i = 0; i < n; ++i) {
+      values.push_back(static_cast<int64_t>(rng()));
+    }
+    std::shuffle(values.begin(), values.end(), rng);
+    AggState sum, count;
+    for (int64_t v : values) {
+      sum.Add(v);
+      count.AddCount();
+    }
+    // Retract in another order: the INT64 sum is exact, so any order works.
+    std::shuffle(values.begin(), values.end(), rng);
+    for (int64_t v : values) {
+      sum.Retract(v);
+      count.RetractCount();
+    }
+    EXPECT_EQ(sum.sum_i, 0);
+    EXPECT_EQ(sum.count, 0);
+    ExpectFinishes(sum.Finish(AggFn::kSum), Value::Int64(0));
+    ExpectFinishes(count.Finish(AggFn::kCount), Value::Int64(0));
+
+    // The same through the adapter, with a NULL that neither side counts.
+    Aggregator agg_sum(AggFn::kSum), agg_count(AggFn::kCount);
+    for (int64_t v : values) {
+      agg_sum.Add(Value::Int64(v));
+      agg_count.Add(Value::Int64(v));
+    }
+    agg_count.Add(Value::Null());
+    for (int64_t v : values) {
+      agg_sum.Retract(Value::Int64(v));
+      agg_count.Retract(Value::Int64(v));
+    }
+    agg_count.Retract(Value::Null());
+    ExpectFinishes(agg_sum.Finish(), Value::Int64(0));
+    ExpectFinishes(agg_count.Finish(), Value::Int64(0));
+  }
+}
+
+TEST(AggStateTest, MergeOfASplitEqualsOnePass) {
+  const uint64_t seed = TestSeed(2022);
+  SCOPED_TRACE(SeedTrace(seed));
+  std::mt19937_64 rng(seed);
+  const int64_t lo = std::numeric_limits<int64_t>::min();
+  const int64_t hi = std::numeric_limits<int64_t>::max();
+  // Values drawn to hit ties, the INT64 bounds and sums that leave the
+  // range part-way (or at the end).
+  auto draw = [&]() -> int64_t {
+    switch (rng() % 4) {
+      case 0:
+        return static_cast<int64_t>(rng() % 7) - 3;
+      case 1:
+        return rng() % 2 == 0 ? lo : hi;
+      case 2:
+        return static_cast<int64_t>(rng()) >> (rng() % 64);
+      default:
+        return static_cast<int64_t>(rng());
+    }
+  };
+  for (int round = 0; round < 500; ++round) {
+    std::vector<int64_t> values(rng() % 12);
+    for (int64_t& v : values) v = draw();
+    const size_t split = values.empty() ? 0 : rng() % (values.size() + 1);
+    for (AggFn fn :
+         {AggFn::kSum, AggFn::kCount, AggFn::kMin, AggFn::kMax}) {
+      SCOPED_TRACE(AggFnToString(fn));
+      const bool is_min = fn == AggFn::kMin;
+      auto add = [&](AggState* st, int64_t v) {
+        if (fn == AggFn::kSum) {
+          st->Add(v);
+        } else if (fn == AggFn::kCount) {
+          st->AddCount();
+        } else {
+          st->AddExtreme(is_min, v);
+        }
+      };
+      AggState whole, head, tail;
+      for (size_t i = 0; i < values.size(); ++i) {
+        add(&whole, values[i]);
+        add(i < split ? &head : &tail, values[i]);
+      }
+      head.Merge(fn, tail);
+      const std::optional<Value> want = whole.Finish(fn);
+      const std::optional<Value> got = head.Finish(fn);
+      ASSERT_EQ(got.has_value(), want.has_value());
+      if (want.has_value()) ExpectFinishes(got, *want);
+
+      // The maintainer's use: the head's finished value seeded into an
+      // adapter, merged with the tail. A head sum out of range has no
+      // stored value to seed.
+      const std::optional<Value> stored = Aggregate(fn, [&] {
+        std::vector<Value> head_values;
+        for (size_t i = 0; i < split; ++i) {
+          head_values.push_back(Value::Int64(values[i]));
+        }
+        return head_values;
+      }());
+      if (!stored.has_value()) continue;
+      Aggregator seeded = Aggregator::Seeded(fn, *stored);
+      Aggregator rest(fn);
+      for (size_t i = split; i < values.size(); ++i) {
+        rest.Add(Value::Int64(values[i]));
+      }
+      seeded.Merge(rest);
+      const std::optional<Value> folded = seeded.Finish();
+      ASSERT_EQ(folded.has_value(), want.has_value());
+      if (want.has_value()) ExpectFinishes(folded, *want);
+    }
+  }
 }
 
 // Repro C: two rows (1, 2^62) must fail SUM with kOutOfRange on the row
