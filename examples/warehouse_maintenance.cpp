@@ -87,10 +87,7 @@ int main(int argc, char** argv) {
 
     // Maintain the view incrementally...
     auto start = std::chrono::steady_clock::now();
-    if (Status s = maintainer.Apply(batch, w.db, &v1); !s.ok()) {
-      std::fprintf(stderr, "maintain: %s\n", s.ToString().c_str());
-      return 1;
-    }
+    v1 = Unwrap(maintainer.Apply(batch, w.db, v1), "maintain V1");
     double maintain_ms = MillisSince(start);
 
     // ...then advance the base tables and compare against recomputation.

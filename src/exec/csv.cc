@@ -1,6 +1,7 @@
 #include "exec/csv.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -180,7 +181,14 @@ Result<Table> FromCsv(std::string_view text) {
     Row row;
     row.reserve(fields.size());
     for (size_t i = 0; i < fields.size(); ++i) {
-      row.push_back(ParseField(fields[i], quoted[i]));
+      Value v = ParseField(fields[i], quoted[i]);
+      // NaN would compare equal to every number; it is refused at ingress.
+      if (v.type() == ValueType::kDouble && std::isnan(v.dbl())) {
+        return Status::InvalidArgument("CSV record " + std::to_string(line) +
+                                       " field " + std::to_string(i + 1) +
+                                       " is NaN, which is not stored");
+      }
+      row.push_back(std::move(v));
     }
     rows.push_back(std::move(row));
   }

@@ -21,7 +21,8 @@ Status WriteCsvFile(const Table& table, const std::string& path);
 /// Parses CSV text into a Table. The first row is the header. Field typing:
 /// empty -> NULL; double-quoted -> STRING (quotes may be doubled inside);
 /// otherwise INT64 if it parses as one, DOUBLE if it parses as one, else
-/// STRING. Round-trips the output of ToCsv.
+/// STRING. An unquoted field that parses to NaN is kInvalidArgument.
+/// Round-trips the output of ToCsv.
 Result<Table> FromCsv(std::string_view text);
 
 /// FromCsv over a file's contents.

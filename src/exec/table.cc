@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <numeric>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -216,9 +217,10 @@ void Table::AddRowOrDie(const Row& row) {
   }
 }
 
-std::vector<std::pair<size_t, std::vector<uint32_t>>> Table::LocateRows(
-    RowCounts* needed, size_t* chunks_scanned) const {
-  std::vector<std::pair<size_t, std::vector<uint32_t>>> found;
+RowPositions Table::LocateRows(RowCounts* needed, const std::vector<int>& on,
+                               size_t* chunks_scanned) const {
+  const size_t width = on.size();
+  RowPositions found;
   int64_t remaining = 0;
   for (const auto& [row, count] : *needed) {
     remaining += std::max<int64_t>(0, count);
@@ -234,9 +236,9 @@ std::vector<std::pair<size_t, std::vector<uint32_t>>> Table::LocateRows(
       for (const auto& [row, count] : *needed) {
         if (count <= 0) continue;
         // A row of another arity equals no stored row.
-        bool fits = static_cast<int>(row.size()) == num_columns();
-        for (size_t i = 0; i < row.size() && fits; ++i) {
-          fits = chunk.zone(static_cast<int>(i)).MayContain(row[i]);
+        bool fits = row.size() == width;
+        for (size_t i = 0; i < width && fits; ++i) {
+          fits = chunk.zone(on[i]).MayContain(row[i]);
         }
         if (fits) {
           may_hold = true;
@@ -256,13 +258,10 @@ std::vector<std::pair<size_t, std::vector<uint32_t>>> Table::LocateRows(
       auto it = needed->end();
       if (needed->size() <= 4) {
         for (auto w = needed->begin(); w != needed->end(); ++w) {
-          if (w->second <= 0 ||
-              static_cast<int>(w->first.size()) != num_columns()) {
-            continue;
-          }
+          if (w->second <= 0 || w->first.size() != width) continue;
           bool equal = true;
-          for (int c = 0; c < num_columns() && equal; ++c) {
-            equal = cols.col(c).Equals(r, w->first[static_cast<size_t>(c)]);
+          for (size_t i = 0; i < width && equal; ++i) {
+            equal = cols.col(on[i]).Equals(r, w->first[i]);
           }
           if (equal) {
             it = w;
@@ -271,7 +270,7 @@ std::vector<std::pair<size_t, std::vector<uint32_t>>> Table::LocateRows(
         }
       } else {
         row.clear();
-        cols.AppendRowTo(r, &row);
+        for (int col : on) row.push_back(cols.col(col).ValueAt(r));
         it = needed->find(row);
       }
       if (it == needed->end() || it->second <= 0) continue;
@@ -288,28 +287,34 @@ std::vector<std::pair<size_t, std::vector<uint32_t>>> Table::LocateRows(
 Status Table::RemoveRows(const std::vector<Row>& rows, size_t* chunks_scanned) {
   RowCounts needed;
   for (const Row& row : rows) ++needed[row];
-  auto found = LocateRows(&needed, chunks_scanned);
+  std::vector<int> all(columns_.size());
+  std::iota(all.begin(), all.end(), 0);
+  RowPositions found = LocateRows(&needed, all, chunks_scanned);
   for (const auto& [row, count] : needed) {
     if (count > 0) {
       return Status::InvalidArgument("a deleted row is not present");
     }
   }
+  RemoveAt(found);
+  return Status::OK();
+}
+
+void Table::RemoveAt(const RowPositions& positions) {
   std::vector<ChunkPtr> kept;
   kept.reserve(chunks_.size());
-  size_t next = 0;  // next entry of `found`
+  size_t next = 0;  // next entry of `positions`
   for (size_t c = 0; c < chunks_.size(); ++c) {
-    if (next == found.size() || found[next].first != c) {
+    if (next == positions.size() || positions[next].first != c) {
       kept.push_back(chunks_[c]);
       continue;
     }
-    const std::vector<uint32_t>& hits = found[next++].second;
+    const std::vector<uint32_t>& hits = positions[next++].second;
+    num_rows_ -= hits.size();
     const ColumnarTable& old = chunks_[c]->columnar();
     if (hits.size() == old.num_rows()) continue;  // the chunk empties
     kept.push_back(std::make_shared<Chunk>(old.Without(hits)));
   }
   chunks_ = std::move(kept);
-  num_rows_ -= rows.size();
-  return Status::OK();
 }
 
 size_t Table::ApproxBytes() const {

@@ -93,6 +93,10 @@ using ChunkPtr = std::shared_ptr<const Chunk>;
 /// Row -> multiplicity, with SQL-equal values (1 and 1.0) as one key.
 using RowCounts = std::unordered_map<Row, int64_t, RowHash, RowEq>;
 
+/// Rows of a Table version by position: (chunk ordinal, ascending row
+/// ordinals in that chunk) pairs, in ascending chunk order.
+using RowPositions = std::vector<std::pair<size_t, std::vector<uint32_t>>>;
+
 /// An in-memory multiset of rows with named columns. Duplicate rows are
 /// first-class: the paper's semantics are over bags, and a Table preserves
 /// multiplicities exactly.
@@ -184,19 +188,23 @@ class Table {
   void AddRowOrDie(const Row& row);
 
   /// Removes one occurrence of each row of `rows` (a multiset; the first
-  /// occurrences in row order), rewriting only the chunks that held one.
-  /// kInvalidArgument, with the table unchanged, if some row is not
-  /// present. `chunks_scanned` (optional) receives the number of chunks
-  /// whose rows were examined; zone maps rule out the rest.
+  /// occurrences in row order), rewriting only the chunks that held one:
+  /// LocateRows, then RemoveAt. kInvalidArgument, with the table unchanged,
+  /// if some row is not present. `chunks_scanned` (optional) receives the
+  /// number of chunks whose rows were examined; zone maps rule out the rest.
   Status RemoveRows(const std::vector<Row>& rows,
                     size_t* chunks_scanned = nullptr);
 
   /// Finds one occurrence of each row still counted in `*needed`, in row
-  /// order, decrementing its count; stops once every count is zero. Only
-  /// chunks whose zone maps may hold a counted row are scanned. Returns the
-  /// matched positions as (chunk ordinal, ascending row ordinals) pairs.
-  std::vector<std::pair<size_t, std::vector<uint32_t>>> LocateRows(
-      RowCounts* needed, size_t* chunks_scanned = nullptr) const;
+  /// order, decrementing its count; stops once every count is zero. A
+  /// wanted row is matched against the stored columns `on` lists, in that
+  /// order. Only chunks whose zone maps may hold a counted row are scanned.
+  RowPositions LocateRows(RowCounts* needed, const std::vector<int>& on,
+                          size_t* chunks_scanned = nullptr) const;
+
+  /// Removes the rows at `positions`, as LocateRows returns them. Only the
+  /// chunks named there are rewritten; a chunk left empty is dropped.
+  void RemoveAt(const RowPositions& positions);
 
   RowRange rows() const { return RowRange(&chunks_, num_rows_); }
   const std::vector<ChunkPtr>& chunks() const { return chunks_; }

@@ -594,16 +594,6 @@ inline void EncodeKeyCol(const Column& c, size_t r, const int32_t* remap,
   }
 }
 
-/// True if column `c` of an image holds at least one non-NULL value.
-bool HasValues(const Column& c, size_t rows) {
-  if (!c.has_nulls) return rows > 0;
-  size_t nulls = 0;
-  for (uint64_t w : c.null_words) {
-    nulls += static_cast<size_t>(std::popcount(w));
-  }
-  return nulls < rows;
-}
-
 /// Direct-indexed group ids for one image (see PlanDenseSlots): a row's
 /// slot combines one coordinate per grouping column, 0 for NULL and
 /// 1 + (value - lo) for an INT64 value or 1 + code for a dictionary code.
@@ -695,26 +685,13 @@ bool VectorizedAggregation::Compile(
     if (a.multiplier >= 0) {
       // NumericProduct: a string operand yields NULL, numbers multiply.
       if (!vectorizable(a.multiplier)) return false;
-    } else {
-      bool strings = false;
-      bool numbers = false;
-      for (const ColumnarTable* t : images) {
-        const Column& c = t->col(a.column);
-        if (c.type == ColumnType::kString) {
-          strings = true;
-        } else if (HasValues(c, t->num_rows())) {
-          numbers = true;
-        }
-      }
+    } else if (a.fn == AggFn::kSum || a.fn == AggFn::kAvg) {
       // SUM/AVG over a string column would hit AsDouble on a string in the
       // row engine; keep that path byte-identical by not vectorizing it.
-      // MIN/MAX across families keeps the first family's extremum in the
-      // row engine; a typed loop would not, so that falls back too.
-      if ((a.fn == AggFn::kSum || a.fn == AggFn::kAvg) && strings) {
-        return false;
-      }
-      if ((a.fn == AggFn::kMin || a.fn == AggFn::kMax) && strings && numbers) {
-        return false;
+      // (MIN/MAX across families needs no such care: AggState keeps the
+      // first family it sees, as the row engine does.)
+      for (const ColumnarTable* t : images) {
+        if (t->col(a.column).type == ColumnType::kString) return false;
       }
     }
     out->aggs_.push_back(Agg{a.fn, a.column, a.multiplier});

@@ -159,23 +159,16 @@ IncrementalMaintainer::DeltaCoreRows(const Delta& delta,
   return out;
 }
 
-Result<Table> IncrementalMaintainer::ApplyToCopy(
-    const Delta& delta, const Database& before,
-    const Table& materialized) const {
-  Table copy = materialized;
-  AQV_RETURN_NOT_OK(Apply(delta, before, &copy));
-  return copy;
-}
-
-Status IncrementalMaintainer::Apply(const Delta& delta, const Database& before,
-                                    Table* materialized) const {
+Result<Table> IncrementalMaintainer::Apply(const Delta& delta,
+                                           const Database& before,
+                                           const Table& current) const {
   AQV_FAILPOINT("maintain.apply");
-  if (delta.empty()) return Status::OK();
+  if (delta.empty()) return current;
   const Query& q = view_.query;
 
   AQV_ASSIGN_OR_RETURN(std::vector<SignedRow> cores,
                        DeltaCoreRows(delta, before));
-  if (cores.empty()) return Status::OK();
+  if (cores.empty()) return current;
 
   ColumnIndexMap layout;
   {
@@ -184,15 +177,18 @@ Status IncrementalMaintainer::Apply(const Delta& delta, const Database& before,
       for (const std::string& c : t.columns) layout[c] = offset++;
     }
   }
+  // The next version starts as the current one: a copy of its chunk
+  // pointers. Every chunk the delta does not touch stays shared.
+  Table next = current;
 
-  // ---- Conjunctive views: append / remove projected occurrences. ----
+  // ---- Conjunctive views: remove and append projected occurrences. ----
   if (q.IsConjunctive()) {
     // Net the signed projections first: when one batch both inserts and
     // deletes rows of the same table (an UPDATE, say) and the table occurs
     // more than once in the view, the telescoped terms contain insert×delete
     // cross products — equal rows of opposite sign that must cancel against
     // EACH OTHER, not against the stored materialization.
-    std::unordered_map<Row, int64_t, RowHash, RowEq> net;
+    RowCounts net;
     for (const SignedRow& core : cores) {
       Row projected;
       projected.reserve(q.select.size());
@@ -201,45 +197,18 @@ Status IncrementalMaintainer::Apply(const Delta& delta, const Database& before,
       }
       net[std::move(projected)] += core.weight;
     }
-
-    std::vector<Row> new_rows = materialized->rows();
-    std::unordered_map<Row, std::vector<size_t>, RowHash, RowEq> index;
-    for (size_t r = 0; r < new_rows.size(); ++r) index[new_rows[r]].push_back(r);
-    std::vector<bool> removed(new_rows.size(), false);
-
-    std::vector<Row> appended;
-    for (auto& [projected, weight] : net) {
-      for (; weight > 0; --weight) {
-        appended.push_back(projected);
-      }
-      if (weight == 0) continue;
-      auto it = index.find(projected);
-      if (it == index.end()) {
-        return Status::Internal(
-            "delta removes a view row absent from the materialization");
-      }
-      for (size_t r : it->second) {
-        if (weight == 0) break;
-        if (!removed[r]) {
-          removed[r] = true;
-          ++weight;
-        }
-      }
-      if (weight < 0) {
-        return Status::Internal(
-            "delta removes a view row absent from the materialization");
-      }
+    std::vector<Row> added;
+    std::vector<Row> removed;
+    for (const auto& [projected, weight] : net) {
+      for (int64_t w = weight; w > 0; --w) added.push_back(projected);
+      for (int64_t w = weight; w < 0; ++w) removed.push_back(projected);
     }
-    std::vector<Row> kept;
-    kept.reserve(new_rows.size() + appended.size());
-    for (size_t r = 0; r < new_rows.size(); ++r) {
-      if (!removed[r]) kept.push_back(std::move(new_rows[r]));
+    if (!next.RemoveRows(removed).ok()) {
+      return Status::Internal(
+          "delta removes a view row absent from the materialization");
     }
-    for (Row& row : appended) kept.push_back(std::move(row));
-    Table result(materialized->columns());
-    AQV_RETURN_NOT_OK(result.AddRows(kept));
-    *materialized = std::move(result);
-    return Status::OK();
+    AQV_RETURN_NOT_OK(next.AddRows(added));
+    return next;
   }
 
   // ---- Grouped views: fold signed updates into the aggregates. ----
@@ -318,31 +287,16 @@ Status IncrementalMaintainer::Apply(const Delta& delta, const Database& before,
     }
   }
 
-  // Index the materialization by group key and merge (into a copy, so a
-  // refusal leaves the input untouched).
-  std::vector<Row> rows = materialized->rows();
-  std::unordered_map<Row, size_t, RowHash, RowEq> index;
-  for (size_t r = 0; r < rows.size(); ++r) {
-    Row key;
-    key.reserve(group_positions.size());
-    for (int p : group_positions) key.push_back(rows[r][p]);
-    index[std::move(key)] = r;
-  }
+  // One pass over the group-key columns finds the stored row of each
+  // touched group, at most one per group; an untouched group builds no Row.
+  RowCounts wanted;
+  for (const auto& [key, u] : updates) wanted.emplace(key, 1);
+  RowPositions found = current.LocateRows(&wanted, group_positions);
 
-  std::vector<Row> added;
-  std::vector<bool> dead(rows.size(), false);
-  for (auto& [key, u] : updates) {
-    auto it = index.find(key);
-    const bool stored = it != index.end();
-    // A group absent from the materialization folds into a row of NULLs.
-    Row absent;
-    if (!stored) {
-      absent.assign(width, Value::Null());
-      for (size_t i = 0; i < group_positions.size(); ++i) {
-        absent[group_positions[i]] = key[i];
-      }
-    }
-    Row& row = stored ? rows[it->second] : absent;
+  // Folds group update `u` into `row` (the group's stored row, or NULLs
+  // for a group absent from the view) and keeps the result if it is alive.
+  std::vector<Row> merged;
+  auto fold = [&](Row row, const GroupUpdate& u, bool stored) -> Status {
     // MIN/MAX first: a delete that reaches the extremum (a deleted value >=
     // the stored MAX, <= the stored MIN) forces recomputation, unless the
     // same batch inserts a covering value into the group (>= the extremum
@@ -376,9 +330,9 @@ Status IncrementalMaintainer::Apply(const Delta& delta, const Database& before,
     for (size_t p = 0; p < width; ++p) {
       const SelectItem& s = q.select[p];
       if (s.kind != SelectItem::Kind::kAggregate) continue;
-      Aggregator merged = Aggregator::Seeded(s.agg, row[p]);
-      merged.Merge(u.delta[p]);
-      std::optional<Value> v = merged.Finish();
+      Aggregator agg = Aggregator::Seeded(s.agg, row[p]);
+      agg.Merge(u.delta[p]);
+      std::optional<Value> v = agg.Finish();
       // A SUM whose exact INT64 total does not fit: the recompute fails the
       // write with kOutOfRange.
       if (!v.has_value()) {
@@ -387,22 +341,36 @@ Status IncrementalMaintainer::Apply(const Delta& delta, const Database& before,
       }
       row[p] = *std::move(v);
     }
-    const bool alive =
-        count_position < 0 || row[count_position].int64() > 0;
-    if (!stored && alive) added.push_back(std::move(row));
-    if (stored && !alive) dead[it->second] = true;
+    if (count_position < 0 || row[count_position].int64() > 0) {
+      merged.push_back(std::move(row));
+    }
+    return Status::OK();
+  };
+  for (const auto& [chunk, hits] : found) {
+    for (uint32_t r : hits) {
+      Row row = current.chunks()[chunk]->RowAt(r);
+      Row key;
+      for (int p : group_positions) key.push_back(row[p]);
+      auto it = updates.find(key);
+      if (it == updates.end()) {
+        return Status::Internal("a located view group has no update");
+      }
+      AQV_RETURN_NOT_OK(fold(std::move(row), it->second, true));
+      updates.erase(it);
+    }
   }
-
-  std::vector<Row> kept;
-  kept.reserve(rows.size() + added.size());
-  for (size_t r = 0; r < rows.size(); ++r) {
-    if (!dead[r]) kept.push_back(std::move(rows[r]));
+  for (const auto& [key, u] : updates) {
+    Row absent(width, Value::Null());
+    for (size_t i = 0; i < group_positions.size(); ++i) {
+      absent[group_positions[i]] = key[i];
+    }
+    AQV_RETURN_NOT_OK(fold(std::move(absent), u, false));
   }
-  for (Row& row : added) kept.push_back(std::move(row));
-  Table result(materialized->columns());
-  AQV_RETURN_NOT_OK(result.AddRows(kept));
-  *materialized = std::move(result);
-  return Status::OK();
+  // Every touched group leaves its chunk; its merged row, like a new
+  // group's, is appended to the tail.
+  next.RemoveAt(found);
+  AQV_RETURN_NOT_OK(next.AddRows(merged));
+  return next;
 }
 
 }  // namespace aqv

@@ -32,8 +32,11 @@ struct Delta {
 ///  - the view's join is differenced by telescoping over its FROM entries
 ///    (Δ(R ⋈ S) = ΔR ⋈ S_old plus R_new ⋈ ΔS, generalized to k tables),
 ///    with single-table and join predicates applied to the delta terms;
-///  - conjunctive views append / remove row occurrences (multiset exact);
-///  - grouped views update SUM and COUNT outputs in place; group liveness
+///  - conjunctive views remove and append row occurrences (multiset
+///    exact) through Table::RemoveRows and Table::AddRows;
+///  - grouped views update SUM and COUNT outputs: one pass over the
+///    group-key columns locates each touched group's row, which is removed
+///    by position (Table::RemoveAt) and appended merged; group liveness
 ///    is tracked through a COUNT output, so *deletes require the view to
 ///    select a COUNT column* (otherwise Unsupported — recompute instead);
 ///  - MIN/MAX outputs absorb inserts; a delete that touches the current
@@ -41,6 +44,10 @@ struct Delta {
 ///    derivable from the summary; recompute);
 ///  - AVG outputs and views with HAVING or ratio items are Unsupported
 ///    (HAVING-filtered groups would need the suppressed groups retained).
+///
+/// The view's next version is an edit of its current one: it shares every
+/// chunk the delta leaves alone, and a touched group moves to the tail
+/// (row order carries no meaning; a view is a multiset).
 ///
 /// "Unsupported" is a safe refusal: the caller falls back to full
 /// recomputation (Evaluator::MaterializeView).
@@ -54,20 +61,13 @@ class IncrementalMaintainer {
   static Result<IncrementalMaintainer> Create(
       const ViewDef& view, EvalOptions eval_options = EvalOptions{});
 
-  /// Applies `delta` to `materialized` (the view's current contents).
-  /// `before` must hold every base table at its pre-delta state. Returns
-  /// Unsupported when the change cannot be folded in (see above); the
-  /// materialization is untouched in that case.
-  Status Apply(const Delta& delta, const Database& before,
-               Table* materialized) const;
-
-  /// Apply() against a copy: returns the maintained contents as a new Table
-  /// and never mutates `materialized`. This is the write path's entry point —
-  /// the service stages the result and publishes it together with the base
-  /// tables in one epoch, so a refusal or fault mid-maintenance leaves the
-  /// published state untouched.
-  Result<Table> ApplyToCopy(const Delta& delta, const Database& before,
-                            const Table& materialized) const;
+  /// The view's next version: `current` (its contents before `delta`) with
+  /// `delta` folded in. `before` must hold every base table at its
+  /// pre-delta state. `current` is never changed, and the result shares
+  /// every chunk of `current` the delta does not touch. Returns Unsupported
+  /// when the change cannot be folded in (see above).
+  Result<Table> Apply(const Delta& delta, const Database& before,
+                      const Table& current) const;
 
   const ViewDef& view() const { return view_; }
 

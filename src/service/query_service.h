@@ -627,10 +627,10 @@ class QueryService {
   /// (before any latch), the latch footprint (ddl shared; written tables
   /// and every dependent materialized view exclusive, the dependents'
   /// closures shared), the request materialized under those latches
-  /// against the head, delete-containment and row-size checks, one COW
-  /// copy per written table, every dependent view brought up to date
-  /// upstream-first — folded by IncrementalMaintainer where its shape
-  /// allows, recomputed otherwise — the WAL record, and base tables plus
+  /// against the head, the row-size check, one COW copy per written table
+  /// (which refuses a delete it cannot cover), every dependent view brought
+  /// up to date upstream-first — folded by IncrementalMaintainer where its
+  /// shape allows, recomputed otherwise — the WAL record, and base tables plus
   /// views published by Publish at a single epoch, so snapshot readers
   /// never see a table/view mismatch. Any failure before Publish leaves
   /// the head untouched. A LOAD recomputes its dependents instead of

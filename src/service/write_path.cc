@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <set>
 
 #include "base/failpoint.h"
@@ -177,57 +178,11 @@ Status CheckRowSizes(const Rows& rows) {
   return Status::OK();
 }
 
-/// Renders a row as "(v1, v2, ...)" for write-path error messages.
-std::string RowText(const Row& row) {
-  std::string out = "(";
-  for (size_t i = 0; i < row.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += row[i].ToString();
-  }
-  out += ")";
-  return out;
-}
-
-/// Multiset containment of the delta's deletes in base ∪ same-batch inserts.
-/// ApplyDeltaToBase lands inserts before deletes, so an insert in the same
-/// batch legitimately covers a delete of an identical row (the extremum-tie
-/// write tests rely on that). A delete the available multiset cannot cover
-/// is rejected here, before anything is staged, logged or published —
-/// otherwise the base would drop fewer rows than the maintainer subtracted
-/// and views would silently desync from their bases.
-Status ValidateDeleteContainment(const Delta& delta, const Database& db) {
-  for (const auto& [name, dels] : delta.deletes) {
-    if (dels.empty()) continue;
-    // Histogram the (usually few) deletes, then drain it against the
-    // available rows: same-batch inserts first, then the base, whose zone
-    // maps skip every chunk that cannot hold a wanted row. A single-row
-    // delete from a large table scans one chunk, up to its match.
-    RowCounts needed;
-    for (const Row& row : dels) ++needed[row];
-    auto ins = delta.inserts.find(name);
-    if (ins != delta.inserts.end()) {
-      for (const Row& row : ins->second) {
-        auto it = needed.find(row);
-        if (it != needed.end() && it->second > 0) --it->second;
-      }
-    }
-    if (TablePtr base = db.GetShared(name)) base->LocateRows(&needed);
-    for (const auto& [row, count] : needed) {
-      if (count > 0) {
-        return Status::InvalidArgument(
-            "cannot delete row " + RowText(row) + " from '" + name +
-            "': not present in the stored table");
-      }
-    }
-  }
-  return Status::OK();
-}
-
 /// One UPDATE SET expression applied to one row. Arithmetic on NULL yields
 /// NULL (SQL semantics); on a string it is an execution-time error;
 /// INT64 op INT64 stays INT64 and is checked (a result outside INT64 is
 /// kOutOfRange, never a wrapped value); anything involving a DOUBLE
-/// promotes.
+/// promotes, and a NaN result is kInvalidArgument.
 Result<Value> EvalSetExpr(const SetExpr& expr, const Row& row,
                           const ColumnIndexMap& layout) {
   if (expr.kind == SetExpr::Kind::kLiteral) return expr.literal;
@@ -267,16 +222,17 @@ Result<Value> EvalSetExpr(const SetExpr& expr, const Row& row,
     }
     return Value::Int64(result);
   }
-  double a = v.AsDouble();
-  double b = expr.literal.AsDouble();
-  switch (expr.op) {
-    case '+':
-      return Value::Double(a + b);
-    case '-':
-      return Value::Double(a - b);
-    default:
-      return Value::Double(a * b);
+  const double a = v.AsDouble();
+  const double b = expr.literal.AsDouble();
+  const double result =
+      expr.op == '+' ? a + b : expr.op == '-' ? a - b : a * b;
+  // NaN (inf * 0, inf - inf) would compare equal to every number; it is
+  // refused at ingress.
+  if (std::isnan(result)) {
+    return Status::InvalidArgument("UPDATE arithmetic on column '" +
+                                   expr.column + "' yields NaN");
   }
+  return Value::Double(result);
 }
 
 }  // namespace
@@ -313,9 +269,9 @@ Result<StatementResult> QueryService::HandleWrite(const Statement& s) {
   if (verb != nullptr && ThreadHasWriteBatch()) {
     // Buffer into the open batch: the delta is materialized against the
     // pinned committed state (the visibility rule of SELECT inside BEGIN
-    // WRITE). COMMIT re-validates delete containment against the
-    // then-current base, so a concurrent write that removed a matched row
-    // fails the batch cleanly instead of desyncing views.
+    // WRITE). COMMIT removes the deletes from the then-current base, so a
+    // concurrent write that removed a matched row fails the batch cleanly
+    // instead of desyncing views.
     AQV_ASSIGN_OR_RETURN(Delta delta, MaterializeWrite(&request, state->db));
     size_t rows =
         CountRows(kind == Kind::kInsert ? delta.inserts : delta.deletes);
@@ -685,10 +641,6 @@ Result<QueryService::WriteApplied> QueryService::ApplyWrite(
   applied.rows_inserted = CountRows(delta.inserts);
   applied.rows_deleted = CountRows(delta.deletes);
 
-  // A delete the base (plus this batch's inserts) cannot cover is rejected
-  // before anything is staged, logged or published. A LOAD's deletes are
-  // the current rows by construction.
-  if (!load) AQV_RETURN_NOT_OK(ValidateDeleteContainment(delta, base->db));
   // Oversized rows are refused HERE, when they arrive, not deferred to the
   // next CHECKPOINT. Checked on the materialized delta so UPDATE-transformed
   // rows are covered too.
@@ -703,7 +655,10 @@ Result<QueryService::WriteApplied> QueryService::ApplyWrite(
 
   // One copy-on-write version per written table, sharing every chunk the
   // batch does not touch; a fault injected here must leave the head
-  // untouched.
+  // untouched. Inserts land before deletes, so a same-batch insert covers
+  // a delete of an identical row; a delete the staged table cannot cover
+  // is refused here, before the WAL record and the publication, so no view
+  // is maintained against rows the base never dropped.
   AQV_FAILPOINT("table.cow_copy");
   ServiceSnapshot staging = *base;
   if (load) {
@@ -738,8 +693,7 @@ Result<QueryService::WriteApplied> QueryService::ApplyWrite(
       Status folded = maintainer.status();
       if (maintainer.ok()) {
         AQV_ASSIGN_OR_RETURN(const Table* current, base->db.Get(d.name));
-        Result<Table> fresh =
-            maintainer->ApplyToCopy(delta, base->db, *current);
+        Result<Table> fresh = maintainer->Apply(delta, base->db, *current);
         folded = fresh.status();
         if (fresh.ok()) staging.db.Put(d.name, *std::move(fresh));
       }

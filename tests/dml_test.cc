@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <limits>
 #include <memory>
 #include <string>
@@ -368,6 +369,56 @@ TEST(DmlServiceTest, LoadReplacementCountsLikeItsWalRecord) {
   EXPECT_EQ(totals->num_rows(), 2u);
   EXPECT_EQ(CellForShop(*totals, 3, 1), 11);
   EXPECT_EQ(CellForShop(*totals, 4, 1), 7);
+  std::remove(csv.c_str());
+}
+
+// NaN compares equal to every number, so it is refused wherever it could
+// enter: an unquoted CSV field that parses to NaN, and UPDATE arithmetic
+// whose DOUBLE result is NaN. Either write is kInvalidArgument and
+// publishes nothing. (ROADMAP item 1, Repro B: with NaN stored,
+// `WHERE X_1 = 2.0` also returned the NaN row.)
+TEST(DmlServiceTest, NanIsRefusedAtIngress) {
+  QueryService service;
+  std::string csv = FreshPath("nan.csv");
+  auto write_csv = [&](const char* text) {
+    std::ofstream out(csv, std::ios::trunc);
+    out << text;
+  };
+  const uint64_t epoch_before = service.PinSnapshot()->epoch;
+  write_csv("X,Y\nnan,1\n1.0,2\n2.0,3\n");
+  Result<StatementResult> load = service.Execute("LOAD N FROM '" + csv + "'");
+  ASSERT_FALSE(load.ok());
+  EXPECT_EQ(load.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(load.status().ToString().find("NaN"), std::string::npos);
+  EXPECT_EQ(service.PinSnapshot()->epoch, epoch_before);
+  EXPECT_FALSE(service.Select("SELECT X_1 FROM N").ok());  // not created
+
+  // Without the NaN the load goes through, and equality is exact; inf is
+  // an ordinary value.
+  write_csv("X,Y\ninf,1\n1.0,2\n2.0,3\n");
+  ASSERT_OK(service.Execute("LOAD N FROM '" + csv + "'").status());
+  ASSERT_OK_AND_ASSIGN(Table two,
+                       service.Select("SELECT X_1 FROM N WHERE X_1 = 2.0"));
+  ASSERT_EQ(two.num_rows(), 1u);
+  EXPECT_EQ(two.rows()[0][0], Value::Double(2.0));
+  write_csv("X,Y\n1.0,2\nnan,3\n");
+  const uint64_t loaded = service.PinSnapshot()->epoch;
+  EXPECT_EQ(service.Execute("LOAD N FROM '" + csv + "'").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.PinSnapshot()->epoch, loaded);
+
+  // inf * 0 is NaN: the UPDATE is refused and the row keeps its value.
+  Result<StatementResult> update =
+      service.Execute("UPDATE N SET X = X * 0 WHERE Y = 1");
+  ASSERT_FALSE(update.ok());
+  EXPECT_EQ(update.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(update.status().ToString().find("NaN"), std::string::npos);
+  EXPECT_EQ(service.PinSnapshot()->epoch, loaded);
+  ASSERT_OK_AND_ASSIGN(Table rows, service.Select("SELECT X_1 FROM N"));
+  EXPECT_EQ(rows.num_rows(), 3u);
+  ASSERT_OK_AND_ASSIGN(Table inf,
+                       service.Select("SELECT Y_1 FROM N WHERE X_1 > 2.0"));
+  EXPECT_EQ(inf.num_rows(), 1u);
   std::remove(csv.c_str());
 }
 

@@ -1,4 +1,5 @@
 #include <random>
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -28,7 +29,8 @@ void ExpectMaintainMatchesRecompute(const ViewDef& view, Database db,
 
   ASSERT_OK_AND_ASSIGN(IncrementalMaintainer maintainer,
                        IncrementalMaintainer::Create(view));
-  ASSERT_OK(maintainer.Apply(delta, db, &materialized));
+  ASSERT_OK_AND_ASSIGN(materialized,
+                       maintainer.Apply(delta, db, materialized));
 
   ASSERT_OK(ApplyDeltaToBase(delta, &db));
   Evaluator eval_after(&db, &views);
@@ -170,7 +172,7 @@ TEST(MaintainTest, DeleteOfExtremumRefused) {
                        IncrementalMaintainer::Create(v));
   Delta d;
   d.deletes["R"] = {R({1, 20})};  // 20 is group 1's max
-  Status s = maintainer.Apply(d, db, &materialized);
+  Status s = maintainer.Apply(d, db, materialized).status();
   EXPECT_EQ(s.code(), StatusCode::kUnsupported);
   // The refusal left the materialization untouched.
   EXPECT_TRUE(MultisetEqual(materialized, untouched));
@@ -232,13 +234,13 @@ TEST(MaintainTest, ExtremumDeleteWithNonCoveringInsertStillRefused) {
   Delta d;
   d.deletes["R"] = {R({1, 20})};
   d.inserts["R"] = {R({1, 15})};
-  EXPECT_EQ(maintainer.Apply(d, db, &materialized).code(),
+  EXPECT_EQ(maintainer.Apply(d, db, materialized).status().code(),
             StatusCode::kUnsupported);
   // A covering insert into a DIFFERENT group does not rescue the delete.
   Delta other_group;
   other_group.deletes["R"] = {R({1, 20})};
   other_group.inserts["R"] = {R({2, 99})};
-  EXPECT_EQ(maintainer.Apply(other_group, db, &materialized).code(),
+  EXPECT_EQ(maintainer.Apply(other_group, db, materialized).status().code(),
             StatusCode::kUnsupported);
 }
 
@@ -255,7 +257,7 @@ TEST(MaintainTest, ApplyToCopyLeavesInputUntouched) {
   Delta d;
   d.inserts["R"] = {R({1, 7}), R({9, 1})};
   ASSERT_OK_AND_ASSIGN(Table maintained,
-                       maintainer.ApplyToCopy(d, db, materialized));
+                       maintainer.Apply(d, db, materialized));
   // The input is untouched; the returned copy matches a recompute.
   EXPECT_TRUE(MultisetEqual(materialized, original));
   ASSERT_OK(ApplyDeltaToBase(d, &db));
@@ -282,12 +284,12 @@ TEST(MaintainTest, DeletesWithoutCountRefused) {
                        IncrementalMaintainer::Create(v));
   Delta d;
   d.deletes["R"] = {R({1, 10})};
-  EXPECT_EQ(maintainer.Apply(d, db, &materialized).code(),
+  EXPECT_EQ(maintainer.Apply(d, db, materialized).status().code(),
             StatusCode::kUnsupported);
   // Inserts-only still works without a COUNT output.
   Delta ins;
   ins.inserts["R"] = {R({1, 2})};
-  EXPECT_OK(maintainer.Apply(ins, db, &materialized));
+  EXPECT_OK(maintainer.Apply(ins, db, materialized).status());
 }
 
 TEST(MaintainTest, UnsupportedShapesRejectedAtCreate) {
@@ -328,32 +330,147 @@ TEST(MaintainTest, ApplyDeltaToBaseValidates) {
   EXPECT_EQ(ApplyDeltaToBase(unknown, &db).code(), StatusCode::kNotFound);
 }
 
-// Randomized oracle sweep: random base data, random insert/delete batches,
-// maintained contents must equal recomputation after every batch.
+// A view version is an edit of the one before: a single-row write leaves
+// every chunk it does not touch shared, and the result still equals a
+// recompute. R holds one row (i, i % 7) per i, so both views below span
+// four chunks and each group of the grouped view holds one base row.
+constexpr int64_t kWideRows = 3 * static_cast<int64_t>(kChunkRows) + 100;
+
+Database WideDb() {
+  Database db;
+  Table r({"A", "B"});
+  for (int64_t i = 0; i < kWideRows; ++i) r.AddRowOrDie(R({i, i % 7}));
+  db.Put("R", std::move(r));
+  return db;
+}
+
+// Maintains `view` (materialized as `prev` over `db`) under `delta` and
+// checks that every chunk of `prev` whose ordinal is not in `touched` is
+// the same object in the next version, and that the next version equals a
+// recompute.
+void ExpectEditSharesUntouchedChunks(const ViewDef& view, Database db,
+                                     const Table& prev, const Delta& delta,
+                                     const std::set<size_t>& touched) {
+  ViewRegistry views;
+  ASSERT_OK(views.Register(view));
+  ASSERT_OK_AND_ASSIGN(IncrementalMaintainer maintainer,
+                       IncrementalMaintainer::Create(view));
+  ASSERT_OK_AND_ASSIGN(Table next, maintainer.Apply(delta, db, prev));
+  ASSERT_GE(next.chunks().size(), prev.chunks().size());
+  for (size_t c = 0; c < prev.chunks().size(); ++c) {
+    if (touched.count(c) == 0) {
+      EXPECT_EQ(next.chunks()[c].get(), prev.chunks()[c].get())
+          << "chunk " << c;
+    }
+  }
+  ASSERT_OK(ApplyDeltaToBase(delta, &db));
+  Evaluator after(&db, &views);
+  ASSERT_OK_AND_ASSIGN(Table recomputed, after.MaterializeView(view.name));
+  EXPECT_TRUE(MultisetEqual(next, recomputed));
+}
+
+TEST(MaintainTest, SingleRowWritesShareUntouchedViewChunks) {
+  const Database db = WideDb();
+  const ViewDef grouped{"VG", QueryBuilder()
+                                  .From("R", {"A1", "B1"})
+                                  .Select("A1")
+                                  .SelectAgg(AggFn::kSum, "B1", "s")
+                                  .SelectAgg(AggFn::kCount, "B1", "n")
+                                  .GroupBy("A1")
+                                  .BuildOrDie()};
+  const ViewDef conjunctive{
+      "VC", QueryBuilder()
+                .From("R", {"A1", "B1"})
+                .Select("A1")
+                .Select("B1")
+                .WhereConst("B1", CmpOp::kGe, Value::Int64(0))
+                .BuildOrDie()};
+  for (const ViewDef* view : {&grouped, &conjunctive}) {
+    SCOPED_TRACE(view->name);
+    ViewRegistry views;
+    ASSERT_OK(views.Register(*view));
+    Evaluator eval(&db, &views);
+    ASSERT_OK_AND_ASSIGN(Table prev, eval.MaterializeView(view->name));
+    ASSERT_GE(prev.chunks().size(), 3u);
+    const size_t tail = prev.chunks().size() - 1;
+    // The base row behind the first view row of chunk 1.
+    const int64_t a = prev.chunks()[1]->RowAt(0)[0].int64();
+    const Row base_row = R({a, a % 7});
+    const bool is_grouped = view == &grouped;
+
+    // An INSERT appends to the tail; into the grouped view it also moves
+    // its group out of chunk 1.
+    Delta insert;
+    insert.inserts["R"] = {base_row};
+    std::set<size_t> touched = {tail};
+    if (is_grouped) touched.insert(1);
+    ExpectEditSharesUntouchedChunks(*view, db, prev, insert, touched);
+
+    // A DELETE rewrites chunk 1 only: the conjunctive row goes, and so does
+    // the grouped view's one-row group.
+    Delta remove;
+    remove.deletes["R"] = {base_row};
+    ExpectEditSharesUntouchedChunks(*view, db, prev, remove, {1});
+  }
+}
+
+// Randomized oracle sweep: random base data, random insert/delete batches;
+// after every batch the maintained contents of three views must equal a
+// recompute: a grouped join view, a conjunctive join view and a MIN/MAX
+// view. Each batch also deletes a current extreme of the MIN/MAX view,
+// which the maintainer either folds or refuses with kUnsupported; a
+// refused view is recomputed, as the write path does.
 class MaintainPropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(MaintainPropertyTest, MatchesRecomputeAcrossBatches) {
-  std::mt19937_64 rng(GetParam());
+  const uint64_t seed = TestSeed(GetParam());
+  SCOPED_TRACE(SeedTrace(seed));
+  std::mt19937_64 rng(seed);
   Catalog catalog;
   ASSERT_OK(catalog.AddTable(TableDef("R", {"A", "B"})));
   ASSERT_OK(catalog.AddTable(TableDef("S", {"C", "D"})));
-  Database db = MakeRandomDatabase(catalog, 40, 5, GetParam());
+  Database db = MakeRandomDatabase(catalog, 40, 5, seed);
 
-  ViewDef v{"V", QueryBuilder()
-                     .From("R", {"A1", "B1"})
-                     .From("S", {"C1", "D1"})
-                     .Select("A1")
-                     .SelectAgg(AggFn::kSum, "D1", "s")
-                     .SelectAgg(AggFn::kCount, "D1", "n")
-                     .WhereCols("B1", CmpOp::kEq, "C1")
-                     .GroupBy("A1")
-                     .BuildOrDie()};
+  const std::vector<ViewDef> defs = {
+      ViewDef{"V", QueryBuilder()
+                       .From("R", {"A1", "B1"})
+                       .From("S", {"C1", "D1"})
+                       .Select("A1")
+                       .SelectAgg(AggFn::kSum, "D1", "s")
+                       .SelectAgg(AggFn::kCount, "D1", "n")
+                       .WhereCols("B1", CmpOp::kEq, "C1")
+                       .GroupBy("A1")
+                       .BuildOrDie()},
+      ViewDef{"VC", QueryBuilder()
+                        .From("R", {"A1", "B1"})
+                        .From("S", {"C1", "D1"})
+                        .Select("A1")
+                        .Select("D1")
+                        .WhereCols("B1", CmpOp::kEq, "C1")
+                        .BuildOrDie()},
+      ViewDef{"VM", QueryBuilder()
+                        .From("R", {"A1", "B1"})
+                        .Select("A1")
+                        .SelectAgg(AggFn::kMin, "B1", "lo")
+                        .SelectAgg(AggFn::kMax, "B1", "hi")
+                        .SelectAgg(AggFn::kCount, "B1", "n")
+                        .GroupBy("A1")
+                        .BuildOrDie()},
+  };
   ViewRegistry views;
-  ASSERT_OK(views.Register(v));
+  std::vector<IncrementalMaintainer> maintainers;
+  for (const ViewDef& v : defs) {
+    ASSERT_OK(views.Register(v));
+    ASSERT_OK_AND_ASSIGN(IncrementalMaintainer m,
+                         IncrementalMaintainer::Create(v));
+    maintainers.push_back(std::move(m));
+  }
+  std::vector<Table> materialized;
   Evaluator eval(&db, &views);
-  ASSERT_OK_AND_ASSIGN(Table materialized, eval.MaterializeView("V"));
-  ASSERT_OK_AND_ASSIGN(IncrementalMaintainer maintainer,
-                       IncrementalMaintainer::Create(v));
+  for (const ViewDef& v : defs) {
+    ASSERT_OK_AND_ASSIGN(Table t, eval.MaterializeView(v.name));
+    materialized.push_back(std::move(t));
+  }
 
   std::uniform_int_distribution<int64_t> val(0, 4);
   for (int batch = 0; batch < 5; ++batch) {
@@ -376,13 +493,56 @@ TEST_P(MaintainPropertyTest, MatchesRecomputeAcrossBatches) {
         d.deletes[table].pop_back();
       }
     }
-    ASSERT_OK(maintainer.Apply(d, db, &materialized));
+    // Delete the row holding a random group's MIN (even batches) or MAX
+    // (odd batches) in VM, unless the batch already deletes that row. An
+    // odd batch also inserts a value above that MAX, which covers the
+    // delete, so VM sees extreme deletes it can fold as well as ones it
+    // must refuse.
+    const Table& vm = materialized[2];
+    if (!vm.rows().empty()) {
+      Row group = vm.rows()[rng() % vm.num_rows()];
+      const bool max = batch % 2 == 1;
+      Row extreme = {group[0], group[max ? 2 : 1]};
+      std::vector<Row>& dels = d.deletes["R"];
+      if (!extreme[1].is_null() &&
+          std::none_of(dels.begin(), dels.end(), [&](const Row& row) {
+                        return RowEq{}(row, extreme);
+                      })) {
+        if (max) {
+          d.inserts["R"].push_back(
+              {group[0], Value::Int64(extreme[1].int64() + 1)});
+        }
+        dels.push_back(std::move(extreme));
+      }
+    }
+
+    std::vector<bool> refused(defs.size(), false);
+    for (size_t i = 0; i < defs.size(); ++i) {
+      Result<Table> next = maintainers[i].Apply(d, db, materialized[i]);
+      if (next.ok()) {
+        materialized[i] = *std::move(next);
+        continue;
+      }
+      // Only a MIN/MAX view may refuse, and only as kUnsupported.
+      ASSERT_EQ(defs[i].name, "VM") << next.status().ToString();
+      ASSERT_EQ(next.status().code(), StatusCode::kUnsupported)
+          << next.status().ToString();
+      refused[i] = true;
+    }
     ASSERT_OK(ApplyDeltaToBase(d, &db));
     Evaluator check(&db, &views);
-    ASSERT_OK_AND_ASSIGN(Table recomputed, check.MaterializeView("V"));
-    ASSERT_TRUE(MultisetEqual(materialized, recomputed))
-        << "batch " << batch << "\nmaintained:\n" << materialized.ToString()
-        << "recomputed:\n" << recomputed.ToString();
+    for (size_t i = 0; i < defs.size(); ++i) {
+      ASSERT_OK_AND_ASSIGN(Table recomputed,
+                           check.MaterializeView(defs[i].name));
+      if (refused[i]) {
+        materialized[i] = std::move(recomputed);
+        continue;
+      }
+      ASSERT_TRUE(MultisetEqual(materialized[i], recomputed))
+          << defs[i].name << " batch " << batch << "\nmaintained:\n"
+          << materialized[i].ToString() << "recomputed:\n"
+          << recomputed.ToString();
+    }
   }
 }
 

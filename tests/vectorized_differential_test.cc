@@ -13,7 +13,7 @@
 //   (d) tables spanning several chunks whose columnar images disagree: a
 //       column INT64 in one chunk and DOUBLE in another, an all-NULL
 //       chunk, a different string dictionary per chunk; COUNT over string
-//       columns;
+//       columns; MIN/MAX over chunks mixing string and numeric images;
 //   (e) the dense group-id path and zone-map chunk skipping: keys INT64 in
 //       one chunk and integral DOUBLE in another, NULL keys, two-column
 //       keys whose range product sits at and just over the dense budget,
@@ -374,8 +374,8 @@ TEST(VectorizedDifferentialTest, ChunkBoundariesMatchRowEngine) {
     EXPECT_EQ(ExpectEnginesAgree(q, db, nullptr), ops);
   }
 
-  // A MIN over a column holding strings in one chunk and numbers in
-  // another has no typed loop: it must fall back, and still agree.
+  // A MIN over a column holding numbers in one chunk and strings in
+  // another keeps the first family, on both engines.
   Table mixed({"G", "M"});
   for (size_t i = 0; i < kChunkRows + 10; ++i) {
     mixed.AddRowOrDie(Row{Value::Int64(static_cast<int64_t>(i % 3)),
@@ -421,6 +421,82 @@ TEST(VectorizedDifferentialTest, CountOverStringColumnsMatchesRowEngine) {
            "SELECT S_1, COUNT(N_1) FROM T GROUPBY S_1",
            "SELECT COUNT(S_1), COUNT(N_1) FROM T",
            "SELECT G_1, COUNT(N_1) FROM T WHERE S_1 >= 's4' GROUPBY G_1",
+       }) {
+    SCOPED_TRACE(sql);
+    ASSERT_OK_AND_ASSIGN(Query q, ParseQuery(sql, &catalog));
+    EXPECT_EQ(ExpectEnginesAgree(q, db, nullptr), 2u);
+  }
+}
+
+// MIN and MAX keep the first family (number or string) they see in row
+// order, per group, and skip values of the other; NULLs count for neither.
+// Each chunk of W types its columns differently (the images the batch
+// engine folds one after another):
+//   chunk 0: X INT64, NULL for group 0; Y entirely NULL;
+//   chunk 1: X strings; Y strings, NULL for group 1;
+//   chunk 2: X entirely NULL; Y INT64;
+//   chunk 3: X DOUBLE; Y strings.
+// So group 0 meets X's strings first and groups 1-3 its numbers, and Y's
+// first family is a string for every group but group 1.
+Table MixedFamilyTable(uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<Row> data;
+  for (size_t i = 0; i < 3 * kChunkRows + 500; ++i) {
+    const size_t chunk = i / kChunkRows;
+    const int64_t g = static_cast<int64_t>(i % 4);
+    const int64_t n = static_cast<int64_t>(rng() % 1000) - 500;
+    const Value str = Value::String("s" + std::to_string(rng() % 300));
+    Value x = Value::Null();
+    Value y = Value::Null();
+    switch (chunk) {
+      case 0:
+        if (g != 0) x = Value::Int64(n);
+        break;
+      case 1:
+        x = str;
+        if (g != 1) y = str;
+        break;
+      case 2:
+        y = Value::Int64(n);
+        break;
+      default:
+        x = Value::Double(static_cast<double>(n) / 4.0);
+        y = str;
+        break;
+    }
+    data.push_back(Row{Value::Int64(static_cast<int64_t>(i)),
+                       Value::Int64(g), std::move(x), std::move(y)});
+  }
+  Table t({"K", "G", "X", "Y"});
+  EXPECT_OK(t.AddRows(std::move(data)));
+  return t;
+}
+
+TEST(VectorizedDifferentialTest, MixedFamilyExtremesMatchRowEngine) {
+  uint64_t seed = TestSeed(26000);
+  SCOPED_TRACE(SeedTrace(seed));
+  Table w = MixedFamilyTable(seed);
+  ASSERT_EQ(w.chunks().size(), 4u);
+  // The premise: typed images of different families, and NULL-only ones.
+  EXPECT_EQ(w.chunks()[0]->columnar().col(2).type, ColumnType::kInt64);
+  EXPECT_EQ(w.chunks()[1]->columnar().col(2).type, ColumnType::kString);
+  EXPECT_EQ(w.chunks()[2]->zone(2).null_count, w.chunks()[2]->num_rows());
+  EXPECT_EQ(w.chunks()[3]->columnar().col(2).type, ColumnType::kDouble);
+  EXPECT_EQ(w.chunks()[0]->zone(3).null_count, w.chunks()[0]->num_rows());
+  EXPECT_EQ(w.chunks()[2]->columnar().col(3).type, ColumnType::kInt64);
+  Catalog catalog;
+  ASSERT_OK(catalog.AddTable(TableDef("W", w.columns())));
+  Database db;
+  db.Put("W", std::move(w));
+  for (const char* sql : {
+           "SELECT G_1, MIN(X_1), MAX(X_1), MIN(Y_1), MAX(Y_1) FROM W "
+           "GROUPBY G_1",
+           "SELECT MIN(X_1), MAX(X_1), MIN(Y_1), MAX(Y_1) FROM W",
+           "SELECT G_1, MIN(X_1), MAX(Y_1) FROM W WHERE K_1 >= 20000 "
+           "GROUPBY G_1",
+           "SELECT G_1, MAX(X_1), MIN(Y_1) FROM W WHERE K_1 >= 40000 "
+           "GROUPBY G_1",
+           "SELECT Y_1, MIN(X_1), MAX(X_1), COUNT(X_1) FROM W GROUPBY Y_1",
        }) {
     SCOPED_TRACE(sql);
     ASSERT_OK_AND_ASSIGN(Query q, ParseQuery(sql, &catalog));
