@@ -1,6 +1,7 @@
 #include "exec/column_batch.h"
 
 #include <algorithm>
+#include <cstddef>
 
 namespace aqv {
 
@@ -41,6 +42,58 @@ bool Column::Equals(size_t row, const Value& v) const {
       return mixed[row].Compare(v) == 0;
   }
   return false;
+}
+
+void Column::MarkEquals(size_t rows, const Value& v, uint64_t* bits) const {
+  if (v.is_null()) {
+    if (has_nulls) {
+      for (size_t w = 0; w < (rows + 63) / 64; ++w) bits[w] |= null_words[w];
+    }
+    return;
+  }
+  // ORs in, a word at a time, the non-NULL rows where `eq` holds (a NULL
+  // slot's payload is a placeholder that may compare equal).
+  auto mark = [&](auto eq) {
+    for (size_t base = 0; base < rows; base += 64) {
+      const size_t end = std::min<size_t>(64, rows - base);
+      uint64_t word = 0;
+      for (size_t i = 0; i < end; ++i) {
+        word |= static_cast<uint64_t>(eq(base + i)) << i;
+      }
+      if (has_nulls) word &= ~null_words[base >> 6];
+      bits[base >> 6] |= word;
+    }
+  };
+  switch (type) {
+    case ColumnType::kInt64:
+      if (v.type() == ValueType::kInt64) {
+        const int64_t k = v.int64();
+        mark([&](size_t r) { return i64[r] == k; });
+      } else if (v.type() == ValueType::kDouble) {
+        const double d = v.dbl();
+        mark([&](size_t r) {
+          return DoublesTie(static_cast<double>(i64[r]), d);
+        });
+      }
+      return;
+    case ColumnType::kDouble:
+      if (v.is_numeric()) {
+        const double d = v.AsDouble();
+        mark([&](size_t r) { return DoublesTie(f64[r], d); });
+      }
+      return;
+    case ColumnType::kString: {
+      if (v.type() != ValueType::kString) return;
+      const auto at = std::find(dict.begin(), dict.end(), v.str());
+      if (at == dict.end()) return;
+      const int32_t code = static_cast<int32_t>(at - dict.begin());
+      mark([&](size_t r) { return codes[r] == code; });
+      return;
+    }
+    case ColumnType::kMixed:
+      mark([&](size_t r) { return mixed[r].Compare(v) == 0; });
+      return;
+  }
 }
 
 int32_t DictIndex::CodeOf(size_t c, const std::string& s, Column* col) {
@@ -170,26 +223,93 @@ void Push(Column* col, size_t c, size_t r, const Value& v, DictIndex* index) {
   }
 }
 
-// Rows `keep` (ascending) of `col`, typed as FromRows types them.
-Column Gather(const Column& col, const std::vector<uint32_t>& keep) {
-  const size_t n = keep.size();
+// Calls f(begin, end) for each maximal run of the rows [0, rows) that
+// `drop` (ascending, distinct) leaves.
+template <typename F>
+void ForEachKeptRun(size_t rows, const std::vector<uint32_t>& drop, F&& f) {
+  size_t begin = 0;
+  for (uint32_t d : drop) {
+    if (d > begin) f(begin, static_cast<size_t>(d));
+    begin = static_cast<size_t>(d) + 1;
+  }
+  if (rows > begin) f(begin, rows);
+}
+
+// Bits [from, from + count) of `words`, count <= 64, low bit first.
+uint64_t LoadBits(const uint64_t* words, size_t from, size_t count) {
+  const size_t w = from >> 6;
+  const size_t shift = from & 63;
+  uint64_t bits = words[w] >> shift;
+  if (shift != 0 && shift + count > 64) bits |= words[w + 1] << (64 - shift);
+  return count == 64 ? bits : bits & ((uint64_t{1} << count) - 1);
+}
+
+// ORs the `count` (<= 64) low bits of `bits` into `words` at bit `at`.
+void OrBits(uint64_t* words, size_t at, uint64_t bits, size_t count) {
+  const size_t w = at >> 6;
+  const size_t shift = at & 63;
+  words[w] |= bits << shift;
+  if (shift != 0 && shift + count > 64) words[w + 1] |= bits >> (64 - shift);
+}
+
+// Appends the kept runs of `from` to `to`: one range copy per run.
+template <typename T>
+void CopyKeptRuns(const std::vector<T>& from, const std::vector<uint32_t>& drop,
+                  size_t kept, std::vector<T>* to) {
+  to->reserve(kept);
+  ForEachKeptRun(from.size(), drop, [&](size_t begin, size_t end) {
+    to->insert(to->end(), from.begin() + static_cast<std::ptrdiff_t>(begin),
+               from.begin() + static_cast<std::ptrdiff_t>(end));
+  });
+}
+
+// Sets the exact bounds of the non-NULL values of a typed kInt64 column.
+void ScanInt64Bounds(Column* col) {
+  int64_t lo = std::numeric_limits<int64_t>::max();
+  int64_t hi = std::numeric_limits<int64_t>::min();
+  const int64_t* v = col->i64.data();
+  for (size_t r = 0; r < col->i64.size(); ++r) {
+    if (col->IsNull(r)) continue;
+    lo = std::min(lo, v[r]);
+    hi = std::max(hi, v[r]);
+  }
+  col->i64_min = lo;
+  col->i64_max = hi;
+}
+
+// `col` (of `rows` rows) without the rows `drop` lists, typed as FromRows
+// types the survivors.
+Column Drop(const Column& col, size_t rows, const std::vector<uint32_t>& drop) {
+  const size_t n = rows - drop.size();
   Column out;
   if (col.type == ColumnType::kMixed) {
     // The survivors may hold one type again.
     DictIndex index;
     out.null_words.reserve((n + 63) / 64);
-    for (size_t i = 0; i < n; ++i) Push(&out, 0, i, col.mixed[keep[i]], &index);
+    size_t at = 0;
+    ForEachKeptRun(rows, drop, [&](size_t begin, size_t end) {
+      for (size_t r = begin; r < end; ++r) {
+        Push(&out, 0, at++, col.mixed[r], &index);
+      }
+    });
     return out;
   }
   out.null_words.assign((n + 63) / 64, 0);
   size_t nulls = 0;
   if (col.has_nulls) {
-    for (size_t i = 0; i < n; ++i) {
-      if (col.IsNull(keep[i])) {
-        SetNull(&out, i);
-        ++nulls;
+    size_t at = 0;
+    ForEachKeptRun(rows, drop, [&](size_t begin, size_t end) {
+      for (size_t r = begin; r < end; r += 64) {
+        const size_t count = std::min<size_t>(64, end - r);
+        OrBits(out.null_words.data(), at,
+               LoadBits(col.null_words.data(), r, count), count);
+        at += count;
       }
+    });
+    for (uint64_t w : out.null_words) {
+      nulls += static_cast<size_t>(__builtin_popcountll(w));
     }
+    out.has_nulls = nulls > 0;
   }
   if (nulls == n) {  // no value survives: untyped
     out.i64.assign(n, 0);
@@ -198,42 +318,58 @@ Column Gather(const Column& col, const std::vector<uint32_t>& keep) {
   out.type = col.type;
   out.typed = true;
   switch (col.type) {
-    case ColumnType::kInt64:
-      out.i64.resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        const int64_t x = col.i64[keep[i]];
-        out.i64[i] = x;
-        if (out.IsNull(i)) continue;
-        out.i64_min = std::min(out.i64_min, x);
-        out.i64_max = std::max(out.i64_max, x);
+    case ColumnType::kInt64: {
+      CopyKeptRuns(col.i64, drop, n, &out.i64);
+      const bool inside =
+          std::all_of(drop.begin(), drop.end(), [&](uint32_t d) {
+            return col.IsNull(d) ||
+                   (col.i64_min < col.i64[d] && col.i64[d] < col.i64_max);
+          });
+      if (inside) {
+        out.i64_min = col.i64_min;
+        out.i64_max = col.i64_max;
+      } else {
+        ScanInt64Bounds(&out);
       }
       break;
+    }
     case ColumnType::kDouble:
-      out.f64.resize(n);
-      for (size_t i = 0; i < n; ++i) out.f64[i] = col.f64[keep[i]];
+      CopyKeptRuns(col.f64, drop, n, &out.f64);
       break;
     default: {
       // Renumber by first occurrence among the survivors, dropping the
       // strings none of them uses.
       std::vector<int32_t> remap(col.dict.size(), -1);
-      out.codes.resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        const int32_t code = col.codes[keep[i]];
-        if (code < 0) {
-          out.codes[i] = -1;
-          continue;
+      out.codes.reserve(n);
+      ForEachKeptRun(rows, drop, [&](size_t begin, size_t end) {
+        for (size_t r = begin; r < end; ++r) {
+          const int32_t code = col.codes[r];
+          if (code < 0) {
+            out.codes.push_back(-1);
+            continue;
+          }
+          int32_t& to = remap[static_cast<size_t>(code)];
+          if (to < 0) {
+            to = static_cast<int32_t>(out.dict.size());
+            out.dict.push_back(col.dict[static_cast<size_t>(code)]);
+          }
+          out.codes.push_back(to);
         }
-        int32_t& to = remap[static_cast<size_t>(code)];
-        if (to < 0) {
-          to = static_cast<int32_t>(out.dict.size());
-          out.dict.push_back(col.dict[static_cast<size_t>(code)]);
-        }
-        out.codes[i] = to;
-      }
+      });
       break;
     }
   }
   return out;
+}
+
+// `from` with room for `capacity` elements; an empty payload stays empty.
+template <typename T>
+std::vector<T> CopyWithCapacity(const std::vector<T>& from, size_t capacity) {
+  std::vector<T> to;
+  if (from.empty()) return to;
+  to.reserve(std::max(capacity, from.size()));
+  to.assign(from.begin(), from.end());
+  return to;
 }
 
 }  // namespace
@@ -280,20 +416,36 @@ void ColumnarTable::AppendRow(const Row& row, DictIndex* index) {
 }
 
 ColumnarTable ColumnarTable::Without(const std::vector<uint32_t>& drop) const {
-  std::vector<uint32_t> keep;
-  keep.reserve(num_rows_ - drop.size());
-  size_t d = 0;
-  for (size_t r = 0; r < num_rows_; ++r) {
-    if (d < drop.size() && drop[d] == r) {
-      ++d;
-      continue;
-    }
-    keep.push_back(static_cast<uint32_t>(r));
-  }
   ColumnarTable out;
-  out.num_rows_ = keep.size();
+  out.num_rows_ = num_rows_ - drop.size();
   out.cols_.reserve(cols_.size());
-  for (const Column& col : cols_) out.cols_.push_back(Gather(col, keep));
+  for (const Column& col : cols_) {
+    out.cols_.push_back(Drop(col, num_rows_, drop));
+  }
+  return out;
+}
+
+ColumnarTable ColumnarTable::CopyWithRoom(size_t rows) const {
+  const size_t total = num_rows_ + rows;
+  ColumnarTable out;
+  out.num_rows_ = num_rows_;
+  out.cols_.reserve(cols_.size());
+  for (const Column& col : cols_) {
+    // Every field of Column: a plain copy would size each payload to its
+    // rows, and the first append would copy it again.
+    Column& to = out.cols_.emplace_back();
+    to.type = col.type;
+    to.has_nulls = col.has_nulls;
+    to.null_words = CopyWithCapacity(col.null_words, (total + 63) / 64);
+    to.i64 = CopyWithCapacity(col.i64, total);
+    to.f64 = CopyWithCapacity(col.f64, total);
+    to.codes = CopyWithCapacity(col.codes, total);
+    to.dict = col.dict;
+    to.mixed = CopyWithCapacity(col.mixed, total);
+    to.i64_min = col.i64_min;
+    to.i64_max = col.i64_max;
+    to.typed = col.typed;
+  }
   return out;
 }
 

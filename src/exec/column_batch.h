@@ -82,6 +82,12 @@ struct Column {
   /// 2^53 + 1 stay apart) and any other numeric pair compares as doubles
   /// (INT64 1 equals DOUBLE 1.0).
   bool Equals(size_t row, const Value& v) const;
+
+  /// Sets bit r of `bits` (ceil(rows / 64) words) for every row r < `rows`
+  /// where Equals(r, v) holds, with one typed loop over the payload: INT64
+  /// meets INT64 exactly, any other numeric pair keeps Equals' tie rule (a
+  /// NaN ties with every number).
+  void MarkEquals(size_t rows, const Value& v, uint64_t* bits) const;
 };
 
 /// String -> code lookup over the dictionaries of a ColumnarTable that is
@@ -135,8 +141,15 @@ class ColumnarTable {
   void AppendRow(const Row& row, DictIndex* index);
 
   /// The rows whose ordinals are not in `drop` (ascending, distinct), in
-  /// row order.
+  /// row order. Typed payloads and the null bitmap are copied in runs
+  /// between the dropped ordinals. An INT64 column keeps its bounds without
+  /// a rescan when every dropped value lies strictly inside them: the rows
+  /// that hold the bounds survive.
   ColumnarTable Without(const std::vector<uint32_t>& drop) const;
+
+  /// A copy with room for `rows` more rows in every payload, so appending
+  /// them copies nothing again.
+  ColumnarTable CopyWithRoom(size_t rows) const;
 
   size_t num_rows() const { return num_rows_; }
   int num_columns() const { return static_cast<int>(cols_.size()); }

@@ -92,11 +92,25 @@ ZoneMap ZoneMap::Of(const Column& col, size_t rows) {
       z.num_min = static_cast<double>(col.i64_min);
       z.num_max = static_cast<double>(col.i64_max);
       break;
-    case ColumnType::kDouble:
+    case ColumnType::kDouble: {
+      // Add over the non-NULL values, as one typed loop: `<` keeps the
+      // earlier of two equal values (-0.0, 0.0) as std::min does, and a NaN
+      // moves neither bound but widens the range to every number.
+      double lo = std::numeric_limits<double>::infinity();
+      double hi = -lo;
+      bool nan = false;
+      const double* v = col.f64.data();
       for (size_t r = 0; r < rows; ++r) {
-        if (!col.IsNull(r)) z.Add(Value::Double(col.f64[r]));
+        if (col.IsNull(r)) continue;
+        nan |= std::isnan(v[r]);
+        lo = v[r] < lo ? v[r] : lo;
+        hi = v[r] > hi ? v[r] : hi;
       }
+      z.has_num = true;
+      z.num_min = nan ? -std::numeric_limits<double>::infinity() : lo;
+      z.num_max = nan ? std::numeric_limits<double>::infinity() : hi;
       break;
+    }
     case ColumnType::kString: {
       // Every dictionary string is some row's value.
       const std::vector<std::string>& dict = col.dict;
@@ -121,8 +135,38 @@ Chunk::Chunk(ColumnarTable columns) : columns_(std::move(columns)) {
   }
 }
 
-Chunk::Chunk(const Chunk& other)
-    : columns_(other.columns_), zones_(other.zones_) {}
+Chunk::Chunk(const Chunk& other, size_t room)
+    : columns_(other.columns_.CopyWithRoom(room)), zones_(other.zones_) {}
+
+Chunk::Chunk(const Chunk& old, const std::vector<uint32_t>& drop)
+    : columns_(old.columns_.Without(drop)) {
+  zones_.reserve(old.zones_.size());
+  for (int c = 0; c < columns_.num_columns(); ++c) {
+    const Column& was = old.columns_.col(c);
+    const Column& now = columns_.col(c);
+    const ZoneMap& zone = old.zones_[static_cast<size_t>(c)];
+    if (was.type == ColumnType::kDouble && now.type == ColumnType::kDouble) {
+      // The rows holding the bounds survive when every dropped value lies
+      // strictly inside them (a NaN does not), so the bounds stay exact.
+      size_t nulls = 0;
+      bool inside = true;
+      for (size_t i = 0; i < drop.size() && inside; ++i) {
+        if (was.IsNull(drop[i])) {
+          ++nulls;
+          continue;
+        }
+        const double x = was.f64[drop[i]];
+        inside = zone.num_min < x && x < zone.num_max;
+      }
+      if (inside) {
+        zones_.push_back(zone);
+        zones_.back().null_count -= nulls;
+        continue;
+      }
+    }
+    zones_.push_back(ZoneMap::Of(now, columns_.num_rows()));
+  }
+}
 
 void Chunk::Append(const Row& row) {
   for (size_t c = 0; c < zones_.size(); ++c) zones_[c].Add(row[c]);
@@ -194,15 +238,18 @@ void Table::AppendRows(const Row* rows, size_t count) {
   for (size_t i = 0; i < count;) {
     if (chunks_.empty() || chunks_.back()->num_rows() >= kChunkRows) {
       chunks_.push_back(std::make_shared<Chunk>(ColumnarTable(num_columns())));
-    } else if (chunks_.back().use_count() > 1) {
-      // Another version shares the tail: this one gets its own copy.
-      chunks_.back() = ChunkPtr(new Chunk(*chunks_.back()));
+    }
+    const size_t n =
+        std::min(count - i, kChunkRows - chunks_.back()->num_rows());
+    if (chunks_.back().use_count() > 1) {
+      // Another version shares the tail: this one gets its own copy, with
+      // room for the rows it appends.
+      chunks_.back() = ChunkPtr(new Chunk(*chunks_.back(), n));
     }
     // The tail is now this table's alone, and every chunk is allocated as a
     // non-const Chunk (ChunkPtr only restricts access), so appending in
     // place is safe.
     Chunk* tail = const_cast<Chunk*>(chunks_.back().get());
-    const size_t n = std::min(count - i, kChunkRows - tail->num_rows());
     if (tail->num_rows() == 0) tail->columns_.Reserve(n);
     for (size_t end = i + n; i < end; ++i) tail->Append(rows[i]);
     num_rows_ += n;
@@ -250,13 +297,14 @@ RowPositions Table::LocateRows(RowCounts* needed, const std::vector<int>& on,
     ++scanned;
     std::vector<uint32_t> hits;
     const ColumnarTable& cols = chunk.columnar();
+    const size_t n = cols.num_rows();
+    // A few wanted rows are compared against the columns directly, which
+    // usually stops at the first column; more are hashed.
+    const bool direct = needed->size() <= 4;
     Row row;  // scratch for the hashed probe
-    for (size_t r = 0; r < cols.num_rows() && remaining > 0; ++r) {
-      // A few wanted rows: compare against the columns directly, which
-      // usually stops at the first column, instead of building and hashing
-      // every row.
+    auto take = [&](size_t r) {
       auto it = needed->end();
-      if (needed->size() <= 4) {
+      if (direct) {
         for (auto w = needed->begin(); w != needed->end(); ++w) {
           if (w->second <= 0 || w->first.size() != width) continue;
           bool equal = true;
@@ -273,10 +321,28 @@ RowPositions Table::LocateRows(RowCounts* needed, const std::vector<int>& on,
         for (int col : on) row.push_back(cols.col(col).ValueAt(r));
         it = needed->find(row);
       }
-      if (it == needed->end() || it->second <= 0) continue;
+      if (it == needed->end() || it->second <= 0) return;
       --it->second;
       --remaining;
       hits.push_back(static_cast<uint32_t>(r));
+    };
+    if (direct && width > 0) {
+      // A typed scan of the first matched column marks the rows some wanted
+      // row may equal; only those are compared in full. No other row equals
+      // a wanted row, so the matches are the ones a full compare finds.
+      std::vector<uint64_t> candidates((n + 63) / 64, 0);
+      for (const auto& [wanted, count] : *needed) {
+        if (count <= 0 || wanted.size() != width) continue;
+        cols.col(on[0]).MarkEquals(n, wanted[0], candidates.data());
+      }
+      for (size_t w = 0; w < candidates.size() && remaining > 0; ++w) {
+        for (uint64_t bits = candidates[w]; bits != 0 && remaining > 0;
+             bits &= bits - 1) {
+          take(w * 64 + static_cast<size_t>(__builtin_ctzll(bits)));
+        }
+      }
+    } else {
+      for (size_t r = 0; r < n && remaining > 0; ++r) take(r);
     }
     if (!hits.empty()) found.emplace_back(c, std::move(hits));
   }
@@ -310,9 +376,8 @@ void Table::RemoveAt(const RowPositions& positions) {
     }
     const std::vector<uint32_t>& hits = positions[next++].second;
     num_rows_ -= hits.size();
-    const ColumnarTable& old = chunks_[c]->columnar();
-    if (hits.size() == old.num_rows()) continue;  // the chunk empties
-    kept.push_back(std::make_shared<Chunk>(old.Without(hits)));
+    if (hits.size() == chunks_[c]->num_rows()) continue;  // the chunk empties
+    kept.push_back(ChunkPtr(new Chunk(*chunks_[c], hits)));
   }
   chunks_ = std::move(kept);
 }

@@ -73,9 +73,18 @@ class Chunk {
  private:
   friend class Table;
 
-  /// A private copy (columns and zone maps), for the copy-on-write of a
-  /// shared tail chunk.
-  Chunk(const Chunk& other);
+  /// A private copy (columns and zone maps) with room for `room` more rows,
+  /// for the copy-on-write of a shared tail chunk.
+  Chunk(const Chunk& other, size_t room);
+
+  /// The rows of `old` whose ordinals are not in `drop` (ascending,
+  /// distinct; see ColumnarTable::Without). A DOUBLE column keeps its zone
+  /// bounds without a rescan when every dropped value lies strictly inside
+  /// them.
+  Chunk(const Chunk& old, const std::vector<uint32_t>& drop);
+
+  Chunk(const Chunk&) = delete;
+  Chunk& operator=(const Chunk&) = delete;
 
   /// Appends in place; only the Table that solely owns this chunk calls it.
   void Append(const Row& row);

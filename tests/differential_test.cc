@@ -300,7 +300,7 @@ TEST_P(DifferentialTest, SnapshotReadMatchesLiveRead) {
 
 // (c) Chaos: with faults injected at every wired site, each statement is
 // "right rows or clean error". The fault schedule is seeded alongside the
-// workload, so a failure replays exactly with AQV_TEST_SEED=<printed seed>.
+// workload, so a failure replays exactly with the AQV_TEST_SEED it prints.
 TEST_P(DifferentialTest, ChaosInjectionYieldsCorrectRowsOrCleanErrors) {
   uint64_t seed = TestSeed(15000 + GetParam());
   SCOPED_TRACE(SeedTrace(seed));

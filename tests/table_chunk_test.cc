@@ -4,9 +4,10 @@
 // pruning (a key-equality delete scans one chunk), multiset delete
 // semantics across chunk boundaries, and MVCC accounting that charges a
 // pinned version only for the chunks the current version no longer shares.
-// The last test is a randomized oracle: writes against a plain vector<Row>
-// model, with every chunk's columns, zone maps and INT64 bounds checked
-// exact after each step.
+// The last two tests are randomized oracles: writes against a plain
+// vector<Row> model, with every chunk's columns, zone maps and INT64 bounds
+// checked exact after each step; the second keeps every column typed and
+// NULL-free.
 
 #include <algorithm>
 #include <bit>
@@ -438,40 +439,147 @@ void ExpectHolds(const Table& t, const std::vector<Row>& model,
   if (checked != nullptr) *checked = std::move(now);
 }
 
-/// The model's delete: one occurrence per deleted row, the first in row
-/// order, matched with RowEq as Table::LocateRows matches (directly for up
-/// to four distinct wanted rows, by hash beyond). False, leaving `model`
-/// unchanged, if some row is not present.
-bool ModelRemove(const std::vector<Row>& rows, std::vector<Row>* model) {
+/// The positions the model's delete removes: one occurrence per deleted
+/// row, the first in row order, matched with RowEq as Table::LocateRows
+/// matches (directly for up to four distinct wanted rows, by hash beyond).
+/// Fewer positions than `rows` if some row is not present.
+std::vector<size_t> ModelLocate(const std::vector<Row>& rows,
+                                const std::vector<Row>& model) {
   RowCounts needed;
   for (const Row& row : rows) ++needed[row];
-  std::vector<bool> gone(model->size(), false);
+  std::vector<size_t> gone;
   int64_t remaining = static_cast<int64_t>(rows.size());
-  for (size_t i = 0; i < model->size() && remaining > 0; ++i) {
+  for (size_t i = 0; i < model.size() && remaining > 0; ++i) {
     auto it = needed.end();
     if (needed.size() <= 4) {
       for (auto w = needed.begin(); w != needed.end(); ++w) {
-        if (w->second > 0 && RowEq()(w->first, (*model)[i])) {
+        if (w->second > 0 && RowEq()(w->first, model[i])) {
           it = w;
           break;
         }
       }
     } else {
-      it = needed.find((*model)[i]);
+      it = needed.find(model[i]);
     }
     if (it == needed.end() || it->second <= 0) continue;
     --it->second;
     --remaining;
-    gone[i] = true;
+    gone.push_back(i);
   }
-  if (remaining > 0) return false;
+  return gone;
+}
+
+/// The model's delete (see ModelLocate). False, leaving `model` unchanged,
+/// if some row is not present.
+bool ModelRemove(const std::vector<Row>& rows, std::vector<Row>* model) {
+  const std::vector<size_t> gone = ModelLocate(rows, *model);
+  if (gone.size() != rows.size()) return false;
   std::vector<Row> kept;
   kept.reserve(model->size() - rows.size());
+  size_t next = 0;
   for (size_t i = 0; i < model->size(); ++i) {
-    if (!gone[i]) kept.push_back(std::move((*model)[i]));
+    if (next < gone.size() && gone[next] == i) {
+      ++next;
+    } else {
+      kept.push_back(std::move((*model)[i]));
+    }
   }
   *model = std::move(kept);
   return true;
+}
+
+// The typed probe in LocateRows finds the rows Column::Equals finds, on the
+// values where a typed compare could differ from it: INT64 against DOUBLE
+// (1 and 1.0; 2^53 and 2^53 + 1, one double apart), -0.0 against 0.0, the
+// infinities, a NaN (stored or wanted; the C++ API does not refuse it) and
+// NULL. A stored row that equals two wanted rows is taken once.
+TEST(TableChunkTest, TypedProbeFindsWhatEqualsFinds) {
+  const int64_t two53 = int64_t{1} << 53;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto i = [](int64_t x) { return Value::Int64(x); };
+  auto d = [](double x) { return Value::Double(x); };
+  // Each table: column 0 holds the edge values (its type set by them), and
+  // column 1 a small tag.
+  const std::vector<std::vector<Value>> stored = {
+      {i(0), i(1), i(two53), i(two53 + 1), i(-1), i(1), i(two53),
+       i(std::numeric_limits<int64_t>::min()),
+       i(std::numeric_limits<int64_t>::max())},
+      {i(0), Value::Null(), i(1), Value::Null(), i(two53 + 1)},
+      {d(0.0), d(-0.0), d(1.0), d(inf), d(-inf), d(2.5), d(0.0),
+       d(9007199254740992.0), d(inf)},
+      {d(2.0), d(nan), d(1.0), d(2.0), d(nan), d(1.0)},
+      {d(1.0), Value::Null(), d(-0.0), Value::Null()},
+      {i(1), d(1.0), Value::String("1"), Value::Null(), i(two53 + 1)},
+  };
+  const std::vector<Value> wanted_values = {
+      i(0),       i(1),           d(1.0),          i(two53),
+      i(two53 + 1), d(9007199254740992.0), d(0.0), d(-0.0),
+      d(inf),     d(-inf),        d(nan),          d(2.0),
+      d(2.5),     Value::Null(),  Value::String("1"), i(7)};
+  size_t compared = 0;
+  for (size_t s = 0; s < stored.size(); ++s) {
+    for (bool edge_first : {true, false}) {
+      std::vector<Row> model;
+      for (size_t r = 0; r < stored[s].size(); ++r) {
+        Row row{stored[s][r], Value::Int64(static_cast<int64_t>(r % 2))};
+        if (!edge_first) std::swap(row[0], row[1]);
+        model.push_back(std::move(row));
+      }
+      Table t({"A", "B"});
+      ASSERT_OK(t.AddRows(model));
+      // The typed loop marks exactly the rows Equals accepts.
+      const ColumnarTable& cols = t.chunks()[0]->columnar();
+      for (int col = 0; col < 2; ++col) {
+        for (const Value& v : wanted_values) {
+          std::vector<uint64_t> bits((cols.num_rows() + 63) / 64, 0);
+          cols.col(col).MarkEquals(cols.num_rows(), v, bits.data());
+          for (size_t r = 0; r < cols.num_rows(); ++r) {
+            EXPECT_EQ((bits[r >> 6] >> (r & 63)) & 1,
+                      cols.col(col).Equals(r, v) ? 1u : 0u)
+                << "table " << s << " column " << col << " row " << r
+                << " value " << v.ToString();
+          }
+        }
+      }
+      auto wanted_row = [&](const Value& v, int64_t tag) {
+        Row row{v, Value::Int64(tag)};
+        if (!edge_first) std::swap(row[0], row[1]);
+        return row;
+      };
+      // One wanted row; two that one stored row may both equal; and a
+      // batch of four distinct ones (the direct path's limit).
+      std::vector<std::vector<Row>> deletes;
+      for (size_t a = 0; a < wanted_values.size(); ++a) {
+        for (int64_t tag : {0, 1}) {
+          deletes.push_back({wanted_row(wanted_values[a], tag)});
+          const Value& b = wanted_values[(a + 1 + static_cast<size_t>(tag)) %
+                                         wanted_values.size()];
+          deletes.push_back(
+              {wanted_row(wanted_values[a], tag), wanted_row(b, tag)});
+          deletes.push_back({wanted_row(wanted_values[a], tag),
+                             wanted_row(b, tag), wanted_row(d(1.0), 1 - tag),
+                             wanted_row(i(two53), tag)});
+        }
+      }
+      for (const std::vector<Row>& rows : deletes) {
+        SCOPED_TRACE("table " + std::to_string(s) +
+                     (edge_first ? "" : " swapped") + ", delete " +
+                     Show(rows[0]) + "...");
+        const std::vector<size_t> want = ModelLocate(rows, model);
+        RowCounts needed;
+        for (const Row& row : rows) ++needed[row];
+        std::vector<size_t> got;
+        for (const auto& [chunk, hits] : t.LocateRows(&needed, {0, 1})) {
+          ASSERT_EQ(chunk, 0u);
+          got.insert(got.end(), hits.begin(), hits.end());
+        }
+        EXPECT_EQ(got, want);
+        if (want.size() == rows.size()) ++compared;
+      }
+    }
+  }
+  EXPECT_GT(compared, 100u);
 }
 
 TEST(TableChunkOracleTest, RandomWritesMatchARowVectorModel) {
@@ -662,6 +770,134 @@ TEST(TableChunkOracleTest, RandomWritesMatchARowVectorModel) {
   // Most deletes found their rows (a NaN, equal to every number, can make
   // one wanted row take another's match).
   EXPECT_GT(removals, static_cast<size_t>(kSteps / 8));
+}
+
+// The NULL-free typed arm: a Calls-shaped table (a clustered INT64 key,
+// INT64 and DOUBLE columns, no NULL anywhere), so the typed chunk-rewrite
+// kernels run on every write. Deletes hit chunk ends and the rows that hold
+// a column's minimum or maximum (its bounds must be rescanned) as well as
+// rows strictly inside them (its bounds are kept); UPDATEs are delete plus
+// append; appends often land in a tail another version shares.
+TEST(TableChunkOracleTest, NullFreeTypedWritesMatchARowVectorModel) {
+  const uint64_t seed = TestSeed(32000);
+  SCOPED_TRACE(SeedTrace(seed));
+  std::mt19937_64 rng(seed);
+  auto pick = [&](size_t n) { return static_cast<size_t>(rng() % n); };
+  int64_t next_key = 0;
+  auto call = [&]() {
+    const int64_t key = next_key++;
+    const auto cust = static_cast<int64_t>(pick(200));
+    const auto day = static_cast<int64_t>(1 + pick(28));
+    const double charge = static_cast<double>(pick(20000)) / 100.0 - 50.0;
+    return Row{Value::Int64(key), Value::Int64(cust), Value::Int64(day),
+               Value::Double(charge)};
+  };
+
+  Table t({"Call_Id", "Cust", "Day", "Charge"});
+  std::vector<Row> model;
+  for (size_t r = 0; r < 2 * kChunkRows - 60; ++r) model.push_back(call());
+  ASSERT_OK(t.AddRows(model));
+  ExpectHolds(t, model);
+
+  // Chunk `c`'s first row in the model.
+  auto start_of = [&](size_t c) {
+    size_t start = 0;
+    for (size_t i = 0; i < c; ++i) start += t.chunks()[i]->num_rows();
+    return start;
+  };
+  auto remove = [&](const std::vector<Row>& rows) {
+    ASSERT_TRUE(ModelRemove(rows, &model));
+    ASSERT_OK(t.RemoveRows(rows));
+  };
+  auto append = [&](size_t count) {
+    std::vector<Row> rows;
+    for (size_t i = 0; i < count; ++i) rows.push_back(call());
+    ASSERT_OK(count == 1 ? t.AddRow(rows[0]) : t.AddRows(rows));
+    model.insert(model.end(), rows.begin(), rows.end());
+  };
+
+  std::vector<CheckedChunk> checked;
+  std::vector<TablePtr> pins;
+  std::vector<std::vector<Row>> pinned_rows;
+  const int kSteps = 150;
+  for (int step = 0; step < kSteps; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const size_t c = pick(t.chunks().size());
+    const size_t start = start_of(c);
+    const size_t rows = t.chunks()[c]->num_rows();
+    switch (pick(6)) {
+      case 0:  // a single-row INSERT, or a small batch
+        append(pick(3) == 0 ? 2 + pick(40) : 1);
+        break;
+      case 1: {  // one or two rows at the chunk's ends
+        std::vector<Row> victims;
+        const size_t kind = pick(3);
+        if (kind != 1) victims.push_back(model[start]);
+        if (kind != 0 && rows > 1) victims.push_back(model[start + rows - 1]);
+        remove(victims);
+        break;
+      }
+      case 2: {  // the row holding a column's minimum or maximum, and maybe a
+                 // few more
+        const size_t col = 1 + pick(3);
+        const bool want_max = pick(2) == 0;
+        size_t at = start;
+        for (size_t r = start; r < start + rows; ++r) {
+          const int cmp = model[r][col].Compare(model[at][col]);
+          if (want_max ? cmp > 0 : cmp < 0) at = r;
+        }
+        std::set<size_t> victims{at};
+        for (size_t extra = pick(3); extra > 0; --extra) {
+          victims.insert(start + pick(rows));
+        }
+        std::vector<Row> doomed;
+        for (size_t r : victims) doomed.push_back(model[r]);
+        remove(doomed);
+        break;
+      }
+      case 3: {  // a few rows from anywhere in the chunk
+        std::set<size_t> victims;
+        for (size_t n = 1 + pick(4); n > 0; --n) {
+          victims.insert(start + pick(rows));
+        }
+        std::vector<Row> doomed;
+        for (size_t r : victims) doomed.push_back(model[r]);
+        remove(doomed);
+        break;
+      }
+      case 4: {  // UPDATE ... SET Charge = Charge + 1.25 WHERE Call_Id = k
+        const Row old = model[start + pick(rows)];
+        Row updated = old;
+        updated[3] = Value::Double(old[3].dbl() + 1.25);
+        ASSERT_OK(t.AddRow(updated));
+        model.push_back(updated);
+        remove({old});
+        break;
+      }
+      default:  // pin this version, so the next append copies its tail
+        if (pins.size() == 3) {
+          pins.erase(pins.begin());
+          pinned_rows.erase(pinned_rows.begin());
+        }
+        pins.push_back(std::make_shared<const Table>(t));
+        pinned_rows.push_back(model);
+        append(1 + pick(2) * pick(20));
+    }
+    ExpectHolds(t, model, &checked);
+    for (const ChunkPtr& chunk : t.chunks()) {
+      const ColumnarTable& cols = chunk->columnar();
+      for (int col = 0; col < cols.num_columns(); ++col) {
+        ASSERT_FALSE(cols.col(col).has_nulls);
+        ASSERT_EQ(cols.col(col).type,
+                  col == 3 ? ColumnType::kDouble : ColumnType::kInt64);
+      }
+    }
+    if (HasFailure()) return;
+  }
+  ASSERT_GT(t.chunks().size(), 2u);  // the appends crossed a chunk boundary
+  for (size_t p = 0; p < pins.size(); ++p) {
+    ExpectHolds(*pins[p], pinned_rows[p]);
+  }
 }
 
 }  // namespace

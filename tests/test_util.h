@@ -41,23 +41,33 @@ namespace aqv {
   ASSERT_TRUE(tmp.ok()) << "status: " << tmp.status().ToString();    \
   lhs = std::move(tmp).value()
 
-/// Seed for a randomized test: `default_seed` unless the AQV_TEST_SEED
-/// environment variable overrides it. Pair with SeedTrace so every failure
-/// of a randomized sweep prints the exact seed that replays it:
+/// The AQV_TEST_SEED environment variable, 0 when unset or empty.
+inline uint64_t TestSeedOverride() {
+  const char* env = std::getenv("AQV_TEST_SEED");
+  if (env == nullptr || *env == '\0') return 0;
+  return static_cast<uint64_t>(std::strtoull(env, nullptr, 10));
+}
+
+/// Seed for a randomized test: `default_seed` when AQV_TEST_SEED is unset
+/// (or 0); with AQV_TEST_SEED=n, `default_seed` XOR n times an odd
+/// constant. That map is one-to-one in `default_seed`, so the instances of
+/// a parameterized test (each with its own default) keep distinct seeds
+/// under every n. Pair with SeedTrace so every failure of a randomized
+/// sweep prints the value that replays it:
 ///
 ///   uint64_t seed = TestSeed(1000 + GetParam());
 ///   SCOPED_TRACE(SeedTrace(seed));
 ///
 /// Replay: AQV_TEST_SEED=<n> ./property_test --gtest_filter=<failing test>.
 inline uint64_t TestSeed(uint64_t default_seed) {
-  const char* env = std::getenv("AQV_TEST_SEED");
-  if (env == nullptr || *env == '\0') return default_seed;
-  return static_cast<uint64_t>(std::strtoull(env, nullptr, 10));
+  return default_seed ^ (TestSeedOverride() * 0x9e3779b97f4a7c15ULL);
 }
 
-/// The failure annotation naming a randomized test's seed (see TestSeed).
+/// The failure annotation naming a randomized test's seed (see TestSeed)
+/// and the AQV_TEST_SEED value that replays it.
 inline std::string SeedTrace(uint64_t seed) {
-  return "replay with AQV_TEST_SEED=" + std::to_string(seed);
+  return "seed " + std::to_string(seed) + ": replay with AQV_TEST_SEED=" +
+         std::to_string(TestSeedOverride());
 }
 
 /// Evaluates `a` and `b` against `db` (+`views`) and expects multiset-equal
