@@ -22,11 +22,15 @@
 //      versions are chunked and share every chunk a write does not touch,
 //      so such a write costs its chunk, not its table: gated by
 //      --max-size-ratio (largest-size p50 over smallest-size p50, per
-//      statement kind). Each size also times single-row DELETEs on a second
-//      table whose B values are shuffled across the rows: no column is
-//      clustered, no chunk can be skipped, and that cost grows with the
-//      table. It is reported, never gated. At the largest size the delete
-//      A/B of series 1 runs again, gated by --min-largest-speedup.
+//      statement kind). The 20k service stays alive through the sweep and
+//      alternates windows of statements with each larger one, so every
+//      ratio divides two p50s taken over the same stretch of time: a
+//      scheduler move to a slower CPU slows both sides, not one. Each size
+//      also times single-row DELETEs on a second table whose B values are
+//      shuffled across the rows: no column is clustered, no chunk can be
+//      skipped, and that cost grows with the table. It is reported, never
+//      gated. At the largest size the delete A/B of series 1 runs again,
+//      gated by --min-largest-speedup.
 //
 //   4. churn_memory — an insert/select/delete churn loop with no pinned
 //      snapshot, sampling the MVCC ledger (Stats().mvcc) every
@@ -174,44 +178,98 @@ struct SizePoint {
   double delete_p50 = 0.0;
   double update_p50 = 0.0;
   double unclustered_delete_p50 = 0.0;  // B shuffled: nothing skipped
+  /// The smallest size's p50s, taken in the windows alternated with this
+  /// size's (larger sizes only): the denominators of its size ratios.
+  double smallest_insert_p50 = 0.0;
+  double smallest_delete_p50 = 0.0;
+  double smallest_update_p50 = 0.0;
 };
 
-/// DELETE targets B = k * stride and UPDATE targets B = k * stride + 1, for
-/// k < reps + 1: spread over every chunk, disjoint, never reused. The
-/// unclustered DELETEs target the same B values on the shuffled table.
-SizePoint MeasureSize(int rows, int groups, int reps, uint64_t seed) {
-  const int64_t stride = rows / (reps + 1);
-  auto delete_sql = [&](int64_t k) {
-    return "DELETE FROM T WHERE B = " + std::to_string(k * stride);
-  };
-  std::vector<double> ins, del, upd, unclustered;
-  {
-    auto service = MakeArm(rows, groups, seed, /*foldable=*/true);
-    for (int i = -1; i < reps; ++i) {  // i == -1: discarded warmup
-      const int64_t k = i + 1;
-      double ti = TimedStatement(
-          service.get(), "INSERT INTO T VALUES (" +
-                             std::to_string(k % groups) + ", " +
-                             std::to_string(3000000000LL + k) + ")");
-      double td = TimedStatement(service.get(), delete_sql(k));
-      double tu = TimedStatement(
-          service.get(), "UPDATE T SET B = B + 1000000000 WHERE B = " +
-                             std::to_string(k * stride + 1));
-      if (i < 0) continue;
-      ins.push_back(ti);
-      del.push_back(td);
-      upd.push_back(tu);
-    }
+/// Statements per window of the series 3 alternation: four
+/// INSERT/DELETE/UPDATE triples, about a millisecond of writes.
+constexpr int kWindowTriples = 4;
+
+/// One folding service of the size sweep and the single-row statement
+/// latencies taken on it. Slot k (< `slots`) is consumed by one
+/// INSERT/DELETE/UPDATE triple: the DELETE targets B = k * stride and the
+/// UPDATE B = k * stride + 1, spread over every chunk, disjoint, never
+/// reused.
+struct SweepArm {
+  SweepArm(int rows, int slots, int groups, uint64_t seed)
+      : groups(groups),
+        stride(rows / slots),
+        service(MakeArm(rows, groups, seed, /*foldable=*/true)) {}
+
+  /// Times the triple on the next slot; a warmup triple is not kept.
+  void RunTriple(bool warmup) {
+    const int64_t k = next_slot++;
+    double ti = TimedStatement(
+        service.get(), "INSERT INTO T VALUES (" + std::to_string(k % groups) +
+                           ", " + std::to_string(3000000000LL + k) + ")");
+    double td = TimedStatement(
+        service.get(), "DELETE FROM T WHERE B = " + std::to_string(k * stride));
+    double tu = TimedStatement(
+        service.get(), "UPDATE T SET B = B + 1000000000 WHERE B = " +
+                           std::to_string(k * stride + 1));
+    if (warmup) return;
+    ins.push_back(ti);
+    del.push_back(td);
+    upd.push_back(tu);
   }
-  // One size's tables at a time: the clustered arm is gone before this one.
+
+  int groups;
+  int64_t stride;
+  int64_t next_slot = 0;
+  std::unique_ptr<QueryService> service;
+  std::vector<double> ins, del, upd;
+};
+
+/// Single-row DELETEs of B = k * rows / (reps + 1) on a table whose B values
+/// are shuffled: zone maps skip nothing.
+double UnclusteredDeleteP50(int rows, int groups, int reps, uint64_t seed) {
+  const int64_t stride = rows / (reps + 1);
   auto shuffled = MakeArm(rows, groups, seed, /*foldable=*/true,
                           /*clustered=*/false);
-  for (int i = -1; i < reps; ++i) {
-    double tc = TimedStatement(shuffled.get(), delete_sql(i + 1));
-    if (i >= 0) unclustered.push_back(tc);
+  std::vector<double> times;
+  for (int i = -1; i < reps; ++i) {  // i == -1: discarded warmup
+    double t = TimedStatement(shuffled.get(), "DELETE FROM T WHERE B = " +
+                                                  std::to_string((i + 1) *
+                                                                 stride));
+    if (i >= 0) times.push_back(t);
   }
-  return SizePoint{rows, Median(ins), Median(del), Median(upd),
-                   Median(unclustered)};
+  return Median(times);
+}
+
+/// Median of the samples appended from index `from` on.
+double MedianFrom(const std::vector<double>& samples, size_t from) {
+  return Median(std::vector<double>(samples.begin() + from, samples.end()));
+}
+
+/// Series 3 at one size above the smallest: a fresh arm of `rows` rows and
+/// the long-lived `smallest` arm run alternating windows of kWindowTriples
+/// triples, `reps` kept triples each after one warmup triple each.
+SizePoint MeasureAlongside(SweepArm* smallest, int rows, int groups, int reps,
+                           uint64_t seed) {
+  const size_t from = smallest->ins.size();
+  SizePoint point;
+  {
+    SweepArm arm(rows, reps + 1, groups, seed);
+    arm.RunTriple(/*warmup=*/true);
+    smallest->RunTriple(/*warmup=*/true);
+    for (int done = 0; done < reps; done += kWindowTriples) {
+      const int window = std::min(kWindowTriples, reps - done);
+      for (int i = 0; i < window; ++i) arm.RunTriple(/*warmup=*/false);
+      for (int i = 0; i < window; ++i) smallest->RunTriple(/*warmup=*/false);
+    }
+    point = SizePoint{rows, Median(arm.ins), Median(arm.del),
+                      Median(arm.upd)};
+  }
+  // One large table at a time: the clustered arm is gone before this one.
+  point.unclustered_delete_p50 = UnclusteredDeleteP50(rows, groups, reps, seed);
+  point.smallest_insert_p50 = MedianFrom(smallest->ins, from);
+  point.smallest_delete_p50 = MedianFrom(smallest->del, from);
+  point.smallest_update_p50 = MedianFrom(smallest->upd, from);
+  return point;
 }
 
 }  // namespace
@@ -257,12 +315,16 @@ int main(int argc, char** argv) {
   const int smallest_size = aqv::kSweepSizes[0];
   const int largest_size =
       aqv::kSweepSizes[std::size(aqv::kSweepSizes) - 1];
-  if (rows < 4 * reps || smallest_size < 4 * reps || groups < 1 ||
-      reps < 1 || churn < 1) {
+  // The smallest arm spends reps + 1 slots alongside each larger size, and
+  // a slot takes two B values.
+  const int larger_sizes = static_cast<int>(std::size(aqv::kSweepSizes)) - 1;
+  const int max_reps = smallest_size / (2 * larger_sizes) - 1;
+  if (rows < 4 * reps || reps > max_reps || groups < 1 || reps < 1 ||
+      churn < 1) {
     std::fprintf(stderr,
                  "need --rows >= 4*reps, --reps <= %d, --groups>=1, "
                  "--reps>=1, --churn>=1\n",
-                 smallest_size / 4);
+                 max_reps);
     return 2;
   }
 
@@ -289,25 +351,46 @@ int main(int argc, char** argv) {
   }
 
   // ---- Series 3: single-row statement cost across table sizes. ----
-  // One size at a time, so at most one large table is alive.
-  std::vector<aqv::SizePoint> sweep;
-  for (int size : aqv::kSweepSizes) {
-    sweep.push_back(aqv::MeasureSize(size, groups, reps, seed));
+  // One larger size at a time, so at most one large table is alive; the
+  // smallest arm runs alongside each of them.
+  std::vector<aqv::SizePoint> sweep(1);
+  {
+    aqv::SweepArm smallest(smallest_size, larger_sizes * (reps + 1), groups,
+                           seed);
+    for (size_t i = 1; i < std::size(aqv::kSweepSizes); ++i) {
+      sweep.push_back(aqv::MeasureAlongside(&smallest, aqv::kSweepSizes[i],
+                                            groups, reps, seed));
+    }
+    sweep.front() = aqv::SizePoint{smallest_size, aqv::Median(smallest.ins),
+                                   aqv::Median(smallest.del),
+                                   aqv::Median(smallest.upd)};
+  }
+  sweep.front().unclustered_delete_p50 =
+      aqv::UnclusteredDeleteP50(smallest_size, groups, reps, seed);
+  for (const aqv::SizePoint& p : sweep) {
     std::fprintf(stderr,
                  "sweep %8d rows: insert=%.0fus delete=%.0fus update=%.0fus "
-                 "unclustered delete=%.0fus\n",
-                 size, sweep.back().insert_p50, sweep.back().delete_p50,
-                 sweep.back().update_p50, sweep.back().unclustered_delete_p50);
+                 "unclustered delete=%.0fus",
+                 p.rows, p.insert_p50, p.delete_p50, p.update_p50,
+                 p.unclustered_delete_p50);
+    if (p.smallest_delete_p50 > 0) {
+      std::fprintf(stderr,
+                   " (%d rows alongside: insert=%.0fus delete=%.0fus "
+                   "update=%.0fus)",
+                   smallest_size, p.smallest_insert_p50,
+                   p.smallest_delete_p50, p.smallest_update_p50);
+    }
+    std::fprintf(stderr, "\n");
   }
-  auto ratio = [&](double aqv::SizePoint::*field) {
-    double lo = sweep.front().*field;
-    return lo > 0 ? sweep.back().*field / lo : 0.0;
-  };
-  const double insert_ratio = ratio(&aqv::SizePoint::insert_p50);
-  const double delete_ratio = ratio(&aqv::SizePoint::delete_p50);
-  const double update_ratio = ratio(&aqv::SizePoint::update_p50);
-  const double unclustered_ratio =
-      ratio(&aqv::SizePoint::unclustered_delete_p50);
+  // Gated ratios divide the largest size's p50 by the smallest size's p50
+  // from the same alternation; the unclustered ratio is reported only.
+  auto ratio = [](double hi, double lo) { return lo > 0 ? hi / lo : 0.0; };
+  const aqv::SizePoint& top = sweep.back();
+  const double insert_ratio = ratio(top.insert_p50, top.smallest_insert_p50);
+  const double delete_ratio = ratio(top.delete_p50, top.smallest_delete_p50);
+  const double update_ratio = ratio(top.update_p50, top.smallest_update_p50);
+  const double unclustered_ratio = ratio(
+      top.unclustered_delete_p50, sweep.front().unclustered_delete_p50);
   aqv::AB largest;
   {
     auto incremental =
@@ -408,15 +491,25 @@ int main(int argc, char** argv) {
 
   std::string sweep_json;
   for (size_t i = 0; i < sweep.size(); ++i) {
-    char line[320];
+    const aqv::SizePoint& p = sweep[i];
+    char line[512];
     std::snprintf(line, sizeof(line),
                   "%s\n    {\"rows\": %d, \"insert_p50_micros\": %.0f, "
                   "\"delete_p50_micros\": %.0f, \"update_p50_micros\": %.0f, "
-                  "\"unclustered_delete_p50_micros\": %.0f}",
-                  i == 0 ? "" : ",", sweep[i].rows, sweep[i].insert_p50,
-                  sweep[i].delete_p50, sweep[i].update_p50,
-                  sweep[i].unclustered_delete_p50);
+                  "\"unclustered_delete_p50_micros\": %.0f",
+                  i == 0 ? "" : ",", p.rows, p.insert_p50, p.delete_p50,
+                  p.update_p50, p.unclustered_delete_p50);
     sweep_json += line;
+    if (i > 0) {
+      std::snprintf(line, sizeof(line),
+                    ",\n     \"smallest_alongside\": {\"insert_p50_micros\": "
+                    "%.0f, \"delete_p50_micros\": %.0f, "
+                    "\"update_p50_micros\": %.0f}",
+                    p.smallest_insert_p50, p.smallest_delete_p50,
+                    p.smallest_update_p50);
+      sweep_json += line;
+    }
+    sweep_json += "}";
   }
   char json[4096];
   std::snprintf(

@@ -8,8 +8,8 @@ namespace aqv {
 
 /// Per-statement cost attribution. One QueryStats rides through a single
 /// statement's lifetime — hung on the ExecContext for the read path, passed
-/// into the write path explicitly — and each stage adds the time and I/O it
-/// consumed. The service reports it in EXPLAIN ANALYZE, attaches it to
+/// into the write path explicitly — and each stage adds the time and work
+/// it consumed. The service reports it in EXPLAIN ANALYZE, attaches it to
 /// SLOWLOG entries, and folds it into per-fingerprint aggregates for the
 /// view advisor.
 ///
@@ -34,12 +34,8 @@ struct QueryStats {
   bool degraded = false;     // fell back to the unrewritten plan
 
   // --- work counters ---
-  uint64_t rows_processed = 0;      // operator row charges (ExecContext)
-  uint64_t buffer_pool_hits = 0;    // storage buffer-pool hits
-  uint64_t buffer_pool_misses = 0;  // storage buffer-pool misses
-  uint64_t pages_read = 0;          // pages fetched from disk
-  uint64_t pages_written = 0;       // pages flushed to disk
-  uint64_t wal_bytes = 0;           // WAL bytes appended for this statement
+  uint64_t rows_processed = 0;  // operator row charges (ExecContext)
+  uint64_t wal_bytes = 0;       // WAL bytes appended for this statement
 
   /// Sum of the disjoint phases — compare against total_micros to see how
   /// much wall time the attribution accounts for.
@@ -57,10 +53,6 @@ struct QueryStats {
     wal_commit_micros += o.wal_commit_micros;
     total_micros += o.total_micros;
     rows_processed += o.rows_processed;
-    buffer_pool_hits += o.buffer_pool_hits;
-    buffer_pool_misses += o.buffer_pool_misses;
-    pages_read += o.pages_read;
-    pages_written += o.pages_written;
     wal_bytes += o.wal_bytes;
   }
 };

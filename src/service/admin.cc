@@ -154,10 +154,6 @@ std::string RenderAttribution(const QueryStats& qs) {
          " maintain=" + us(qs.maintain_micros) +
          " wal_commit=" + us(qs.wal_commit_micros) +
          " rows=" + std::to_string(qs.rows_processed) +
-         " pool_hits=" + std::to_string(qs.buffer_pool_hits) +
-         " pool_misses=" + std::to_string(qs.buffer_pool_misses) +
-         " pages_read=" + std::to_string(qs.pages_read) +
-         " pages_written=" + std::to_string(qs.pages_written) +
          " wal_bytes=" + std::to_string(qs.wal_bytes);
 }
 

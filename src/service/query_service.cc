@@ -111,12 +111,9 @@ std::string ServiceStats::ToString() const {
     out += sbuf;
     std::snprintf(
         sbuf, sizeof(sbuf),
-        "storage pool        %llu hits / %llu misses\n"
         "storage fsync       p50=%.1fus p99=%.1fus max=%lluus\n"
         "storage checkpoint  p99=%.1fus\n"
         "recovery phases     replay=%lldms view-recompute=%lldms\n",
-        static_cast<unsigned long long>(storage_pool_hits),
-        static_cast<unsigned long long>(storage_pool_misses),
         storage_fsync_p50_micros, storage_fsync_p99_micros,
         static_cast<unsigned long long>(storage_fsync_max_micros),
         storage_checkpoint_p99_micros,
@@ -275,12 +272,7 @@ QueryService::~QueryService() {
 Status QueryService::AttachStorage() {
   StorageOptions sopts;
   sopts.path = options_.storage_path;
-  sopts.buffer_pool_pages = options_.storage_buffer_pages;
   sopts.fsync_wal = options_.storage_fsync_wal;
-  sopts.group_commit = options_.storage_group_commit;
-  sopts.group_commit_window_micros =
-      options_.storage_group_commit_window_micros;
-  sopts.staged_replay = options_.storage_staged_replay;
   sopts.auto_checkpoint_wal_bytes = options_.storage_auto_checkpoint_wal_bytes;
   sopts.auto_checkpoint_commits = options_.storage_auto_checkpoint_commits;
   sopts.backpressure_wal_bytes = options_.storage_backpressure_wal_bytes;
@@ -714,8 +706,6 @@ ServiceStats QueryService::Stats() const {
     s.storage_recovery_ms = gauge("storage.recovery_ms");
     s.storage_last_commit_seq = storage_->last_commit_seq();
     s.storage_checkpoint_seq = storage_->checkpoint_seq();
-    s.storage_pool_hits = counter("storage.pool_hits");
-    s.storage_pool_misses = counter("storage.pool_misses");
     const LatencyHistogram* fsync = histogram("storage.wal_fsync_latency");
     s.storage_fsync_p50_micros = fsync->PercentileMicros(0.5);
     s.storage_fsync_p99_micros = fsync->PercentileMicros(0.99);

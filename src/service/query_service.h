@@ -93,25 +93,10 @@ struct ServiceOptions {
   /// consistent commit, and from then on every committed write epoch is
   /// WAL-logged before publication. The WAL lives at storage_path + ".wal".
   std::string storage_path;
-  /// Buffer-pool capacity for checkpoint/recovery page I/O, in 8 KiB pages.
-  size_t storage_buffer_pages = 64;
   /// fsync the WAL at every commit (the durability guarantee). Turning it
   /// off trades the last few commits for commit latency; the E18 bench
   /// quantifies the gap.
   bool storage_fsync_wal = true;
-  /// Group commit: concurrent commits coalesce onto one WAL fsync
-  /// (leader/follower). Acked-implies-durable is preserved exactly; only
-  /// the fsync count drops. Off = the fsync-per-commit baseline the E21
-  /// bench measures against.
-  bool storage_group_commit = true;
-  /// Lets a group-commit leader linger this long before fsyncing so more
-  /// followers can pile onto its batch. 0 (the default) adds no latency
-  /// and still coalesces whatever arrived while the previous fsync ran.
-  uint64_t storage_group_commit_window_micros = 0;
-  /// Recovery applies the WAL tail into one staging image published at a
-  /// single COW epoch instead of one publication per record. Off = the
-  /// per-record baseline the E21 bench measures against.
-  bool storage_staged_replay = true;
   /// Auto-checkpoint: a background thread checkpoints once the WAL passes
   /// this many bytes / this many commits since the last checkpoint, so the
   /// log can never grow unbounded. 0 disables that trigger. The commit
@@ -256,8 +241,6 @@ struct ServiceStats {
   int64_t storage_recovery_ms = 0;    // wall time of the last recovery
   uint64_t storage_last_commit_seq = 0;
   uint64_t storage_checkpoint_seq = 0;
-  uint64_t storage_pool_hits = 0;      // buffer-pool hits (checkpoint/recovery I/O)
-  uint64_t storage_pool_misses = 0;
   double storage_fsync_p50_micros = 0;  // WAL fsync latency distribution
   double storage_fsync_p99_micros = 0;
   uint64_t storage_fsync_max_micros = 0;

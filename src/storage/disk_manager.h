@@ -17,8 +17,8 @@ namespace aqv {
 /// on. The `page.flush` failpoint is evaluated on every WritePage, so the
 /// chaos suite can kill a checkpoint between any two page writes.
 ///
-/// Thread-compatibility: callers (the buffer pool, the storage engine)
-/// serialize access externally — the engine holds its own mutex across any
+/// Thread-compatibility: the caller (the storage engine) serializes access
+/// externally — the engine holds its own mutex across any
 /// checkpoint or recovery, and pread/pwrite keep independent offsets anyway.
 class DiskManager {
  public:
@@ -34,7 +34,7 @@ class DiskManager {
   Status ReadPage(uint32_t page_id, Page* page);
 
   /// Writes `page` at `page_id`, extending the file if needed. The page's
-  /// checksum must already be stamped (the buffer pool does this).
+  /// checksum must already be stamped (Page::UpdateChecksum).
   Status WritePage(uint32_t page_id, const Page& page);
 
   /// fsyncs the file: every completed WritePage is durable after this.

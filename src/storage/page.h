@@ -25,8 +25,8 @@ namespace aqv {
 ///   ...free space...
 ///   [record start..kPageSize) record bytes, newest lowest
 ///
-/// The checksum is stamped by UpdateChecksum() (the buffer pool does this on
-/// every flush) and verified by VerifyChecksum() on read, so a torn page
+/// The checksum is stamped by UpdateChecksum() (the storage engine does this
+/// before every page write) and verified by VerifyChecksum() on read, so a torn page
 /// write or bit rot is detected instead of silently decoded.
 class Page {
  public:

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <optional>
-#include <thread>
 #include <unordered_map>
 
 #include "base/failpoint.h"
@@ -143,8 +142,6 @@ Result<std::unique_ptr<StorageEngine>> StorageEngine::Open(
   auto engine =
       std::unique_ptr<StorageEngine>(new StorageEngine(std::move(options)));
   AQV_ASSIGN_OR_RETURN(engine->disk_, DiskManager::Open(engine->options_.path));
-  engine->pool_ = std::make_unique<BufferPool>(
-      engine->disk_.get(), engine->options_.buffer_pool_pages);
   if (metrics != nullptr) {
     engine->disk_->SetMetrics(&metrics->GetCounter("storage.pages_read"),
                               &metrics->GetCounter("storage.pages_written"));
@@ -156,8 +153,6 @@ Result<std::unique_ptr<StorageEngine>> StorageEngine::Open(
         &metrics->GetGauge("storage.recovery_replay_ms");
     engine->checkpoint_latency_ =
         &metrics->GetHistogram("storage.checkpoint_latency");
-    engine->pool_hits_ = &metrics->GetCounter("storage.pool_hits");
-    engine->pool_misses_ = &metrics->GetCounter("storage.pool_misses");
     engine->wal_size_gauge_ = &metrics->GetGauge("storage.wal_size_bytes");
     engine->group_commit_batch_ =
         &metrics->GetHistogram("storage.group_commit_batch");
@@ -199,21 +194,16 @@ Status StorageEngine::Recover(MetricsRegistry* metrics) {
     // Reassemble the directory blob from its page chain.
     std::string blob;
     blob.reserve(live->blob_size);
+    Page page;
     for (uint32_t page_id : live->directory_pages) {
-      AQV_ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(page_id));
-      if (!page->VerifyChecksum()) {
-        pool_->Unpin(page_id, false);
+      AQV_RETURN_NOT_OK(disk_->ReadPage(page_id, &page));
+      if (!page.VerifyChecksum()) {
         return Status::Unavailable("directory page " +
                                    std::to_string(page_id) +
                                    " failed its checksum");
       }
-      Result<std::string_view> chunk = page->GetRecord(0);
-      if (!chunk.ok()) {
-        pool_->Unpin(page_id, false);
-        return chunk.status();
-      }
-      blob.append(chunk->data(), chunk->size());
-      pool_->Unpin(page_id, false);
+      AQV_ASSIGN_OR_RETURN(std::string_view chunk, page.GetRecord(0));
+      blob.append(chunk.data(), chunk.size());
     }
     if (blob.size() != live->blob_size) {
       return Status::Unavailable("directory blob truncated: expected " +
@@ -237,7 +227,6 @@ Status StorageEngine::Recover(MetricsRegistry* metrics) {
                                                               replay_start)
             .count()));
   }
-  SyncPoolCounters();
 
   // Snapshot the derived quarantine (persisted entries, page rot, mid-log
   // tears alike): the next checkpoint serializes it into the directory, so
@@ -542,6 +531,13 @@ Status VerifyDataPage(const Page& page, uint32_t page_id) {
   return Status::OK();
 }
 
+/// Stamps the checksum and writes `page` at its own id — every page a
+/// checkpoint writes (data, directory, meta) goes out through here.
+Status WriteOut(DiskManager* disk, Page* page) {
+  page->UpdateChecksum();
+  return disk->WritePage(page->page_id(), *page);
+}
+
 }  // namespace
 
 Result<std::vector<Row>> StorageEngine::ReadRows(
@@ -549,44 +545,33 @@ Result<std::vector<Row>> StorageEngine::ReadRows(
   std::vector<Row> rows;
   rows.reserve(expected_rows);
   std::string pending;  // overflow chain being reassembled
+  Page page;
   for (uint32_t page_id : pages) {
-    AQV_ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(page_id));
-    Status status = VerifyDataPage(*page, page_id);
-    for (uint16_t slot = 0; status.ok() && slot < page->slot_count();
-         ++slot) {
-      Result<std::string_view> record = page->GetRecord(slot);
-      if (!record.ok()) {
-        status = record.status();
-        break;
+    AQV_RETURN_NOT_OK(disk_->ReadPage(page_id, &page));
+    AQV_RETURN_NOT_OK(VerifyDataPage(page, page_id));
+    for (uint16_t slot = 0; slot < page.slot_count(); ++slot) {
+      AQV_ASSIGN_OR_RETURN(std::string_view record, page.GetRecord(slot));
+      if (record.empty()) {
+        return Status::Unavailable("data page " + std::to_string(page_id) +
+                                   " holds a record with no flag byte");
       }
-      if (record->empty()) {
-        status = Status::Unavailable("data page " + std::to_string(page_id) +
-                                     " holds a record with no flag byte");
-        break;
-      }
-      char flag = record->front();
-      pending.append(record->data() + 1, record->size() - 1);
+      char flag = record.front();
+      pending.append(record.data() + 1, record.size() - 1);
       if (flag == kRecordContinues) continue;
       if (flag != kRecordFinal) {
-        status = Status::Unavailable(
+        return Status::Unavailable(
             "data page " + std::to_string(page_id) +
             " holds a record with an unknown continuation flag");
-        break;
       }
       ByteReader reader(pending);
-      Result<Row> row = DecodeRow(&reader);
-      if (!row.ok() || !reader.empty()) {
-        status = row.ok() ? Status::Unavailable(
-                                "row record has trailing bytes on page " +
-                                std::to_string(page_id))
-                          : row.status();
-        break;
+      AQV_ASSIGN_OR_RETURN(Row row, DecodeRow(&reader));
+      if (!reader.empty()) {
+        return Status::Unavailable("row record has trailing bytes on page " +
+                                   std::to_string(page_id));
       }
-      rows.push_back(*std::move(row));
+      rows.push_back(std::move(row));
       pending.clear();
     }
-    pool_->Unpin(page_id, false);
-    AQV_RETURN_NOT_OK(status);
   }
   if (!pending.empty()) {
     return Status::Unavailable("overflow row chain ends mid-row");
@@ -622,8 +607,8 @@ Status StorageEngine::CheckRowSize(const Row& row) {
 
 Status StorageEngine::WriteRows(const Table& table,
                                 std::vector<uint32_t>* pages) {
-  Page* current = nullptr;
-  uint32_t current_id = 0;
+  Page page;
+  bool filling = false;  // `page` holds records not yet written
   std::string encoded;
   std::string chunk;
   for (const ChunkPtr& stored : table.chunks()) {
@@ -631,7 +616,6 @@ Status StorageEngine::WriteRows(const Table& table,
       encoded.clear();
       EncodeRowAt(stored->columnar(), r, &encoded);
       if (encoded.size() > kMaxRowBytes) {
-        if (current != nullptr) pool_->Unpin(current_id, true);
         return Status::InvalidArgument(
             "row of " + std::to_string(encoded.size()) +
             " encoded bytes exceeds the storage row limit of " +
@@ -649,21 +633,19 @@ Status StorageEngine::WriteRows(const Table& table,
         chunk.push_back(more ? kRecordContinues : kRecordFinal);
         chunk.append(encoded, off, len);
         off += len;
-        if (current == nullptr || !current->InsertRecord(chunk).has_value()) {
-          if (current != nullptr) pool_->Unpin(current_id, true);
-          current_id = AllocatePage();
-          AQV_ASSIGN_OR_RETURN(current, pool_->NewPage(current_id));
-          pages->push_back(current_id);
-          if (!current->InsertRecord(chunk).has_value()) {
-            pool_->Unpin(current_id, true);
+        if (!filling || !page.InsertRecord(chunk).has_value()) {
+          if (filling) AQV_RETURN_NOT_OK(WriteOut(disk_.get(), &page));
+          page.Init(AllocatePage());
+          filling = true;
+          pages->push_back(page.page_id());
+          if (!page.InsertRecord(chunk).has_value()) {
             return Status::Internal("fresh page rejected a record that fits");
           }
         }
       }
     }
   }
-  if (current != nullptr) pool_->Unpin(current_id, true);
-  return Status::OK();
+  return filling ? WriteOut(disk_.get(), &page) : Status::OK();
 }
 
 Status StorageEngine::Checkpoint(const Catalog& catalog,
@@ -753,17 +735,16 @@ Status StorageEngine::Checkpoint(const Catalog& catalog,
   meta.generation = generation_ + 1;
   meta.commit_seq = last_seq_;
   meta.blob_size = blob.size();
+  Page page;
   for (size_t off = 0; off < blob.size(); off += Page::kMaxRecordSize) {
     size_t len = std::min(Page::kMaxRecordSize, blob.size() - off);
-    uint32_t page_id = AllocatePage();
-    AQV_ASSIGN_OR_RETURN(Page * page, pool_->NewPage(page_id));
-    if (!page->InsertRecord(std::string_view(blob).substr(off, len))
+    page.Init(AllocatePage());
+    if (!page.InsertRecord(std::string_view(blob).substr(off, len))
              .has_value()) {
-      pool_->Unpin(page_id, true);
       return Status::Internal("directory chunk rejected by a fresh page");
     }
-    pool_->Unpin(page_id, true);
-    meta.directory_pages.push_back(page_id);
+    AQV_RETURN_NOT_OK(WriteOut(disk_.get(), &page));
+    meta.directory_pages.push_back(page.page_id());
   }
   // 4. Make every shadow page durable before the meta flip.
   std::string meta_record;
@@ -772,20 +753,16 @@ Status StorageEngine::Checkpoint(const Catalog& catalog,
     return Status::ResourceExhausted(
         "checkpoint directory spans too many pages for one meta record");
   }
-  AQV_RETURN_NOT_OK(pool_->FlushAll());
   AQV_RETURN_NOT_OK(disk_->Sync());
 
   // 5. The commit point: stamp the OTHER meta page with generation+1 and
   // fsync. Before this instant the previous checkpoint is intact; after
   // it the new one is live.
-  Page meta_page;
-  uint32_t meta_id = static_cast<uint32_t>(meta.generation % 2);
-  meta_page.Init(meta_id);
-  if (!meta_page.InsertRecord(meta_record).has_value()) {
+  page.Init(static_cast<uint32_t>(meta.generation % 2));
+  if (!page.InsertRecord(meta_record).has_value()) {
     return Status::Internal("meta record rejected by a fresh meta page");
   }
-  meta_page.UpdateChecksum();
-  AQV_RETURN_NOT_OK(disk_->WritePage(meta_id, meta_page));
+  AQV_RETURN_NOT_OK(WriteOut(disk_.get(), &page));
   AQV_RETURN_NOT_OK(disk_->Sync());
 
   generation_ = meta.generation;
@@ -808,7 +785,6 @@ Status StorageEngine::Checkpoint(const Catalog& catalog,
             Clock::now() - checkpoint_start)
             .count()));
   }
-  SyncPoolCounters();
   if (span.active()) {
     span.AddAttr("generation", generation_);
     span.AddAttr("tables", static_cast<uint64_t>(entries.size()));
@@ -911,13 +887,8 @@ Status StorageEngine::SyncWalGroup(uint64_t my_end) {
   group_sync_active_ = true;
   group_lock.unlock();
 
-  // Leader. Optionally linger so more followers append before the fsync —
-  // with a 0 window the batch is whatever accumulated while the previous
-  // fsync was in flight.
-  if (options_.group_commit_window_micros > 0) {
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(options_.group_commit_window_micros));
-  }
+  // Leader: the batch is whatever was appended while the previous fsync
+  // was in flight.
   uint64_t sync_upto = wal_appended_offset_.load(std::memory_order_acquire);
   uint64_t records_upto =
       wal_appended_records_.load(std::memory_order_relaxed);
@@ -958,27 +929,9 @@ Status StorageEngine::SyncWalGroup(uint64_t my_end) {
   return Status::Internal("group commit fsync did not cover its own record");
 }
 
-void StorageEngine::SyncPoolCounters() {
-  if (pool_ == nullptr) return;
-  uint64_t hits = pool_->hits();
-  uint64_t misses = pool_->misses();
-  if (pool_hits_ != nullptr && hits > pool_hits_synced_) {
-    pool_hits_->Increment(hits - pool_hits_synced_);
-  }
-  if (pool_misses_ != nullptr && misses > pool_misses_synced_) {
-    pool_misses_->Increment(misses - pool_misses_synced_);
-  }
-  pool_hits_synced_ = hits;
-  pool_misses_synced_ = misses;
-}
-
 Result<StorageEngine::ScrubReport> StorageEngine::Scrub() {
   std::lock_guard<std::mutex> lock(mu_);
   ScrubReport report;
-  // Straight from disk, not through the buffer pool: a cached clean frame
-  // must not mask rot in the bytes actually on the platter. Data pages are
-  // only ever written (and flushed) inside a checkpoint, so there are no
-  // dirtier-in-memory copies to worry about.
   auto page_is_clean = [this](uint32_t id) {
     Page page;
     Status read = disk_->ReadPage(id, &page);

@@ -19,7 +19,6 @@
 #include "ir/views.h"
 #include "maintain/incremental.h"
 #include "rewrite/optimizer.h"
-#include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "storage/wal.h"
 
@@ -76,18 +75,14 @@ void EncodeDelta(const Delta& delta, std::string* out);
 Result<Delta> DecodeDelta(ByteReader* reader);
 
 struct StorageOptions {
-  std::string path;               // db file; WAL lives at path + ".wal"
-  size_t buffer_pool_pages = 64;  // page cache capacity (8 KiB pages)
-  bool fsync_wal = true;          // fsync on every commit (off: bench only)
+  std::string path;       // db file; WAL lives at path + ".wal"
+  bool fsync_wal = true;  // fsync on every commit (off: bench only)
 
   /// Group commit: concurrent LogCommit callers coalesce onto one fsync
-  /// (leader/follower). Off = every commit pays its own fsync (the PR 6
-  /// behavior, kept as the bench baseline). `group_commit_window_micros`
-  /// lets the leader linger before fsyncing so followers can pile on —
-  /// 0 trades no latency and still coalesces whatever arrived while the
-  /// previous fsync was in flight.
+  /// (leader/follower); the batch is whatever arrived while the previous
+  /// fsync was in flight. Off = every commit pays its own fsync, kept as
+  /// the bench baseline.
   bool group_commit = true;
-  uint64_t group_commit_window_micros = 0;
 
   /// Replay the WAL tail into one staging image published at a single COW
   /// epoch, instead of one Database publication per record. Off = the PR 6
@@ -207,9 +202,9 @@ class StorageEngine {
                     const Database& db, const std::vector<PlanImage>& plans);
 
   /// Re-verifies the checksum of every live checkpoint page (directory and
-  /// data, read straight from disk so cached frames cannot mask on-disk
-  /// rot) and re-scans the WAL for mid-log corruption. Reporting only — it
-  /// never mutates state; the service decides what to quarantine.
+  /// data, read from disk) and re-scans the WAL for mid-log corruption.
+  /// Reporting only — it never mutates state; the service decides what to
+  /// quarantine.
   Result<ScrubReport> Scrub();
 
   /// Drops `name` from the quarantine map the next checkpoint persists.
@@ -267,18 +262,13 @@ class StorageEngine {
   /// commit/checkpoint entry point must check both.
   bool GroupFailed() const;
 
-  /// Publishes the buffer pool's cumulative hit/miss totals into the
-  /// registry counters. The pool itself is metrics-free (its counters are
-  /// plain fields under mu_), so the engine syncs the delta since the last
-  /// sync after each batch of pool traffic. Caller holds mu_.
-  void SyncPoolCounters();
-
   /// Allocates a page id no live checkpoint page uses (reusing freed ids
   /// before extending the file).
   uint32_t AllocatePage();
 
   /// Packs the rows of `table` into freshly allocated pages, encoding them
-  /// straight from its chunks' columns; appends the page ids.
+  /// straight from its chunks' columns, and writes each page as it fills
+  /// (one page in memory); appends the page ids.
   Status WriteRows(const Table& table, std::vector<uint32_t>* pages);
   Result<std::vector<Row>> ReadRows(const std::vector<uint32_t>& pages,
                                     size_t expected_rows);
@@ -286,7 +276,6 @@ class StorageEngine {
   StorageOptions options_;
   mutable std::mutex mu_;
   std::unique_ptr<DiskManager> disk_;
-  std::unique_ptr<BufferPool> pool_;
   std::unique_ptr<LogWriter> wal_;
 
   RecoveredState recovered_;
@@ -331,10 +320,6 @@ class StorageEngine {
   Gauge* recovery_ms_ = nullptr;
   Gauge* recovery_replay_ms_ = nullptr;     // WAL-replay phase of recovery
   LatencyHistogram* checkpoint_latency_ = nullptr;
-  Counter* pool_hits_ = nullptr;
-  Counter* pool_misses_ = nullptr;
-  uint64_t pool_hits_synced_ = 0;    // pool totals already published
-  uint64_t pool_misses_synced_ = 0;
   Gauge* wal_size_gauge_ = nullptr;  // current WAL file size
   LatencyHistogram* group_commit_batch_ = nullptr;  // records per fsync
   Counter* pages_quarantined_ = nullptr;

@@ -2,7 +2,7 @@
 // MONITOR over the telemetry recorder, per-statement cost attribution in
 // EXPLAIN ANALYZE and the slow-query log, per-fingerprint aggregation
 // (STATS ATTRIBUTION), the trace-ring drop counter, and the storage-layer
-// instrumentation (fsync latency, checkpoint duration, buffer-pool and
+// instrumentation (fsync latency, checkpoint duration, page I/O and
 // recovery-phase metrics) across a checkpoint + restart.
 
 #include <chrono>
@@ -132,8 +132,7 @@ TEST(AttributionTest, ExplainAnalyzePhaseSumTracksWallTime) {
           .message;
   EXPECT_NE(message.find("attribution: wall="), std::string::npos) << message;
   for (const char* token :
-       {"parse=", "rewrite=", "exec=", "maintain=", "wal_commit=",
-        "pool_hits=", "pool_misses=", "rows="}) {
+       {"parse=", "rewrite=", "exec=", "maintain=", "wal_commit=", "rows="}) {
     EXPECT_NE(message.find(token), std::string::npos)
         << "missing " << token << " in:\n"
         << message;
@@ -374,7 +373,6 @@ TEST(StorageObservabilityTest, StorageStackMetricsFlowThroughStats) {
   std::string path = FreshPath("observability.db");
   ServiceOptions options;
   options.storage_path = path;
-  options.storage_buffer_pages = 4;  // tiny pool: force misses on recovery
   options.slow_query_micros = 1;
   {
     QueryService service(options);
@@ -392,7 +390,6 @@ TEST(StorageObservabilityTest, StorageStackMetricsFlowThroughStats) {
     std::string prom = service.StatsPromText();
     EXPECT_NE(prom.find("# TYPE aqv_storage_wal_fsync_latency histogram"),
               std::string::npos);
-    EXPECT_NE(prom.find("aqv_storage_pool_hits"), std::string::npos);
 
     // The write slow-log entries carry the WAL commit slice.
     bool saw_wal_commit = false;
@@ -407,12 +404,12 @@ TEST(StorageObservabilityTest, StorageStackMetricsFlowThroughStats) {
     EXPECT_GT(stats.storage_checkpoint_p99_micros, 0.0);
   }
 
-  // Reopen: recovery reads checkpoint pages through the 4-page pool, so
-  // the pool counters and the recovery phase gauges must be populated.
+  // Reopen: recovery reads the checkpoint pages back, so the page-read
+  // counter and the recovery phase gauges must be populated.
   QueryService service(options);
   ASSERT_TRUE(service.storage_status().ok());
   ServiceStats stats = service.Stats();
-  EXPECT_GT(stats.storage_pool_hits + stats.storage_pool_misses, 0u);
+  EXPECT_GT(stats.storage_pages_read, 0u);
   // The WAL-replay phase is a slice of the engine's total recovery time;
   // view recompute runs in the service afterwards and is tracked separately.
   EXPECT_GE(stats.storage_recovery_ms, stats.storage_recovery_replay_ms);
@@ -420,7 +417,6 @@ TEST(StorageObservabilityTest, StorageStackMetricsFlowThroughStats) {
   EXPECT_GE(stats.storage_recovery_recompute_ms, 0);
   std::string text = ExecuteOrDie(service, "STATS").message;
   EXPECT_NE(text.find("recovery phases"), std::string::npos) << text;
-  EXPECT_NE(text.find("storage pool"), std::string::npos);
 
   std::remove(path.c_str());
   std::remove((path + ".wal").c_str());

@@ -64,7 +64,6 @@ std::string FreshPath(const std::string& stem) {
 std::unique_ptr<QueryService> MakeService(const std::string& db_path) {
   ServiceOptions options;
   options.storage_path = db_path;
-  options.storage_buffer_pages = 8;  // small pool: exercise eviction
   return std::make_unique<QueryService>(options);
 }
 

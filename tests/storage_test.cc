@@ -1,5 +1,5 @@
 // Unit tests for the durable-storage building blocks: the serde
-// primitives, slotted pages, the disk manager, the buffer pool, the WAL
+// primitives, slotted pages, the disk manager, the WAL
 // (including torn-tail handling), the row/delta codecs, the catalog
 // image round-trip, and the StorageEngine checkpoint/recover cycle in
 // isolation from the query service. Crash-at-failpoint chaos lives in
@@ -14,10 +14,10 @@
 #include <gtest/gtest.h>
 
 #include "base/failpoint.h"
+#include "base/metrics.h"
 #include "base/serde.h"
 #include "catalog/catalog.h"
 #include "exec/table.h"
-#include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "storage/page.h"
 #include "storage/storage_engine.h"
@@ -197,63 +197,6 @@ TEST(DiskManagerTest, WriteReadRoundTripAndEofIsNotFound) {
   EXPECT_EQ(rec, "persist me");
 
   EXPECT_EQ(disk->ReadPage(99, &back).code(), StatusCode::kNotFound);
-}
-
-// ----------------------------------------------------------- buffer pool
-
-TEST(BufferPoolTest, EvictionWritesDirtyPagesBack) {
-  std::string path = FreshPath("pool_test.db");
-  ASSERT_OK_AND_ASSIGN(auto disk, DiskManager::Open(path));
-  BufferPool pool(disk.get(), 2);
-
-  // Three dirty pages through a 2-frame pool: page 0 must be evicted (and
-  // thereby flushed) to make room.
-  for (uint32_t id = 0; id < 3; ++id) {
-    ASSERT_OK_AND_ASSIGN(Page * p, pool.NewPage(id));
-    ASSERT_TRUE(p->InsertRecord("row-" + std::to_string(id)).has_value());
-    pool.Unpin(id, /*dirty=*/true);
-  }
-  EXPECT_GE(pool.evictions(), 1u);
-
-  // Page 0 went to disk; fetching it back re-reads the flushed contents.
-  ASSERT_OK_AND_ASSIGN(Page * p0, pool.FetchPage(0));
-  ASSERT_OK_AND_ASSIGN(std::string_view rec, p0->GetRecord(0));
-  EXPECT_EQ(rec, "row-0");
-  pool.Unpin(0, false);
-
-  ASSERT_OK(pool.FlushAll());
-  ASSERT_OK(disk->Sync());
-}
-
-TEST(BufferPoolTest, AllFramesPinnedIsResourceExhausted) {
-  std::string path = FreshPath("pool_pin_test.db");
-  ASSERT_OK_AND_ASSIGN(auto disk, DiskManager::Open(path));
-  BufferPool pool(disk.get(), 2);
-
-  ASSERT_OK(pool.NewPage(0).status());
-  ASSERT_OK(pool.NewPage(1).status());
-  EXPECT_EQ(pool.NewPage(2).status().code(), StatusCode::kResourceExhausted);
-  pool.Unpin(0, true);
-  ASSERT_OK(pool.NewPage(2).status());  // a free frame again
-  pool.Unpin(1, true);
-  pool.Unpin(2, true);
-}
-
-TEST(BufferPoolTest, FetchHitDoesNotTouchDisk) {
-  std::string path = FreshPath("pool_hit_test.db");
-  ASSERT_OK_AND_ASSIGN(auto disk, DiskManager::Open(path));
-  BufferPool pool(disk.get(), 4);
-  ASSERT_OK_AND_ASSIGN(Page * p, pool.NewPage(0));
-  ASSERT_TRUE(p->InsertRecord("cached").has_value());
-  pool.Unpin(0, true);
-
-  uint64_t misses_before = pool.misses();
-  ASSERT_OK_AND_ASSIGN(Page * again, pool.FetchPage(0));
-  EXPECT_EQ(pool.misses(), misses_before);
-  EXPECT_GE(pool.hits(), 1u);
-  ASSERT_OK_AND_ASSIGN(std::string_view rec, again->GetRecord(0));
-  EXPECT_EQ(rec, "cached");
-  pool.Unpin(0, false);
 }
 
 // ------------------------------------------------------------------ wal
@@ -552,13 +495,12 @@ TEST(StorageEngineTest, WalReplayOnTopOfCheckpoint) {
 TEST(StorageEngineTest, MultiPageTableSurvivesRestart) {
   StorageOptions opts;
   opts.path = FreshPath("engine_big.db");
-  opts.buffer_pool_pages = 4;  // force eviction traffic during checkpoint
 
   Catalog catalog;
   ASSERT_OK(catalog.AddTable(TableDef("Big", {"A", "B"})));
   Database db;
   Table big({"A", "B"});
-  // ~2000 rows with fat strings: far more than 4 pages worth of data.
+  // ~2000 rows with fat strings: many pages worth of data.
   for (int64_t i = 0; i < 2000; ++i) {
     big.AddRowOrDie(
         {Value::Int64(i), Value::String(std::string(64, 'a' + (i % 26)))});
@@ -572,6 +514,47 @@ TEST(StorageEngineTest, MultiPageTableSurvivesRestart) {
   }
   {
     ASSERT_OK_AND_ASSIGN(auto engine, StorageEngine::Open(opts, nullptr));
+    ASSERT_OK_AND_ASSIGN(const Table* back, engine->recovered().db.Get("Big"));
+    EXPECT_TRUE(MultisetEqual(*back, big));
+  }
+}
+
+// A checkpoint writes each data and directory page once, plus one meta
+// page; a reopen reads each of them once, plus both meta pages. The table
+// spans more than 64 pages, so any page cache of that size would have to
+// evict and re-read or re-write to break these counts.
+TEST(StorageEngineTest, CheckpointAndRecoveryTouchEachPageOnce) {
+  StorageOptions opts;
+  opts.path = FreshPath("engine_touch_once.db");
+
+  Catalog catalog;
+  ASSERT_OK(catalog.AddTable(TableDef("Big", {"A", "B"})));
+  Database db;
+  Table big({"A", "B"});
+  for (int64_t i = 0; i < 8000; ++i) {
+    big.AddRowOrDie(
+        {Value::Int64(i), Value::String(std::string(80, 'a' + (i % 26)))});
+  }
+  db.Put("Big", big);
+  ViewRegistry views;
+
+  uint64_t pages_checked = 0;
+  {
+    MetricsRegistry metrics;
+    ASSERT_OK_AND_ASSIGN(auto engine, StorageEngine::Open(opts, &metrics));
+    uint64_t written_before = metrics.CounterValue("storage.pages_written");
+    ASSERT_OK(engine->Checkpoint(catalog, views, db, {}));
+    uint64_t written =
+        metrics.CounterValue("storage.pages_written") - written_before;
+    ASSERT_OK_AND_ASSIGN(StorageEngine::ScrubReport scrub, engine->Scrub());
+    pages_checked = scrub.pages_checked;
+    EXPECT_GT(scrub.tables["Big"].pages, 64u);
+    EXPECT_EQ(written, pages_checked + 1);
+  }
+  {
+    MetricsRegistry metrics;
+    ASSERT_OK_AND_ASSIGN(auto engine, StorageEngine::Open(opts, &metrics));
+    EXPECT_EQ(metrics.CounterValue("storage.pages_read"), pages_checked + 2);
     ASSERT_OK_AND_ASSIGN(const Table* back, engine->recovered().db.Get("Big"));
     EXPECT_TRUE(MultisetEqual(*back, big));
   }
@@ -675,7 +658,6 @@ TEST(StorageEngineTest, LogCommitFailStopsUntilReopen) {
 TEST(StorageEngineTest, OverflowRowsRoundTripAcrossRestart) {
   StorageOptions opts;
   opts.path = FreshPath("engine_overflow.db");
-  opts.buffer_pool_pages = 4;  // eviction traffic through the chains
 
   const size_t chunk = Page::kMaxRecordSize - 1;  // payload per record
   Catalog catalog;
